@@ -16,8 +16,8 @@ import numpy as np
 
 from dgzsl.config import TrainConfig
 from dgzsl.data import SynthSpec, fewshot_sample, synth_generate
-from dgzsl.inference import accuracy, fewshot_finetune
-from dgzsl.train import train_model
+from dgzsl.inference import accuracy
+from dgzsl.train import fewshot_finetune, train_model
 
 
 def main() -> int:

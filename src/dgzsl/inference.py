@@ -1,4 +1,4 @@
-"""Prediction for unseen-class inputs, and few-shot fine-tuning.
+"""Prediction for unseen-class inputs.
 
 The label rule picks the candidate class whose latent prior is closest (in
 KL) to the input's posterior. Scoring via the per-class variational bound
@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import DgzslError
 from .gaussian import DiagGaussian, gauss_loglik, kl_matrix, sample_reparam
-from .inductive import inductive_objective
-from .networks import ModelParams, class_prior, decode, encode, make_dropout_masks
-from .optim import Adam
+from .networks import ModelParams, class_prior, decode, encode
 
 
 @dataclass(frozen=True)
@@ -99,68 +97,3 @@ def accuracy(features, labels, candidate_ids, attr_rows, model: ModelParams) -> 
     predicted, _, _ = predict_batch(features, candidate_ids, attr_rows, model)
     return float(np.mean(predicted == np.asarray(labels)))
 
-
-def fewshot_finetune(
-    model: ModelParams,
-    features,
-    labels,
-    attr_rows,
-    unseen_class_ids,
-    *,
-    epochs: int = 50,
-    batch_size: int = 32,
-    learning_rate: float = 1e-3,
-    margin_weight: float = 1.0,
-    include_seen_margin: bool = False,
-    seen_class_ids=(),
-    exclude_true_class: bool = False,
-    use_dropout: bool = True,
-    seed: int = 0,
-) -> ModelParams:
-    """Continue supervised training on k labeled unseen-class examples.
-
-    The margin term runs over the unseen classes (optionally also the seen
-    ones). An empty example set returns the model unchanged. The input model
-    is never mutated.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.size == 0:
-        return model.copy()
-    labs = np.asarray(labels, dtype=np.int64)
-    unseen = np.unique(np.asarray(unseen_class_ids, dtype=np.int64))
-    outside = set(labs.tolist()) - set(unseen.tolist())
-    if outside:
-        raise DgzslError(f"few-shot labels outside the unseen classes: {sorted(outside)}")
-    margin_ids = unseen
-    if include_seen_margin:
-        margin_ids = np.unique(np.concatenate([unseen, np.asarray(seen_class_ids, dtype=np.int64)]))
-
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    shuffle_rng, noise_rng, dropout_rng = (np.random.default_rng(s) for s in root.spawn(3))
-    opt = Adam(lr=learning_rate)
-    latent = model.latent_dim
-    current = model
-    n = feats.shape[0]
-    for _ in range(epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            rows = order[start : start + batch_size]
-            noise = noise_rng.normal(size=(rows.size, latent))
-            enc_masks = dec_masks = None
-            if use_dropout:
-                enc_masks = make_dropout_masks(dropout_rng, current.encoder, rows.size)
-                dec_masks = make_dropout_masks(dropout_rng, current.decoder, rows.size)
-            _, grads, _ = inductive_objective(
-                current,
-                feats[rows],
-                labs[rows],
-                attr_rows,
-                noise=noise,
-                margin_class_ids=margin_ids,
-                margin_weight=margin_weight,
-                enc_masks=enc_masks,
-                dec_masks=dec_masks,
-                exclude_true_class=exclude_true_class,
-            )
-            current = opt.step(current, grads)
-    return current

@@ -207,6 +207,8 @@ def load_checkpoint(path) -> tuple[dict, dict]:
     buf = Path(path).read_bytes()
     if buf[:8] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad checkpoint magic {buf[:8]!r}")
+    if len(buf) < 12:
+        raise DataFormatError(f"{path}: truncated tensor count")
     (count,) = struct.unpack_from("<I", buf, 8)
     offset = 12
     tensors, meta = {}, {}
@@ -215,7 +217,10 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             raise DataFormatError(f"{path}: truncated tensor name header")
         (nlen,) = struct.unpack_from("<I", buf, offset)
         offset += 4
-        name = buf[offset : offset + nlen].decode("utf-8")
+        try:
+            name = buf[offset : offset + nlen].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: tensor name is not UTF-8: {e}") from None
         offset += nlen
         arr, offset = _matrix_from(buf, offset, f"{path}[{name}]")
         if name.startswith("meta."):

@@ -20,8 +20,8 @@ import numpy as np
 from .config import TrainConfig, format_config, load_config
 from .data import Dataset, fewshot_sample, load_dataset
 from .errors import DgzslError
-from .inductive import inductive_objective
-from .inference import accuracy, fewshot_finetune, predict_batch
+from .inductive import breakdown_of, inductive_objective, inductive_terms
+from .inference import accuracy, predict_batch
 from .networks import (
     ModelParams,
     decode,
@@ -86,6 +86,102 @@ def _batches(order: np.ndarray, size: int):
         yield order[start : start + size]
 
 
+def _masks(rng: np.random.Generator, model: ModelParams, batch: int):
+    """Encoder then decoder dropout masks; None for each when keep_prob is 1."""
+    return (
+        make_dropout_masks(rng, model.encoder, batch),
+        make_dropout_masks(rng, model.decoder, batch),
+    )
+
+
+def _terms(bd) -> tuple:
+    """(total, reconstruction, kl_true_class, margin) of an ObjectiveBreakdown."""
+    return bd.total, bd.reconstruction, bd.kl_true_class, bd.margin
+
+
+def _labeled_epoch(model, opt, features, labels, attr_rows, rngs, batch_size, **objective):
+    """One shuffled pass of supervised Adam steps over a labeled set.
+
+    ``rngs`` is the (shuffle, noise, dropout) generator triple; each batch
+    draws its noise, then its encoder and decoder masks. ``objective`` is
+    passed on to inductive_objective. Returns the updated model and the
+    per-row mean of (total, reconstruction, kl_true_class, margin).
+    """
+    shuffle_rng, noise_rng, dropout_rng = rngs
+    sums = np.zeros(4)
+    for rows in _batches(shuffle_rng.permutation(features.shape[0]), batch_size):
+        noise = noise_rng.normal(size=(rows.size, model.latent_dim))
+        enc_m, dec_m = _masks(dropout_rng, model, rows.size)
+        _, grads, bd = inductive_objective(
+            model,
+            features[rows],
+            labels[rows],
+            attr_rows,
+            noise=noise,
+            enc_masks=enc_m,
+            dec_masks=dec_m,
+            **objective,
+        )
+        model = opt.step(model, grads)
+        sums += rows.size * np.array(_terms(bd))
+    return model, sums / features.shape[0]
+
+
+def fewshot_finetune(
+    model: ModelParams,
+    features,
+    labels,
+    attr_rows,
+    unseen_class_ids,
+    *,
+    epochs: int = 50,
+    batch_size: int = 32,
+    learning_rate: float = 1e-3,
+    margin_weight: float = 1.0,
+    include_seen_margin: bool = False,
+    seen_class_ids=(),
+    exclude_true_class: bool = False,
+    include_recon: bool = True,
+    seed: int = 0,
+) -> ModelParams:
+    """Continue supervised training on k labeled unseen-class examples.
+
+    The margin term runs over the unseen classes (optionally also the seen
+    ones). Dropout follows the model's keep_prob. An empty example set
+    returns the model unchanged. The input model is never mutated.
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.size == 0:
+        return model.copy()
+    labs = np.asarray(labels, dtype=np.int64)
+    unseen = np.unique(np.asarray(unseen_class_ids, dtype=np.int64))
+    outside = set(labs.tolist()) - set(unseen.tolist())
+    if outside:
+        raise DgzslError(f"few-shot labels outside the unseen classes: {sorted(outside)}")
+    margin_ids = unseen
+    if include_seen_margin:
+        margin_ids = np.unique(np.concatenate([unseen, np.asarray(seen_class_ids, dtype=np.int64)]))
+
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rngs = tuple(np.random.default_rng(s) for s in root.spawn(3))
+    opt = Adam(lr=learning_rate)
+    for _ in range(epochs):
+        model, _ = _labeled_epoch(
+            model,
+            opt,
+            feats,
+            labs,
+            attr_rows,
+            rngs,
+            batch_size,
+            margin_class_ids=margin_ids,
+            margin_weight=margin_weight,
+            exclude_true_class=exclude_true_class,
+            include_recon=include_recon,
+        )
+    return model
+
+
 def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     attrs = dataset.attributes
     seen_ids = np.sort(np.asarray(dataset.seen_classes, dtype=np.int64))
@@ -96,9 +192,8 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
     seed_root = np.random.SeedSequence(cfg.seed)
     init_s, shuffle_s, noise_s, dropout_s, unlab_s, fewshot_s = seed_root.spawn(6)
-    shuffle_rng = np.random.default_rng(shuffle_s)
-    noise_rng = np.random.default_rng(noise_s)
-    dropout_rng = np.random.default_rng(dropout_s)
+    rngs = tuple(np.random.default_rng(s) for s in (shuffle_s, noise_s, dropout_s))
+    shuffle_rng, noise_rng, dropout_rng = rngs
     unlab_rng = np.random.default_rng(unlab_s)
 
     model = init_model(
@@ -112,73 +207,52 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     opt = Adam(lr=cfg.learning_rate)
     records: list[MetricsRecord] = []
     eval_idx = np.flatnonzero(~dataset.train_mask)
-    state = {"model": model, "epoch": 0, "eval_idx": eval_idx}
+    objective = dict(
+        margin_weight=cfg.margin_weight,
+        exclude_true_class=cfg.exclude_true_class,
+        include_recon=not cfg.no_recon,
+    )
 
-    def evaluate() -> float:
-        idx = state["eval_idx"]
-        if idx.size == 0:
-            return 0.0
-        return accuracy(
-            dataset.features[idx], dataset.labels[idx], unseen_ids, attrs, state["model"]
-        )
-
-    def log(phase: str, wall: float, **terms):
-        state["epoch"] += 1
+    def log(phase: str, t0: float, terms, **extra):
+        """Append one record; ``terms`` follows _terms' order."""
+        wall = time.perf_counter() - t0
+        acc = 0.0
+        if eval_idx.size:
+            acc = accuracy(
+                dataset.features[eval_idx], dataset.labels[eval_idx], unseen_ids, attrs, model
+            )
         records.append(
             MetricsRecord(
-                epoch=state["epoch"],
+                epoch=len(records) + 1,
                 phase=phase,
                 seed=cfg.seed,
-                accuracy=evaluate(),
+                accuracy=acc,
                 wall_seconds=wall,
                 margin_weight=cfg.margin_weight,
-                **terms,
+                **dict(zip(("total", "reconstruction", "kl_true_class", "margin"), terms)),
+                **extra,
             )
         )
 
-    def masks_for(batch: int):
-        m = state["model"]
-        return (
-            make_dropout_masks(dropout_rng, m.encoder, batch),
-            make_dropout_masks(dropout_rng, m.decoder, batch),
-        )
-
-    def inductive_epochs(n: int, phase: str):
-        total_rows = x_train.shape[0]
+    def inductive_epochs(n: int):
+        nonlocal model
         for _ in range(n):
             t0 = time.perf_counter()
-            sums = np.zeros(4)
-            for rows in _batches(shuffle_rng.permutation(total_rows), cfg.batch_size):
-                noise = noise_rng.normal(size=(rows.size, cfg.latent_dim))
-                enc_m, dec_m = masks_for(rows.size)
-                _, grads, bd = inductive_objective(
-                    state["model"],
-                    x_train[rows],
-                    y_train[rows],
-                    attrs,
-                    noise=noise,
-                    margin_class_ids=seen_ids,
-                    margin_weight=cfg.margin_weight,
-                    enc_masks=enc_m,
-                    dec_masks=dec_m,
-                    exclude_true_class=cfg.exclude_true_class,
-                    include_recon=not cfg.no_recon,
-                )
-                state["model"] = opt.step(state["model"], grads)
-                sums += rows.size * np.array(
-                    [bd.total, bd.reconstruction, bd.kl_true_class, bd.margin]
-                )
-            means = sums / total_rows
-            log(
-                phase,
-                time.perf_counter() - t0,
-                total=means[0],
-                reconstruction=means[1],
-                kl_true_class=means[2],
-                margin=means[3],
+            model, means = _labeled_epoch(
+                model,
+                opt,
+                x_train,
+                y_train,
+                attrs,
+                rngs,
+                cfg.batch_size,
+                margin_class_ids=seen_ids,
+                **objective,
             )
+            log("inductive", t0, means)
 
-    def transductive_epochs(n: int, pool_idx: np.ndarray, phase: str = "transductive"):
+    def transductive_epochs(n: int, pool_idx: np.ndarray):
+        nonlocal model
         pool = dataset.features[pool_idx]
         if pool.shape[0] == 0:
             raise DgzslError("transductive phase has no unlabeled rows")
@@ -188,43 +262,19 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         for epoch in range(n):
             t0 = time.perf_counter()
             if epoch % cfg.refresh_every == 0:
-                target = sharpen(
-                    soft_assign(pool, attrs[unseen_ids], state["model"])
-                ).values
-            lab_sum = unlab_sum = recon_sum = klpq_sum = 0.0
-            bd_sums = np.zeros(3)
+                target = sharpen(soft_assign(pool, attrs[unseen_ids], model)).values
+            sums, bd_sums = np.zeros(4), np.zeros(3)
             unlab_parts = np.array_split(unlab_rng.permutation(pool.shape[0]), n_batches)
             for rows, rows_u in zip(
                 _batches(shuffle_rng.permutation(total_rows), cfg.batch_size), unlab_parts
             ):
                 noise_l = noise_rng.normal(size=(rows.size, cfg.latent_dim))
-                enc_m, dec_m = masks_for(rows.size)
-                if rows_u.size == 0:
-                    # degenerate split (fewer unlabeled rows than batches):
-                    # keep the bookkeeping in sum units
-                    _, grads, bd = inductive_objective(
-                        state["model"],
-                        x_train[rows],
-                        y_train[rows],
-                        attrs,
-                        noise=noise_l,
-                        margin_class_ids=seen_ids,
-                        margin_weight=cfg.margin_weight,
-                        enc_masks=enc_m,
-                        dec_masks=dec_m,
-                        exclude_true_class=cfg.exclude_true_class,
-                        include_recon=not cfg.no_recon,
-                    )
-                    lab_sum += bd.total * rows.size
-                    bd_sums += rows.size * np.array(
-                        [bd.reconstruction, bd.kl_true_class, bd.margin]
-                    )
-                    state["model"] = opt.step(state["model"], grads)
-                    continue
+                enc_m, dec_m = _masks(dropout_rng, model, rows.size)
+                # zero-size draws when rows_u is empty leave every stream as is
                 noise_u = noise_rng.normal(size=(rows_u.size, cfg.latent_dim))
-                enc_mu, dec_mu = masks_for(rows_u.size)
+                enc_mu, dec_mu = _masks(dropout_rng, model, rows_u.size)
                 _, grads, parts = transductive_objective(
-                    state["model"],
+                    model,
                     x_train[rows],
                     y_train[rows],
                     pool[rows_u],
@@ -234,97 +284,73 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     unseen_class_ids=unseen_ids,
                     noise_labeled=noise_l,
                     noise_unlabeled=noise_u,
-                    margin_weight=cfg.margin_weight,
                     enc_masks_lab=enc_m,
                     dec_masks_lab=dec_m,
                     enc_masks_unlab=enc_mu,
                     dec_masks_unlab=dec_mu,
-                    exclude_true_class=cfg.exclude_true_class,
-                    include_recon=not cfg.no_recon,
                     recon_only_unlabeled=cfg.recon_only_unlabeled,
+                    **objective,
                 )
-                state["model"] = opt.step(state["model"], grads)
-                lab_sum += parts.labeled_total
-                unlab_sum += parts.unlabeled_total
-                recon_sum += parts.unlabeled_recon
-                klpq_sum += parts.target_kl
+                model = opt.step(model, grads)
                 bd = parts.labeled_breakdown
-                bd_sums += rows.size * np.array(
-                    [bd.reconstruction, bd.kl_true_class, bd.margin]
-                )
-            means = bd_sums / total_rows
+                # an empty unlabeled batch falls back to the batch-mean objective
+                lab = parts.labeled_total if rows_u.size else bd.total * rows.size
+                sums += [lab, parts.unlabeled_total, parts.unlabeled_recon, parts.target_kl]
+                bd_sums += rows.size * np.array([bd.reconstruction, bd.kl_true_class, bd.margin])
+            lab_sum, unlab_sum, recon_sum, klpq_sum = sums
             log(
-                phase,
-                time.perf_counter() - t0,
-                total=lab_sum + unlab_sum,
-                reconstruction=means[0],
-                kl_true_class=means[1],
-                margin=means[2],
+                "transductive",
+                t0,
+                (lab_sum + unlab_sum, *(bd_sums / total_rows)),
                 labeled_total=lab_sum,
                 unlabeled_total=unlab_sum,
                 unlabeled_recon=recon_sum,
                 target_kl=klpq_sum,
             )
 
-    def fewshot_summary(feats, labs):
-        """Eval-mode objective value on the few-shot set, for the log line."""
-        noise = noise_rng.normal(size=(feats.shape[0], cfg.latent_dim))
-        _, _, bd = inductive_objective(
-            state["model"],
-            feats,
-            labs,
-            attrs,
-            noise=noise,
-            margin_class_ids=unseen_ids,
-            margin_weight=cfg.margin_weight,
-            exclude_true_class=cfg.exclude_true_class,
-        )
-        return bd
-
-    if cfg.regime == "inductive":
-        inductive_epochs(cfg.epochs, "inductive")
-    elif cfg.regime == "transductive":
-        inductive_epochs(cfg.pretrain_epochs, "inductive")
+    if cfg.regime == "transductive":
+        inductive_epochs(cfg.pretrain_epochs)
         transductive_epochs(cfg.epochs - cfg.pretrain_epochs, eval_idx)
-    elif cfg.regime == "fewshot":
-        inductive_epochs(cfg.epochs, "inductive")
+    else:
+        inductive_epochs(cfg.epochs)
+    if cfg.regime == "fewshot":
         split = fewshot_sample(dataset, cfg.k, fewshot_s)
-        state["eval_idx"] = split.unlabeled_idx
+        eval_idx = split.unlabeled_idx
         if cfg.k > 0:
             t0 = time.perf_counter()
-            state["model"] = fewshot_finetune(
-                state["model"],
-                dataset.features[split.labeled_idx],
-                dataset.labels[split.labeled_idx],
+            feats = dataset.features[split.labeled_idx]
+            labs = dataset.labels[split.labeled_idx]
+            model = fewshot_finetune(
+                model,
+                feats,
+                labs,
                 attrs,
                 unseen_ids,
                 epochs=cfg.fewshot_epochs,
                 batch_size=cfg.fewshot_batch_size,
                 learning_rate=cfg.learning_rate,
-                margin_weight=cfg.margin_weight,
                 include_seen_margin=cfg.include_seen_margin,
                 seen_class_ids=seen_ids,
-                exclude_true_class=cfg.exclude_true_class,
-                use_dropout=cfg.keep_prob < 1.0,
                 seed=fewshot_s.spawn(1)[0],
+                **objective,
             )
-            bd = fewshot_summary(
-                dataset.features[split.labeled_idx], dataset.labels[split.labeled_idx]
+            # eval-mode objective value on the few-shot set, for the log line
+            noise = noise_rng.normal(size=(feats.shape[0], cfg.latent_dim))
+            cols = inductive_terms(
+                model,
+                feats,
+                labs,
+                attrs,
+                noise=noise,
+                margin_class_ids=unseen_ids,
+                exclude_true_class=cfg.exclude_true_class,
             )
-            log(
-                "fewshot",
-                time.perf_counter() - t0,
-                total=bd.total,
-                reconstruction=bd.reconstruction,
-                kl_true_class=bd.kl_true_class,
-                margin=bd.margin,
-            )
+            bd = breakdown_of(cols, cfg.margin_weight, include_recon=not cfg.no_recon)
+            log("fewshot", t0, _terms(bd))
         if cfg.transductive_fewshot:
             transductive_epochs(cfg.transductive_epochs, split.unlabeled_idx)
-    else:  # pragma: no cover - config validation rejects other regimes
-        raise DgzslError(f"unknown regime {cfg.regime!r}")
 
-    return TrainResult(state["model"], records, state["eval_idx"])
+    return TrainResult(model, records, eval_idx)
 
 
 def _dataset_from_dir(data_dir) -> Dataset:

@@ -15,9 +15,9 @@ from dgzsl import autodiff as ad
 from dgzsl.data import fewshot_sample, save_dataset
 from dgzsl.gaussian import DiagGaussian, kl_diag
 from dgzsl.inductive import assemble, inductive_terms, margin_term
-from dgzsl.inference import fewshot_finetune, predict_via_bound, predict_zsl
+from dgzsl.inference import predict_via_bound, predict_zsl
 from dgzsl.networks import PriorParams, class_prior
-from dgzsl.train import run_train
+from dgzsl.train import fewshot_finetune, run_train
 from dgzsl.transductive import (
     AssignmentMatrix,
     TargetMatrix,

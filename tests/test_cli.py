@@ -18,7 +18,7 @@ import pytest
 
 from dgzsl.cli import main
 from dgzsl.config import parse_config
-from dgzsl.data import load_dataset, save_dataset
+from dgzsl.data import SynthSpec, load_dataset, save_dataset, synth_generate
 from dgzsl.networks import encode, model_from_named
 from dgzsl.serialize import load_checkpoint, load_matrix
 
@@ -194,16 +194,28 @@ def test_seed_override_changes_metrics(tiny_dir, cfg_path, tmp_path, trained):
     assert (out / "metrics.jsonl").read_bytes() != (trained / "metrics.jsonl").read_bytes()
 
 
-def test_transductive_metrics_decompose(tiny_dir, tmp_path):
-    cfg = tmp_path / "t.cfg"
-    cfg.write_text(
-        BASE_CFG.replace("regime = inductive", "regime = transductive").replace(
-            "epochs = 3", "epochs = 4\npretrain_epochs = 2"
-        ),
-        encoding="utf-8",
+# 60 labeled rows in batches of 2 against a 20-row unlabeled pool: 10 of the
+# 30 batches get no unlabeled rows, and batch sums differ from batch means
+SMALL_POOL = SynthSpec(seen=6, unseen=2, attr_dim=3, feature_dim=6, per_class=10, seed=3)
+
+
+@pytest.mark.parametrize("split", ["tiny", "small-pool"])
+def test_transductive_metrics_decompose(split, tiny_dir, tmp_path):
+    text = BASE_CFG.replace("regime = inductive", "regime = transductive").replace(
+        "epochs = 3", "epochs = 4\npretrain_epochs = 2"
     )
+    data = tiny_dir
+    if split == "small-pool":
+        data = tmp_path / "data"
+        save_dataset(synth_generate(SMALL_POOL), data)
+        text = text.replace("batch_size = 64", "batch_size = 2")
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    n_train = load_dataset(
+        data / "features.bin", data / "attributes.csv", data / "split.manifest"
+    ).train_features.shape[0]
     out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--data", str(tiny_dir), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 0
     lines = read_jsonl(out / "metrics.jsonl")
     assert [r["phase"] for r in lines] == ["inductive"] * 2 + ["transductive"] * 2
     for record in lines[:2]:
@@ -213,12 +225,20 @@ def test_transductive_metrics_decompose(tiny_dir, tmp_path):
         assert record["total"] == pytest.approx(
             record["labeled_total"] + record["unlabeled_total"], abs=1e-9
         )
+        # labeled_total is a sum over rows, the breakdown a mean per row
+        per_row = (
+            record["reconstruction"]
+            - record["kl_true_class"]
+            + record["margin_weight"] * record["margin"]
+        )
+        assert record["labeled_total"] == pytest.approx(n_train * per_row, rel=1e-9)
 
 
-def test_no_recon_flag_zeroes_reconstruction(tiny_dir, cfg_path, tmp_path):
+@pytest.mark.parametrize("command", [["train"], ["fewshot", "--k", "2"]], ids=["train", "fewshot"])
+def test_no_recon_flag_zeroes_reconstruction(command, tiny_dir, cfg_path, tmp_path):
     out = tmp_path / "nr"
     rc = main(
-        ["train", "--config", str(cfg_path), "--data", str(tiny_dir),
+        [*command, "--config", str(cfg_path), "--data", str(tiny_dir),
          "--out", str(out), "--no-recon"]
     )
     assert rc == 0

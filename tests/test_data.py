@@ -1,5 +1,8 @@
 """Dataset container, synthetic benchmark, few-shot splits, file formats."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from dgzsl.data import (
 )
 from dgzsl.errors import DataFormatError, DgzslError, ShapeError
 from dgzsl.serialize import (
+    CHECKPOINT_MAGIC,
     load_checkpoint,
     load_matrix,
     matrix_bytes,
@@ -388,6 +392,21 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"WRONGMAG" + b"\x00" * 8)
     with pytest.raises(DataFormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        CHECKPOINT_MAGIC,  # no tensor count
+        CHECKPOINT_MAGIC + struct.pack("<II", 1, 2) + b"\xff\xfe",  # name not UTF-8
+    ],
+    ids=["no-count", "non-utf8-name"],
+)
+def test_checkpoint_corrupt_header(tmp_path, blob):
+    path = tmp_path / "corrupt.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 

@@ -8,12 +8,12 @@ from dgzsl.gaussian import DiagGaussian, kl_matrix
 from dgzsl.inference import (
     Prediction,
     accuracy,
-    fewshot_finetune,
     predict_batch,
     predict_via_bound,
     predict_zsl,
 )
 from dgzsl.networks import class_prior, encode
+from dgzsl.train import fewshot_finetune
 
 from conftest import perturbed_model, unseen_accuracy
 
