@@ -401,7 +401,11 @@ def affine_forward(inp, weights, bias):
         raise ShapeError(
             f"affine_forward bias length {bv.size} != weight columns {wv.shape[1]}"
         )
-    return matmul(inp, weights) + bias
+    if _tape_of(inp, weights, bias) is not None:
+        return matmul(inp, weights) + bias
+    out = iv @ wv
+    out += bv  # in place on the fresh product: no second rows×cols array
+    return out
 
 
 def backward_grad(tape: Tape, out: Var) -> dict:

@@ -274,9 +274,16 @@ def make_dropout_masks(
 def _trunk(x, mlp: MlpParams, dropout_masks):
     h = x
     for i, layer in enumerate(mlp.hidden):
-        h = ad.relu(ad.affine_forward(h, layer.weights, layer.bias))
-        if dropout_masks is not None:
-            h = h * dropout_masks[i]
+        h = ad.affine_forward(h, layer.weights, layer.bias)
+        if isinstance(h, Var):
+            h = ad.relu(h)
+            if dropout_masks is not None:
+                h = h * dropout_masks[i]
+        else:
+            # plain forward: h is a fresh array, so rectify and mask it in place
+            np.maximum(h, 0.0, out=h)
+            if dropout_masks is not None:
+                h *= dropout_masks[i]
     return h
 
 

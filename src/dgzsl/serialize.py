@@ -18,6 +18,8 @@ Scalar metadata rides along as 1×1 tensors named ``meta.<key>``.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from pathlib import Path
 
@@ -30,19 +32,27 @@ CHECKPOINT_MAGIC = b"DGZSLCK1"
 _HEADER = struct.Struct("<II")
 
 
-def matrix_bytes(arr) -> bytes:
+def _write_matrix(fh, arr) -> None:
+    """Writes one matrix in the matrix-file layout to a binary file object."""
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2:
         raise DataFormatError(f"can only serialize 1-D or 2-D arrays, got shape {a.shape}")
-    rows, cols = a.shape
-    body = np.ascontiguousarray(a, dtype="<f4").tobytes()
-    return MATRIX_MAGIC + _HEADER.pack(rows, cols) + body
+    body = np.ascontiguousarray(a, dtype="<f4")
+    fh.write(MATRIX_MAGIC + _HEADER.pack(*a.shape))
+    fh.write(body.data)
+
+
+def matrix_bytes(arr) -> bytes:
+    buf = io.BytesIO()
+    _write_matrix(buf, arr)
+    return buf.getvalue()
 
 
 def save_matrix(path, arr) -> None:
-    Path(path).write_bytes(matrix_bytes(arr))
+    with open(path, "wb") as fh:
+        _write_matrix(fh, arr)
 
 
 def _matrix_from(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
@@ -60,6 +70,12 @@ def _matrix_from(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
             f"{where}: expected {n} float32 values, file is short by {end - len(buf)} bytes"
         )
     data = np.frombuffer(buf, dtype="<f4", count=n, offset=offset)
+    finite = np.isfinite(data)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise DataFormatError(
+            f"{where}: non-finite value {data[first]} at row {first // cols}, column {first % cols}"
+        )
     return data.astype(np.float64).reshape(rows, cols), end
 
 
@@ -70,8 +86,6 @@ def load_matrix(path):
         raise DataFormatError(f"{path}: {len(buf) - end} trailing bytes after matrix body")
     if arr.size == 0:
         raise DataFormatError(f"{path}: matrix is empty")
-    if not np.all(np.isfinite(arr)):
-        raise DataFormatError(f"{path}: matrix contains non-finite values")
     return arr
 
 
@@ -99,6 +113,9 @@ def read_attribute_csv(path):
             vals = [float(c) for c in cells[1:]]
         except ValueError as e:
             raise DataFormatError(f"{path}:{ln}: {e}") from None
+        bad = [c.strip() for c, v in zip(cells[1:], vals) if not math.isfinite(v)]
+        if bad:
+            raise DataFormatError(f"{path}:{ln}: non-finite attribute {bad[0]!r}")
         if cid < 0:
             raise DataFormatError(f"{path}:{ln}: negative class id {cid}")
         if cid in rows:
@@ -193,13 +210,12 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
     items = dict(tensors)
     for key, value in (meta or {}).items():
         items[f"meta.{key}"] = np.array([[float(value)]])
-    blob = [CHECKPOINT_MAGIC, struct.pack("<I", len(items))]
-    for name, arr in items.items():
-        encoded = name.encode("utf-8")
-        blob.append(struct.pack("<I", len(encoded)))
-        blob.append(encoded)
-        blob.append(matrix_bytes(arr))
-    Path(path).write_bytes(b"".join(blob))
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(items)))
+        for name, arr in items.items():
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)) + encoded)
+            _write_matrix(fh, arr)
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:

@@ -334,14 +334,14 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 seed=fewshot_s.spawn(1)[0],
                 **objective,
             )
-            # eval-mode objective value on the few-shot set, for the log line
-            noise = noise_rng.normal(size=(feats.shape[0], cfg.latent_dim))
+            # eval-mode objective on the few-shot set, decoding the posterior
+            # mean (zero noise), so the log line draws no random numbers
             cols = inductive_terms(
                 model,
                 feats,
                 labs,
                 attrs,
-                noise=noise,
+                noise=np.zeros((feats.shape[0], cfg.latent_dim)),
                 margin_class_ids=unseen_ids,
                 exclude_true_class=cfg.exclude_true_class,
             )

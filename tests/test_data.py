@@ -279,7 +279,13 @@ def test_matrix_empty_rejected(tmp_path):
 def test_matrix_non_finite_rejected(tmp_path):
     path = tmp_path / "inf.bin"
     save_matrix(path, np.array([[np.inf, 1.0]]))
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match="row 0"):
+        load_matrix(path)
+    arr = np.ones((5, 3))
+    arr[3, 1] = np.nan
+    arr[4, 0] = np.inf
+    save_matrix(path, arr)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: non-finite value nan at row 3, column 1")):
         load_matrix(path)
 
 
@@ -315,12 +321,14 @@ def test_attribute_csv_rows_keyed_by_id(tmp_path):
         "-1,1.0\n",  # negative id
         "0\n",  # missing attributes
         "",  # empty
+        "0,nan\n",  # not a number
+        "0,1.0,inf\n",  # infinite
     ],
 )
 def test_attribute_csv_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match=re.escape(str(path))):
         read_attribute_csv(path)
 
 
@@ -407,6 +415,15 @@ def test_checkpoint_corrupt_header(tmp_path, blob):
     path = tmp_path / "corrupt.ckpt"
     path.write_bytes(blob)
     with pytest.raises(DataFormatError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_tensor(tmp_path):
+    path = tmp_path / "nan.ckpt"
+    w = np.ones((3, 4))
+    w[2, 1] = np.nan
+    save_checkpoint(path, {"enc.h0.b": np.zeros((1, 4)), "enc.h0.w": w})
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}[enc.h0.w]: non-finite value nan at row 2")):
         load_checkpoint(path)
 
 

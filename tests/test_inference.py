@@ -12,8 +12,10 @@ from dgzsl.inference import (
     predict_via_bound,
     predict_zsl,
 )
+from dgzsl.config import TrainConfig
+from dgzsl.inductive import breakdown_of, inductive_terms
 from dgzsl.networks import class_prior, encode
-from dgzsl.train import fewshot_finetune
+from dgzsl.train import fewshot_finetune, train_model
 
 from conftest import perturbed_model, unseen_accuracy
 
@@ -137,6 +139,36 @@ def test_fewshot_is_deterministic_and_leaves_input_alone(setup):
     # and training actually moved the parameters
     assert any(
         not np.array_equal(a.named_arrays()[k], before[k]) for k in before
+    )
+
+
+def test_fewshot_log_line_is_eval_mode_objective(tiny_dataset):
+    """The fewshot line scores the fine-tuned model on its k-shot rows with
+    zero latent noise: the posterior mean is decoded, nothing is drawn."""
+    ds = tiny_dataset
+    cfg = TrainConfig(
+        regime="fewshot", k=2, latent_dim=4, hidden_dims=(16,), batch_size=20,
+        epochs=3, fewshot_epochs=3, fewshot_batch_size=4, seed=5,
+    )
+    result = train_model(ds, cfg)
+    line = result.records[-1]
+    assert line.phase == "fewshot"
+    labeled = np.setdiff1d(np.flatnonzero(~ds.train_mask), result.eval_idx)
+    assert labeled.size == cfg.k * len(ds.unseen_classes)
+    cols = inductive_terms(
+        result.model,
+        ds.features[labeled],
+        ds.labels[labeled],
+        ds.attributes,
+        noise=np.zeros((labeled.size, cfg.latent_dim)),
+        margin_class_ids=np.sort(ds.unseen_classes),
+    )
+    bd = breakdown_of(cols, cfg.margin_weight)
+    assert (line.total, line.reconstruction, line.kl_true_class, line.margin) == (
+        bd.total,
+        bd.reconstruction,
+        bd.kl_true_class,
+        bd.margin,
     )
 
 

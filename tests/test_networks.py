@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgzsl.autodiff import Tape
 from dgzsl.errors import DataFormatError, DgzslError, ShapeError
 from dgzsl.gaussian import DiagGaussian
 from dgzsl.networks import (
@@ -237,6 +238,29 @@ def test_dropout_masks_change_training_output(model):
     train_q = encode(x, model.encoder, masks)
     eval_q = encode(x, model.encoder)
     assert not np.allclose(train_q.mean, eval_q.mean)
+
+
+@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
+def test_plain_forward_matches_taped_bit_for_bit(model, train_mode):
+    rng = np.random.default_rng(9)
+    model = model.map_arrays(lambda name, a: rng.normal(size=np.shape(a)))
+    x = rng.normal(size=(5, 8))
+    z = rng.normal(size=(5, 4))
+    enc_m = make_dropout_masks(rng, model.encoder, 5) if train_mode else None
+    dec_m = make_dropout_masks(rng, model.decoder, 5) if train_mode else None
+    before = [a.copy() for a in (x, z, *model.named_arrays().values(), *(enc_m or []), *(dec_m or []))]
+
+    q = encode(x, model.encoder, enc_m)
+    out = decode(z, model.decoder, dec_m)
+    bound = model.bind(Tape())
+    q_taped = encode(x, bound.encoder, enc_m)
+    out_taped = decode(z, bound.decoder, dec_m)
+
+    assert q.mean.tobytes() == q_taped.mean.value.tobytes()
+    assert q.logvar.tobytes() == q_taped.logvar.value.tobytes()
+    assert out.tobytes() == out_taped.value.tobytes()
+    after = (x, z, *model.named_arrays().values(), *(enc_m or []), *(dec_m or []))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 # ------------------------------------------------------------ named round trip
