@@ -423,6 +423,18 @@ def backward_grad(tape: Tape, out: Var) -> dict:
     return grads
 
 
+def value_and_grad(fn, model):
+    """Value, gradients and auxiliary output of a model value function.
+
+    ``fn`` maps a model to ``(scalar, aux)``; it runs once on ``model`` bound
+    to a fresh tape. Returns (float value, gradient dict keyed like the
+    model's named arrays, aux).
+    """
+    tape = Tape()
+    value, aux = fn(model.bind(tape))
+    return float(value), backward_grad(tape, value), aux
+
+
 def grad_check(fn, params: dict, epsilon: float = 1e-5) -> float:
     """Worst relative error between tape gradients and central differences.
 

@@ -106,10 +106,19 @@ def _cmd_export(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from . import autodiff as ad
-    from .inductive import assemble, inductive_terms
+    from .inductive import inductive_value
     from .networks import init_model
     from .transductive import sharpen, soft_assign, transductive_value
 
+    positive = ("feature_dim", "latent_dim", "hidden", "attr_dim", "seen", "batch", "epsilon", "tolerance")
+    for name in positive:
+        value = getattr(args, name)
+        if not value > 0:
+            raise DgzslError(f"--{name.replace('_', '-')} must be positive, got {value}")
+    if args.unseen < 2:
+        raise DgzslError(f"--unseen must be at least 2, got {args.unseen}")
+    if args.seed < 0:
+        raise DgzslError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     seen, unseen = args.seen, args.unseen
     classes = seen + unseen
@@ -126,10 +135,7 @@ def _cmd_gradcheck(args) -> int:
 
     def supervised(p):
         m = model.map_arrays(lambda n, a: p[n])
-        cols = inductive_terms(
-            m, feats, labels, attrs, noise=noise, margin_class_ids=seen_ids
-        )
-        return assemble(cols, 1.0)
+        return inductive_value(m, feats, labels, attrs, noise=noise, margin_class_ids=seen_ids)[0]
 
     err_sup = ad.grad_check(supervised, model.named_arrays(), epsilon=args.epsilon)
 

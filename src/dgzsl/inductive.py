@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Tape
+from .autodiff import Array
 from .errors import DgzslError, ShapeError
 from .gaussian import DiagGaussian, gauss_loglik, gauss_loglik_rows, kl_diag, kl_matrix, sample_reparam
 from .networks import ModelParams, PriorParams, class_prior, decode, encode
@@ -131,12 +131,17 @@ def inductive_terms(
     return ObjectiveColumns(recon, kl_true, margin)
 
 
+def per_example(cols: ObjectiveColumns, margin_weight: float, *, include_recon: bool = True):
+    """B×1 labeled objective: margin_weight · margin − kl (+ reconstruction)."""
+    if margin_weight < 0:
+        raise DgzslError(f"margin weight must be ≥ 0, got {margin_weight}")
+    out = margin_weight * cols.margin - cols.kl_true_class
+    return out + cols.reconstruction if include_recon else out
+
+
 def assemble(cols: ObjectiveColumns, margin_weight: float, *, include_recon: bool = True):
     """Mean objective over the batch from per-example columns."""
-    per_example = margin_weight * cols.margin - cols.kl_true_class
-    if include_recon:
-        per_example = per_example + cols.reconstruction
-    return ad.mean(per_example)
+    return ad.mean(per_example(cols, margin_weight, include_recon=include_recon))
 
 
 def breakdown_of(cols: ObjectiveColumns, margin_weight: float, *, include_recon: bool = True) -> ObjectiveBreakdown:
@@ -146,40 +151,30 @@ def breakdown_of(cols: ObjectiveColumns, margin_weight: float, *, include_recon:
     return ObjectiveBreakdown(recon, kl, margin, margin_weight, recon - kl + margin_weight * margin)
 
 
-def inductive_objective(
+def inductive_value(
     model: ModelParams,
     features,
     labels,
     attr_rows,
     *,
-    noise,
-    margin_class_ids,
     margin_weight: float = 1.0,
-    enc_masks=None,
-    dec_masks=None,
-    exclude_true_class: bool = False,
     include_recon: bool = True,
+    **terms,
 ):
-    """Batch-mean objective with gradients for every model tensor.
+    """Batch-mean objective of a labeled batch; ``terms`` go to inductive_terms.
+
+    Works on plain and tape-bound models; returns (value, ObjectiveBreakdown)
+    where the value is a tape variable when the model is bound.
+    """
+    cols = inductive_terms(model, features, labels, attr_rows, **terms)
+    value = assemble(cols, margin_weight, include_recon=include_recon)
+    return value, breakdown_of(cols, margin_weight, include_recon=include_recon)
+
+
+def inductive_objective(model: ModelParams, *args, **kwargs):
+    """inductive_value with gradients for every model tensor.
 
     Returns (value, gradient dict keyed like ModelParams.named_arrays,
     ObjectiveBreakdown). The trainer ascends these gradients.
     """
-    if margin_weight < 0:
-        raise DgzslError(f"margin weight must be ≥ 0, got {margin_weight}")
-    tape = Tape()
-    bound = model.bind(tape)
-    cols = inductive_terms(
-        bound,
-        features,
-        labels,
-        attr_rows,
-        noise=noise,
-        margin_class_ids=margin_class_ids,
-        enc_masks=enc_masks,
-        dec_masks=dec_masks,
-        exclude_true_class=exclude_true_class,
-    )
-    total = assemble(cols, margin_weight, include_recon=include_recon)
-    grads = ad.backward_grad(tape, total)
-    return float(total), grads, breakdown_of(cols, margin_weight, include_recon=include_recon)
+    return ad.value_and_grad(lambda m: inductive_value(m, *args, **kwargs), model)

@@ -20,7 +20,7 @@ import numpy as np
 from .config import TrainConfig, format_config, load_config
 from .data import Dataset, fewshot_sample, load_dataset
 from .errors import DgzslError
-from .inductive import breakdown_of, inductive_objective, inductive_terms
+from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, predict_batch
 from .networks import (
     ModelParams,
@@ -293,9 +293,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 )
                 model = opt.step(model, grads)
                 bd = parts.labeled_breakdown
-                # an empty unlabeled batch falls back to the batch-mean objective
-                lab = parts.labeled_total if rows_u.size else bd.total * rows.size
-                sums += [lab, parts.unlabeled_total, parts.unlabeled_recon, parts.target_kl]
+                sums += [parts.labeled_total, parts.unlabeled_total, parts.unlabeled_recon, parts.target_kl]
                 bd_sums += rows.size * np.array([bd.reconstruction, bd.kl_true_class, bd.margin])
             lab_sum, unlab_sum, recon_sum, klpq_sum = sums
             log(
@@ -336,16 +334,15 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             )
             # eval-mode objective on the few-shot set, decoding the posterior
             # mean (zero noise), so the log line draws no random numbers
-            cols = inductive_terms(
+            _, bd = inductive_value(
                 model,
                 feats,
                 labs,
                 attrs,
                 noise=np.zeros((feats.shape[0], cfg.latent_dim)),
                 margin_class_ids=unseen_ids,
-                exclude_true_class=cfg.exclude_true_class,
+                **objective,
             )
-            bd = breakdown_of(cols, cfg.margin_weight, include_recon=not cfg.no_recon)
             log("fewshot", t0, _terms(bd))
         if cfg.transductive_fewshot:
             transductive_epochs(cfg.transductive_epochs, split.unlabeled_idx)
@@ -419,6 +416,8 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
         raise DgzslError(f"candidate selector must be one of {sorted(pools)}")
     ids = np.sort(np.asarray(pools[candidates], dtype=np.int64))
     feats, labels = dataset.test_features, dataset.test_labels
+    if labels.size == 0:
+        raise DgzslError(f"{data_dir}: the test split is empty")
     predicted, _, _ = predict_batch(feats, ids, dataset.attributes, model)
     confusion: dict[str, dict[str, int]] = {}
     for true, pred in zip(labels.tolist(), predicted.tolist()):

@@ -15,15 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Tape
+from .autodiff import Array
 from .errors import DgzslError, ShapeError
 from .gaussian import gauss_loglik_rows, kl_matrix, sample_reparam
-from .inductive import (
-    ObjectiveBreakdown,
-    breakdown_of,
-    inductive_objective,
-    inductive_terms,
-)
+from .inductive import ObjectiveBreakdown, breakdown_of, inductive_terms, per_example
 from .networks import ModelParams, class_prior, decode, encode
 
 ROW_SUM_TOL = 1e-9
@@ -169,12 +164,14 @@ def transductive_value(
 ):
     """Combined objective value: Σ labeled supervised terms + unlabeled term.
 
-    Generic over tape-bound models; returns (value, TransductiveParts) where
-    the value is a tape variable when the model is bound. Sums, not means.
+    ``target_rows`` are the sharpened-target rows aligned with the unlabeled
+    batch, produced by sharpen() at the last refresh; they are constants (no
+    gradient flows through the target). An empty unlabeled batch contributes
+    a zero unlabeled term. Works on plain and tape-bound models; returns
+    (value, TransductiveParts) where the value is a tape variable when the
+    model is bound. Sums, not means.
     """
     unlab = np.asarray(unlab_features, dtype=np.float64)
-    if unlab.size == 0:
-        raise DgzslError("transductive value needs a non-empty unlabeled batch")
     unseen_ids = np.asarray(unseen_class_ids)
     if unseen_ids.size < 2:
         raise DgzslError("transductive objective needs at least 2 unseen classes")
@@ -196,10 +193,7 @@ def transductive_value(
         dec_masks=dec_masks_lab,
         exclude_true_class=exclude_true_class,
     )
-    per_example = margin_weight * cols.margin - cols.kl_true_class
-    if include_recon:
-        per_example = per_example + cols.reconstruction
-    labeled_sum = ad.sum(per_example)
+    labeled_sum = ad.sum(per_example(cols, margin_weight, include_recon=include_recon))
 
     q_u = encode(unlab, model.encoder, enc_masks_unlab)
     z_u = sample_reparam(q_u, noise_unlabeled)
@@ -230,72 +224,9 @@ def transductive_value(
     return total, parts
 
 
-def transductive_objective(
-    model: ModelParams,
-    lab_features,
-    lab_labels,
-    unlab_features,
-    target_rows,
-    attr_rows,
-    *,
-    margin_class_ids,
-    unseen_class_ids,
-    noise_labeled,
-    noise_unlabeled,
-    margin_weight: float = 1.0,
-    enc_masks_lab=None,
-    dec_masks_lab=None,
-    enc_masks_unlab=None,
-    dec_masks_unlab=None,
-    exclude_true_class: bool = False,
-    include_recon: bool = True,
-    recon_only_unlabeled: bool = False,
-):
-    """Combined objective with gradients for every model tensor.
-
-    ``target_rows`` are the sharpened-target rows aligned with this unlabeled
-    batch, produced by sharpen() at the last refresh; they are constants (no
-    gradient flows through the target). An empty unlabeled batch falls back
-    to the plain supervised objective (batch mean).
+def transductive_objective(model: ModelParams, *args, **kwargs):
+    """transductive_value with gradients for every model tensor.
 
     Returns (value, gradient dict, TransductiveParts).
     """
-    if np.asarray(unlab_features, dtype=np.float64).size == 0:
-        value, grads, bd = inductive_objective(
-            model,
-            lab_features,
-            lab_labels,
-            attr_rows,
-            noise=noise_labeled,
-            margin_class_ids=margin_class_ids,
-            margin_weight=margin_weight,
-            enc_masks=enc_masks_lab,
-            dec_masks=dec_masks_lab,
-            exclude_true_class=exclude_true_class,
-            include_recon=include_recon,
-        )
-        return value, grads, TransductiveParts(value, 0.0, 0.0, 0.0, value, bd)
-
-    tape = Tape()
-    total, parts = transductive_value(
-        model.bind(tape),
-        lab_features,
-        lab_labels,
-        unlab_features,
-        target_rows,
-        attr_rows,
-        margin_class_ids=margin_class_ids,
-        unseen_class_ids=unseen_class_ids,
-        noise_labeled=noise_labeled,
-        noise_unlabeled=noise_unlabeled,
-        margin_weight=margin_weight,
-        enc_masks_lab=enc_masks_lab,
-        dec_masks_lab=dec_masks_lab,
-        enc_masks_unlab=enc_masks_unlab,
-        dec_masks_unlab=dec_masks_unlab,
-        exclude_true_class=exclude_true_class,
-        include_recon=include_recon,
-        recon_only_unlabeled=recon_only_unlabeled,
-    )
-    grads = ad.backward_grad(tape, total)
-    return parts.total, grads, parts
+    return ad.value_and_grad(lambda m: transductive_value(m, *args, **kwargs), model)

@@ -20,7 +20,7 @@ from dgzsl.cli import main
 from dgzsl.config import parse_config
 from dgzsl.data import SynthSpec, load_dataset, save_dataset, synth_generate
 from dgzsl.networks import encode, model_from_named
-from dgzsl.serialize import load_checkpoint, load_matrix
+from dgzsl.serialize import load_checkpoint, load_matrix, save_matrix
 
 BASE_CFG = """\
 regime = inductive
@@ -318,6 +318,30 @@ def test_gradcheck_reports_pass(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--seen", "0"],
+        ["--unseen", "1"],
+        ["--batch", "0"],
+        ["--hidden", "0"],
+        ["--feature-dim", "0"],
+        ["--latent-dim", "0"],
+        ["--attr-dim", "0"],
+        ["--epsilon", "0"],
+        ["--tolerance", "-0.5"],
+        ["--seed", "-1"],
+    ],
+    ids=lambda a: a[0].lstrip("-"),
+)
+def test_gradcheck_rejects_degenerate_arguments(args, capsys):
+    rc = main(["gradcheck", *args])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: {args[0]} must be")
+    assert "PASS" not in captured.out
+
+
 def test_unknown_config_key_fails_cleanly(tiny_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")
@@ -347,6 +371,19 @@ def test_eval_rejects_mismatched_checkpoint(trained, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(trained / "model.ckpt"), "--data", str(other)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_rejects_an_empty_test_split(trained, tiny_dataset, tmp_path, capsys):
+    data = tmp_path / "no-test"
+    save_dataset(tiny_dataset, data)
+    save_matrix(data / "features.bin", tiny_dataset.train_features)
+    (data / "test_labels.txt").write_text("", encoding="utf-8")
+    rc = main(["eval", "--checkpoint", str(trained / "model.ckpt"), "--data", str(data)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert str(data) in captured.err and "test split is empty" in captured.err
 
 
 def test_argparse_misuse_exits_two():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dgzsl import autodiff as ad
 from dgzsl.errors import DgzslError, ShapeError
 from dgzsl.gaussian import gauss_loglik_rows, sample_reparam
-from dgzsl.inductive import inductive_objective
+from dgzsl.inductive import inductive_objective, inductive_terms, inductive_value, per_example
 from dgzsl.networks import decode, encode
 from dgzsl.transductive import (
     AssignmentMatrix,
@@ -274,7 +274,7 @@ def test_combined_value_matches_manual_composition(setup):
     assert set(grads) == set(model.named_arrays())
 
 
-def test_empty_unlabeled_batch_falls_back_to_supervised(setup):
+def test_empty_unlabeled_batch_gives_the_labeled_sum(setup):
     model, attrs, seen, unseen, feats, labels, _, noise_l, _ = setup
     value, grads, parts = transductive_objective(
         model,
@@ -288,14 +288,19 @@ def test_empty_unlabeled_batch_falls_back_to_supervised(setup):
         noise_labeled=noise_l,
         noise_unlabeled=np.zeros((0, 4)),
     )
-    direct_value, direct_grads, bd = inductive_objective(
+    mean_value, mean_grads, bd = inductive_objective(
         model, feats, labels, attrs, noise=noise_l, margin_class_ids=seen
     )
-    assert value == direct_value
-    assert parts.unlabeled_total == 0.0 and parts.target_kl == 0.0
-    assert parts.labeled_total == direct_value
-    for key in direct_grads:
-        assert np.array_equal(grads[key], direct_grads[key]), key
+    batch = feats.shape[0]
+    cols = inductive_terms(model, feats, labels, attrs, noise=noise_l, margin_class_ids=seen)
+    labeled_sum = float(np.sum(per_example(cols, 1.0)))
+    assert value == parts.labeled_total == parts.total
+    assert value == pytest.approx(labeled_sum, rel=1e-12)
+    assert value == pytest.approx(batch * mean_value, rel=1e-12)
+    assert parts.unlabeled_total == parts.unlabeled_recon == parts.target_kl == 0.0
+    assert parts.labeled_breakdown == bd
+    for key in mean_grads:
+        np.testing.assert_allclose(grads[key], batch * mean_grads[key], rtol=1e-12, atol=0)
 
 
 def test_recon_only_flag_drops_the_assignment_term(setup):
@@ -358,21 +363,24 @@ def test_target_shape_must_match_batch(setup):
         )
 
 
-def test_transductive_value_requires_unlabeled_rows(setup):
+def test_transductive_value_on_an_empty_unlabeled_batch(setup):
     model, attrs, seen, unseen, feats, labels, _, noise_l, _ = setup
-    with pytest.raises(DgzslError):
-        transductive_value(
-            model,
-            feats,
-            labels,
-            np.zeros((0, 8)),
-            np.zeros((0, 3)),
-            attrs,
-            margin_class_ids=seen,
-            unseen_class_ids=unseen,
-            noise_labeled=noise_l,
-            noise_unlabeled=np.zeros((0, 4)),
-        )
+    kwargs = dict(
+        margin_class_ids=seen,
+        unseen_class_ids=unseen,
+        noise_labeled=noise_l,
+        noise_unlabeled=np.zeros((0, 4)),
+    )
+    empty = (np.zeros((0, 8)), np.zeros((0, 3)))
+    value, parts = transductive_value(model, feats, labels, *empty, attrs, **kwargs)
+    _, bd = inductive_value(model, feats, labels, attrs, noise=noise_l, margin_class_ids=seen)
+    assert float(value) == parts.total == parts.labeled_total
+    assert parts.labeled_total == pytest.approx(feats.shape[0] * bd.total, rel=1e-12)
+    assert parts.unlabeled_total == parts.unlabeled_recon == parts.target_kl == 0.0
+    _, recon_only = transductive_value(
+        model, feats, labels, *empty, attrs, recon_only_unlabeled=True, **kwargs
+    )
+    assert recon_only == parts
 
 
 def test_assignment_logits_are_log_softmax(setup):
