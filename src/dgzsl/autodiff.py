@@ -85,19 +85,8 @@ class Var:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            raise DgzslError("division by a tape variable is not supported")
-        return mul(self, 1.0 / np.asarray(other, dtype=np.float64))
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
 
 class Tape:

@@ -52,15 +52,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _train_overrides(args) -> dict:
-    return {
-        "seed": args.seed,
-        "no_recon": args.no_recon,
-        "recon_only_unlabeled": args.recon_only_unlabeled,
-        "exclude_true_class": args.exclude_true_class,
-    }
-
-
 def _cmd_train(args) -> int:
     summary = run_train(
         args.config,
@@ -68,21 +59,11 @@ def _cmd_train(args) -> int:
         args.out,
         regime=args.regime,
         k=args.k,
-        **_train_overrides(args),
-    )
-    print(json.dumps(summary, sort_keys=True))
-    return 0
-
-
-def _cmd_fewshot(args) -> int:
-    summary = run_train(
-        args.config,
-        args.data,
-        args.out,
-        regime="fewshot",
-        k=args.k,
-        transductive_fewshot=True if args.transductive_phase else None,
-        **_train_overrides(args),
+        transductive_fewshot=args.transductive_fewshot,
+        seed=args.seed,
+        no_recon=args.no_recon,
+        recon_only_unlabeled=args.recon_only_unlabeled,
+        exclude_true_class=args.exclude_true_class,
     )
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -197,17 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
         flag(q, "--no-recon")
         flag(q, "--recon-only-unlabeled")
         flag(q, "--exclude-true-class")
+        q.set_defaults(func=_cmd_train, transductive_fewshot=None)
         return q
 
     p = train_like("train", "train a model per the config")
     p.add_argument("--regime", choices=("inductive", "transductive", "fewshot"), default=None)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=_cmd_train)
 
     p = train_like("fewshot", "train, then fine-tune on k labeled unseen examples")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--transductive-phase", action="store_true")
-    p.set_defaults(func=_cmd_fewshot)
+    p.add_argument("--transductive-phase", dest="transductive_fewshot", action="store_const", const=True)
+    p.set_defaults(regime="fewshot")
 
     p = sub.add_parser("eval", help="score a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
@@ -242,10 +223,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DgzslError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (DgzslError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -142,6 +142,8 @@ class SynthSpec:
             raise DgzslError("SynthSpec.unseen must be ≥ 2")
         if self.noise_std is not None and self.noise_std < 0:
             raise DgzslError("SynthSpec.noise_std must be ≥ 0")
+        if self.seed < 0:
+            raise DgzslError(f"SynthSpec.seed must be ≥ 0, got {self.seed}")
 
 
 def synth_generate(spec: SynthSpec) -> Dataset:

@@ -2,8 +2,8 @@
 
 Distributions are stored as (mean, logvar) pairs; variance = exp(logvar) is
 positive by construction. Scalar-returning helpers (`kl_diag`, `gauss_loglik`)
-operate on concrete vectors. The `*_rows` / `kl_matrix` variants are batched
-and generic over tape variables, so the training objectives differentiate
+operate on concrete vectors. The batched `gauss_loglik_rows` and `kl_matrix`
+are generic over tape variables, so the training objectives differentiate
 through them.
 """
 
@@ -40,10 +40,6 @@ class DiagGaussian:
             np.all(np.isfinite(m)) and np.all(np.isfinite(lv))
         ):
             raise ShapeError("DiagGaussian entries must be finite")
-
-    @property
-    def dim(self) -> int:
-        return ad._value(self.mean).shape[-1]
 
 
 def _check_same_shape(a, b, what: str) -> None:
@@ -87,20 +83,6 @@ def gauss_loglik_rows(x, mean):
     d = x - mean
     dim = ad._value(x).shape[1]
     return ad.sum(d * d, axis=1, keepdims=True) * (-0.5) - 0.5 * LOG_2PI * dim
-
-
-def kl_rows(q: DiagGaussian, p: DiagGaussian):
-    """Row-aligned KL between two batches of diagonal Gaussians (B×1 column)."""
-    _check_same_shape(q.mean, p.mean, "kl_rows means")
-    _check_same_shape(q.logvar, p.logvar, "kl_rows logvars")
-    d = p.mean - q.mean
-    terms = (
-        ad.exp(q.logvar - p.logvar)
-        + d * d * ad.exp(-p.logvar)
-        - 1.0
-        + (p.logvar - q.logvar)
-    )
-    return ad.sum(terms, axis=1, keepdims=True) * 0.5
 
 
 def kl_matrix(q: DiagGaussian, priors: DiagGaussian):

@@ -136,27 +136,10 @@ class ModelParams:
         return out
 
     def map_arrays(self, fn) -> "ModelParams":
-        """New ModelParams with fn(name, tensor) applied to every tensor."""
-
-        def rebuild(prefix, mlp):
-            hidden = [
-                Affine(fn(f"{prefix}.h{i}.w", l.weights), fn(f"{prefix}.h{i}.b", l.bias))
-                for i, l in enumerate(mlp.hidden)
-            ]
-            heads = {
-                name: Affine(
-                    fn(f"{prefix}.{name}.w", mlp.heads[name].weights),
-                    fn(f"{prefix}.{name}.b", mlp.heads[name].bias),
-                )
-                for name in sorted(mlp.heads)
-            }
-            return MlpParams(hidden, heads, mlp.keep_prob)
-
-        prior = PriorParams(
-            fn("prior.mean_w", self.prior.mean_weights),
-            fn("prior.logvar_w", self.prior.logvar_weights),
-        )
-        return ModelParams(rebuild("enc", self.encoder), rebuild("dec", self.decoder), prior)
+        """New ModelParams with fn(name, tensor) applied to every tensor, in
+        named_arrays() order."""
+        named = {name: fn(name, a) for name, a in self.named_arrays().items()}
+        return model_from_named(named, self.encoder.keep_prob)
 
     def bind(self, tape: Tape) -> "ModelParams":
         """Register every tensor as a named leaf; forward passes on the result
@@ -227,14 +210,19 @@ def init_model(
 def model_from_named(tensors: dict, keep_prob: float = 1.0) -> ModelParams:
     """Rebuild a ModelParams from the flat naming used by named_arrays().
 
-    Bias tensors may arrive as 1×n rows (the matrix format has no 1-D shape)
-    and are flattened back to vectors.
+    Arrays are cast to float64, and bias tensors that arrive as 1×n rows (the
+    matrix format has no 1-D shape) are flattened back to vectors. Tape
+    variables pass through untouched, so map_arrays and bind share this
+    constructor with the checkpoint loader.
     """
 
     def get(key, bias=False):
         if key not in tensors:
             raise DataFormatError(f"checkpoint is missing tensor {key!r}")
-        arr = np.asarray(tensors[key], dtype=np.float64)
+        arr = tensors[key]
+        if isinstance(arr, Var):
+            return arr
+        arr = np.asarray(arr, dtype=np.float64)
         return arr.ravel() if bias else arr
 
     def mlp(prefix, head_names):

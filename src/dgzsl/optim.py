@@ -23,7 +23,8 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        # flat float64 moments per tensor name, updated in place
+        # flat float64 moments per tensor name, updated in place; they start
+        # at zero (m0 = v0 = 0, Kingma & Ba, arXiv 1412.6980, Algorithm 1)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
@@ -50,9 +51,8 @@ class Adam:
             g = np.asarray(grads[name], dtype=np.float64).reshape(-1)
             if g.size != p.size:
                 raise ShapeError(f"gradient for {name!r} has {g.size} entries, tensor has {p.size}")
-            first = name not in self._m
-            if first:
-                self._m[name], self._v[name] = np.empty(p.size), np.empty(p.size)
+            if name not in self._m:
+                self._m[name], self._v[name] = np.zeros(p.size), np.zeros(p.size)
             m, v = self._m[name], self._v[name]
             flat, out = p.reshape(-1), np.empty(p.shape)
             new = out.reshape(-1)
@@ -60,18 +60,13 @@ class Adam:
                 hi = lo + _BLOCK  # slices stop at the end of a ragged tail
                 gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
                 a, b = scratch_a[: gb.size], scratch_b[: gb.size]
-                if first:
-                    np.multiply(c1, gb, out=mb)
-                    np.multiply(c2, gb, out=vb)
-                    np.multiply(vb, gb, out=vb)
-                else:
-                    np.multiply(b1, mb, out=mb)
-                    np.multiply(c1, gb, out=a)
-                    np.add(mb, a, out=mb)
-                    np.multiply(c2, gb, out=a)
-                    np.multiply(a, gb, out=a)
-                    np.multiply(b2, vb, out=vb)
-                    np.add(vb, a, out=vb)
+                np.multiply(b1, mb, out=mb)
+                np.multiply(c1, gb, out=a)
+                np.add(mb, a, out=mb)
+                np.multiply(c2, gb, out=a)
+                np.multiply(a, gb, out=a)
+                np.multiply(b2, vb, out=vb)
+                np.add(vb, a, out=vb)
                 np.divide(mb, bc1, out=a)
                 np.multiply(lr, a, out=a)
                 np.divide(vb, bc2, out=b)

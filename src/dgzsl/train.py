@@ -374,11 +374,7 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
     (out / "timings.jsonl").write_text(
         "".join(r.timing_line() + "\n" for r in result.records), encoding="utf-8"
     )
-    save_checkpoint(
-        out / "model.ckpt",
-        result.model.named_arrays(),
-        meta={"keep_prob": cfg.keep_prob, "seed": cfg.seed},
-    )
+    save_checkpoint(out / "model.ckpt", result.model.named_arrays(), meta={"keep_prob": cfg.keep_prob})
     summary = {
         "regime": cfg.regime,
         "seed": cfg.seed,

@@ -148,6 +148,14 @@ def test_synth_writes_dataset_and_reports(tmp_path, capsys):
     assert ds.unseen_classes == (3, 4)
 
 
+def test_synth_rejects_a_negative_seed(tmp_path, capsys):
+    rc = main(["synth", "--out", str(tmp_path / "data"), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "seed" in captured.err
+
+
 def test_train_writes_all_artifacts(trained, tiny_dataset):
     for name in ("config.cfg", "metrics.jsonl", "timings.jsonl", "model.ckpt", "summary.json"):
         assert (trained / name).is_file(), name
@@ -171,6 +179,7 @@ def test_train_writes_all_artifacts(trained, tiny_dataset):
     assert summary["eval_rows"] == int((~tiny_dataset.train_mask).sum())
 
     tensors, meta = load_checkpoint(trained / "model.ckpt")
+    assert set(meta) == {"keep_prob"}  # the exact seed lives in config.cfg and summary.json
     model = model_from_named(tensors, keep_prob=meta["keep_prob"])
     assert model.latent_dim == 4 and model.feature_dim == tiny_dataset.feature_dim
 
@@ -260,6 +269,24 @@ def test_fewshot_command_appends_finetune_phase(tiny_dir, tmp_path, capsys):
     assert summary["epochs_logged"] == 4  # 3 supervised + 1 fine-tune record
     assert summary["eval_rows"] == 90 - 2 * 3  # pool minus k per unseen class
     assert read_jsonl(out / "metrics.jsonl")[-1]["phase"] == "fewshot"
+
+
+def test_fewshot_transductive_phase_follows_the_finetune(tiny_dir, tmp_path, capsys):
+    cfg = tmp_path / "fs.cfg"
+    cfg.write_text(
+        BASE_CFG + "fewshot_epochs = 4\nfewshot_batch_size = 4\ntransductive_epochs = 2\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    rc = main(
+        ["fewshot", "--config", str(cfg), "--data", str(tiny_dir),
+         "--out", str(out), "--k", "2", "--transductive-phase"]
+    )
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == "fewshot"
+    phases = [r["phase"] for r in read_jsonl(out / "metrics.jsonl")]
+    assert phases == ["inductive"] * 3 + ["fewshot"] + ["transductive"] * 2
+    assert parse_config((out / "config.cfg").read_text()).transductive_fewshot is True
 
 
 def test_eval_reports_accuracy(trained, tiny_dir, tmp_path, capsys):

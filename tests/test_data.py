@@ -117,6 +117,8 @@ def test_synth_spec_validation():
         tiny_spec(seen=0)
     with pytest.raises(DgzslError):
         tiny_spec(noise_std=-0.1)
+    with pytest.raises(DgzslError):
+        tiny_spec(seed=-1)
     tiny_spec(noise_std=0.0)  # zero is allowed (noiseless sanity data)
 
 

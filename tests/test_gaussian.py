@@ -14,7 +14,6 @@ from dgzsl.gaussian import (
     gauss_loglik_rows,
     kl_diag,
     kl_matrix,
-    kl_rows,
     sample_reparam,
 )
 
@@ -165,18 +164,6 @@ def test_loglik_rows_matches_scalar_version():
     assert col.shape == (4, 1)
     for i in range(4):
         assert col[i, 0] == pytest.approx(gauss_loglik(x[i], m[i]), abs=1e-12)
-
-
-def test_kl_rows_matches_scalar_version():
-    rng = np.random.default_rng(23)
-    q = DiagGaussian(rng.normal(size=(5, 3)), rng.uniform(-1, 1, (5, 3)))
-    p = DiagGaussian(rng.normal(size=(5, 3)), rng.uniform(-1, 1, (5, 3)))
-    col = kl_rows(q, p)
-    assert col.shape == (5, 1)
-    for i in range(5):
-        qi = DiagGaussian(q.mean[i], q.logvar[i])
-        pi = DiagGaussian(p.mean[i], p.logvar[i])
-        assert col[i, 0] == pytest.approx(kl_diag(qi, pi), abs=1e-10)
 
 
 def test_kl_matrix_matches_per_pair_evaluation():

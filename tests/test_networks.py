@@ -303,5 +303,6 @@ def test_copy_is_independent(model):
 
 def test_map_arrays_sees_every_tensor(model):
     seen = []
-    model.map_arrays(lambda name, a: (seen.append(name), a)[1])
-    assert sorted(seen) == sorted(model.named_arrays())
+    mapped = model.map_arrays(lambda name, a: (seen.append(name), a)[1])
+    assert seen == list(model.named_arrays())
+    assert mapped.encoder.keep_prob == mapped.decoder.keep_prob == 0.8

@@ -27,21 +27,6 @@ def run_script(name, *args):
     return proc
 
 
-def test_benchmark_sweep_writes_results(tmp_path):
-    out = tmp_path / "sweep.json"
-    run_script(
-        "benchmark_sweep.py",
-        "--seeds", 0, "--epochs", 2, "--pretrain-epochs", 1,
-        "--latent-dim", 4, "--hidden", 16, "--out", out,
-    )
-    results = json.loads(out.read_text(encoding="utf-8"))
-    assert set(results) == {"inductive", "transductive", "recon-only"}
-    for entry in results.values():
-        assert set(entry["per_seed"]) == {"0"}
-        assert 0.0 <= entry["per_seed"]["0"] <= 1.0
-        assert entry["mean"] == pytest.approx(entry["per_seed"]["0"])
-
-
 def test_fewshot_curve_writes_results(tmp_path):
     out = tmp_path / "curve.json"
     run_script(
