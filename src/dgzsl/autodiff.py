@@ -21,11 +21,10 @@ Array = np.ndarray
 
 
 class _Node:
-    __slots__ = ("op", "parents", "value", "bwd", "grad", "name")
+    __slots__ = ("op", "value", "bwd", "grad", "name")
 
-    def __init__(self, op, parents, value, bwd, name=None):
+    def __init__(self, op, value, bwd, name=None):
         self.op = op
-        self.parents = parents
         self.value = value
         self.bwd = bwd
         self.grad = None
@@ -90,21 +89,20 @@ class Var:
 
 
 class Tape:
-    """Ordered record of operations; parents always precede their node."""
+    """Ordered record of operations; operands always precede their node."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
 
-    def _record(self, op, parents, value, bwd, name=None) -> Var:
-        self.nodes.append(_Node(op, parents, value, bwd, name))
+    def _record(self, op, value, bwd, name=None) -> Var:
+        self.nodes.append(_Node(op, value, bwd, name))
         return Var(self, len(self.nodes) - 1)
 
     def leaf(self, value, name: str | None = None) -> Var:
-        """Register a differentiable input (a parameter array)."""
-        arr = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise DgzslError(f"leaf {name!r} contains non-finite entries")
-        return self._record("leaf", (), arr, None, name)
+        """Register a differentiable input (a parameter array). Not scanned for
+        finiteness: ``init_model`` draws finite values, and the checkpoint
+        reader and ``Adam.step`` check the parameters they make."""
+        return self._record("leaf", np.asarray(value, dtype=np.float64), None, name)
 
     def backward(self, out: Var) -> None:
         """Accumulate d(out)/d(node) into every ancestor of the scalar out."""
@@ -150,10 +148,6 @@ def _node_of(tape: Tape, x) -> _Node | None:
     return tape.nodes[x.index] if isinstance(x, Var) else None
 
 
-def _parents(*xs) -> tuple[int, ...]:
-    return tuple(x.index for x in xs if isinstance(x, Var))
-
-
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum a gradient over the axes numpy broadcasting introduced."""
     if g.shape == shape:
@@ -181,7 +175,7 @@ def add(a, b):
         if bn is not None:
             _accum(bn, _unbroadcast(gout, bv.shape))
 
-    return tape._record("add", _parents(a, b), out, bwd)
+    return tape._record("add", out, bwd)
 
 
 def sub(a, b):
@@ -198,7 +192,7 @@ def sub(a, b):
         if bn is not None:
             _accum(bn, _unbroadcast(-gout, bv.shape))
 
-    return tape._record("sub", _parents(a, b), out, bwd)
+    return tape._record("sub", out, bwd)
 
 
 def mul(a, b):
@@ -215,7 +209,7 @@ def mul(a, b):
         if bn is not None:
             _accum(bn, _unbroadcast(gout * av, bv.shape))
 
-    return tape._record("mul", _parents(a, b), out, bwd)
+    return tape._record("mul", out, bwd)
 
 
 def matmul(a, b):
@@ -238,7 +232,7 @@ def matmul(a, b):
         if bn is not None:
             _accum(bn, av.T @ gout)
 
-    return tape._record("matmul", _parents(a, b), out, bwd)
+    return tape._record("matmul", out, bwd)
 
 
 def transpose(x):
@@ -253,7 +247,7 @@ def transpose(x):
     def bwd(gout):
         _accum(xn, gout.T)
 
-    return x.tape._record("transpose", _parents(x), out, bwd)
+    return x.tape._record("transpose", out, bwd)
 
 
 def relu(x):
@@ -266,7 +260,7 @@ def relu(x):
     def bwd(gout):
         _accum(xn, gout * (xv > 0.0))
 
-    return x.tape._record("relu", _parents(x), out, bwd)
+    return x.tape._record("relu", out, bwd)
 
 
 def exp(x):
@@ -278,7 +272,7 @@ def exp(x):
     def bwd(gout):
         _accum(xn, gout * out)
 
-    return x.tape._record("exp", _parents(x), out, bwd)
+    return x.tape._record("exp", out, bwd)
 
 
 def log(x):
@@ -291,7 +285,7 @@ def log(x):
     def bwd(gout):
         _accum(xn, gout / xv)
 
-    return x.tape._record("log", _parents(x), out, bwd)
+    return x.tape._record("log", out, bwd)
 
 
 def clip(x, lo: float, hi: float):
@@ -305,7 +299,7 @@ def clip(x, lo: float, hi: float):
     def bwd(gout):
         _accum(xn, gout * ((xv >= lo) & (xv <= hi)))
 
-    return x.tape._record("clip", _parents(x), out, bwd)
+    return x.tape._record("clip", out, bwd)
 
 
 def sum(x, axis=None, keepdims: bool = False):  # noqa: A001 - numpy-style name
@@ -321,7 +315,7 @@ def sum(x, axis=None, keepdims: bool = False):  # noqa: A001 - numpy-style name
             g = np.expand_dims(g, axis)
         _accum(xn, np.broadcast_to(g, xv.shape))
 
-    return x.tape._record("sum", _parents(x), out, bwd)
+    return x.tape._record("sum", out, bwd)
 
 
 def mean(x, axis=None, keepdims: bool = False):
@@ -361,7 +355,7 @@ def logsumexp_rows(x, mask=None):
     def bwd(gout):
         _accum(xn, gout * soft)
 
-    return x.tape._record("logsumexp_rows", _parents(x), out, bwd)
+    return x.tape._record("logsumexp_rows", out, bwd)
 
 
 def logsumexp(values) -> float:
@@ -376,24 +370,13 @@ def logsumexp(values) -> float:
 
 
 def affine_forward(inp, weights, bias):
-    """rows-by-features input times weights, plus a bias broadcast over rows."""
-    iv, wv, bv = _value(inp), _value(weights), _value(bias)
-    if iv.ndim != 2 or wv.ndim != 2:
-        raise ShapeError(
-            f"affine_forward needs 2-D input and weights, got {iv.shape} and {wv.shape}"
-        )
-    if iv.shape[1] != wv.shape[0]:
-        raise ShapeError(
-            f"affine_forward input {iv.shape} does not chain with weights {wv.shape}"
-        )
-    if bv.size != wv.shape[1]:
-        raise ShapeError(
-            f"affine_forward bias length {bv.size} != weight columns {wv.shape[1]}"
-        )
+    """rows-by-features input times weights, plus a bias broadcast over rows.
+    Shapes are not re-checked: ``Affine`` fixes them, the forward functions
+    check the input width, and the taped path goes through ``matmul``."""
     if _tape_of(inp, weights, bias) is not None:
         return matmul(inp, weights) + bias
-    out = iv @ wv
-    out += bv  # in place on the fresh product: no second rows×cols array
+    out = _value(inp) @ _value(weights)
+    out += _value(bias)  # in place on the fresh product: no second rows×cols array
     return out
 
 

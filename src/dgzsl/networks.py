@@ -97,12 +97,6 @@ class PriorParams:
         mw, lw = _shape(self.mean_weights), _shape(self.logvar_weights)
         if len(mw) != 2 or mw != lw:
             raise ShapeError(f"prior weight shapes differ: {mw} vs {lw}")
-        if not isinstance(self.mean_weights, Var):
-            if not (
-                np.all(np.isfinite(self.mean_weights))
-                and np.all(np.isfinite(self.logvar_weights))
-            ):
-                raise ShapeError("prior weights must be finite")
 
     @property
     def latent_dim(self) -> int:

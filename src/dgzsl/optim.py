@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DgzslError, ShapeError
 from .networks import ModelParams
 
 # Elements per block of the update. A block's slices of g, m, v and p plus the
@@ -37,6 +37,9 @@ class Adam:
         v = β2·v + ((1−β2)·g)·g and p + (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
         in exactly that operation order, so walking the tensors in blocks
         gives the same bits as evaluating the expressions on whole tensors.
+        Each new block is checked for finiteness while it is in cache: this
+        is where parameters change, so a non-finite gradient or an overflow
+        stops training here, with the step count and tensor named.
         """
         self._t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
@@ -74,6 +77,8 @@ class Adam:
                 np.add(b, eps, out=b)
                 np.divide(a, b, out=a)
                 np.add(flat[lo:hi], a, out=new[lo:hi])
+                if not np.isfinite(new[lo:hi]).all():
+                    raise DgzslError(f"Adam step {self._t}: {name!r} has non-finite entries")
             return out
 
         return model.map_arrays(update)

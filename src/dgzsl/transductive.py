@@ -21,51 +21,22 @@ from .gaussian import gauss_loglik_rows, kl_matrix, sample_reparam
 from .inductive import ObjectiveBreakdown, breakdown_of, inductive_terms, per_example
 from .networks import ModelParams, class_prior, decode, encode
 
-ROW_SUM_TOL = 1e-9
-
-
-def _check_rows_stochastic(values: Array, what: str) -> None:
-    if values.ndim != 2:
-        raise ShapeError(f"{what} must be 2-D, got shape {values.shape}")
-    if values.size == 0:
-        raise DgzslError(f"{what} is empty")
-    if (values < 0).any() or (values > 1).any():
-        raise DgzslError(f"{what} entries must lie in [0, 1]")
-    sums = values.sum(axis=1)
-    if np.abs(sums - 1.0).max() > ROW_SUM_TOL:
-        raise DgzslError(
-            f"{what} rows must sum to 1 within {ROW_SUM_TOL}; worst "
-            f"deviation {np.abs(sums - 1.0).max():.3e}"
-        )
-
-
 @dataclass(frozen=True)
 class AssignmentMatrix:
     """Row-stochastic soft assignments (one row per unlabeled input) plus the
-    per-class marginals (column sums)."""
+    per-class marginals (column sums). Row-stochastic by construction in
+    ``soft_assign``, not re-checked."""
 
     values: Array
     class_marginals: Array
 
-    def __post_init__(self):
-        _check_rows_stochastic(self.values, "assignment matrix")
-        g = np.asarray(self.class_marginals, dtype=np.float64)
-        if g.shape != (self.values.shape[1],):
-            raise ShapeError(
-                f"marginals shape {g.shape} does not match {self.values.shape[1]} classes"
-            )
-        if np.abs(g - self.values.sum(axis=0)).max() > ROW_SUM_TOL:
-            raise DgzslError("class marginals disagree with column sums")
-
 
 @dataclass(frozen=True)
 class TargetMatrix:
-    """Row-stochastic sharpened targets, same shape as the assignments."""
+    """Row-stochastic sharpened targets, same shape as the assignments.
+    Row-stochastic by construction in ``sharpen``, not re-checked."""
 
     values: Array
-
-    def __post_init__(self):
-        _check_rows_stochastic(self.values, "target matrix")
 
 
 def assignment_logits(features, unseen_attr_rows, model: ModelParams):

@@ -1,5 +1,8 @@
 """Tape, ops, and the finite-difference checker."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from dgzsl import autodiff as ad
 from dgzsl.autodiff import Tape, Var
 from dgzsl.errors import DgzslError, ShapeError
+from dgzsl.networks import init_model
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -93,10 +97,25 @@ def test_float_conversion_is_scalar_only():
         float(v)
 
 
-def test_leaf_rejects_non_finite():
-    tape = Tape()
-    with pytest.raises(DgzslError):
-        tape.leaf(np.array([1.0, np.nan]))
+def test_value_and_grad_frees_its_tape_without_the_cycle_collector():
+    # a Tape <-> node reference cycle would leave every step's tape, with all
+    # of its intermediates, to the cyclic collector
+    model = init_model(np.random.default_rng(0), 4, 2, 2, (3,))
+    tapes = []
+
+    def fn(bound):
+        w = bound.prior.mean_weights
+        tapes.append(weakref.ref(w.tape))
+        return ad.sum(w * w), None
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ad.value_and_grad(fn, model)
+        assert tapes[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------------- backward

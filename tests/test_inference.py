@@ -14,7 +14,8 @@ from dgzsl.inference import (
 )
 from dgzsl.config import TrainConfig
 from dgzsl.inductive import breakdown_of, inductive_terms
-from dgzsl.networks import class_prior, encode
+from dgzsl.networks import class_prior, encode, model_from_named
+from dgzsl.serialize import load_checkpoint, save_checkpoint
 from dgzsl.train import fewshot_finetune, train_model
 
 from conftest import perturbed_model, unseen_accuracy
@@ -214,3 +215,16 @@ def test_fewshot_improves_benchmark_accuracy(bench_datasets, inductive_family):
     before = unseen_accuracy(run.model, ds, split.unlabeled_idx)
     after = unseen_accuracy(tuned, ds, split.unlabeled_idx)
     assert after >= before
+
+
+@pytest.mark.parametrize("family", ["inductive_family", "transductive_family", "recononly_family"])
+def test_checkpoint_scores_the_final_logged_accuracy(family, bench_datasets, request, tmp_path):
+    # training runs in float64 and checkpoints hold float32: the reloaded
+    # model must still reproduce the last logged unseen-class accuracy
+    for seed, run in request.getfixturevalue(family).runs.items():
+        path = tmp_path / f"{seed}.ckpt"
+        save_checkpoint(path, run.model.named_arrays(), meta={"keep_prob": run.model.encoder.keep_prob})
+        tensors, meta = load_checkpoint(path)
+        reloaded = model_from_named(tensors, keep_prob=meta["keep_prob"])
+        got = unseen_accuracy(reloaded, bench_datasets[seed], run.eval_idx)
+        assert got == run.records[-1].accuracy, (family, seed)

@@ -70,8 +70,9 @@ def test_keep_prob_bounds():
 def test_prior_params_validation():
     with pytest.raises(ShapeError):
         PriorParams(np.ones((4, 3)), np.ones((3, 4)))
-    with pytest.raises(ShapeError):
-        PriorParams(np.array([[np.nan]]), np.array([[0.0]]))
+    nan_prior = PriorParams(np.array([[np.nan]]), np.array([[0.0]]))
+    with pytest.raises(ShapeError, match="DiagGaussian entries must be finite"):
+        class_prior(np.ones((2, 1)), nan_prior)
 
 
 # ------------------------------------------------------------------- init

@@ -1,9 +1,11 @@
 """Adam: the blocked in-place update against the whole-tensor expressions."""
 
+import re
+
 import numpy as np
 import pytest
 
-from dgzsl.errors import ConfigError
+from dgzsl.errors import ConfigError, DgzslError
 from dgzsl.networks import init_model
 from dgzsl.optim import _BLOCK, Adam
 
@@ -93,6 +95,20 @@ def test_step_leaves_model_and_grads_untouched():
         for k, g in grads.items():
             assert g.tobytes() == grads_before[k].tobytes()
         model = new
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/inf in the update
+@pytest.mark.parametrize(
+    "name, index, bad",
+    [("enc.h0.w", -1, np.nan), ("prior.logvar_w", 0, np.inf)],
+    ids=["nan-in-ragged-tail", "inf-in-sub-block"],
+)
+def test_non_finite_update_names_the_step_and_tensor(name, index, bad):
+    model = make_model()
+    grads = make_grads(model, np.random.default_rng(3))
+    grads[name].reshape(-1)[index] = bad
+    with pytest.raises(DgzslError, match=rf"step 1: '{re.escape(name)}'"):
+        Adam(lr=0.05).step(model, grads)
 
 
 @pytest.mark.parametrize("lr", [0.0, -1e-3])

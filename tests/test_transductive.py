@@ -47,26 +47,6 @@ def setup():
     return model, attrs, seen, unseen, feats, labels, unlab, noise_l, noise_u
 
 
-# ---------------------------------------------------------------- matrices
-
-
-def test_assignment_matrix_validation():
-    with pytest.raises(DgzslError):
-        assignment([[0.5, 0.4]])  # rows must sum to 1
-    with pytest.raises(DgzslError):
-        assignment([[1.2, -0.2]])  # entries must lie in [0, 1]
-    with pytest.raises(DgzslError):
-        AssignmentMatrix(np.array([[0.5, 0.5]]), np.array([0.9, 0.1]))
-    with pytest.raises(ShapeError):
-        AssignmentMatrix(np.array([[0.5, 0.5]]), np.array([0.5, 0.5, 0.0]))
-
-
-def test_target_matrix_validation():
-    TargetMatrix(np.array([[0.25, 0.75]]))
-    with pytest.raises(DgzslError):
-        TargetMatrix(np.array([[0.7, 0.7]]))
-
-
 # ------------------------------------------------------------- soft assign
 
 
