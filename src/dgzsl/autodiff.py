@@ -9,6 +9,11 @@ Most helpers here are generic: they accept either a ``Var`` (recorded on its
 tape) or a plain ndarray (evaluated immediately with numpy). Math written
 against these helpers therefore runs both as a differentiable graph and as a
 fast forward-only evaluation, from a single implementation.
+
+The hot compositions are fused: ``dense`` (affine map, optional ReLU and
+dropout mask) and ``gaussian.kl_matrix`` each record one node whose backward
+is written by hand, through the ``record`` hook, instead of one node per
+elementary op.
 """
 
 from __future__ import annotations
@@ -369,15 +374,58 @@ def logsumexp(values) -> float:
     return m + float(np.log(np.exp(v - m).sum()))
 
 
-def affine_forward(inp, weights, bias):
-    """rows-by-features input times weights, plus a bias broadcast over rows.
-    Shapes are not re-checked: ``Affine`` fixes them, the forward functions
-    check the input width, and the taped path goes through ``matmul``."""
-    if _tape_of(inp, weights, bias) is not None:
-        return matmul(inp, weights) + bias
-    out = _value(inp) @ _value(weights)
-    out += _value(bias)  # in place on the fresh product: no second rows×cols array
-    return out
+def record(op: str, value: Array, operands, vjp):
+    """Put one hand-differentiated node on the tape of the Var operands.
+
+    Fused ops compute ``value`` themselves and call this last. ``vjp(gout,
+    wanted)`` gets the output gradient and one flag per operand (True where
+    it is a Var) and returns one gradient per operand, None where none is
+    wanted; each Var operand accumulates its gradient in operand order.
+    Returns ``value`` itself when no operand is a Var.
+    """
+    tape = _tape_of(*operands)
+    if tape is None:
+        return value
+    nodes = [_node_of(tape, x) for x in operands]
+    wanted = tuple(n is not None for n in nodes)
+
+    def bwd(gout):
+        for node, g in zip(nodes, vjp(gout, wanted)):
+            if node is not None:
+                _accum(node, g)
+
+    return tape._record(op, value, bwd)
+
+
+def dense(x, weights, bias, relu: bool = False, mask=None):
+    """x @ weights + bias, then optionally ReLU, then optionally times a
+    constant dropout mask: one fused node on a tape.
+
+    On plain arrays the bias, ReLU and mask are applied in place on the fresh
+    product, so no second rows×cols array is made. The backward applies the
+    mask, then the ReLU gate, then takes the bias, input and weight gradients,
+    the same operations in the same order as the unfused composition.
+    """
+    xv, wv, bv = _value(x), _value(weights), _value(bias)
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"dense shapes {xv.shape} and {wv.shape} do not chain")
+    out = xv @ wv
+    out += bv
+    active = out > 0.0 if relu and _tape_of(x, weights, bias) is not None else None
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    if mask is not None:
+        out *= mask
+
+    def vjp(gout, wanted):
+        g = gout if mask is None else gout * mask
+        if relu:
+            g = g * active if mask is None else np.multiply(g, active, out=g)
+        gx = g @ wv.T if wanted[0] else None
+        gw = xv.T @ g if wanted[1] else None
+        return gx, gw, g.sum(axis=0) if wanted[2] else None
+
+    return record("dense", out, (x, weights, bias), vjp)
 
 
 def backward_grad(tape: Tape, out: Var) -> dict:

@@ -89,27 +89,49 @@ def kl_matrix(q: DiagGaussian, priors: DiagGaussian):
     """KL of every posterior row against every prior row.
 
     q holds B posteriors (B×L), priors holds C class priors (C×L); returns the
-    B×C matrix of KL(q_b ‖ prior_c), built from matmuls so the expression stays
-    differentiable on the tape.
+    B×C matrix of KL(q_b ‖ prior_c), built from matmuls. When any input is a
+    tape variable the result is one node with a closed-form backward.
     """
-    qm, qlv = q.mean, q.logvar
-    pm, plv = priors.mean, priors.logvar
-    qshape, pshape = ad._value(qm).shape, ad._value(pm).shape
-    if len(qshape) != 2 or len(pshape) != 2 or qshape[1] != pshape[1]:
+    qm, qlv = ad._value(q.mean), ad._value(q.logvar)
+    pm, plv = ad._value(priors.mean), ad._value(priors.logvar)
+    if qm.ndim != 2 or pm.ndim != 2 or qm.shape[1] != pm.shape[1]:
         raise ShapeError(
-            f"kl_matrix: posterior shape {qshape} and prior shape {pshape} do not align"
+            f"kl_matrix: posterior shape {qm.shape} and prior shape {pm.shape} do not align"
         )
-    dim = qshape[1]
-    inv_var = ad.exp(-plv)  # C×L
+    inv_var = np.exp(-plv)  # C×L
+    exp_qlv = np.exp(qlv)
     # trace term: Σ_l exp(lq_bl) / exp(lp_cl)
-    trace = ad.matmul(ad.exp(qlv), ad.transpose(inv_var))  # B×C
+    trace = exp_qlv @ inv_var.T  # B×C
     # quadratic term (μp−μq)ᵀ Σp⁻¹ (μp−μq), expanded into three matmuls
-    prior_sq = ad.sum(pm * pm * inv_var, axis=1, keepdims=True)  # C×1
-    cross = ad.matmul(qm, ad.transpose(pm * inv_var))  # B×C
-    post_sq = ad.matmul(qm * qm, ad.transpose(inv_var))  # B×C
-    quad = ad.transpose(prior_sq) - 2.0 * cross + post_sq
+    pm_sq = pm * pm
+    prior_sq = np.sum(pm_sq * inv_var, axis=1, keepdims=True)  # C×1
+    pm_iv = pm * inv_var
+    cross = qm @ pm_iv.T  # B×C
+    qm_sq = qm * qm
+    post_sq = qm_sq @ inv_var.T  # B×C
+    quad = prior_sq.T - 2.0 * cross + post_sq
     # log-determinant ratio: Σ_l lp_cl − Σ_l lq_bl
-    logdet = ad.transpose(ad.sum(plv, axis=1, keepdims=True)) - ad.sum(
-        qlv, axis=1, keepdims=True
-    )
-    return (trace + quad + logdet - float(dim)) * 0.5
+    logdet = np.sum(plv, axis=1, keepdims=True).T - np.sum(qlv, axis=1, keepdims=True)
+    out = (trace + quad + logdet - float(qm.shape[1])) * 0.5
+
+    def vjp(gout, wanted):
+        # The products and sums of the elementwise composition, in its
+        # accumulation order, so the gradients match it bit for bit.
+        h = gout * 0.5
+        cross_g = h * -2.0
+        gqm = gqlv = gpm = gplv = None
+        if wanted[0] or wanted[1]:
+            h_iv = h @ inv_var
+            t = h_iv * qm
+            gqm = t + t + cross_g @ pm_iv
+            gqlv = (-h).sum(axis=1, keepdims=True) + h_iv * exp_qlv
+        if wanted[2] or wanted[3]:
+            col = h.sum(axis=0, keepdims=True).T  # C×1
+            pm_iv_g = (qm.T @ cross_g).T
+            pm_sq_g = col * inv_var
+            gpm = pm_iv_g * inv_var + pm_sq_g * pm + pm_sq_g * pm
+            iv_g = (qm_sq.T @ h).T + pm_iv_g * pm + col * pm_sq + (exp_qlv.T @ h).T
+            gplv = col - iv_g * inv_var
+        return gqm, gqlv, gpm, gplv
+
+    return ad.record("kl_matrix", out, (q.mean, q.logvar, priors.mean, priors.logvar), vjp)

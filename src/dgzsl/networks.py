@@ -256,16 +256,8 @@ def make_dropout_masks(
 def _trunk(x, mlp: MlpParams, dropout_masks):
     h = x
     for i, layer in enumerate(mlp.hidden):
-        h = ad.affine_forward(h, layer.weights, layer.bias)
-        if isinstance(h, Var):
-            h = ad.relu(h)
-            if dropout_masks is not None:
-                h = h * dropout_masks[i]
-        else:
-            # plain forward: h is a fresh array, so rectify and mask it in place
-            np.maximum(h, 0.0, out=h)
-            if dropout_masks is not None:
-                h *= dropout_masks[i]
+        mask = None if dropout_masks is None else dropout_masks[i]
+        h = ad.dense(h, layer.weights, layer.bias, relu=True, mask=mask)
     return h
 
 
@@ -296,11 +288,9 @@ def encode(x, params: MlpParams, dropout_masks=None) -> DiagGaussian:
         )
     h = _trunk(x, params, dropout_masks)
     mean_head, logvar_head = params.heads["mean"], params.heads["logvar"]
-    mean = ad.affine_forward(h, mean_head.weights, mean_head.bias)
+    mean = ad.dense(h, mean_head.weights, mean_head.bias)
     logvar = ad.clip(
-        ad.affine_forward(h, logvar_head.weights, logvar_head.bias),
-        LOGVAR_MIN,
-        LOGVAR_MAX,
+        ad.dense(h, logvar_head.weights, logvar_head.bias), LOGVAR_MIN, LOGVAR_MAX
     )
     if squeeze:
         mean, logvar = _squeeze_row(mean), _squeeze_row(logvar)
@@ -314,7 +304,7 @@ def decode(z, params: MlpParams, dropout_masks=None):
         raise ShapeError(f"decoder expects {params.in_dim} latents, got {_shape(z)[1]}")
     h = _trunk(z, params, dropout_masks)
     head = params.heads["out"]
-    out = ad.affine_forward(h, head.weights, head.bias)
+    out = ad.dense(h, head.weights, head.bias)
     return _squeeze_row(out) if squeeze else out
 
 

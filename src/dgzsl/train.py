@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -234,6 +235,15 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             )
         )
 
+    @contextmanager
+    def named(phase: str):
+        """Prefix an error with the phase and the number the failing epoch's
+        metrics line would have carried."""
+        try:
+            yield
+        except DgzslError as e:
+            raise type(e)(f"{phase} epoch {len(records) + 1}: {e}") from e
+
     def inductive_epochs(n: int):
         nonlocal model
         for _ in range(n):
@@ -306,46 +316,48 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 target_kl=klpq_sum,
             )
 
+    with named("inductive"):
+        inductive_epochs(cfg.pretrain_epochs if cfg.regime == "transductive" else cfg.epochs)
     if cfg.regime == "transductive":
-        inductive_epochs(cfg.pretrain_epochs)
-        transductive_epochs(cfg.epochs - cfg.pretrain_epochs, eval_idx)
-    else:
-        inductive_epochs(cfg.epochs)
+        with named("transductive"):
+            transductive_epochs(cfg.epochs - cfg.pretrain_epochs, eval_idx)
     if cfg.regime == "fewshot":
         split = fewshot_sample(dataset, cfg.k, fewshot_s)
         eval_idx = split.unlabeled_idx
         if cfg.k > 0:
-            t0 = time.perf_counter()
-            feats = dataset.features[split.labeled_idx]
-            labs = dataset.labels[split.labeled_idx]
-            model = fewshot_finetune(
-                model,
-                feats,
-                labs,
-                attrs,
-                unseen_ids,
-                epochs=cfg.fewshot_epochs,
-                batch_size=cfg.fewshot_batch_size,
-                learning_rate=cfg.learning_rate,
-                include_seen_margin=cfg.include_seen_margin,
-                seen_class_ids=seen_ids,
-                seed=fewshot_s.spawn(1)[0],
-                **objective,
-            )
-            # eval-mode objective on the few-shot set, decoding the posterior
-            # mean (zero noise), so the log line draws no random numbers
-            _, bd = inductive_value(
-                model,
-                feats,
-                labs,
-                attrs,
-                noise=np.zeros((feats.shape[0], cfg.latent_dim)),
-                margin_class_ids=unseen_ids,
-                **objective,
-            )
-            log("fewshot", t0, _terms(bd))
+            with named("fewshot"):
+                t0 = time.perf_counter()
+                feats = dataset.features[split.labeled_idx]
+                labs = dataset.labels[split.labeled_idx]
+                model = fewshot_finetune(
+                    model,
+                    feats,
+                    labs,
+                    attrs,
+                    unseen_ids,
+                    epochs=cfg.fewshot_epochs,
+                    batch_size=cfg.fewshot_batch_size,
+                    learning_rate=cfg.learning_rate,
+                    include_seen_margin=cfg.include_seen_margin,
+                    seen_class_ids=seen_ids,
+                    seed=fewshot_s.spawn(1)[0],
+                    **objective,
+                )
+                # eval-mode objective on the few-shot set, decoding the posterior
+                # mean (zero noise), so the log line draws no random numbers
+                _, bd = inductive_value(
+                    model,
+                    feats,
+                    labs,
+                    attrs,
+                    noise=np.zeros((feats.shape[0], cfg.latent_dim)),
+                    margin_class_ids=unseen_ids,
+                    **objective,
+                )
+                log("fewshot", t0, _terms(bd))
         if cfg.transductive_fewshot:
-            transductive_epochs(cfg.transductive_epochs, split.unlabeled_idx)
+            with named("transductive"):
+                transductive_epochs(cfg.transductive_epochs, split.unlabeled_idx)
 
     return TrainResult(model, records, eval_idx)
 

@@ -51,12 +51,50 @@ def test_matmul_inner_dim_mismatch():
         ad.matmul(a, b)
 
 
-def test_affine_forward_reports_both_shapes():
+def test_dense_reports_both_shapes():
     tape = Tape()
     x, w, b = leafs(tape, np.ones((2, 3)), np.ones((4, 5)), np.zeros(5))
     with pytest.raises(ShapeError) as e:
-        ad.affine_forward(x, w, b)
+        ad.dense(x, w, b)
     assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
+
+
+def unfused_dense(x, w, b, relu=False, mask=None):
+    # the elementwise composition ad.dense replaces, kept as its oracle
+    h = ad.matmul(x, w) + b
+    if relu:
+        h = ad.relu(h)
+    return h if mask is None else h * mask
+
+
+@pytest.mark.parametrize("relu,masked", [(False, False), (True, False), (True, True)])
+def test_dense_matches_the_unfused_composition_bit_for_bit(relu, masked):
+    rng = np.random.default_rng(7)
+    x, w = rng.normal(size=(6, 5)), rng.normal(size=(5, 5))
+    b, b2 = rng.normal(size=5), rng.normal(size=5)
+    mask = (rng.random((6, 5)) < 0.7) / 0.7 if masked else None
+    weights = rng.normal(size=(6, 5))
+    runs = []
+    for layer in (ad.dense, unfused_dense):
+        tape = Tape()
+        leaves = leafs(tape, x, w, b, b2)
+        vx, vw, vb, vb2 = leaves
+        # the same weight matrix feeds both layers, so its gradient accumulates
+        h = layer(vx, vw, vb, relu=relu, mask=mask)
+        out = layer(h, vw, vb2)
+        tape.backward(ad.sum(out * weights))
+        runs.append([h.value, out.value] + [v.grad for v in leaves])
+    for fused, composed in zip(*runs):
+        assert fused.tobytes() == composed.tobytes()
+    plain = ad.dense(ad.dense(x, w, b, relu=relu, mask=mask), w, b2)
+    assert plain.tobytes() == runs[0][1].tobytes()
+
+
+def test_dense_records_one_node():
+    tape = Tape()
+    x, w, b = leafs(tape, np.ones((2, 3)), np.ones((3, 4)), np.zeros(4))
+    ad.dense(x, w, b, relu=True, mask=np.ones((2, 4)))
+    assert [n.op for n in tape.nodes] == ["leaf"] * 3 + ["dense"]
 
 
 def test_relu_clip_exp_log_values():
@@ -180,7 +218,7 @@ def test_composite_expression_gradients():
     }
 
     def fn(p):
-        h = ad.relu(ad.affine_forward(p["x"], p["w"], p["b"]))
+        h = ad.dense(p["x"], p["w"], p["b"], relu=True)
         scores = ad.exp(ad.clip(h, -3.0, 3.0)) * 0.1
         return ad.sum(ad.log(scores + 1.0))
 

@@ -304,6 +304,8 @@ def test_eval_reports_accuracy(trained, tiny_dir, tmp_path, capsys):
     assert 0.0 <= from_file["accuracy"] <= 1.0
     total = sum(n for row in from_file["confusion"].values() for n in row.values())
     assert total == 90
+    summary = json.loads((trained / "summary.json").read_text())
+    assert from_file["accuracy"] == summary["final_accuracy"]
 
 
 def test_eval_candidate_pools(trained, tiny_dir, capsys):
@@ -377,6 +379,25 @@ def test_unknown_config_key_fails_cleanly(tiny_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "bogus" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_failure_names_the_phase_and_epoch(tmp_path, capsys):
+    # a huge step keeps the parameters finite but overflows the forward pass
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--seen", "4", "--unseen", "2"]) == 0
+    cfg = tmp_path / "huge-step.cfg"
+    cfg.write_text(
+        (REPO / "configs" / "synth-inductive.cfg").read_text(encoding="utf-8")
+        .replace("learning_rate = 0.001", "learning_rate = 1e150")
+        .replace("batch_size = 100", "batch_size = 1000")
+        .replace("epochs = 120", "epochs = 4"),
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: inductive epoch 1: DiagGaussian entries must be finite\n"
 
 
 def test_missing_data_dir_fails_cleanly(cfg_path, tmp_path, capsys):

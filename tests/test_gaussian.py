@@ -204,3 +204,71 @@ def test_kl_matrix_differentiates_on_tape():
         return ad.sum(ad.exp(-1.0 * mat))
 
     assert ad.grad_check(fn, params) < 1e-6
+
+
+def unfused_kl_matrix(q, priors):
+    # the elementwise tape composition kl_matrix replaces, kept as its oracle
+    qm, qlv, pm, plv = q.mean, q.logvar, priors.mean, priors.logvar
+    inv_var = ad.exp(-plv)
+    trace = ad.matmul(ad.exp(qlv), ad.transpose(inv_var))
+    prior_sq = ad.sum(pm * pm * inv_var, axis=1, keepdims=True)
+    cross = ad.matmul(qm, ad.transpose(pm * inv_var))
+    post_sq = ad.matmul(qm * qm, ad.transpose(inv_var))
+    quad = ad.transpose(prior_sq) - 2.0 * cross + post_sq
+    logdet = ad.transpose(ad.sum(plv, axis=1, keepdims=True)) - ad.sum(
+        qlv, axis=1, keepdims=True
+    )
+    return (trace + quad + logdet - float(ad._value(qm).shape[1])) * 0.5
+
+
+def kl_inputs(seed, b=7, c=5, dim=6):
+    rng = np.random.default_rng(seed)
+    return {
+        "qm": rng.normal(size=(b, dim)),
+        "qlv": rng.uniform(-2, 2, (b, dim)),
+        "pm": rng.normal(size=(c, dim)),
+        "plv": rng.uniform(-2, 2, (c, dim)),
+    }
+
+
+def kl_of(p):
+    return kl_matrix(DiagGaussian(p["qm"], p["qlv"]), DiagGaussian(p["pm"], p["plv"]))
+
+
+@pytest.mark.parametrize("on_tape", [("qm", "qlv", "pm", "plv"), ("qm", "qlv"), ("pm", "plv"), ("qlv", "pm")])
+@pytest.mark.parametrize("shape", [(7, 5, 6), (1, 3, 4), (4, 1, 2)])
+def test_kl_matrix_node_matches_the_unfused_composition(on_tape, shape):
+    params = kl_inputs(26, *shape)
+    weights = np.random.default_rng(27).normal(size=shape[:2])
+    results = []
+    for kl in (kl_matrix, unfused_kl_matrix):
+        tape = ad.Tape()
+        bound = {k: tape.leaf(v, name=k) if k in on_tape else v for k, v in params.items()}
+        mat = kl(DiagGaussian(bound["qm"], bound["qlv"]), DiagGaussian(bound["pm"], bound["plv"]))
+        grads = ad.backward_grad(tape, ad.sum(mat * weights))
+        results.append((mat.value, grads))
+    (fused, fused_grads), (composed, composed_grads) = results
+    assert fused.tobytes() == composed.tobytes()
+    assert fused.tobytes() == kl_of(params).tobytes()
+    assert sorted(fused_grads) == sorted(on_tape)
+    for name in on_tape:
+        a, b = fused_grads[name], composed_grads[name]
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_kl_matrix_records_one_node():
+    tape = ad.Tape()
+    bound = {k: tape.leaf(v) for k, v in kl_inputs(28).items()}
+    kl_of(bound)
+    assert [n.op for n in tape.nodes][4:] == ["kl_matrix"]
+
+
+def test_kl_matrix_prior_side_gradcheck():
+    params = kl_inputs(29, 4, 3, 5)
+    posterior = {k: params.pop(k) for k in ("qm", "qlv")}
+    weights = np.random.default_rng(30).normal(size=(4, 3))
+
+    def fn(p):
+        return ad.sum(kl_of({**posterior, **p}) * weights)
+
+    assert ad.grad_check(fn, params) < 1e-6
