@@ -26,14 +26,15 @@ Array = np.ndarray
 
 
 class _Node:
-    __slots__ = ("op", "value", "bwd", "grad", "name")
+    __slots__ = ("op", "value", "bwd", "grad", "name", "out")
 
-    def __init__(self, op, value, bwd, name=None):
+    def __init__(self, op, value, bwd, name=None, out=None):
         self.op = op
         self.value = value
         self.bwd = bwd
         self.grad = None
         self.name = name
+        self.out = out
 
 
 class Var:
@@ -99,15 +100,16 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
 
-    def _record(self, op, value, bwd, name=None) -> Var:
-        self.nodes.append(_Node(op, value, bwd, name))
+    def _record(self, op, value, bwd, name=None, out=None) -> Var:
+        self.nodes.append(_Node(op, value, bwd, name, out))
         return Var(self, len(self.nodes) - 1)
 
-    def leaf(self, value, name: str | None = None) -> Var:
+    def leaf(self, value, name: str | None = None, out: Array | None = None) -> Var:
         """Register a differentiable input (a parameter array). Not scanned for
         finiteness: ``init_model`` draws finite values, and the checkpoint
-        reader and ``Adam.step`` check the parameters they make."""
-        return self._record("leaf", np.asarray(value, dtype=np.float64), None, name)
+        reader and ``Adam.step`` check the parameters they make. Backward
+        writes the leaf's gradient into ``out`` when given (see _accum)."""
+        return self._record("leaf", np.asarray(value, dtype=np.float64), None, name, out)
 
     def backward(self, out: Var) -> None:
         """Accumulate d(out)/d(node) into every ancestor of the scalar out."""
@@ -128,8 +130,15 @@ class Tape:
 
 
 def _accum(node: _Node, g: Array) -> None:
-    # never in-place: contributions may alias upstream gradient arrays
-    node.grad = g if node.grad is None else node.grad + g
+    # never in-place: contributions may alias upstream gradient arrays; a
+    # leaf with an ``out`` copies the first one there and adds the rest to it
+    if node.out is None:
+        node.grad = g if node.grad is None else node.grad + g
+    elif node.grad is None:
+        node.grad = node.out
+        np.copyto(node.out, g)
+    else:
+        np.add(node.grad, g, out=node.grad)
 
 
 def _value(x) -> Array:
@@ -432,27 +441,34 @@ def backward_grad(tape: Tape, out: Var) -> dict:
     """Gradient of the scalar ``out`` w.r.t. every leaf on the tape.
 
     Returns a dict keyed by leaf name (or node index for unnamed leaves).
-    Leaves the output does not depend on get zero gradients.
+    Leaves the output does not depend on get zero gradients (in ``out``, if
+    they have one).
     """
     tape.backward(out)
     grads = {}
     for i, node in enumerate(tape.nodes):
         if node.op == "leaf":
-            g = node.grad if node.grad is not None else np.zeros_like(node.value)
+            g = node.grad
+            if g is None:
+                g = np.empty_like(node.value) if node.out is None else node.out
+                g.fill(0.0)
             grads[node.name if node.name is not None else i] = g
     return grads
 
 
-def value_and_grad(fn, model):
-    """Value, gradients and auxiliary output of a model value function.
+def value_and_grad(fn, model, out=None):
+    """Value, gradient and auxiliary output of a model value function.
 
     ``fn`` maps a model to ``(scalar, aux)``; it runs once on ``model`` bound
-    to a fresh tape. Returns (float value, gradient dict keyed like the
-    model's named arrays, aux).
+    to a fresh tape. Returns (float value, gradient, aux): the gradient is
+    one vector laid out like ``model.flat`` (``model.named_views`` slices it
+    by name), ``out`` when given so a training loop can reuse one.
     """
     tape = Tape()
-    value, aux = fn(model.bind(tape))
-    return float(value), backward_grad(tape, value), aux
+    grad = np.empty(model.flat.size) if out is None else out
+    value, aux = fn(model.bind(tape, grad))
+    backward_grad(tape, value)
+    return float(value), grad, aux
 
 
 def grad_check(fn, params: dict, epsilon: float = 1e-5) -> float:

@@ -1,10 +1,9 @@
 """Diagonal Gaussians: closed-form KL, reparameterized sampling, log-density.
 
 Distributions are stored as (mean, logvar) pairs; variance = exp(logvar) is
-positive by construction. Scalar-returning helpers (`kl_diag`, `gauss_loglik`)
-operate on concrete vectors. The batched `gauss_loglik_rows` and `kl_matrix`
-are generic over tape variables, so the training objectives differentiate
-through them.
+positive by construction. The batched `gauss_loglik_rows` and `kl_matrix` are
+generic over tape variables, so the training objectives differentiate through
+them.
 """
 
 from __future__ import annotations
@@ -48,33 +47,10 @@ def _check_same_shape(a, b, what: str) -> None:
         raise ShapeError(f"{what}: shape {av.shape} != shape {bv.shape}")
 
 
-def kl_diag(q: DiagGaussian, p: DiagGaussian) -> float:
-    """KL(q || p) for two diagonal Gaussians of equal dimension.
-
-    ½ Σ_l [ exp(lq−lp) + (μp−μq)²·exp(−lp) − 1 + lp − lq ].
-    """
-    qm, qlv = np.asarray(ad._value(q.mean)), np.asarray(ad._value(q.logvar))
-    pm, plv = np.asarray(ad._value(p.mean)), np.asarray(ad._value(p.logvar))
-    _check_same_shape(qm, pm, "kl_diag means")
-    _check_same_shape(qlv, plv, "kl_diag logvars")
-    d = pm - qm
-    terms = np.exp(qlv - plv) + d * d * np.exp(-plv) - 1.0 + (plv - qlv)
-    return 0.5 * float(np.sum(terms))
-
-
 def sample_reparam(g: DiagGaussian, noise):
     """z = mean + exp(logvar/2) ⊙ noise; differentiable through mean/logvar."""
     _check_same_shape(g.mean, noise, "sample_reparam noise")
     return g.mean + ad.exp(g.logvar * 0.5) * np.asarray(noise, dtype=np.float64)
-
-
-def gauss_loglik(x, mean) -> float:
-    """Unit-variance Gaussian log-density: −½‖x−mean‖² − (D/2)·log 2π."""
-    xv = np.asarray(ad._value(x), dtype=np.float64)
-    mv = np.asarray(ad._value(mean), dtype=np.float64)
-    _check_same_shape(xv, mv, "gauss_loglik")
-    d = xv - mv
-    return -0.5 * float(np.sum(d * d)) - 0.5 * LOG_2PI * xv.size
 
 
 def gauss_loglik_rows(x, mean):

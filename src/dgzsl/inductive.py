@@ -20,8 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array
 from .errors import DgzslError, ShapeError
-from .gaussian import DiagGaussian, gauss_loglik, gauss_loglik_rows, kl_diag, kl_matrix, sample_reparam
-from .networks import ModelParams, PriorParams, class_prior, decode, encode
+from .gaussian import gauss_loglik_rows, kl_matrix, sample_reparam
+from .networks import ModelParams, class_prior, decode, encode
 
 
 @dataclass(frozen=True)
@@ -50,34 +50,6 @@ def one_hot(labels, num_classes: int) -> Array:
     out = np.zeros((lab.size, num_classes))
     out[np.arange(lab.size), lab] = 1.0
     return out
-
-
-def class_conditional_elbo(x, attr, model: ModelParams, noise):
-    """Single-example lower bound against one class prior (eval mode).
-
-    Returns (value, ObjectiveBreakdown) with the margin fields zeroed; value =
-    one-sample reconstruction log-likelihood minus the KL to the class prior.
-    """
-    q = encode(x, model.encoder)
-    z = sample_reparam(q, noise)
-    recon = gauss_loglik(x, decode(z, model.decoder))
-    kl = kl_diag(q, class_prior(attr, model.prior))
-    value = recon - kl
-    return value, ObjectiveBreakdown(recon, kl, 0.0, 0.0, value)
-
-
-def margin_term(q: DiagGaussian, attr_rows, prior: PriorParams) -> float:
-    """−logsumexp over the given classes of −KL(q ‖ class prior).
-
-    The result lies between min KL − ln(#classes) and min KL, acting as a
-    smooth stand-in for the distance to the nearest class prior.
-    """
-    rows = np.asarray(attr_rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise DgzslError("margin_term needs a non-empty 2-D attribute-row matrix")
-    q2 = DiagGaussian(np.atleast_2d(ad._value(q.mean)), np.atleast_2d(ad._value(q.logvar)))
-    kl_row = kl_matrix(q2, class_prior(rows, prior))[0]
-    return -ad.logsumexp(-kl_row)
 
 
 class ObjectiveColumns(NamedTuple):
@@ -171,10 +143,10 @@ def inductive_value(
     return value, breakdown_of(cols, margin_weight, include_recon=include_recon)
 
 
-def inductive_objective(model: ModelParams, *args, **kwargs):
+def inductive_objective(model: ModelParams, *args, out=None, **kwargs):
     """inductive_value with gradients for every model tensor.
 
-    Returns (value, gradient dict keyed like ModelParams.named_arrays,
-    ObjectiveBreakdown). The trainer ascends these gradients.
+    Returns (value, gradient vector laid out like ``model.flat``, written
+    into ``out`` when given, ObjectiveBreakdown). The trainer ascends it.
     """
-    return ad.value_and_grad(lambda m: inductive_value(m, *args, **kwargs), model)
+    return ad.value_and_grad(lambda m: inductive_value(m, *args, **kwargs), model, out)

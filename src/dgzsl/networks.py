@@ -12,7 +12,8 @@ code differentiable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +27,7 @@ LOGVAR_MAX = 10.0
 
 
 def _shape(x):
-    return ad._value(x).shape
+    return x.shape if isinstance(x, Var) else np.shape(x)
 
 
 @dataclass
@@ -109,24 +110,37 @@ class PriorParams:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors: encoder and decoder MLPs plus the prior maps."""
+    """All trainable tensors: encoder and decoder MLPs plus the prior maps,
+    as views into one float64 vector ``flat``, in named_arrays() order."""
 
     encoder: MlpParams
     decoder: MlpParams
     prior: PriorParams
+    flat: Array | None = field(default=None, repr=False)
+
+    def _slots(self):
+        """(name, owner, attribute) of every tensor, in a stable order."""
+        for prefix, mlp in (("enc", self.encoder), ("dec", self.decoder)):
+            for i, layer in enumerate(mlp.hidden):
+                yield f"{prefix}.h{i}.w", layer, "weights"
+                yield f"{prefix}.h{i}.b", layer, "bias"
+            for name in sorted(mlp.heads):
+                yield f"{prefix}.{name}.w", mlp.heads[name], "weights"
+                yield f"{prefix}.{name}.b", mlp.heads[name], "bias"
+        yield "prior.mean_w", self.prior, "mean_weights"
+        yield "prior.logvar_w", self.prior, "logvar_weights"
 
     def named_arrays(self) -> dict:
         """Flat name -> tensor view of the model, in a stable order."""
-        out = {}
-        for prefix, mlp in (("enc", self.encoder), ("dec", self.decoder)):
-            for i, layer in enumerate(mlp.hidden):
-                out[f"{prefix}.h{i}.w"] = layer.weights
-                out[f"{prefix}.h{i}.b"] = layer.bias
-            for name in sorted(mlp.heads):
-                out[f"{prefix}.{name}.w"] = mlp.heads[name].weights
-                out[f"{prefix}.{name}.b"] = mlp.heads[name].bias
-        out["prior.mean_w"] = self.prior.mean_weights
-        out["prior.logvar_w"] = self.prior.logvar_weights
+        return {name: getattr(owner, attr) for name, owner, attr in self._slots()}
+
+    def named_views(self, vec: Array) -> dict:
+        """name -> view of ``vec`` shaped like that tensor, for any vector laid
+        out like ``flat`` (the gradient of value_and_grad, say)."""
+        out, lo = {}, 0
+        for name, a in self.named_arrays().items():
+            out[name] = vec[lo : lo + math.prod(_shape(a))].reshape(_shape(a))
+            lo += out[name].size
         return out
 
     def map_arrays(self, fn) -> "ModelParams":
@@ -135,13 +149,16 @@ class ModelParams:
         named = {name: fn(name, a) for name, a in self.named_arrays().items()}
         return model_from_named(named, self.encoder.keep_prob)
 
-    def bind(self, tape: Tape) -> "ModelParams":
+    def bind(self, tape: Tape, grad: Array | None = None) -> "ModelParams":
         """Register every tensor as a named leaf; forward passes on the result
-        are then differentiable via backward_grad."""
-        return self.map_arrays(lambda name, a: tape.leaf(a, name=name))
+        are then differentiable via backward_grad, which writes each leaf's
+        gradient into its slice of ``grad`` (a vector laid out like flat)."""
+        sinks = self.named_views(grad) if grad is not None else {}
+        return self.map_arrays(lambda name, a: tape.leaf(a, name=name, out=sinks.get(name)))
 
     def copy(self) -> "ModelParams":
-        return self.map_arrays(lambda name, a: np.array(a, dtype=np.float64))
+        """An equal model with its own flat vector."""
+        return model_from_named(self.named_arrays(), self.encoder.keep_prob)
 
     @property
     def feature_dim(self) -> int:
@@ -171,43 +188,35 @@ def init_model(
 ) -> ModelParams:
     """Glorot-uniform weights, zero biases; logvar heads and the prior's
     logvar map start at zero so every Gaussian begins with unit variance."""
+    named = {}
 
-    def stack(in_dim, dims):
-        layers, d = [], in_dim
-        for width in dims:
-            layers.append(Affine(glorot(rng, d, width), np.zeros(width)))
-            d = width
-        return layers, d
+    def layer(key, d, width, w=None):
+        named[f"{key}.w"] = glorot(rng, d, width) if w is None else w
+        named[f"{key}.b"] = np.zeros(width)
+        return width
 
-    enc_hidden, enc_out = stack(feature_dim, hidden_dims)
-    encoder = MlpParams(
-        enc_hidden,
-        heads={
-            "mean": Affine(glorot(rng, enc_out, latent_dim), np.zeros(latent_dim)),
-            "logvar": Affine(np.zeros((enc_out, latent_dim)), np.zeros(latent_dim)),
-        },
-        keep_prob=keep_prob,
-    )
-    dec_hidden, dec_out = stack(latent_dim, hidden_dims)
-    decoder = MlpParams(
-        dec_hidden,
-        heads={"out": Affine(glorot(rng, dec_out, feature_dim), np.zeros(feature_dim))},
-        keep_prob=keep_prob,
-    )
-    prior = PriorParams(
-        mean_weights=glorot(rng, attr_dim, latent_dim).T.copy(),
-        logvar_weights=np.zeros((latent_dim, attr_dim)),
-    )
-    return ModelParams(encoder, decoder, prior)
+    def stack(prefix, d):
+        for i, width in enumerate(hidden_dims):
+            d = layer(f"{prefix}.h{i}", d, width)
+        return d
+
+    enc_out = stack("enc", feature_dim)
+    layer("enc.mean", enc_out, latent_dim)
+    layer("enc.logvar", enc_out, latent_dim, np.zeros((enc_out, latent_dim)))
+    layer("dec.out", stack("dec", latent_dim), feature_dim)
+    named["prior.mean_w"] = glorot(rng, attr_dim, latent_dim).T
+    named["prior.logvar_w"] = np.zeros((latent_dim, attr_dim))
+    return model_from_named(named, keep_prob)
 
 
 def model_from_named(tensors: dict, keep_prob: float = 1.0) -> ModelParams:
     """Rebuild a ModelParams from the flat naming used by named_arrays().
 
-    Arrays are cast to float64, and bias tensors that arrive as 1×n rows (the
-    matrix format has no 1-D shape) are flattened back to vectors. Tape
-    variables pass through untouched, so map_arrays and bind share this
-    constructor with the checkpoint loader.
+    Arrays are copied, as float64, into one new flat vector, and bias
+    tensors that arrive as 1×n rows (the matrix format has no 1-D shape) are
+    flattened back to vectors. Tape variables pass through untouched (and
+    leave ``flat`` None), so map_arrays and bind share this constructor with
+    the checkpoint loader.
     """
 
     def get(key, bias=False):
@@ -216,7 +225,7 @@ def model_from_named(tensors: dict, keep_prob: float = 1.0) -> ModelParams:
         arr = tensors[key]
         if isinstance(arr, Var):
             return arr
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr)
         return arr.ravel() if bias else arr
 
     def mlp(prefix, head_names):
@@ -235,9 +244,17 @@ def model_from_named(tensors: dict, keep_prob: float = 1.0) -> ModelParams:
         decoder=mlp("dec", ("out",)),
         prior=PriorParams(get("prior.mean_w"), get("prior.logvar_w")),
     )
-    extra = set(tensors) - set(model.named_arrays())
+    arrays = model.named_arrays()
+    extra = set(tensors) - set(arrays)
     if extra:
         raise DataFormatError(f"checkpoint has unexpected tensors {sorted(extra)}")
+    if any(isinstance(a, Var) for a in arrays.values()):
+        return model
+    model.flat = np.empty(sum(a.size for a in arrays.values()))
+    views = model.named_views(model.flat)
+    for name, owner, attr in model._slots():  # point each tensor at its view
+        np.copyto(views[name], arrays[name])
+        setattr(owner, attr, views[name])
     return model
 
 

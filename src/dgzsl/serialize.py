@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +52,23 @@ def matrix_bytes(arr) -> bytes:
     return buf.getvalue()
 
 
+@contextmanager
+def _atomic_write(path):
+    """Writes to a temp file in the same directory, then os.replace()s it
+    over ``path``; if the write raises, the temp file goes and ``path`` is
+    untouched."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_matrix(path, arr) -> None:
-    with open(path, "wb") as fh:
+    with _atomic_write(path) as fh:
         _write_matrix(fh, arr)
 
 
@@ -76,7 +93,7 @@ def _matrix_from(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
         raise DataFormatError(
             f"{where}: non-finite value {data[first]} at row {first // cols}, column {first % cols}"
         )
-    return data.astype(np.float64).reshape(rows, cols), end
+    return data.reshape(rows, cols), end
 
 
 def load_matrix(path):
@@ -86,7 +103,14 @@ def load_matrix(path):
         raise DataFormatError(f"{path}: {len(buf) - end} trailing bytes after matrix body")
     if arr.size == 0:
         raise DataFormatError(f"{path}: matrix is empty")
-    return arr
+    return arr.astype(np.float64)
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def write_attribute_csv(path, attributes) -> None:
@@ -101,7 +125,7 @@ def read_attribute_csv(path):
     """Returns the C×M attribute matrix indexed by class id."""
     rows = {}
     width = None
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -145,7 +169,7 @@ def write_labels(path, labels) -> None:
 
 def read_labels(path):
     out = []
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -180,7 +204,7 @@ def read_manifest(path) -> dict:
     """Parses the split manifest; label paths are resolved against its dir."""
     base = Path(path).parent
     entries = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -210,7 +234,7 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
     items = dict(tensors)
     for key, value in (meta or {}).items():
         items[f"meta.{key}"] = np.array([[float(value)]])
-    with open(path, "wb") as fh:
+    with _atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(items)))
         for name, arr in items.items():
             encoded = name.encode("utf-8")
@@ -219,7 +243,9 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Returns (tensors, meta) with meta values unpacked from 1×1 tensors."""
+    """Returns (tensors, meta) with meta values unpacked from 1×1 tensors.
+    Tensors are read-only float32 views of the file's bytes: model_from_named
+    casts them into its flat vector without a second float64 copy."""
     buf = Path(path).read_bytes()
     if buf[:8] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad checkpoint magic {buf[:8]!r}")

@@ -101,19 +101,19 @@ def _terms(bd) -> tuple:
 
 
 def _labeled_epoch(model, opt, features, labels, attr_rows, rngs, batch_size, **objective):
-    """One shuffled pass of supervised Adam steps over a labeled set.
+    """One shuffled pass of in-place supervised Adam steps over a labeled set.
 
     ``rngs`` is the (shuffle, noise, dropout) generator triple; each batch
     draws its noise, then its encoder and decoder masks. ``objective`` is
-    passed on to inductive_objective. Returns the updated model and the
-    per-row mean of (total, reconstruction, kl_true_class, margin).
+    passed on to inductive_objective. Returns the per-row mean of (total,
+    reconstruction, kl_true_class, margin).
     """
     shuffle_rng, noise_rng, dropout_rng = rngs
-    sums = np.zeros(4)
+    sums, grad = np.zeros(4), np.empty(model.flat.size)
     for rows in _batches(shuffle_rng.permutation(features.shape[0]), batch_size):
         noise = noise_rng.normal(size=(rows.size, model.latent_dim))
         enc_m, dec_m = _masks(dropout_rng, model, rows.size)
-        _, grads, bd = inductive_objective(
+        _, grad, bd = inductive_objective(
             model,
             features[rows],
             labels[rows],
@@ -121,11 +121,12 @@ def _labeled_epoch(model, opt, features, labels, attr_rows, rngs, batch_size, **
             noise=noise,
             enc_masks=enc_m,
             dec_masks=dec_m,
+            out=grad,
             **objective,
         )
-        model = opt.step(model, grads)
+        opt.step(model, grad)
         sums += rows.size * np.array(_terms(bd))
-    return model, sums / features.shape[0]
+    return sums / features.shape[0]
 
 
 def fewshot_finetune(
@@ -148,12 +149,14 @@ def fewshot_finetune(
     """Continue supervised training on k labeled unseen-class examples.
 
     The margin term runs over the unseen classes (optionally also the seen
-    ones). Dropout follows the model's keep_prob. An empty example set
-    returns the model unchanged. The input model is never mutated.
+    ones). Dropout follows the model's keep_prob. Returns a trained copy
+    (an unchanged one for an empty example set); the input model is never
+    mutated.
     """
+    model = model.copy()
     feats = np.asarray(features, dtype=np.float64)
     if feats.size == 0:
-        return model.copy()
+        return model
     labs = np.asarray(labels, dtype=np.int64)
     unseen = np.unique(np.asarray(unseen_class_ids, dtype=np.int64))
     outside = set(labs.tolist()) - set(unseen.tolist())
@@ -167,7 +170,7 @@ def fewshot_finetune(
     rngs = tuple(np.random.default_rng(s) for s in root.spawn(3))
     opt = Adam(lr=learning_rate)
     for _ in range(epochs):
-        model, _ = _labeled_epoch(
+        _labeled_epoch(
             model,
             opt,
             feats,
@@ -245,10 +248,9 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             raise type(e)(f"{phase} epoch {len(records) + 1}: {e}") from e
 
     def inductive_epochs(n: int):
-        nonlocal model
         for _ in range(n):
             t0 = time.perf_counter()
-            model, means = _labeled_epoch(
+            means = _labeled_epoch(
                 model,
                 opt,
                 x_train,
@@ -262,13 +264,12 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             log("inductive", t0, means)
 
     def transductive_epochs(n: int, pool_idx: np.ndarray):
-        nonlocal model
         pool = dataset.features[pool_idx]
         if pool.shape[0] == 0:
             raise DgzslError("transductive phase has no unlabeled rows")
         total_rows = x_train.shape[0]
         n_batches = max(1, -(-total_rows // cfg.batch_size))
-        target = None
+        target, grad = None, np.empty(model.flat.size)
         for epoch in range(n):
             t0 = time.perf_counter()
             if epoch % cfg.refresh_every == 0:
@@ -283,7 +284,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 # zero-size draws when rows_u is empty leave every stream as is
                 noise_u = noise_rng.normal(size=(rows_u.size, cfg.latent_dim))
                 enc_mu, dec_mu = _masks(dropout_rng, model, rows_u.size)
-                _, grads, parts = transductive_objective(
+                _, grad, parts = transductive_objective(
                     model,
                     x_train[rows],
                     y_train[rows],
@@ -299,9 +300,10 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     enc_masks_unlab=enc_mu,
                     dec_masks_unlab=dec_mu,
                     recon_only_unlabeled=cfg.recon_only_unlabeled,
+                    out=grad,
                     **objective,
                 )
-                model = opt.step(model, grads)
+                opt.step(model, grad)
                 bd = parts.labeled_breakdown
                 sums += [parts.labeled_total, parts.unlabeled_total, parts.unlabeled_recon, parts.target_kl]
                 bd_sums += rows.size * np.array([bd.reconstruction, bd.kl_true_class, bd.margin])

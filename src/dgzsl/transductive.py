@@ -84,22 +84,6 @@ def _values_of(m) -> Array:
     return np.asarray(m.values if hasattr(m, "values") else m, dtype=np.float64)
 
 
-def target_assignment_kl(target, assignments) -> float:
-    """Σ_rows Σ_classes p·log(p/q) between target p and assignment q rows.
-
-    Zero target entries contribute nothing; a positive target against a zero
-    assignment is an error (infinite divergence).
-    """
-    p, q = _values_of(target), _values_of(assignments)
-    if p.shape != q.shape:
-        raise ShapeError(f"target shape {p.shape} != assignment shape {q.shape}")
-    if ((p > 0) & (q == 0)).any():
-        raise DgzslError("target puts mass where the assignment has none")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-    return float(terms.sum())
-
-
 @dataclass(frozen=True)
 class TransductiveParts:
     """Logged components; total == labeled_total + unlabeled_total exactly."""
@@ -195,9 +179,10 @@ def transductive_value(
     return total, parts
 
 
-def transductive_objective(model: ModelParams, *args, **kwargs):
+def transductive_objective(model: ModelParams, *args, out=None, **kwargs):
     """transductive_value with gradients for every model tensor.
 
-    Returns (value, gradient dict, TransductiveParts).
+    Returns (value, gradient vector as in inductive_objective,
+    TransductiveParts).
     """
-    return ad.value_and_grad(lambda m: transductive_value(m, *args, **kwargs), model)
+    return ad.value_and_grad(lambda m: transductive_value(m, *args, **kwargs), model, out)

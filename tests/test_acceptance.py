@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 from conftest import SEEDS, perturbed_model, unseen_accuracy
+from oracles import kl_diag, margin_term, predict_via_bound, predict_zsl, target_assignment_kl
 
 from dgzsl import autodiff as ad
 from dgzsl.data import fewshot_sample, save_dataset
-from dgzsl.gaussian import DiagGaussian, kl_diag
-from dgzsl.inductive import assemble, inductive_terms, margin_term
-from dgzsl.inference import predict_via_bound, predict_zsl
+from dgzsl.gaussian import DiagGaussian
+from dgzsl.inductive import assemble, inductive_terms
 from dgzsl.networks import PriorParams, class_prior
 from dgzsl.train import fewshot_finetune, run_train
 from dgzsl.transductive import (
@@ -23,7 +23,6 @@ from dgzsl.transductive import (
     TargetMatrix,
     sharpen,
     soft_assign,
-    target_assignment_kl,
     transductive_value,
 )
 

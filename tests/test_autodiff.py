@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from dgzsl import autodiff as ad
 from dgzsl.autodiff import Tape, Var
 from dgzsl.errors import DgzslError, ShapeError
-from dgzsl.networks import init_model
+from dgzsl.inductive import inductive_value
+from dgzsl.networks import init_model, make_dropout_masks
+from dgzsl.transductive import sharpen, soft_assign, transductive_value
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -154,6 +156,103 @@ def test_value_and_grad_frees_its_tape_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+# ------------------------------------------------------ flat model gradient
+
+
+def per_leaf_value_and_grad(fn, model):
+    """The gradient path before the flat vector, kept as the oracle: leaves
+    without a gradient destination, each gradient its own array, later
+    contributions summed out of place (node.grad + g)."""
+    tape = Tape()
+    value, aux = fn(model.bind(tape))
+    return float(value), ad.backward_grad(tape, value), aux
+
+
+def objective_case(kind):
+    rng = np.random.default_rng(7)
+    model = init_model(rng, 8, 7, 4, (16, 16), keep_prob=0.8)
+    model = model.map_arrays(lambda n, a: a + 0.05 * rng.normal(size=a.shape))
+    attrs = rng.uniform(-1, 1, (7, 7))
+    feats, unlab = rng.normal(size=(5, 8)), rng.normal(size=(6, 8))
+    labels = np.array([0, 1, 3, 2, 0])
+    noise_l, noise_u = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
+    masks = [make_dropout_masks(rng, mlp, n) for n in (5, 6) for mlp in (model.encoder, model.decoder)]
+    if kind == "transductive":
+        target = sharpen(soft_assign(unlab, attrs[4:], model)).values
+
+        def fn(m):
+            return transductive_value(
+                m, feats, labels, unlab, target, attrs,
+                margin_class_ids=np.arange(4), unseen_class_ids=np.arange(4, 7),
+                noise_labeled=noise_l, noise_unlabeled=noise_u,
+                enc_masks_lab=masks[0], dec_masks_lab=masks[1],
+                enc_masks_unlab=masks[2], dec_masks_unlab=masks[3],
+            )
+    else:
+        def fn(m):
+            return inductive_value(
+                m, feats, labels, attrs, noise=noise_l, margin_class_ids=np.arange(4),
+                enc_masks=masks[0], dec_masks=masks[1], include_recon=kind != "no-recon",
+            )
+    return model, fn
+
+
+@pytest.mark.parametrize("kind", ["inductive", "no-recon", "transductive"])
+def test_flat_gradient_equals_per_leaf_gradients_bit_for_bit(kind, monkeypatch):
+    model, fn = objective_case(kind)
+    value, old, _ = per_leaf_value_and_grad(fn, model)
+    arrivals = []  # (leaf name, contribution is C-contiguous) per _accum
+    accum = ad._accum
+
+    def spy(node, g):
+        if node.op == "leaf":
+            arrivals.append((node.name, g.flags.c_contiguous))
+        accum(node, g)
+
+    monkeypatch.setattr(ad, "_accum", spy)
+    flat_value, grad, _ = ad.value_and_grad(fn, model)
+    monkeypatch.undo()
+    assert flat_value == value
+    assert grad.shape == model.flat.shape and grad.flags.c_contiguous
+    views = model.named_views(grad)
+    assert list(views) == list(old)
+    for name, g in old.items():
+        assert views[name].shape == g.shape, name
+        assert views[name].tobytes() == g.tobytes(), name
+    # prior.mean_w enters class_prior through transpose: its gradient is gout.T
+    assert ("prior.mean_w", False) in arrivals
+    names = [name for name, _ in arrivals]
+    if kind == "transductive":
+        # the encoder runs on the labeled and on the unlabeled batch
+        assert names.count("enc.h0.w") >= 2
+    if kind == "no-recon":
+        # the decoder is never run: its slices stay +0.0
+        assert not any(name.startswith("dec.") for name in names)
+        dec = np.concatenate([g.ravel() for k, g in views.items() if k.startswith("dec.")])
+        assert dec.tobytes() == np.zeros(dec.size).tobytes()
+
+
+@pytest.mark.parametrize("uses", [1, 2])
+def test_gradient_destination_keeps_signed_zeros(uses):
+    # a zero-filled destination plus every contribution would turn -0.0 into
+    # +0.0; the first contribution is copied instead
+    c = np.array([-0.0, 0.0, -0.0, 2.0])
+
+    def leaf_grad(out):
+        tape = Tape()
+        x = tape.leaf(np.ones(4), name="x", out=out)
+        total = ad.sum(x * c)
+        for _ in range(uses - 1):
+            total = total + ad.sum(x * c)
+        return ad.backward_grad(tape, total)["x"]
+
+    out = np.zeros(4)
+    got, expected = leaf_grad(out), leaf_grad(None)
+    assert got is out
+    assert got.tobytes() == expected.tobytes()
+    assert np.signbit(got).tolist() == [True, False, True, False]
 
 
 # ----------------------------------------------------------------- backward

@@ -17,6 +17,7 @@ from dgzsl.data import (
     save_dataset,
     synth_generate,
 )
+from dgzsl import serialize
 from dgzsl.errors import DataFormatError, DgzslError, ShapeError
 from dgzsl.serialize import (
     CHECKPOINT_MAGIC,
@@ -442,6 +443,33 @@ def test_checkpoint_meta_must_be_scalar(tmp_path):
     save_checkpoint(path, {"meta.oops": np.ones((2, 2))})
     with pytest.raises(DataFormatError):
         load_checkpoint(path)
+
+
+def test_checkpoint_write_that_fails_partway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones((2, 2))}, meta={"keep_prob": 0.8})
+    old = path.read_bytes()
+    # the first tensor is written, then the 3-D second one raises
+    with pytest.raises(DataFormatError, match="1-D or 2-D"):
+        save_checkpoint(path, {"w": np.zeros((3, 3)), "bad": np.zeros((2, 2, 2))})
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_matrix_write_that_fails_partway_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "latents.bin"
+    save_matrix(path, np.ones((2, 3)))
+    old = path.read_bytes()
+
+    def disk_full(fh, arr):
+        fh.write(old[:10])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(serialize, "_write_matrix", disk_full)
+    with pytest.raises(OSError, match="No space"):
+        save_matrix(path, np.zeros((4, 4)))
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ------------------------------------------------------- dataset round trip

@@ -7,18 +7,12 @@ from hypothesis import strategies as st
 
 from dgzsl import autodiff as ad
 from dgzsl.errors import DgzslError
-from dgzsl.gaussian import LOG_2PI, DiagGaussian, gauss_loglik, kl_diag, sample_reparam
-from dgzsl.inductive import (
-    assemble,
-    class_conditional_elbo,
-    inductive_objective,
-    inductive_terms,
-    margin_term,
-    one_hot,
-)
+from dgzsl.gaussian import LOG_2PI, DiagGaussian, sample_reparam
+from dgzsl.inductive import assemble, inductive_objective, inductive_terms, one_hot
 from dgzsl.networks import class_prior, decode, encode, init_model
 
 from conftest import perturbed_model
+from oracles import class_conditional_elbo, gauss_loglik, kl_diag, margin_term
 
 
 @pytest.fixture()
@@ -256,9 +250,11 @@ def test_negative_margin_weight_rejected(setup):
 
 def test_gradients_cover_every_tensor_and_are_finite(setup):
     model, attrs, feats, labels, noise = setup
-    _, grads, _ = inductive_objective(
+    _, grad, _ = inductive_objective(
         model, feats, labels, attrs, noise=noise, margin_class_ids=np.arange(4)
     )
+    assert grad.shape == model.flat.shape
+    grads = model.named_views(grad)
     assert set(grads) == set(model.named_arrays())
     for key, g in grads.items():
         assert g.shape == model.named_arrays()[key].shape, key

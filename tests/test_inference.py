@@ -5,13 +5,7 @@ import pytest
 
 from dgzsl.errors import DgzslError
 from dgzsl.gaussian import DiagGaussian, kl_matrix
-from dgzsl.inference import (
-    Prediction,
-    accuracy,
-    predict_batch,
-    predict_via_bound,
-    predict_zsl,
-)
+from dgzsl.inference import accuracy, predict_batch
 from dgzsl.config import TrainConfig
 from dgzsl.inductive import breakdown_of, inductive_terms
 from dgzsl.networks import class_prior, encode, model_from_named
@@ -19,6 +13,7 @@ from dgzsl.serialize import load_checkpoint, save_checkpoint
 from dgzsl.train import fewshot_finetune, train_model
 
 from conftest import perturbed_model, unseen_accuracy
+from oracles import Prediction, predict_via_bound, predict_zsl
 
 
 @pytest.fixture()

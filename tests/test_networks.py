@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgzsl.autodiff import Tape
+from dgzsl.autodiff import Tape, Var
 from dgzsl.errors import DataFormatError, DgzslError, ShapeError
 from dgzsl.gaussian import DiagGaussian
 from dgzsl.networks import (
@@ -23,6 +23,7 @@ from dgzsl.networks import (
     make_dropout_masks,
     model_from_named,
 )
+from dgzsl.serialize import load_checkpoint, save_checkpoint
 
 
 def zeroed(model):
@@ -307,3 +308,63 @@ def test_map_arrays_sees_every_tensor(model):
     mapped = model.map_arrays(lambda name, a: (seen.append(name), a)[1])
     assert seen == list(model.named_arrays())
     assert mapped.encoder.keep_prob == mapped.decoder.keep_prob == 0.8
+
+
+# ---------------------------------------------------------------- flat layout
+
+
+def assert_flat_layout(model):
+    """Every tensor is a C-contiguous float64 view into model.flat, in
+    named_arrays() order, with no gaps."""
+    flat = model.flat
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    base = flat.__array_interface__["data"][0]
+    offset = 0
+    for name, a in model.named_arrays().items():
+        assert a.dtype == np.float64 and a.flags.c_contiguous, name
+        assert np.shares_memory(a, flat), name
+        assert a.__array_interface__["data"][0] - base == 8 * offset, name
+        offset += a.size
+    assert offset == flat.size
+
+
+def flat_sources(model, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.named_arrays(), meta={"keep_prob": 0.8})
+    tensors, meta = load_checkpoint(path)
+    return {
+        "init_model": model,
+        "model_from_named": model_from_named(model.named_arrays(), keep_prob=0.8),
+        "checkpoint": model_from_named(tensors, keep_prob=meta["keep_prob"]),
+        "copy": model.copy(),
+        "map_arrays": model.map_arrays(lambda name, a: 2.0 * a),
+    }
+
+
+@pytest.mark.parametrize(
+    "source", ["init_model", "model_from_named", "checkpoint", "copy", "map_arrays"]
+)
+def test_tensors_are_views_of_one_flat_vector(model, tmp_path, source):
+    built = flat_sources(model, tmp_path)[source]
+    assert_flat_layout(built)
+    if source != "init_model":
+        assert not np.shares_memory(built.flat, model.flat)
+    scale = 2.0 if source == "map_arrays" else 1.0
+    for name, a in model.named_arrays().items():
+        expected = np.float32(a) if source == "checkpoint" else a
+        assert np.array_equal(built.named_arrays()[name], scale * expected), name
+
+
+def test_bind_yields_var_leaves_with_gradient_slices(model):
+    tape = Tape()
+    grad = np.zeros(model.flat.size)
+    bound = model.bind(tape, grad)
+    assert bound.flat is None
+    views = model.named_views(grad)
+    for name, v in bound.named_arrays().items():
+        assert isinstance(v, Var), name
+        node = tape.nodes[v.index]
+        assert node.op == "leaf" and node.name == name
+        assert np.shares_memory(node.value, model.flat), name
+        assert node.out.shape == v.shape and np.shares_memory(node.out, views[name])
+    assert isinstance(model.bind(Tape()).encoder.hidden[0].weights, Var)

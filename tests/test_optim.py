@@ -38,17 +38,29 @@ def make_model():
     return init_model(np.random.default_rng(0), 40, 3, 5, (530,))
 
 
+class FlatGrad(dict):
+    """Named views of one flat gradient vector, as ``model.named_views``
+    gives them; numpy (and so ``Adam.step``) sees the vector itself."""
+
+    def __init__(self, model, vec):
+        super().__init__(model.named_views(vec))
+        self.vec = vec
+
+    def __array__(self, dtype=None, copy=None):
+        return self.vec
+
+
 def make_grads(model, rng, transpose=()):
-    grads = {}
-    for name, a in model.named_arrays().items():
-        shape = np.shape(a)
+    grads = FlatGrad(model, np.zeros(model.flat.size))
+    for name, g in grads.items():
+        shape = g.shape
         if name in transpose:
-            g = rng.normal(size=shape[::-1]).T  # a backward's gout.T: not contiguous
+            # a backward's gout.T, copied into its slice as backward does
+            np.copyto(g, rng.normal(size=shape[::-1]).T)
         else:
-            g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=shape)
+            g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=shape)
             g[rng.random(shape) < 0.05] = 0.0
             g[rng.random(shape) < 0.05] = -0.0
-        grads[name] = g
     return grads
 
 
@@ -67,12 +79,11 @@ def test_step_matches_whole_tensor_expression(name, transpose, blocks):
     assert -(-size // _BLOCK) == blocks and size % _BLOCK != 0
     rng = np.random.default_rng(1)
     opt, oracle = Adam(lr=0.05), OracleAdam(lr=0.05)
-    expected = model.named_arrays()
+    expected = {k: a.copy() for k, a in model.named_arrays().items()}
     for _ in range(4):
         grads = make_grads(model, rng, transpose)
-        if transpose:
-            assert not grads[name].flags.c_contiguous
-        model = opt.step(model, grads)
+        assert np.signbit(grads.vec[grads.vec == 0.0]).any()  # ±0 entries
+        opt.step(model, grads.vec)
         expected = oracle.step(expected, grads)
         got = model.named_arrays()
         assert got[name].tobytes() == expected[name].tobytes()
@@ -80,21 +91,22 @@ def test_step_matches_whole_tensor_expression(name, transpose, blocks):
         assert all(got[k].tobytes() == expected[k].tobytes() for k in expected)
 
 
-def test_step_leaves_model_and_grads_untouched():
+def test_step_updates_model_in_place_and_leaves_grads_untouched():
     model = make_model()
+    flat, arrays = model.flat, model.named_arrays()
     rng = np.random.default_rng(2)
     opt = Adam(lr=0.05)
     for _ in range(3):
         grads = make_grads(model, rng, ("dec.out.w",))
-        before = {k: a.copy() for k, a in model.named_arrays().items()}
-        grads_before = {k: g.copy() for k, g in grads.items()}
-        new = opt.step(model, grads)
+        before = {k: a.copy() for k, a in arrays.items()}
+        grad_before = grads.vec.copy()
+        assert opt.step(model, grads.vec) is None
+        assert model.flat is flat
         for k, a in model.named_arrays().items():
-            assert a.tobytes() == before[k].tobytes()
-            assert not np.shares_memory(a, new.named_arrays()[k])
-        for k, g in grads.items():
-            assert g.tobytes() == grads_before[k].tobytes()
-        model = new
+            assert a is arrays[k]
+            assert np.shares_memory(a, flat)
+            assert a.tobytes() != before[k].tobytes()
+        assert grads.vec.tobytes() == grad_before.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/inf in the update
