@@ -12,6 +12,7 @@ datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,8 @@ from .serialize import (
     read_attribute_csv,
     read_labels,
     read_manifest,
-    save_matrix,
+    row_blocks,
+    save_rows,
     write_attribute_csv,
     write_labels,
     write_manifest,
@@ -62,7 +64,8 @@ class Dataset:
             raise DataFormatError("dataset has no examples")
         if labels.shape != (feats.shape[0],) or mask.shape != labels.shape:
             raise ShapeError("labels and train_mask must align with feature rows")
-        if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(attrs)):
+        finite = all(np.isfinite(feats[s]).all() for s in row_blocks(*feats.shape))
+        if not finite or not np.all(np.isfinite(attrs)):
             raise DataFormatError("features/attributes contain non-finite values")
 
         seen, unseen = set(self.seen_classes), set(self.unseen_classes)
@@ -168,15 +171,14 @@ def synth_generate(spec: SynthSpec) -> Dataset:
         noise_std = float(spec.noise_std)
 
     # seen classes come first, so the train block naturally leads
-    blocks, labels, mask = [], [], []
+    per = spec.per_class
+    feats = np.empty((num_classes * per, spec.feature_dim))
     for cid in range(num_classes):
-        noise = noise_rng.normal(size=(spec.per_class, spec.feature_dim))
-        blocks.append(means[cid] + noise_std * noise)
-        labels.extend([cid] * spec.per_class)
-        mask.extend([cid < spec.seen] * spec.per_class)
-    feats = np.concatenate(blocks)
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
+        noise = noise_rng.normal(size=(per, spec.feature_dim))
+        noise *= noise_std
+        np.add(means[cid], noise, out=feats[cid * per : (cid + 1) * per])
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per)
+    mask = labels < spec.seen
     return Dataset(
         features=feats,
         labels=labels,
@@ -216,12 +218,13 @@ def fewshot_sample(dataset: Dataset, k: int, seed: int) -> FewshotSplit:
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
     """Write the dataset in the on-disk layout load_dataset expects."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ordered = np.concatenate([dataset.train_features, dataset.test_features])
-    save_matrix(out / "features.bin", ordered)
+    feats = dataset.features
+    order = np.argsort(~dataset.train_mask, kind="stable")  # train rows, then test rows
+    save_rows(
+        out / "features.bin", feats.shape, (feats[order[s]] for s in row_blocks(*feats.shape))
+    )
     write_attribute_csv(out / "attributes.csv", dataset.attributes)
     write_labels(out / "train_labels.txt", dataset.train_labels)
     write_labels(out / "test_labels.txt", dataset.test_labels)

@@ -14,6 +14,11 @@ paths, one integer per line, resolved relative to the manifest).
 Checkpoint: 8-byte magic ``DGZSLCK1``, u32 tensor count, then per tensor a
 u32 name length, the UTF-8 name, and the tensor in the matrix-file layout.
 Scalar metadata rides along as 1×1 tensors named ``meta.<key>``.
+
+Matrix bodies stream in row blocks of at most ``_BLOCK_BYTES`` of float64
+(``row_blocks``): the writers cast one block at a time, and the readers
+check a header against the file size before they allocate, then read one
+block at a time into the result.
 """
 
 from __future__ import annotations
@@ -27,23 +32,49 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, ShapeError
 
 MATRIX_MAGIC = b"DGZSLM01"
 CHECKPOINT_MAGIC = b"DGZSLCK1"
 _HEADER = struct.Struct("<II")
+# bytes of float64 rows per block when a matrix streams to or from disk
+_BLOCK_BYTES = 1 << 22
+
+
+def row_blocks(rows: int, cols: int):
+    """Slices cutting ``rows`` rows of ``cols`` float64 values into blocks of
+    at most _BLOCK_BYTES each (one row at least), sized within one row of
+    each other: a block holds at least half a budget's worth of rows, so no
+    block is a lone straggler row."""
+    per = max(1, _BLOCK_BYTES // max(1, 8 * cols))
+    count = -(-rows // per)
+    return [slice(i * rows // count, (i + 1) * rows // count) for i in range(count)]
+
+
+def _write_rows(fh, shape, blocks) -> None:
+    """Writes the matrix-file header for ``shape``, then each float64 row
+    block as float32; the blocks must fill ``shape`` in order."""
+    fh.write(MATRIX_MAGIC + _HEADER.pack(*shape))
+    rows = 0
+    for block in blocks:
+        b = np.asarray(block, dtype=np.float64)
+        if b.ndim != 2 or b.shape[1] != shape[1]:
+            raise ShapeError(f"row block of shape {b.shape} does not fit a {shape} matrix")
+        fh.write(np.ascontiguousarray(b, dtype="<f4").data)
+        rows += b.shape[0]
+    if rows != shape[0]:
+        raise ShapeError(f"row blocks hold {rows} rows, the header says {shape[0]}")
 
 
 def _write_matrix(fh, arr) -> None:
-    """Writes one matrix in the matrix-file layout to a binary file object."""
+    """Writes one matrix in the matrix-file layout to a binary file object,
+    casting one row block at a time."""
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2:
         raise DataFormatError(f"can only serialize 1-D or 2-D arrays, got shape {a.shape}")
-    body = np.ascontiguousarray(a, dtype="<f4")
-    fh.write(MATRIX_MAGIC + _HEADER.pack(*a.shape))
-    fh.write(body.data)
+    _write_rows(fh, a.shape, (a[s] for s in row_blocks(*a.shape)))
 
 
 def matrix_bytes(arr) -> bytes:
@@ -72,38 +103,63 @@ def save_matrix(path, arr) -> None:
         _write_matrix(fh, arr)
 
 
-def _matrix_from(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
-    if buf[offset : offset + 8] != MATRIX_MAGIC:
-        raise DataFormatError(f"{where}: bad matrix magic {buf[offset:offset+8]!r}")
-    offset += 8
-    if len(buf) < offset + _HEADER.size:
+def save_rows(path, shape, blocks) -> None:
+    """Writes a ``shape`` matrix file from float64 row blocks that fill it in
+    order, so the whole matrix never has to exist at once."""
+    with _atomic_write(path) as fh:
+        _write_rows(fh, shape, blocks)
+
+
+def _read_matrix(fh, size: int, where: str, dtype) -> np.ndarray:
+    """Reads one matrix in the matrix-file layout from the position of ``fh``,
+    a file of ``size`` bytes, into a new ``dtype`` array.
+
+    The header is checked against the bytes left before anything is
+    allocated; the body is read one row block at a time, and each block is
+    checked for NaN and ±inf as it arrives.
+    """
+    magic = fh.read(8)
+    if magic != MATRIX_MAGIC:
+        raise DataFormatError(f"{where}: bad matrix magic {magic!r}")
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
         raise DataFormatError(f"{where}: truncated matrix header")
-    rows, cols = _HEADER.unpack_from(buf, offset)
-    offset += _HEADER.size
+    rows, cols = _HEADER.unpack(header)
     n = rows * cols
-    end = offset + 4 * n
-    if len(buf) < end:
+    end = fh.tell() + 4 * n
+    if size < end:
         raise DataFormatError(
-            f"{where}: expected {n} float32 values, file is short by {end - len(buf)} bytes"
+            f"{where}: expected {n} float32 values, file is short by {end - size} bytes"
         )
-    data = np.frombuffer(buf, dtype="<f4", count=n, offset=offset)
-    finite = np.isfinite(data)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise DataFormatError(
-            f"{where}: non-finite value {data[first]} at row {first // cols}, column {first % cols}"
-        )
-    return data.reshape(rows, cols), end
+    out = np.empty((rows, cols), dtype=dtype)
+    blocks = row_blocks(rows, cols)
+    direct = out.dtype == "<f4"  # else each block is read into one float32 stage
+    stage = None if direct else np.empty((-(-rows // max(1, len(blocks))), cols), "<f4")
+    for s in blocks:
+        block = out[s] if direct else stage[: s.stop - s.start]
+        if fh.readinto(block) != block.nbytes:
+            raise DataFormatError(f"{where}: file ended inside the matrix body")
+        finite = np.isfinite(block)
+        if not finite.all():
+            row, col = divmod(int(np.argmin(finite)), cols)
+            raise DataFormatError(
+                f"{where}: non-finite value {block[row, col]} at row {s.start + row}, column {col}"
+            )
+        if not direct:
+            out[s] = block
+    return out
 
 
 def load_matrix(path):
-    buf = Path(path).read_bytes()
-    arr, end = _matrix_from(buf, 0, str(path))
-    if end != len(buf):
-        raise DataFormatError(f"{path}: {len(buf) - end} trailing bytes after matrix body")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        arr = _read_matrix(fh, size, str(path), np.float64)
+        end = fh.tell()
+    if end != size:
+        raise DataFormatError(f"{path}: {size - end} trailing bytes after matrix body")
     if arr.size == 0:
         raise DataFormatError(f"{path}: matrix is empty")
-    return arr.astype(np.float64)
+    return arr
 
 
 def _read_text(path) -> str:
@@ -244,33 +300,38 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[dict, dict]:
     """Returns (tensors, meta) with meta values unpacked from 1×1 tensors.
-    Tensors are read-only float32 views of the file's bytes: model_from_named
-    casts them into its flat vector without a second float64 copy."""
-    buf = Path(path).read_bytes()
-    if buf[:8] != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"{path}: bad checkpoint magic {buf[:8]!r}")
-    if len(buf) < 12:
-        raise DataFormatError(f"{path}: truncated tensor count")
-    (count,) = struct.unpack_from("<I", buf, 8)
-    offset = 12
-    tensors, meta = {}, {}
-    for _ in range(count):
-        if len(buf) < offset + 4:
-            raise DataFormatError(f"{path}: truncated tensor name header")
-        (nlen,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        try:
-            name = buf[offset : offset + nlen].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DataFormatError(f"{path}: tensor name is not UTF-8: {e}") from None
-        offset += nlen
-        arr, offset = _matrix_from(buf, offset, f"{path}[{name}]")
-        if name.startswith("meta."):
-            if arr.shape != (1, 1):
-                raise DataFormatError(f"{path}: meta entry {name!r} is not 1×1")
-            meta[name[5:]] = float(arr[0, 0])
-        else:
-            tensors[name] = arr
-    if offset != len(buf):
-        raise DataFormatError(f"{path}: {len(buf) - offset} trailing bytes")
+    Tensors stay float32, as stored: model_from_named casts them into its
+    flat vector without a second float64 copy."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(8)
+        if magic != CHECKPOINT_MAGIC:
+            raise DataFormatError(f"{path}: bad checkpoint magic {magic!r}")
+        head = fh.read(4)
+        if len(head) < 4:
+            raise DataFormatError(f"{path}: truncated tensor count")
+        (count,) = struct.unpack("<I", head)
+        tensors, meta, names = {}, {}, set()
+        for _ in range(count):
+            head = fh.read(4)
+            if len(head) < 4:
+                raise DataFormatError(f"{path}: truncated tensor name header")
+            (nlen,) = struct.unpack("<I", head)
+            try:
+                name = fh.read(min(nlen, size - fh.tell())).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataFormatError(f"{path}: tensor name is not UTF-8: {e}") from None
+            if name in names:
+                raise DataFormatError(f"{path}: tensor {name!r} appears twice")
+            names.add(name)
+            arr = _read_matrix(fh, size, f"{path}[{name}]", np.float32)
+            if name.startswith("meta."):
+                if arr.shape != (1, 1):
+                    raise DataFormatError(f"{path}: meta entry {name!r} is not 1×1")
+                meta[name[5:]] = float(arr[0, 0])
+            else:
+                tensors[name] = arr
+        end = fh.tell()
+    if end != size:
+        raise DataFormatError(f"{path}: {size - end} trailing bytes")
     return tensors, meta

@@ -32,7 +32,7 @@ from .networks import (
     model_from_named,
 )
 from .optim import Adam
-from .serialize import load_checkpoint, save_checkpoint, save_matrix
+from .serialize import load_checkpoint, row_blocks, save_checkpoint, save_matrix, save_rows
 from .transductive import sharpen, soft_assign, transductive_objective
 
 
@@ -445,14 +445,21 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
     """Write latent means and reconstructions for every dataset row.
 
     Output rows align one-for-one with the stored feature order (train block
-    then test block). Reconstructions decode the posterior mean.
+    then test block). Reconstructions decode the posterior mean. Rows go
+    through the networks one row block at a time, and the reconstructions
+    stream to disk block by block.
     """
     model = _model_from_checkpoint(checkpoint_path)
-    dataset = _dataset_from_dir(data_dir)
-    q = encode(dataset.features, model.encoder)
-    recons = decode(q.mean, model.decoder)
+    feats = _dataset_from_dir(data_dir).features
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_matrix(out / "latents.bin", q.mean)
-    save_matrix(out / "recons.bin", recons)
+    latents = np.empty((feats.shape[0], model.latent_dim))
+
+    def recons():  # one row block of activations at a time
+        for s in row_blocks(*feats.shape):
+            latents[s] = encode(feats[s], model.encoder).mean
+            yield decode(latents[s], model.decoder)
+
+    save_rows(out / "recons.bin", feats.shape, recons())
+    save_matrix(out / "latents.bin", latents)
     return {"latents": str(out / "latents.bin"), "recons": str(out / "recons.bin")}

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,33 @@ def test_checkpoint_non_finite_tensor(tmp_path):
     save_checkpoint(path, {"enc.h0.b": np.zeros((1, 4)), "enc.h0.w": w})
     with pytest.raises(DataFormatError, match=re.escape(f"{path}[enc.h0.w]: non-finite value nan at row 2")):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, shape", [("w", (1, 2)), ("meta.keep_prob", (1, 1))])
+def test_checkpoint_rejects_a_name_given_twice(tmp_path, name, shape):
+    entry = lambda v: struct.pack("<I", len(name)) + name.encode() + matrix_bytes(np.full(shape, v))
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 2) + entry(1.0) + entry(2.0))
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: tensor {name!r} appears twice")):
+        load_checkpoint(path)
+
+
+def test_huge_matrix_header_over_a_short_body_fails_before_allocating(tmp_path):
+    head = serialize.MATRIX_MAGIC + struct.pack("<II", 65535, 65535)
+    short = 4 * 65535 * 65535 - 16
+    path = tmp_path / "huge.bin"
+    path.write_bytes(head + b"\x00" * 16)
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + b"w" + head + b"\x00" * 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: expected {65535 * 65535} float32 values, file is short by {short} bytes")):
+            load_matrix(path)
+        with pytest.raises(DataFormatError, match=re.escape(f"{ckpt}[w]: expected {65535 * 65535} float32 values, file is short by {short} bytes")):
+            load_checkpoint(ckpt)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_checkpoint_trailing_bytes(tmp_path):

@@ -1,0 +1,197 @@
+"""Matrix files, datasets and exports stream in row blocks: the bytes match a
+whole-array pass at every block boundary, and memory stays bounded."""
+
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dgzsl import serialize
+from dgzsl.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
+from dgzsl.errors import DataFormatError, ShapeError
+from dgzsl.networks import decode, encode, init_model, model_from_named
+from dgzsl.serialize import (
+    CHECKPOINT_MAGIC,
+    MATRIX_MAGIC,
+    load_checkpoint,
+    load_matrix,
+    matrix_bytes,
+    row_blocks,
+    save_checkpoint,
+    save_matrix,
+    save_rows,
+)
+from dgzsl.train import export_embeddings
+
+ROWS, COLS = 11, 5  # 11 rows in blocks of at most 3: 2, 3, 3, 3
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Shrinks the block budget to 3 float64 rows of COLS values."""
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 3 * 8 * COLS)
+
+
+def whole_matrix_bytes(arr) -> bytes:
+    """The matrix-file layout built from one whole-array float32 cast."""
+    a = np.asarray(arr, dtype=np.float64)
+    return MATRIX_MAGIC + struct.pack("<II", *a.shape) + np.ascontiguousarray(a, "<f4").tobytes()
+
+
+def ragged():
+    return np.random.default_rng(0).normal(size=(ROWS, COLS))
+
+
+def traced_peak(fn, *args):
+    """(result, bytes): fn's result and the peak of traced allocations it made."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_blocks_cover_every_row_with_no_straggler(small_blocks):
+    blocks = row_blocks(ROWS, COLS)
+    assert [(s.start, s.stop) for s in blocks] == [(0, 2), (2, 5), (5, 8), (8, 11)]
+    assert row_blocks(0, COLS) == []
+    assert row_blocks(3, COLS) == [slice(0, 3)]
+    # a block never holds fewer than half a budget's rows
+    for rows in range(4, 40):
+        sizes = [s.stop - s.start for s in row_blocks(rows, COLS)]
+        assert sum(sizes) == rows and min(sizes) >= 2 and max(sizes) <= 3
+
+
+def test_matrix_bytes_match_a_whole_array_cast(small_blocks, tmp_path):
+    arr = ragged()
+    expected = whole_matrix_bytes(arr)
+    assert matrix_bytes(arr) == expected
+    save_matrix(tmp_path / "m.bin", arr)
+    assert (tmp_path / "m.bin").read_bytes() == expected
+    # a transposed (column-major) input writes its row-major values
+    assert matrix_bytes(arr.T) == whole_matrix_bytes(arr.T)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [([np.ones((2, COLS)), np.ones((2, COLS + 1))], "does not fit"), ([np.ones((2, COLS))], "hold 2 rows")],
+    ids=["wrong-width", "too-few-rows"],
+)
+def test_save_rows_rejects_blocks_that_do_not_fill_the_header(tmp_path, blocks, message):
+    with pytest.raises(ShapeError, match=message):
+        save_rows(tmp_path / "m.bin", (4, COLS), iter(blocks))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_matrix_matches_a_whole_array_read(small_blocks, tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(whole_matrix_bytes(ragged()))
+    loaded = load_matrix(path)
+    assert loaded.dtype == np.float64
+    assert loaded.tobytes() == ragged().astype("<f4").astype(np.float64).tobytes()
+
+
+def test_non_finite_in_the_last_block_names_its_global_row_and_column(small_blocks, tmp_path):
+    arr = ragged()
+    arr[9, 3] = np.nan
+    arr[10, 0] = -np.inf
+    path = tmp_path / "m.bin"
+    save_matrix(path, arr)
+    with pytest.raises(DataFormatError, match="non-finite value nan at row 9, column 3$"):
+        load_matrix(path)
+
+
+def test_checkpoint_round_trip_across_blocks(small_blocks, tmp_path):
+    rng = np.random.default_rng(1)
+    tensors = {"w": rng.normal(size=(ROWS, COLS)), "b": rng.normal(size=(1, COLS))}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tensors, meta={"keep_prob": 0.5})
+    expected = CHECKPOINT_MAGIC + struct.pack("<I", 3)
+    for name, arr in [*tensors.items(), ("meta.keep_prob", np.array([[0.5]]))]:
+        expected += struct.pack("<I", len(name)) + name.encode() + whole_matrix_bytes(arr)
+    assert path.read_bytes() == expected
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"keep_prob": 0.5}
+    for name, arr in tensors.items():
+        assert loaded[name].tobytes() == arr.astype("<f4").tobytes()
+
+    tensors["w"][10, 4] = np.inf
+    save_checkpoint(path, tensors)
+    with pytest.raises(DataFormatError, match=r"m\.ckpt\[w\]: non-finite value inf at row 10, column 4"):
+        load_checkpoint(path)
+
+
+def _dataset_files(dataset, out):
+    save_dataset(dataset, out)
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["synth", "mask-not-a-prefix"])
+def test_save_dataset_matches_a_whole_array_write(small_blocks, tmp_path, interleaved):
+    ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=2, seed=4))
+    if interleaved:  # the test rows sit between train rows
+        order = np.random.default_rng(2).permutation(ds.labels.size)
+        ds = Dataset(
+            ds.features[order], ds.labels[order], ds.attributes,
+            ds.seen_classes, ds.unseen_classes, ds.train_mask[order],
+        )
+        assert not ds.train_mask[: ds.train_mask.sum()].all()
+    files = _dataset_files(ds, tmp_path / "data")
+    ordered = np.concatenate([ds.features[ds.train_mask], ds.features[~ds.train_mask]])
+    assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS)) == 4
+    assert files["features.bin"] == whole_matrix_bytes(ordered)
+    # a second save of the loaded dataset reproduces every file
+    d = tmp_path / "data"
+    loaded = load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest")
+    assert _dataset_files(loaded, tmp_path / "again") == files
+
+
+def _export_fixture(tmp_path, rows_per_class, feature_dim, hidden):
+    spec = SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=feature_dim, per_class=rows_per_class, seed=6)
+    save_dataset(synth_generate(spec), tmp_path / "data")
+    model = init_model(np.random.default_rng(7), feature_dim, 2, 3, hidden, 0.8)
+    save_checkpoint(tmp_path / "model.ckpt", model.named_arrays(), meta={"keep_prob": 0.8})
+    d = tmp_path / "data"
+    return load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest"), model
+
+
+def test_export_matches_a_whole_array_pass(small_blocks, tmp_path):
+    """Eval-mode forward treats rows independently, and each block has at
+    least two rows, so BLAS runs the same kernel on a block as on the whole
+    array (a one-row product would go through matrix-vector code)."""
+    ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
+    assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS)) == 4
+    tensors, meta = load_checkpoint(tmp_path / "model.ckpt")
+    model = model_from_named(tensors, meta["keep_prob"])  # the float32-rounded model
+    latents = encode(ds.features, model.encoder).mean
+    recons = decode(latents, model.decoder)
+    export_embeddings(tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
+    assert (tmp_path / "emb" / "latents.bin").read_bytes() == whole_matrix_bytes(latents)
+    assert (tmp_path / "emb" / "recons.bin").read_bytes() == whole_matrix_bytes(recons)
+    assert sorted(p.name for p in (tmp_path / "emb").iterdir()) == ["latents.bin", "recons.bin"]
+
+
+def test_load_matrix_holds_the_result_and_at_most_two_blocks(monkeypatch, tmp_path):
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 1 << 16)
+    arr = np.random.default_rng(3).normal(size=(3000, 64))
+    path = tmp_path / "big.bin"
+    save_matrix(path, arr)
+    loaded, peak = traced_peak(load_matrix, path)
+    assert loaded.shape == arr.shape
+    assert peak < loaded.nbytes + 2 * serialize._BLOCK_BYTES
+
+
+def test_export_holds_features_model_latents_and_a_few_blocks(monkeypatch, tmp_path):
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 1 << 16)
+    ds, model = _export_fixture(tmp_path, 800, 64, (64, 64))
+    _, peak = traced_peak(export_embeddings, tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
+    rows = ds.features.shape[0]
+    whole = ds.features.nbytes + model.flat.nbytes + rows * model.latent_dim * 8
+    labels = ds.labels.nbytes + ds.train_mask.nbytes
+    # activations of one block: the hidden layers here are as wide as the
+    # features, and a block's reconstruction is cast to float32 on its way out
+    assert peak < whole + labels + 6 * serialize._BLOCK_BYTES
