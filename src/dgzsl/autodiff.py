@@ -264,19 +264,6 @@ def transpose(x):
     return x.tape._record("transpose", out, bwd)
 
 
-def relu(x):
-    xv = _value(x)
-    out = np.maximum(xv, 0.0)
-    if not isinstance(x, Var):
-        return out
-    xn = _node_of(x.tape, x)
-
-    def bwd(gout):
-        _accum(xn, gout * (xv > 0.0))
-
-    return x.tape._record("relu", out, bwd)
-
-
 def exp(x):
     out = np.exp(_value(x))
     if not isinstance(x, Var):
@@ -287,19 +274,6 @@ def exp(x):
         _accum(xn, gout * out)
 
     return x.tape._record("exp", out, bwd)
-
-
-def log(x):
-    xv = _value(x)
-    out = np.log(xv)
-    if not isinstance(x, Var):
-        return out
-    xn = _node_of(x.tape, x)
-
-    def bwd(gout):
-        _accum(xn, gout / xv)
-
-    return x.tape._record("log", out, bwd)
 
 
 def clip(x, lo: float, hi: float):
@@ -370,17 +344,6 @@ def logsumexp_rows(x, mask=None):
         _accum(xn, gout * soft)
 
     return x.tape._record("logsumexp_rows", out, bwd)
-
-
-def logsumexp(values) -> float:
-    """max(v) + log sum exp(v - max(v)) of a non-empty vector, overflow-safe."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise DgzslError("logsumexp of an empty vector")
-    if not np.all(np.isfinite(v)):
-        raise DgzslError("logsumexp input has non-finite entries")
-    m = float(v.max())
-    return m + float(np.log(np.exp(v - m).sum()))
 
 
 def record(op: str, value: Array, operands, vjp):
@@ -461,8 +424,8 @@ def value_and_grad(fn, model, out=None):
 
     ``fn`` maps a model to ``(scalar, aux)``; it runs once on ``model`` bound
     to a fresh tape. Returns (float value, gradient, aux): the gradient is
-    one vector laid out like ``model.flat`` (``model.named_views`` slices it
-    by name), ``out`` when given so a training loop can reuse one.
+    one vector laid out like ``model.flat`` (``model.layout.views`` slices
+    it by name), ``out`` when given so a training loop can reuse one.
     """
     tape = Tape()
     grad = np.empty(model.flat.size) if out is None else out

@@ -88,7 +88,7 @@ def _cmd_export(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from . import autodiff as ad
     from .inductive import inductive_value
-    from .networks import init_model
+    from .networks import ModelParams, init_model
     from .transductive import sharpen, soft_assign, transductive_value
 
     positive = ("feature_dim", "latent_dim", "hidden", "attr_dim", "seen", "batch", "epsilon", "tolerance")
@@ -107,7 +107,7 @@ def _cmd_gradcheck(args) -> int:
         rng, args.feature_dim, args.attr_dim, args.latent_dim, (args.hidden, args.hidden), 1.0
     )
     # nudge the zero-initialized logvar maps so their gradients are exercised
-    model = model.map_arrays(lambda n, a: a + 0.05 * rng.normal(size=a.shape))
+    model.flat += 0.05 * rng.normal(size=model.flat.size)
     attrs = rng.uniform(-1, 1, size=(classes, args.attr_dim))
     feats = rng.normal(size=(args.batch, args.feature_dim))
     labels = rng.integers(0, seen, size=args.batch)
@@ -115,7 +115,7 @@ def _cmd_gradcheck(args) -> int:
     seen_ids, unseen_ids = np.arange(seen), np.arange(seen, classes)
 
     def supervised(p):
-        m = model.map_arrays(lambda n, a: p[n])
+        m = ModelParams(model.layout, tensors=p)
         return inductive_value(m, feats, labels, attrs, noise=noise, margin_class_ids=seen_ids)[0]
 
     err_sup = ad.grad_check(supervised, model.named_arrays(), epsilon=args.epsilon)
@@ -125,7 +125,7 @@ def _cmd_gradcheck(args) -> int:
     target = sharpen(soft_assign(unlab, attrs[unseen_ids], model))
 
     def combined(p):
-        m = model.map_arrays(lambda n, a: p[n])
+        m = ModelParams(model.layout, tensors=p)
         return transductive_value(
             m,
             feats,

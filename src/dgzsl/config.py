@@ -4,6 +4,7 @@ Unknown keys are hard errors so hyperparameter typos fail loudly instead of
 silently training with defaults.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -41,6 +42,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        for name in ("margin_weight", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.margin_weight < 0:
             raise ConfigError("margin_weight must be ≥ 0")
         for name in ("latent_dim", "batch_size", "refresh_every", "fewshot_batch_size"):

@@ -94,10 +94,10 @@ def inductive_terms(
     if exclude_true_class:
         mask = mask & (hot == 0.0)
 
-    q = encode(features, model.encoder, enc_masks)
+    q = encode(features, model, enc_masks)
     z = sample_reparam(q, noise)
-    recon = gauss_loglik_rows(decode(z, model.decoder, dec_masks), features)
-    kl_all = kl_matrix(q, class_prior(attr_rows, model.prior))  # B × num_classes
+    recon = gauss_loglik_rows(decode(z, model, dec_masks), features)
+    kl_all = kl_matrix(q, class_prior(attr_rows, model))  # B × num_classes
     kl_true = ad.sum(kl_all * hot, axis=1, keepdims=True)
     margin = -1.0 * ad.logsumexp_rows(-1.0 * kl_all, mask=mask)
     return ObjectiveColumns(recon, kl_true, margin)

@@ -73,7 +73,6 @@ class Adam:
             np.divide(a, b, out=a)
             np.add(pb, a, out=pb)
             if not np.isfinite(pb).all():
-                named = model.named_arrays()
-                ends = np.cumsum([t.size for t in named.values()])
-                bad = np.searchsorted(ends, lo + np.argmin(np.isfinite(pb)), "right")
-                raise DgzslError(f"Adam step {self._t}: {list(named)[bad]!r} has non-finite entries")
+                at = lo + int(np.argmin(np.isfinite(pb)))
+                name = [name for name, _, off in model.layout.entries if off <= at][-1]
+                raise DgzslError(f"Adam step {self._t}: {name!r} has non-finite entries")

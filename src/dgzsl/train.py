@@ -23,14 +23,7 @@ from .data import Dataset, fewshot_sample, load_dataset
 from .errors import DgzslError
 from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, predict_batch
-from .networks import (
-    ModelParams,
-    decode,
-    encode,
-    init_model,
-    make_dropout_masks,
-    model_from_named,
-)
+from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_named
 from .optim import Adam
 from .serialize import load_checkpoint, row_blocks, save_checkpoint, save_matrix, save_rows
 from .transductive import sharpen, soft_assign, transductive_objective
@@ -87,14 +80,6 @@ def _batches(order: np.ndarray, size: int):
         yield order[start : start + size]
 
 
-def _masks(rng: np.random.Generator, model: ModelParams, batch: int):
-    """Encoder then decoder dropout masks; None for each when keep_prob is 1."""
-    return (
-        make_dropout_masks(rng, model.encoder, batch),
-        make_dropout_masks(rng, model.decoder, batch),
-    )
-
-
 def _terms(bd) -> tuple:
     """(total, reconstruction, kl_true_class, margin) of an ObjectiveBreakdown."""
     return bd.total, bd.reconstruction, bd.kl_true_class, bd.margin
@@ -111,8 +96,8 @@ def _labeled_epoch(model, opt, features, labels, attr_rows, rngs, batch_size, **
     shuffle_rng, noise_rng, dropout_rng = rngs
     sums, grad = np.zeros(4), np.empty(model.flat.size)
     for rows in _batches(shuffle_rng.permutation(features.shape[0]), batch_size):
-        noise = noise_rng.normal(size=(rows.size, model.latent_dim))
-        enc_m, dec_m = _masks(dropout_rng, model, rows.size)
+        noise = noise_rng.normal(size=(rows.size, model.layout.latent_dim))
+        enc_m, dec_m = make_dropout_masks(dropout_rng, model, rows.size)
         _, grad, bd = inductive_objective(
             model,
             features[rows],
@@ -280,10 +265,10 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 _batches(shuffle_rng.permutation(total_rows), cfg.batch_size), unlab_parts
             ):
                 noise_l = noise_rng.normal(size=(rows.size, cfg.latent_dim))
-                enc_m, dec_m = _masks(dropout_rng, model, rows.size)
+                enc_m, dec_m = make_dropout_masks(dropout_rng, model, rows.size)
                 # zero-size draws when rows_u is empty leave every stream as is
                 noise_u = noise_rng.normal(size=(rows_u.size, cfg.latent_dim))
-                enc_mu, dec_mu = _masks(dropout_rng, model, rows_u.size)
+                enc_mu, dec_mu = make_dropout_masks(dropout_rng, model, rows_u.size)
                 _, grad, parts = transductive_objective(
                     model,
                     x_train[rows],
@@ -405,16 +390,17 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
 
 def _model_from_checkpoint(checkpoint_path) -> ModelParams:
     tensors, meta = load_checkpoint(checkpoint_path)
-    return model_from_named(tensors, keep_prob=meta.get("keep_prob", 1.0))
+    return model_from_named(tensors, meta.get("keep_prob", 1.0), where=str(checkpoint_path))
 
 
 def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
     """Top-1 accuracy and per-class confusion counts on the test split."""
     model = _model_from_checkpoint(checkpoint_path)
     dataset = _dataset_from_dir(data_dir)
-    if model.feature_dim != dataset.feature_dim or model.attr_dim != dataset.attr_dim:
+    dims = model.layout
+    if dims.feature_dim != dataset.feature_dim or dims.attr_dim != dataset.attr_dim:
         raise DgzslError(
-            f"checkpoint dims (D={model.feature_dim}, M={model.attr_dim}) do not "
+            f"checkpoint dims (D={dims.feature_dim}, M={dims.attr_dim}) do not "
             f"match dataset (D={dataset.feature_dim}, M={dataset.attr_dim})"
         )
     pools = {
@@ -453,12 +439,12 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
     feats = _dataset_from_dir(data_dir).features
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    latents = np.empty((feats.shape[0], model.latent_dim))
+    latents = np.empty((feats.shape[0], model.layout.latent_dim))
 
     def recons():  # one row block of activations at a time
         for s in row_blocks(*feats.shape):
-            latents[s] = encode(feats[s], model.encoder).mean
-            yield decode(latents[s], model.decoder)
+            latents[s] = encode(feats[s], model).mean
+            yield decode(latents[s], model)
 
     save_rows(out / "recons.bin", feats.shape, recons())
     save_matrix(out / "latents.bin", latents)

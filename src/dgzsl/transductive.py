@@ -45,8 +45,8 @@ def assignment_logits(features, unseen_attr_rows, model: ModelParams):
     Generic over tape variables; this is the differentiable core behind
     soft_assign and the transductive regularizer.
     """
-    priors = class_prior(unseen_attr_rows, model.prior)
-    neg_kl = -1.0 * kl_matrix(encode(features, model.encoder), priors)
+    priors = class_prior(unseen_attr_rows, model)
+    neg_kl = -1.0 * kl_matrix(encode(features, model), priors)
     return neg_kl - ad.logsumexp_rows(neg_kl)
 
 
@@ -150,9 +150,9 @@ def transductive_value(
     )
     labeled_sum = ad.sum(per_example(cols, margin_weight, include_recon=include_recon))
 
-    q_u = encode(unlab, model.encoder, enc_masks_unlab)
+    q_u = encode(unlab, model, enc_masks_unlab)
     z_u = sample_reparam(q_u, noise_unlabeled)
-    recon_col = gauss_loglik_rows(decode(z_u, model.decoder, dec_masks_unlab), unlab)
+    recon_col = gauss_loglik_rows(decode(z_u, model, dec_masks_unlab), unlab)
     unlab_term = ad.sum(recon_col)
     recon_val = float(unlab_term)
     kl_pq_val = 0.0

@@ -57,7 +57,18 @@ def perturbed_model(seed, feature_dim=8, attr_dim=3, latent_dim=4, hidden=(16, 1
     zero-initialized logvar maps carry signal too."""
     rng = np.random.default_rng(seed)
     model = init_model(rng, feature_dim, attr_dim, latent_dim, hidden, keep_prob=1.0)
-    return model.map_arrays(lambda name, a: a + 0.05 * rng.normal(size=a.shape))
+    model.flat += 0.05 * rng.normal(size=model.flat.size)
+    return model
+
+
+def prior_model(mean_w, logvar_w):
+    """A model whose prior maps are the given L×M matrices; its encoder and
+    decoder are the smallest the layout allows."""
+    latent_dim, attr_dim = np.shape(mean_w)
+    model = init_model(np.random.default_rng(0), 1, attr_dim, latent_dim, (1,), keep_prob=1.0)
+    model["prior.mean_w"][...] = mean_w
+    model["prior.logvar_w"][...] = logvar_w
+    return model
 
 
 class TrainedFamily(NamedTuple):

@@ -1,9 +1,10 @@
 """Scalar reference implementations the tests check the batched,
 differentiable program against. Nothing in ``dgzsl`` calls them.
 
-Per-pair Gaussian KL and log-density, the single-example class-conditional
-bound, the margin term, the closest-prior label with its evidence, the
-label by the per-candidate bound, and the target-to-assignment KL.
+Per-pair Gaussian KL and log-density, a vector log-sum-exp, the
+single-example class-conditional bound, the margin term, the closest-prior
+label with its evidence, the label by the per-candidate bound, and the
+target-to-assignment KL.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dgzsl.errors import DgzslError, ShapeError
 from dgzsl.gaussian import LOG_2PI, DiagGaussian, _check_same_shape, kl_matrix, sample_reparam
 from dgzsl.inductive import ObjectiveBreakdown
 from dgzsl.inference import _sorted_candidates, predict_batch
-from dgzsl.networks import ModelParams, PriorParams, class_prior, decode, encode
+from dgzsl.networks import ModelParams, class_prior, decode, encode
 from dgzsl.transductive import _values_of
 
 
@@ -44,21 +45,32 @@ def gauss_loglik(x, mean) -> float:
     return -0.5 * float(np.sum(d * d)) - 0.5 * LOG_2PI * xv.size
 
 
+def logsumexp(values) -> float:
+    """max(v) + log sum exp(v - max(v)) of a non-empty vector, overflow-safe."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size == 0:
+        raise DgzslError("logsumexp of an empty vector")
+    if not np.all(np.isfinite(v)):
+        raise DgzslError("logsumexp input has non-finite entries")
+    m = float(v.max())
+    return m + float(np.log(np.exp(v - m).sum()))
+
+
 def class_conditional_elbo(x, attr, model: ModelParams, noise):
     """Single-example lower bound against one class prior (eval mode).
 
     Returns (value, ObjectiveBreakdown) with the margin fields zeroed; value =
     one-sample reconstruction log-likelihood minus the KL to the class prior.
     """
-    q = encode(x, model.encoder)
-    z = sample_reparam(q, noise)
-    recon = gauss_loglik(x, decode(z, model.decoder))
-    kl = kl_diag(q, class_prior(attr, model.prior))
+    q = encode(x[None], model)
+    z = sample_reparam(q, noise[None])
+    recon = gauss_loglik(x, decode(z, model)[0])
+    kl = kl_diag(q, class_prior(attr[None], model))
     value = recon - kl
     return value, ObjectiveBreakdown(recon, kl, 0.0, 0.0, value)
 
 
-def margin_term(q: DiagGaussian, attr_rows, prior: PriorParams) -> float:
+def margin_term(q: DiagGaussian, attr_rows, model: ModelParams) -> float:
     """−logsumexp over the given classes of −KL(q ‖ class prior).
 
     The result lies between min KL − ln(#classes) and min KL, acting as a
@@ -68,8 +80,8 @@ def margin_term(q: DiagGaussian, attr_rows, prior: PriorParams) -> float:
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise DgzslError("margin_term needs a non-empty 2-D attribute-row matrix")
     q2 = DiagGaussian(np.atleast_2d(ad._value(q.mean)), np.atleast_2d(ad._value(q.logvar)))
-    kl_row = kl_matrix(q2, class_prior(rows, prior))[0]
-    return -ad.logsumexp(-kl_row)
+    kl_row = kl_matrix(q2, class_prior(rows, model))[0]
+    return -logsumexp(-kl_row)
 
 
 @dataclass(frozen=True)
@@ -116,10 +128,10 @@ def predict_via_bound(x, candidate_ids, attr_rows, model: ModelParams, noise) ->
     """
     ids = _sorted_candidates(candidate_ids, np.asarray(attr_rows).shape[0])
     x = np.asarray(x, dtype=np.float64)
-    q = encode(np.atleast_2d(x), model.encoder)
+    q = encode(np.atleast_2d(x), model)
     z = sample_reparam(q, np.atleast_2d(np.asarray(noise, dtype=np.float64)))
-    recon = gauss_loglik(x.ravel(), decode(z, model.decoder).ravel())
-    kls = kl_matrix(q, class_prior(np.asarray(attr_rows)[ids], model.prior))[0]
+    recon = gauss_loglik(x.ravel(), decode(z, model).ravel())
+    kls = kl_matrix(q, class_prior(np.asarray(attr_rows)[ids], model))[0]
     bounds = recon - kls
     return int(ids[np.argmax(bounds)])
 

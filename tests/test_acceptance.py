@@ -9,14 +9,14 @@ target-sharpening invariants, and bit-exact reproducibility.
 import time
 
 import numpy as np
-from conftest import SEEDS, perturbed_model, unseen_accuracy
+from conftest import SEEDS, perturbed_model, prior_model, unseen_accuracy
 from oracles import kl_diag, margin_term, predict_via_bound, predict_zsl, target_assignment_kl
 
 from dgzsl import autodiff as ad
 from dgzsl.data import fewshot_sample, save_dataset
 from dgzsl.gaussian import DiagGaussian
 from dgzsl.inductive import assemble, inductive_terms
-from dgzsl.networks import PriorParams, class_prior
+from dgzsl.networks import ModelParams, class_prior
 from dgzsl.train import fewshot_finetune, run_train
 from dgzsl.transductive import (
     AssignmentMatrix,
@@ -66,13 +66,13 @@ def test_soft_margin_brackets_the_minimum_divergence():
     for trial in range(100):
         latent = int(rng.integers(1, 9))
         attr = int(rng.integers(1, 6))
-        prior = PriorParams(
+        prior = prior_model(
             rng.normal(scale=0.7, size=(latent, attr)),
             rng.normal(scale=0.3, size=(latent, attr)),
         )
         attrs = rng.uniform(-1, 1, size=(classes, attr))
-        q = DiagGaussian(rng.normal(scale=1.5, size=latent), rng.uniform(-2, 2, latent))
-        kls = np.array([kl_diag(q, class_prior(attrs[c], prior)) for c in range(classes)])
+        q = DiagGaussian(rng.normal(scale=1.5, size=(1, latent)), rng.uniform(-2, 2, (1, latent)))
+        kls = np.array([kl_diag(q, class_prior(attrs[c : c + 1], prior)) for c in range(classes)])
         value = margin_term(q, attrs, prior)
         low = kls.min() - np.log(classes)
         assert low - 1e-9 <= value <= kls.min() + 1e-9, (
@@ -97,14 +97,14 @@ def test_analytic_gradients_match_finite_differences():
     target = sharpen(soft_assign(unlab, attrs[unseen_ids], model))
 
     def supervised(params):
-        m = model.map_arrays(lambda name, arr: params[name])
+        m = ModelParams(model.layout, tensors=params)
         cols = inductive_terms(
             m, feats, labels, attrs, noise=noise, margin_class_ids=seen_ids
         )
         return assemble(cols, 1.0)
 
     def combined(params):
-        m = model.map_arrays(lambda name, arr: params[name])
+        m = ModelParams(model.layout, tensors=params)
         return transductive_value(
             m,
             feats,

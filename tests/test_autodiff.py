@@ -15,6 +15,8 @@ from dgzsl.inductive import inductive_value
 from dgzsl.networks import init_model, make_dropout_masks
 from dgzsl.transductive import sharpen, soft_assign, transductive_value
 
+from oracles import logsumexp
+
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
 
@@ -65,7 +67,7 @@ def unfused_dense(x, w, b, relu=False, mask=None):
     # the elementwise composition ad.dense replaces, kept as its oracle
     h = ad.matmul(x, w) + b
     if relu:
-        h = ad.relu(h)
+        h = ad.clip(h, 0.0, np.inf)
     return h if mask is None else h * mask
 
 
@@ -99,14 +101,12 @@ def test_dense_records_one_node():
     assert [n.op for n in tape.nodes] == ["leaf"] * 3 + ["dense"]
 
 
-def test_relu_clip_exp_log_values():
+def test_clip_and_exp_values():
     tape = Tape()
     (v,) = leafs(tape, np.array([-2.0, 0.0, 3.0]))
-    assert np.array_equal(ad.relu(v).value, [0.0, 0.0, 3.0])
     assert np.array_equal(ad.clip(v, -1.0, 1.0).value, [-1.0, 0.0, 1.0])
     (w,) = leafs(tape, np.array([0.0, 1.0]))
     assert np.allclose(ad.exp(w).value, [1.0, np.e])
-    assert np.allclose(ad.log(ad.exp(w)).value, [0.0, 1.0])
 
 
 def test_sum_and_mean_shapes():
@@ -144,7 +144,7 @@ def test_value_and_grad_frees_its_tape_without_the_cycle_collector():
     tapes = []
 
     def fn(bound):
-        w = bound.prior.mean_weights
+        w = bound["prior.mean_w"]
         tapes.append(weakref.ref(w.tape))
         return ad.sum(w * w), None
 
@@ -173,12 +173,12 @@ def per_leaf_value_and_grad(fn, model):
 def objective_case(kind):
     rng = np.random.default_rng(7)
     model = init_model(rng, 8, 7, 4, (16, 16), keep_prob=0.8)
-    model = model.map_arrays(lambda n, a: a + 0.05 * rng.normal(size=a.shape))
+    model.flat += 0.05 * rng.normal(size=model.flat.size)
     attrs = rng.uniform(-1, 1, (7, 7))
     feats, unlab = rng.normal(size=(5, 8)), rng.normal(size=(6, 8))
     labels = np.array([0, 1, 3, 2, 0])
     noise_l, noise_u = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
-    masks = [make_dropout_masks(rng, mlp, n) for n in (5, 6) for mlp in (model.encoder, model.decoder)]
+    masks = [*make_dropout_masks(rng, model, 5), *make_dropout_masks(rng, model, 6)]
     if kind == "transductive":
         target = sharpen(soft_assign(unlab, attrs[4:], model)).values
 
@@ -216,7 +216,7 @@ def test_flat_gradient_equals_per_leaf_gradients_bit_for_bit(kind, monkeypatch):
     monkeypatch.undo()
     assert flat_value == value
     assert grad.shape == model.flat.shape and grad.flags.c_contiguous
-    views = model.named_views(grad)
+    views = model.layout.views(grad)
     assert list(views) == list(old)
     for name, g in old.items():
         assert views[name].shape == g.shape, name
@@ -303,7 +303,7 @@ def test_matmul_gradients_match_finite_differences():
     params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))}
 
     def fn(p):
-        return ad.sum(ad.relu(ad.matmul(p["a"], p["b"])))
+        return ad.sum(ad.clip(ad.matmul(p["a"], p["b"]), 0.0, np.inf))
 
     assert ad.grad_check(fn, params) < 1e-6
 
@@ -319,7 +319,7 @@ def test_composite_expression_gradients():
     def fn(p):
         h = ad.dense(p["x"], p["w"], p["b"], relu=True)
         scores = ad.exp(ad.clip(h, -3.0, 3.0)) * 0.1
-        return ad.sum(ad.log(scores + 1.0))
+        return ad.sum(ad.exp((scores + 1.0) * -0.5))
 
     assert ad.grad_check(fn, params) < 1e-6
 
@@ -339,14 +339,14 @@ def test_quadratic_gradcheck_is_exact_to_roundoff():
 @given(st.lists(finite, min_size=1, max_size=12), finite)
 def test_logsumexp_shift_invariance(values, c):
     v = np.array(values)
-    assert ad.logsumexp(v + c) == pytest.approx(ad.logsumexp(v) + c, abs=1e-12)
+    assert logsumexp(v + c) == pytest.approx(logsumexp(v) + c, abs=1e-12)
 
 
 def test_logsumexp_is_stable_at_extremes():
-    assert ad.logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(
+    assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(
         1000.0 + np.log(2.0)
     )
-    assert ad.logsumexp(np.array([-1000.0, -1000.0])) == pytest.approx(
+    assert logsumexp(np.array([-1000.0, -1000.0])) == pytest.approx(
         -1000.0 + np.log(2.0)
     )
 
@@ -395,9 +395,9 @@ def test_masked_logsumexp_gradients():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grad_check_flags_nan_gradients():
-    params = {"x": np.array([0.0])}
+    params = {"x": np.array([1000.0])}
 
     def fn(p):
-        return ad.sum(ad.log(p["x"]))  # log(0) -> -inf
+        return ad.sum(ad.exp(p["x"]))  # exp(1000) overflows to inf
 
     assert ad.grad_check(fn, params) == np.inf

@@ -19,8 +19,8 @@ import pytest
 from dgzsl.cli import main
 from dgzsl.config import parse_config
 from dgzsl.data import SynthSpec, load_dataset, save_dataset, synth_generate
-from dgzsl.networks import encode, model_from_named
-from dgzsl.serialize import load_checkpoint, load_matrix, save_matrix
+from dgzsl.networks import encode, init_model, model_from_named
+from dgzsl.serialize import load_checkpoint, load_matrix, save_checkpoint, save_matrix
 
 BASE_CFG = """\
 regime = inductive
@@ -181,7 +181,7 @@ def test_train_writes_all_artifacts(trained, tiny_dataset):
     tensors, meta = load_checkpoint(trained / "model.ckpt")
     assert set(meta) == {"keep_prob"}  # the exact seed lives in config.cfg and summary.json
     model = model_from_named(tensors, keep_prob=meta["keep_prob"])
-    assert model.latent_dim == 4 and model.feature_dim == tiny_dataset.feature_dim
+    assert model.layout.latent_dim == 4 and model.layout.feature_dim == tiny_dataset.feature_dim
 
 
 def test_repeat_run_reproduces_artifacts_exactly(trained, tiny_dir, cfg_path, tmp_path):
@@ -335,7 +335,7 @@ def test_export_writes_aligned_embeddings(trained, tiny_dir, tmp_path, capsys):
     assert recons.shape == (270, 12)
     tensors, meta = load_checkpoint(trained / "model.ckpt")
     model = model_from_named(tensors, keep_prob=meta["keep_prob"])
-    expected = encode(ds.features, model.encoder).mean
+    expected = encode(ds.features, model).mean
     assert np.array_equal(latents, expected.astype(np.float32).astype(np.float64))
 
 
@@ -419,6 +419,55 @@ def test_eval_rejects_mismatched_checkpoint(trained, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(trained / "model.ckpt"), "--data", str(other)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def inconsistent_tensors(case, feature_dim, attr_dim):
+    """init_model tensors for latent width 4, with one part taken from a
+    latent-width-5 model or one bias resized."""
+    tensors = init_model(np.random.default_rng(0), feature_dim, attr_dim, 4, (8, 8)).named_arrays()
+    wider = init_model(np.random.default_rng(1), feature_dim, attr_dim, 5, (8, 8)).named_arrays()
+    if case == "bias":
+        return {**tensors, "enc.h0.b": np.zeros(9)}
+    part = "prior." if case == "prior" else "dec."
+    return {**tensors, **{k: v for k, v in wider.items() if k.startswith(part)}}
+
+
+@pytest.mark.parametrize(
+    "case, tensor, shapes",
+    [
+        ("prior", "prior.mean_w", "(5, 4), expected (4, 4)"),
+        ("decoder", "dec.h0.w", "(5, 8), expected (4, 8)"),
+        ("bias", "enc.h0.b", "(1, 9), expected (8,)"),
+    ],
+    ids=["prior", "decoder", "bias"],
+)
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_inconsistent_checkpoint_is_rejected_naming_the_tensor(
+    case, tensor, shapes, command, tiny_dir, tiny_dataset, tmp_path, capsys
+):
+    ckpt = tmp_path / "model.ckpt"
+    tensors = inconsistent_tensors(case, tiny_dataset.feature_dim, tiny_dataset.attr_dim)
+    save_checkpoint(ckpt, tensors, meta={"keep_prob": 0.8})
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "export" else []
+    rc = main([command, "--checkpoint", str(ckpt), "--data", str(tiny_dir), *args])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {ckpt}: tensor {tensor!r} has shape {shapes}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keep_prob", [0.0, -0.5, 1.5])
+def test_eval_rejects_a_checkpoint_keep_prob_outside_the_unit_interval(
+    keep_prob, trained, tiny_dir, tmp_path, capsys
+):
+    tensors, _ = load_checkpoint(trained / "model.ckpt")
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, tensors, meta={"keep_prob": keep_prob})
+    rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_dir)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {ckpt}: keep_prob must be in (0, 1], got {keep_prob}\n"
 
 
 def test_eval_rejects_an_empty_test_split(trained, tiny_dataset, tmp_path, capsys):

@@ -120,6 +120,13 @@ def test_validation_rejects(kwargs):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("key", ["learning_rate", "margin_weight"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_values_are_rejected_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=rf"^{key} must be finite, got {value}$"):
+        parse_config(f"{key} = {value}\n")
+
+
 def test_keep_prob_one_is_valid():
     assert TrainConfig(keep_prob=1.0).keep_prob == 1.0
 

@@ -9,7 +9,7 @@ from dgzsl import autodiff as ad
 from dgzsl.errors import DgzslError
 from dgzsl.gaussian import LOG_2PI, DiagGaussian, sample_reparam
 from dgzsl.inductive import assemble, inductive_objective, inductive_terms, one_hot
-from dgzsl.networks import class_prior, decode, encode, init_model
+from dgzsl.networks import ModelParams, class_prior, decode, encode
 
 from conftest import perturbed_model
 from oracles import class_conditional_elbo, gauss_loglik, kl_diag, margin_term
@@ -45,7 +45,8 @@ def test_one_hot_range_checked():
 
 def test_elbo_perfect_fit_value():
     # zero maps: decoder reproduces x=0 exactly and posterior equals prior
-    model = perturbed_model(1).map_arrays(lambda n, a: np.zeros_like(a))
+    model = perturbed_model(1)
+    model.flat[:] = 0.0
     x, a = np.zeros(8), np.zeros(3)
     value, bd = class_conditional_elbo(x, a, model, noise=np.zeros(4))
     assert value == pytest.approx(-(8 / 2) * LOG_2PI)
@@ -56,9 +57,8 @@ def test_elbo_perfect_fit_value():
 def test_elbo_kl_contribution_unit_shift():
     # posterior N(0, I); prior mean pushed to 1 in the single latent dim
     model = perturbed_model(2, feature_dim=3, attr_dim=1, latent_dim=1)
-    model = model.map_arrays(
-        lambda n, a: np.ones_like(a) if n == "prior.mean_w" else np.zeros_like(a)
-    )
+    model.flat[:] = 0.0
+    model["prior.mean_w"][...] = 1.0
     x = np.zeros(3)
     value, bd = class_conditional_elbo(x, np.array([1.0]), model, noise=np.zeros(1))
     assert bd.kl_true_class == pytest.approx(0.5)
@@ -69,10 +69,10 @@ def test_elbo_matches_independent_composition(setup):
     model, attrs, feats, labels, noise = setup
     x, a, eps = feats[0], attrs[labels[0]], noise[0]
     value, bd = class_conditional_elbo(x, a, model, noise=eps)
-    q = encode(x, model.encoder)
-    z = sample_reparam(q, eps)
-    recon = gauss_loglik(x, decode(z, model.decoder))
-    kl = kl_diag(q, class_prior(a, model.prior))
+    q = encode(x[None], model)
+    z = sample_reparam(q, eps[None])
+    recon = gauss_loglik(x[None], decode(z, model))
+    kl = kl_diag(q, class_prior(a[None], model))
     assert value == pytest.approx(recon - kl, abs=1e-12)
     assert bd.reconstruction == pytest.approx(recon, abs=1e-12)
     assert bd.kl_true_class == pytest.approx(kl, abs=1e-12)
@@ -83,25 +83,25 @@ def test_elbo_matches_independent_composition(setup):
 
 def test_margin_single_class_equals_kl(setup):
     model, attrs, _, _, _ = setup
-    q = DiagGaussian(np.array([0.3, -0.2, 0.8, 0.0]), np.array([0.1, 0.0, -0.4, 0.2]))
-    kl = kl_diag(q, class_prior(attrs[0], model.prior))
-    assert margin_term(q, attrs[:1], model.prior) == pytest.approx(kl, abs=1e-10)
+    q = DiagGaussian(np.array([[0.3, -0.2, 0.8, 0.0]]), np.array([[0.1, 0.0, -0.4, 0.2]]))
+    kl = kl_diag(q, class_prior(attrs[:1], model))
+    assert margin_term(q, attrs[:1], model) == pytest.approx(kl, abs=1e-10)
 
 
 def test_margin_two_equal_classes():
     model = perturbed_model(3)
     a = np.random.default_rng(4).uniform(-1, 1, 3)
     rows = np.stack([a, a])  # duplicated class attribute -> equal KLs
-    q = DiagGaussian(np.zeros(4), np.zeros(4))
-    k = kl_diag(q, class_prior(a, model.prior))
-    assert margin_term(q, rows, model.prior) == pytest.approx(k - np.log(2.0), abs=1e-10)
+    q = DiagGaussian(np.zeros((1, 4)), np.zeros((1, 4)))
+    k = kl_diag(q, class_prior(a[None], model))
+    assert margin_term(q, rows, model) == pytest.approx(k - np.log(2.0), abs=1e-10)
 
 
 def test_margin_empty_class_set_rejected(setup):
     model, attrs, _, _, _ = setup
     q = DiagGaussian(np.zeros(4), np.zeros(4))
     with pytest.raises(DgzslError):
-        margin_term(q, attrs[:0], model.prior)
+        margin_term(q, attrs[:0], model)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -109,9 +109,9 @@ def test_margin_bounded_by_minimum_kl(seed):
     rng = np.random.default_rng(seed)
     model = perturbed_model(rng.integers(2**31))
     attrs = rng.uniform(-1, 1, (10, 3))
-    q = DiagGaussian(rng.normal(size=4), rng.uniform(-1, 1, 4))
-    kls = [kl_diag(q, class_prior(attrs[c], model.prior)) for c in range(10)]
-    r = margin_term(q, attrs, model.prior)
+    q = DiagGaussian(rng.normal(size=(1, 4)), rng.uniform(-1, 1, (1, 4)))
+    kls = [kl_diag(q, class_prior(attrs[c : c + 1], model)) for c in range(10)]
+    r = margin_term(q, attrs, model)
     assert min(kls) - np.log(10.0) - 1e-9 <= r <= min(kls) + 1e-9
 
 
@@ -200,13 +200,13 @@ def test_exclude_true_class_drops_it_from_the_margin(setup):
         margin_class_ids=np.arange(4),
         exclude_true_class=True,
     )
-    q = encode(feats, model.encoder)
+    q = encode(feats, model)
     kl_all = np.array(
         [
             [
                 kl_diag(
-                    DiagGaussian(q.mean[i], q.logvar[i]),
-                    class_prior(attrs[c], model.prior),
+                    DiagGaussian(q.mean[i : i + 1], q.logvar[i : i + 1]),
+                    class_prior(attrs[c : c + 1], model),
                 )
                 for c in range(4)
             ]
@@ -254,7 +254,7 @@ def test_gradients_cover_every_tensor_and_are_finite(setup):
         model, feats, labels, attrs, noise=noise, margin_class_ids=np.arange(4)
     )
     assert grad.shape == model.flat.shape
-    grads = model.named_views(grad)
+    grads = model.layout.views(grad)
     assert set(grads) == set(model.named_arrays())
     for key, g in grads.items():
         assert g.shape == model.named_arrays()[key].shape, key
@@ -267,7 +267,7 @@ def test_small_model_gradient_check(setup):
 
     def fn(p):
         cols = inductive_terms(
-            model.map_arrays(lambda name, a: p[name]),
+            ModelParams(model.layout, tensors=p),
             feats[:2],
             labels[:2],
             attrs,
@@ -283,9 +283,9 @@ def test_small_model_gradient_check(setup):
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 40.0))
 def test_objective_stays_finite_under_extreme_parameters(seed, scale):
     rng = np.random.default_rng(seed)
-    model = perturbed_model(rng.integers(2**31)).map_arrays(
-        lambda n, a: a * scale if rng.random() < 0.5 else a - scale
-    )
+    model = perturbed_model(rng.integers(2**31))
+    for a in model.named_arrays().values():
+        a[...] = a * scale if rng.random() < 0.5 else a - scale
     attrs = rng.uniform(-1, 1, (3, 3))
     value, _, bd = inductive_objective(
         model,

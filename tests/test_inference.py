@@ -37,8 +37,8 @@ def test_prediction_type_enforces_argmin():
 def test_predict_zsl_matches_manual_argmin(setup):
     model, attrs, x, _ = setup
     pred = predict_zsl(x, np.arange(6), attrs, model)
-    q = encode(x[None, :], model.encoder)
-    kls = kl_matrix(q, class_prior(attrs, model.prior))[0]
+    q = encode(x[None, :], model)
+    kls = kl_matrix(q, class_prior(attrs, model))[0]
     assert pred.label == int(np.argmin(kls))
     assert np.allclose(pred.kl_scores, kls)
     assert pred.candidate_ids == tuple(range(6))
@@ -218,7 +218,7 @@ def test_checkpoint_scores_the_final_logged_accuracy(family, bench_datasets, req
     # model must still reproduce the last logged unseen-class accuracy
     for seed, run in request.getfixturevalue(family).runs.items():
         path = tmp_path / f"{seed}.ckpt"
-        save_checkpoint(path, run.model.named_arrays(), meta={"keep_prob": run.model.encoder.keep_prob})
+        save_checkpoint(path, run.model.named_arrays(), meta={"keep_prob": run.model.keep_prob})
         tensors, meta = load_checkpoint(path)
         reloaded = model_from_named(tensors, keep_prob=meta["keep_prob"])
         got = unseen_accuracy(reloaded, bench_datasets[seed], run.eval_idx)

@@ -39,11 +39,11 @@ def make_model():
 
 
 class FlatGrad(dict):
-    """Named views of one flat gradient vector, as ``model.named_views``
+    """Named views of one flat gradient vector, as ``model.layout.views``
     gives them; numpy (and so ``Adam.step``) sees the vector itself."""
 
     def __init__(self, model, vec):
-        super().__init__(model.named_views(vec))
+        super().__init__(model.layout.views(vec))
         self.vec = vec
 
     def __array__(self, dtype=None, copy=None):

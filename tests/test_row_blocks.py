@@ -167,8 +167,8 @@ def test_export_matches_a_whole_array_pass(small_blocks, tmp_path):
     assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS)) == 4
     tensors, meta = load_checkpoint(tmp_path / "model.ckpt")
     model = model_from_named(tensors, meta["keep_prob"])  # the float32-rounded model
-    latents = encode(ds.features, model.encoder).mean
-    recons = decode(latents, model.decoder)
+    latents = encode(ds.features, model).mean
+    recons = decode(latents, model)
     export_embeddings(tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
     assert (tmp_path / "emb" / "latents.bin").read_bytes() == whole_matrix_bytes(latents)
     assert (tmp_path / "emb" / "recons.bin").read_bytes() == whole_matrix_bytes(recons)
@@ -190,7 +190,7 @@ def test_export_holds_features_model_latents_and_a_few_blocks(monkeypatch, tmp_p
     ds, model = _export_fixture(tmp_path, 800, 64, (64, 64))
     _, peak = traced_peak(export_embeddings, tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
     rows = ds.features.shape[0]
-    whole = ds.features.nbytes + model.flat.nbytes + rows * model.latent_dim * 8
+    whole = ds.features.nbytes + model.flat.nbytes + rows * model.layout.latent_dim * 8
     labels = ds.labels.nbytes + ds.train_mask.nbytes
     # activations of one block: the hidden layers here are as wide as the
     # features, and a block's reconstruction is cast to float32 on its way out

@@ -53,10 +53,8 @@ def setup():
 def test_soft_assign_uniform_when_priors_coincide(setup):
     model, attrs, *_ = setup
     # zero prior weights collapse every class prior to N(0, I)
-    flat = model.map_arrays(
-        lambda n, a: np.zeros_like(a) if n.startswith("prior.") else a
-    )
-    q = soft_assign(np.random.default_rng(0).normal(size=(6, 8)), attrs[4:], flat)
+    model["prior.mean_w"][...] = model["prior.logvar_w"][...] = 0.0
+    q = soft_assign(np.random.default_rng(0).normal(size=(6, 8)), attrs[4:], model)
     assert np.abs(q.values - 1.0 / 3.0).max() < 1e-12
 
 
@@ -64,14 +62,12 @@ def test_soft_assign_dominant_class(setup):
     model, attrs, *_ = setup
     # zero encoder -> posterior N(0, I); one prior at the posterior, the other
     # far away -> the near class soaks up all the mass
-    zero_enc = model.map_arrays(
-        lambda n, a: np.zeros_like(a) if n.startswith("enc.") else a
-    )
-    strong = zero_enc.map_arrays(
-        lambda n, a: 40.0 * np.ones_like(a) if n == "prior.mean_w" else a
-    )
+    for name, a in model.named_arrays().items():
+        if name.startswith("enc."):
+            a[...] = 0.0
+    model["prior.mean_w"][...] = 40.0
     rows = np.stack([np.zeros(3), np.ones(3)])
-    q = soft_assign(np.zeros((1, 8)), rows, strong)
+    q = soft_assign(np.zeros((1, 8)), rows, model)
     assert q.values[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert q.values[0, 1] < 1e-12
     assert q.values[0].sum() == pytest.approx(1.0, abs=1e-9)
@@ -83,7 +79,7 @@ def test_soft_assign_matches_naive_softmax(setup):
     from dgzsl.networks import class_prior
 
     q = soft_assign(unlab, attrs[unseen], model)
-    kls = kl_matrix(encode(unlab, model.encoder), class_prior(attrs[unseen], model.prior))
+    kls = kl_matrix(encode(unlab, model), class_prior(attrs[unseen], model))
     naive = np.exp(-kls) / np.exp(-kls).sum(axis=1, keepdims=True)
     assert np.abs(q.values - naive).max() < 1e-12
 
@@ -241,9 +237,9 @@ def test_combined_value_matches_manual_composition(setup):
     assert parts.labeled_total == pytest.approx(bd.total * feats.shape[0], abs=1e-8)
 
     # unlabeled side: reconstruction sum minus KL(target || assignments)
-    q = encode(unlab, model.encoder)
+    q = encode(unlab, model)
     z = sample_reparam(q, noise_u)
-    recon = float(np.sum(gauss_loglik_rows(decode(z, model.decoder), unlab)))
+    recon = float(np.sum(gauss_loglik_rows(decode(z, model), unlab)))
     assignments = soft_assign(unlab, attrs[unseen], model)
     klpq = target_assignment_kl(TargetMatrix(target), assignments)
     assert parts.unlabeled_recon == pytest.approx(recon, abs=1e-9)
