@@ -11,24 +11,54 @@ datasets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DataFormatError, DgzslError, ShapeError
 from .serialize import (
     load_matrix,
+    open_matrix,
     read_attribute_csv,
     read_labels,
     read_manifest,
     row_blocks,
-    save_rows,
+    save_matrix,
     write_attribute_csv,
     write_labels,
     write_manifest,
 )
+
+
+def _check_classes(labels, n_train: int, attrs, seen_classes, unseen_classes) -> None:
+    """The class rules of a dataset whose first ``n_train`` labels are the
+    train split: seen and unseen classes are disjoint and cover the attribute
+    rows, every label is a declared class, every train label a seen one, and
+    no two classes share an attribute vector."""
+    seen, unseen = set(seen_classes), set(unseen_classes)
+    if seen & unseen:
+        raise DgzslError(f"classes both seen and unseen: {sorted(seen & unseen)}")
+    declared = seen | unseen
+    if declared != set(range(attrs.shape[0])):
+        raise DgzslError(
+            f"seen+unseen must cover class ids 0..{attrs.shape[0] - 1} exactly"
+        )
+    present = set(np.unique(labels).tolist())
+    if not present <= declared:
+        raise DgzslError(f"labels outside declared classes: {sorted(present - declared)}")
+    train_present = set(np.unique(labels[:n_train]).tolist())
+    if not train_present <= seen:
+        raise DgzslError(
+            f"train split contains non-seen labels: {sorted(train_present - seen)}"
+        )
+    diffs = attrs[:, None, :] - attrs[None, :, :]
+    same = (np.abs(diffs).sum(axis=2) == 0) & ~np.eye(attrs.shape[0], dtype=bool)
+    if same.any():
+        a, b = np.argwhere(same)[0]
+        raise DgzslError(f"classes {a} and {b} share an attribute vector")
 
 
 @dataclass(frozen=True)
@@ -36,7 +66,9 @@ class Dataset:
     """Features (train block then test block), labels, per-class attributes.
 
     ``attributes`` has one row per class id. ``train_mask`` tags the train
-    split; every train label must be a seen class.
+    split, which must be a prefix of the rows (``n_train`` of them), so the
+    train and test blocks are slices and their features views; every train
+    label must be a seen class.
     """
 
     features: np.ndarray
@@ -45,6 +77,7 @@ class Dataset:
     seen_classes: tuple[int, ...]
     unseen_classes: tuple[int, ...]
     train_mask: np.ndarray
+    n_train: int = field(init=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -64,31 +97,16 @@ class Dataset:
             raise DataFormatError("dataset has no examples")
         if labels.shape != (feats.shape[0],) or mask.shape != labels.shape:
             raise ShapeError("labels and train_mask must align with feature rows")
+        n_train = int(mask.sum())
+        if not mask[:n_train].all():
+            raise DgzslError(
+                "train_mask must mark a prefix of the rows: the train block, then the test block"
+            )
+        object.__setattr__(self, "n_train", n_train)
         finite = all(np.isfinite(feats[s]).all() for s in row_blocks(*feats.shape))
         if not finite or not np.all(np.isfinite(attrs)):
             raise DataFormatError("features/attributes contain non-finite values")
-
-        seen, unseen = set(self.seen_classes), set(self.unseen_classes)
-        if seen & unseen:
-            raise DgzslError(f"classes both seen and unseen: {sorted(seen & unseen)}")
-        declared = seen | unseen
-        if declared != set(range(attrs.shape[0])):
-            raise DgzslError(
-                f"seen+unseen must cover class ids 0..{attrs.shape[0] - 1} exactly"
-            )
-        present = set(np.unique(labels).tolist())
-        if not present <= declared:
-            raise DgzslError(f"labels outside declared classes: {sorted(present - declared)}")
-        train_present = set(np.unique(labels[mask]).tolist())
-        if not train_present <= seen:
-            raise DgzslError(
-                f"train split contains non-seen labels: {sorted(train_present - seen)}"
-            )
-        diffs = attrs[:, None, :] - attrs[None, :, :]
-        same = (np.abs(diffs).sum(axis=2) == 0) & ~np.eye(attrs.shape[0], dtype=bool)
-        if same.any():
-            a, b = np.argwhere(same)[0]
-            raise DgzslError(f"classes {a} and {b} share an attribute vector")
+        _check_classes(labels, n_train, attrs, self.seen_classes, self.unseen_classes)
 
     @property
     def num_classes(self) -> int:
@@ -104,19 +122,19 @@ class Dataset:
 
     @property
     def train_features(self) -> np.ndarray:
-        return self.features[self.train_mask]
+        return self.features[: self.n_train]
 
     @property
     def train_labels(self) -> np.ndarray:
-        return self.labels[self.train_mask]
+        return self.labels[: self.n_train]
 
     @property
     def test_features(self) -> np.ndarray:
-        return self.features[~self.train_mask]
+        return self.features[self.n_train :]
 
     @property
     def test_labels(self) -> np.ndarray:
-        return self.labels[~self.train_mask]
+        return self.labels[self.n_train :]
 
 
 @dataclass(frozen=True)
@@ -220,11 +238,7 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     """Write the dataset in the on-disk layout load_dataset expects."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    feats = dataset.features
-    order = np.argsort(~dataset.train_mask, kind="stable")  # train rows, then test rows
-    save_rows(
-        out / "features.bin", feats.shape, (feats[order[s]] for s in row_blocks(*feats.shape))
-    )
+    save_matrix(out / "features.bin", dataset.features)
     write_attribute_csv(out / "attributes.csv", dataset.attributes)
     write_labels(out / "train_labels.txt", dataset.train_labels)
     write_labels(out / "test_labels.txt", dataset.test_labels)
@@ -237,30 +251,72 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     )
 
 
-def load_dataset(feature_path, attribute_path, manifest_path) -> Dataset:
-    """Assemble and validate a Dataset from its three files.
+class DatasetFiles(NamedTuple):
+    """A dataset's files opened for one pass over the feature rows
+    (``open_dataset``): the feature header's ``shape``, the checked labels
+    (train block first, ``n_train`` of them) and class side, and ``blocks``,
+    which yields each checked float32 row block once (``open_matrix``)."""
 
-    The feature matrix holds the train block first, then the test block; the
-    manifest's label files fix the two block lengths.
-    """
-    features = load_matrix(feature_path)
+    shape: tuple[int, int]
+    blocks: Iterator
+    labels: np.ndarray
+    n_train: int
+    attributes: np.ndarray
+    seen_classes: tuple[int, ...]
+    unseen_classes: tuple[int, ...]
+
+
+def _read_labeled_side(attribute_path, manifest_path, rows: int):
+    """(labels, n_train, attributes, seen_classes, unseen_classes) of a
+    dataset whose feature matrix has ``rows`` rows, read from its files; the
+    class rules are left to the caller (_check_classes, or Dataset)."""
     attrs = read_attribute_csv(attribute_path)
     manifest = read_manifest(manifest_path)
     train_labels = read_labels(manifest["train_labels"])
     test_labels = read_labels(manifest["test_labels"])
     total = train_labels.size + test_labels.size
-    if features.shape[0] != total:
-        raise DataFormatError(
-            f"feature rows ({features.shape[0]}) != train+test labels ({total})"
-        )
+    if rows != total:
+        raise DataFormatError(f"feature rows ({rows}) != train+test labels ({total})")
     labels = np.concatenate([train_labels, test_labels])
-    mask = np.zeros(total, dtype=bool)
-    mask[: train_labels.size] = True
+    return labels, train_labels.size, attrs, manifest["seen"], manifest["unseen"]
+
+
+@contextmanager
+def open_dataset(feature_path, attribute_path, manifest_path):
+    """Opens a dataset's three files for one pass over its feature rows.
+
+    The feature matrix holds the train block first, then the test block; the
+    manifest's label files fix the two block lengths. The feature header,
+    the attribute file, the manifest, the label files and the class rules
+    are checked up front, and yields a DatasetFiles; the feature body is
+    checked block by block as the caller reads it. An error raised before
+    the body has been read to its end, here or by the caller, is reported
+    only after the rest of the body has been checked, so a bad feature file
+    is reported first, as when the whole matrix is loaded first.
+    """
+    with open_matrix(feature_path) as (shape, blocks):
+        try:
+            side = _read_labeled_side(attribute_path, manifest_path, shape[0])
+            _check_classes(*side)
+            yield DatasetFiles(shape, blocks, *side)
+        except Exception:
+            for _ in blocks:
+                pass
+            raise
+
+
+def load_dataset(feature_path, attribute_path, manifest_path) -> Dataset:
+    """Assemble and validate a Dataset from its three files; the feature
+    matrix is loaded whole, then the rest is checked as open_dataset does."""
+    features = load_matrix(feature_path)
+    labels, n_train, attrs, seen, unseen = _read_labeled_side(
+        attribute_path, manifest_path, features.shape[0]
+    )
     return Dataset(
         features=features,
         labels=labels,
         attributes=attrs,
-        seen_classes=manifest["seen"],
-        unseen_classes=manifest["unseen"],
-        train_mask=mask,
+        seen_classes=seen,
+        unseen_classes=unseen,
+        train_mask=np.arange(labels.size) < n_train,
     )

@@ -16,9 +16,10 @@ u32 name length, the UTF-8 name, and the tensor in the matrix-file layout.
 Scalar metadata rides along as 1×1 tensors named ``meta.<key>``.
 
 Matrix bodies stream in row blocks of at most ``_BLOCK_BYTES`` of float64
-(``row_blocks``): the writers cast one block at a time, and the readers
-check a header against the file size before they allocate, then read one
-block at a time into the result.
+(``row_blocks``): the writers cast one block at a time, and the one body
+reader checks a header against the file size before anything is allocated,
+then reads and checks one block at a time (``open_matrix`` hands each block
+to its caller, ``load_matrix`` fills one array from them).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def _write_rows(fh, shape, blocks) -> None:
             raise ShapeError(f"row block of shape {b.shape} does not fit a {shape} matrix")
         fh.write(np.ascontiguousarray(b, dtype="<f4").data)
         rows += b.shape[0]
+        del block, b  # so a producer that computes the next block can reuse this one's memory
     if rows != shape[0]:
         raise ShapeError(f"row blocks hold {rows} rows, the header says {shape[0]}")
 
@@ -110,14 +112,9 @@ def save_rows(path, shape, blocks) -> None:
         _write_rows(fh, shape, blocks)
 
 
-def _read_matrix(fh, size: int, where: str, dtype) -> np.ndarray:
-    """Reads one matrix in the matrix-file layout from the position of ``fh``,
-    a file of ``size`` bytes, into a new ``dtype`` array.
-
-    The header is checked against the bytes left before anything is
-    allocated; the body is read one row block at a time, and each block is
-    checked for NaN and ±inf as it arrives.
-    """
+def _read_header(fh, size: int, where: str) -> tuple[int, int]:
+    """Reads a matrix header at the position of ``fh``, a file of ``size``
+    bytes, and checks that the body it announces fits in the bytes left."""
     magic = fh.read(8)
     if magic != MATRIX_MAGIC:
         raise DataFormatError(f"{where}: bad matrix magic {magic!r}")
@@ -131,12 +128,25 @@ def _read_matrix(fh, size: int, where: str, dtype) -> np.ndarray:
         raise DataFormatError(
             f"{where}: expected {n} float32 values, file is short by {end - size} bytes"
         )
-    out = np.empty((rows, cols), dtype=dtype)
+    return rows, cols
+
+
+def _read_blocks(fh, where: str, shape, out=None):
+    """Reads a ``shape`` matrix body from the position of ``fh`` one row block
+    at a time, and yields (row slice, float32 block) once each block is
+    checked for NaN and ±inf.
+
+    Blocks are read into the rows of ``out`` (a float32 array of ``shape``)
+    when it is given, else into one reused stage: such a block is only valid
+    until the next one.
+    """
+    rows, cols = shape
     blocks = row_blocks(rows, cols)
-    direct = out.dtype == "<f4"  # else each block is read into one float32 stage
-    stage = None if direct else np.empty((-(-rows // max(1, len(blocks))), cols), "<f4")
+    direct = out is not None
+    if not direct:  # the stage is as tall as the tallest block
+        out = np.empty((-(-rows // max(1, len(blocks))), cols), "<f4")
     for s in blocks:
-        block = out[s] if direct else stage[: s.stop - s.start]
+        block = out[s] if direct else out[: s.stop - s.start]
         if fh.readinto(block) != block.nbytes:
             raise DataFormatError(f"{where}: file ended inside the matrix body")
         finite = np.isfinite(block)
@@ -145,20 +155,39 @@ def _read_matrix(fh, size: int, where: str, dtype) -> np.ndarray:
             raise DataFormatError(
                 f"{where}: non-finite value {block[row, col]} at row {s.start + row}, column {col}"
             )
-        if not direct:
-            out[s] = block
-    return out
+        yield s, block
+
+
+@contextmanager
+def open_matrix(path):
+    """Opens a matrix file and checks its header against the file size.
+
+    Yields ``(shape, blocks)``. ``blocks`` reads the body as _read_blocks does,
+    through one reused float32 stage, and after the last block rejects
+    trailing bytes and an empty matrix; so a caller that keeps what it needs
+    of each block never holds the whole matrix, and a file passes only once
+    it has been read to the end.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        shape = _read_header(fh, size, str(path))
+
+        def blocks():
+            yield from _read_blocks(fh, str(path), shape)
+            end = fh.tell()
+            if end != size:
+                raise DataFormatError(f"{path}: {size - end} trailing bytes after matrix body")
+            if shape[0] * shape[1] == 0:
+                raise DataFormatError(f"{path}: matrix is empty")
+
+        yield shape, blocks()
 
 
 def load_matrix(path):
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        arr = _read_matrix(fh, size, str(path), np.float64)
-        end = fh.tell()
-    if end != size:
-        raise DataFormatError(f"{path}: {size - end} trailing bytes after matrix body")
-    if arr.size == 0:
-        raise DataFormatError(f"{path}: matrix is empty")
+    with open_matrix(path) as (shape, blocks):
+        arr = np.empty(shape)
+        for s, block in blocks:
+            arr[s] = block
     return arr
 
 
@@ -324,7 +353,10 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             if name in names:
                 raise DataFormatError(f"{path}: tensor {name!r} appears twice")
             names.add(name)
-            arr = _read_matrix(fh, size, f"{path}[{name}]", np.float32)
+            where = f"{path}[{name}]"
+            arr = np.empty(_read_header(fh, size, where), "<f4")
+            for _ in _read_blocks(fh, where, arr.shape, arr):
+                pass
             if name.startswith("meta."):
                 if arr.shape != (1, 1):
                     raise DataFormatError(f"{path}: meta entry {name!r} is not 1×1")

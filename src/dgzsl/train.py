@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import TrainConfig, format_config, load_config
-from .data import Dataset, fewshot_sample, load_dataset
+from .data import Dataset, fewshot_sample, load_dataset, open_dataset
 from .errors import DgzslError
 from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, predict_batch
 from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_named
 from .optim import Adam
-from .serialize import load_checkpoint, row_blocks, save_checkpoint, save_matrix, save_rows
+from .serialize import load_checkpoint, save_checkpoint, save_matrix, save_rows
 from .transductive import sharpen, soft_assign, transductive_objective
 
 
@@ -393,28 +393,48 @@ def _model_from_checkpoint(checkpoint_path) -> ModelParams:
     return model_from_named(tensors, meta.get("keep_prob", 1.0), where=str(checkpoint_path))
 
 
-def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
-    """Top-1 accuracy and per-class confusion counts on the test split."""
+@contextmanager
+def _open_for_scoring(checkpoint_path, data_dir):
+    """Yields (model, files): the checkpoint's model and the dataset in
+    ``data_dir`` opened for one pass over its feature rows (open_dataset),
+    once the model's feature and attribute widths match the dataset's."""
     model = _model_from_checkpoint(checkpoint_path)
-    dataset = _dataset_from_dir(data_dir)
-    dims = model.layout
-    if dims.feature_dim != dataset.feature_dim or dims.attr_dim != dataset.attr_dim:
-        raise DgzslError(
-            f"checkpoint dims (D={dims.feature_dim}, M={dims.attr_dim}) do not "
-            f"match dataset (D={dataset.feature_dim}, M={dataset.attr_dim})"
-        )
-    pools = {
-        "unseen": dataset.unseen_classes,
-        "seen": dataset.seen_classes,
-        "all": tuple(range(dataset.num_classes)),
-    }
-    if candidates not in pools:
-        raise DgzslError(f"candidate selector must be one of {sorted(pools)}")
-    ids = np.sort(np.asarray(pools[candidates], dtype=np.int64))
-    feats, labels = dataset.test_features, dataset.test_labels
-    if labels.size == 0:
-        raise DgzslError(f"{data_dir}: the test split is empty")
-    predicted, _, _ = predict_batch(feats, ids, dataset.attributes, model)
+    d = Path(data_dir)
+    with open_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest") as files:
+        dims = model.layout
+        feature_dim, attr_dim = files.shape[1], files.attributes.shape[1]
+        if (dims.feature_dim, dims.attr_dim) != (feature_dim, attr_dim):
+            raise DgzslError(
+                f"checkpoint dims (D={dims.feature_dim}, M={dims.attr_dim}) do not match "
+                f"dataset (D={feature_dim}, M={attr_dim}): {checkpoint_path} against {data_dir}"
+            )
+        yield model, files
+
+
+def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
+    """Top-1 accuracy and per-class confusion counts on the test split.
+
+    Every feature row is read and checked, and only the test block is kept.
+    """
+    with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
+        pools = {
+            "unseen": files.unseen_classes,
+            "seen": files.seen_classes,
+            "all": tuple(range(files.attributes.shape[0])),
+        }
+        if candidates not in pools:
+            raise DgzslError(f"candidate selector must be one of {sorted(pools)}")
+        ids = np.sort(np.asarray(pools[candidates], dtype=np.int64))
+        first = files.n_train
+        labels = files.labels[first:]
+        if labels.size == 0:
+            raise DgzslError(f"{data_dir}: the test split is empty")
+        feats = np.empty((labels.size, files.shape[1]))
+        for s, block in files.blocks:
+            start = max(s.start, first)
+            if start < s.stop:
+                feats[start - first : s.stop - first] = block[start - s.start :]
+    predicted, _, _ = predict_batch(feats, ids, files.attributes, model)
     confusion: dict[str, dict[str, int]] = {}
     for true, pred in zip(labels.tolist(), predicted.tolist()):
         confusion.setdefault(str(true), {}).setdefault(str(pred), 0)
@@ -431,21 +451,29 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
     """Write latent means and reconstructions for every dataset row.
 
     Output rows align one-for-one with the stored feature order (train block
-    then test block). Reconstructions decode the posterior mean. Rows go
-    through the networks one row block at a time, and the reconstructions
-    stream to disk block by block.
+    then test block). Reconstructions decode the posterior mean. Each row
+    block of features goes through the networks as it is read, and the
+    reconstructions stream to disk block by block, so the feature matrix is
+    never held. A failure while the rows stream writes no output file (the
+    writes are atomic) and removes the output directory if this call made it.
     """
-    model = _model_from_checkpoint(checkpoint_path)
-    feats = _dataset_from_dir(data_dir).features
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    latents = np.empty((feats.shape[0], model.layout.latent_dim))
+    with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
+        out = Path(out_dir)
+        made = not out.exists()
+        out.mkdir(parents=True, exist_ok=True)
+        latents = np.empty((files.shape[0], model.layout.latent_dim))
 
-    def recons():  # one row block of activations at a time
-        for s in row_blocks(*feats.shape):
-            latents[s] = encode(feats[s], model).mean
-            yield decode(latents[s], model)
+        def recons():
+            for s, block in files.blocks:
+                latents[s] = encode(block.astype(np.float64), model).mean
+                yield decode(latents[s], model)
 
-    save_rows(out / "recons.bin", feats.shape, recons())
-    save_matrix(out / "latents.bin", latents)
+        try:
+            save_rows(out / "recons.bin", files.shape, recons())
+            save_matrix(out / "latents.bin", latents)
+        except BaseException:
+            if made:
+                with suppress(OSError):
+                    out.rmdir()
+            raise
     return {"latents": str(out / "latents.bin"), "recons": str(out / "recons.bin")}

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dgzsl import serialize
 from dgzsl.cli import main
 from dgzsl.config import parse_config
 from dgzsl.data import SynthSpec, load_dataset, save_dataset, synth_generate
@@ -419,6 +420,75 @@ def test_eval_rejects_mismatched_checkpoint(trained, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(trained / "model.ckpt"), "--data", str(other)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_checkpoint_dims_are_checked_against_the_data_before_any_output(
+    command, tiny_dir, tiny_dataset, tmp_path, capsys
+):
+    """A self-consistent D=7 checkpoint on the D=12 tiny dataset: both
+    commands name the two widths, the checkpoint and the data directory, and
+    export makes no output directory."""
+    ckpt = tmp_path / "d7.ckpt"
+    model = init_model(np.random.default_rng(0), 7, tiny_dataset.attr_dim, 4, (8, 8), 0.8)
+    save_checkpoint(ckpt, model.named_arrays(), meta={"keep_prob": 0.8})
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "export" else []
+    rc = main([command, "--checkpoint", str(ckpt), "--data", str(tiny_dir), *args])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (
+        f"error: checkpoint dims (D=7, M=4) do not match dataset (D=12, M=4): "
+        f"{ckpt} against {tiny_dir}\n"
+    )
+    assert not out.exists()
+
+
+BAD_FEATURE_FILES = ["nan-in-train-block", "short-by-10-bytes", "trailing-bytes", "rows-not-labels"]
+
+
+def write_bad_data(case, dataset, data):
+    """Saves ``dataset`` to ``data`` with one fault; returns the error text
+    that eval and export print for it."""
+    save_dataset(dataset, data)
+    feats = data / "features.bin"
+    body = feats.read_bytes()
+    rows, cols = dataset.features.shape
+    if case == "nan-in-train-block":
+        bad = dataset.features.copy()
+        bad[100, 5] = np.nan
+        save_matrix(feats, bad)
+        return f"{feats}: non-finite value nan at row 100, column 5"
+    if case == "short-by-10-bytes":
+        feats.write_bytes(body[:-10])
+        return f"{feats}: expected {rows * cols} float32 values, file is short by 10 bytes"
+    if case == "trailing-bytes":
+        feats.write_bytes(body + b"abc")
+        return f"{feats}: 3 trailing bytes after matrix body"
+    labels = data / "test_labels.txt"
+    labels.write_text(labels.read_text(encoding="utf-8") + "6\n", encoding="utf-8")
+    return f"feature rows ({rows}) != train+test labels ({rows + 1})"
+
+
+@pytest.mark.parametrize("case", BAD_FEATURE_FILES)
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_bad_feature_files_are_rejected_with_one_message(
+    case, command, trained, tiny_dataset, tmp_path, monkeypatch, capsys
+):
+    """Both commands read the feature body a row block at a time (seven rows
+    here, so the train block spans many blocks); the message is the one a
+    whole-matrix load gives, and export leaves no output directory."""
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 7 * 8 * tiny_dataset.feature_dim)
+    assert tiny_dataset.train_mask[100]
+    data = tmp_path / "data"
+    message = write_bad_data(case, tiny_dataset, data)
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "export" else []
+    rc = main([command, "--checkpoint", str(trained / "model.ckpt"), "--data", str(data), *args])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def inconsistent_tensors(case, feature_dim, attr_dim):

@@ -9,7 +9,8 @@ import pytest
 
 from dgzsl import serialize
 from dgzsl.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
-from dgzsl.errors import DataFormatError, ShapeError
+from dgzsl.errors import DataFormatError, DgzslError, ShapeError
+from dgzsl.inference import predict_batch
 from dgzsl.networks import decode, encode, init_model, model_from_named
 from dgzsl.serialize import (
     CHECKPOINT_MAGIC,
@@ -22,7 +23,7 @@ from dgzsl.serialize import (
     save_matrix,
     save_rows,
 )
-from dgzsl.train import export_embeddings
+from dgzsl.train import export_embeddings, run_eval
 
 ROWS, COLS = 11, 5  # 11 rows in blocks of at most 3: 2, 3, 3, 3
 
@@ -130,24 +131,29 @@ def _dataset_files(dataset, out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
-@pytest.mark.parametrize("interleaved", [False, True], ids=["synth", "mask-not-a-prefix"])
-def test_save_dataset_matches_a_whole_array_write(small_blocks, tmp_path, interleaved):
+def test_save_dataset_matches_a_whole_array_write(small_blocks, tmp_path):
     ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=2, seed=4))
-    if interleaved:  # the test rows sit between train rows
-        order = np.random.default_rng(2).permutation(ds.labels.size)
-        ds = Dataset(
-            ds.features[order], ds.labels[order], ds.attributes,
-            ds.seen_classes, ds.unseen_classes, ds.train_mask[order],
-        )
-        assert not ds.train_mask[: ds.train_mask.sum()].all()
     files = _dataset_files(ds, tmp_path / "data")
-    ordered = np.concatenate([ds.features[ds.train_mask], ds.features[~ds.train_mask]])
     assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS)) == 4
-    assert files["features.bin"] == whole_matrix_bytes(ordered)
+    assert files["features.bin"] == whole_matrix_bytes(ds.features)
     # a second save of the loaded dataset reproduces every file
     d = tmp_path / "data"
     loaded = load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest")
     assert _dataset_files(loaded, tmp_path / "again") == files
+
+
+def test_train_and_test_blocks_are_views_and_an_interleaved_mask_is_rejected():
+    ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=2, seed=4))
+    assert np.shares_memory(ds.train_features, ds.features)
+    assert np.shares_memory(ds.test_features, ds.features)
+    assert ds.n_train == 6
+    order = np.random.default_rng(2).permutation(ds.labels.size)  # test rows between train rows
+    assert not ds.train_mask[order][: ds.n_train].all()
+    with pytest.raises(DgzslError, match="train_mask must mark a prefix of the rows"):
+        Dataset(
+            ds.features[order], ds.labels[order], ds.attributes,
+            ds.seen_classes, ds.unseen_classes, ds.train_mask[order],
+        )
 
 
 def _export_fixture(tmp_path, rows_per_class, feature_dim, hidden):
@@ -185,13 +191,42 @@ def test_load_matrix_holds_the_result_and_at_most_two_blocks(monkeypatch, tmp_pa
     assert peak < loaded.nbytes + 2 * serialize._BLOCK_BYTES
 
 
-def test_export_holds_features_model_latents_and_a_few_blocks(monkeypatch, tmp_path):
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+def test_export_failing_in_its_last_block_leaves_no_outputs(small_blocks, tmp_path, existing):
+    ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
+    bad = ds.features.copy()
+    bad[9, 1] = np.nan  # the last of four blocks, after three were written
+    save_matrix(tmp_path / "data" / "features.bin", bad)
+    out = tmp_path / "emb"
+    if existing:
+        out.mkdir()
+    with pytest.raises(DataFormatError, match="non-finite value nan at row 9, column 1$"):
+        export_embeddings(tmp_path / "model.ckpt", tmp_path / "data", out)
+    if existing:
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
+
+
+def test_export_holds_model_latents_and_a_few_blocks(monkeypatch, tmp_path):
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 1 << 16)
     ds, model = _export_fixture(tmp_path, 800, 64, (64, 64))
     _, peak = traced_peak(export_embeddings, tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
     rows = ds.features.shape[0]
-    whole = ds.features.nbytes + model.flat.nbytes + rows * model.layout.latent_dim * 8
+    whole = model.flat.nbytes + rows * model.layout.latent_dim * 8
     labels = ds.labels.nbytes + ds.train_mask.nbytes
     # activations of one block: the hidden layers here are as wide as the
     # features, and a block's reconstruction is cast to float32 on its way out
-    assert peak < whole + labels + 6 * serialize._BLOCK_BYTES
+    assert peak < whole + labels + 6 * serialize._BLOCK_BYTES < ds.features.nbytes
+
+
+def test_eval_holds_the_test_block_model_and_a_few_blocks(monkeypatch, tmp_path):
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 1 << 16)
+    ds, model = _export_fixture(tmp_path, 800, 64, (8,))
+    report, peak = traced_peak(run_eval, tmp_path / "model.ckpt", tmp_path / "data", "all")
+    assert report["examples"] == ds.test_labels.size == 1600
+    # what scoring the whole test block at once allocates on its own
+    _, scoring = traced_peak(predict_batch, ds.test_features, range(5), ds.attributes, model)
+    kept = ds.test_features.nbytes + model.flat.nbytes + ds.labels.nbytes + scoring
+    # the train block (2,400 rows, 1.2 MB) would not fit under the bound
+    assert peak < kept + 2 * serialize._BLOCK_BYTES < kept + ds.train_features.nbytes
