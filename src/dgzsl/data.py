@@ -12,7 +12,7 @@ datasets.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -65,29 +65,27 @@ def _check_classes(labels, n_train: int, attrs, seen_classes, unseen_classes) ->
 class Dataset:
     """Features (train block then test block), labels, per-class attributes.
 
-    ``attributes`` has one row per class id. ``train_mask`` tags the train
-    split, which must be a prefix of the rows (``n_train`` of them), so the
-    train and test blocks are slices and their features views; every train
-    label must be a seen class.
+    The first ``n_train`` rows are the train split and the rest the test
+    split, so the two blocks are slices and their features views.
+    ``attributes`` has one row per class id; every train label must be a
+    seen class.
     """
 
     features: np.ndarray
     labels: np.ndarray
+    n_train: int
     attributes: np.ndarray
     seen_classes: tuple[int, ...]
     unseen_classes: tuple[int, ...]
-    train_mask: np.ndarray
-    n_train: int = field(init=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         attrs = np.asarray(self.attributes, dtype=np.float64)
-        mask = np.asarray(self.train_mask, dtype=bool)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "n_train", int(self.n_train))
         object.__setattr__(self, "attributes", attrs)
-        object.__setattr__(self, "train_mask", mask)
         object.__setattr__(self, "seen_classes", tuple(int(c) for c in self.seen_classes))
         object.__setattr__(self, "unseen_classes", tuple(int(c) for c in self.unseen_classes))
 
@@ -95,18 +93,14 @@ class Dataset:
             raise ShapeError("features and attributes must be 2-D")
         if feats.shape[0] == 0:
             raise DataFormatError("dataset has no examples")
-        if labels.shape != (feats.shape[0],) or mask.shape != labels.shape:
-            raise ShapeError("labels and train_mask must align with feature rows")
-        n_train = int(mask.sum())
-        if not mask[:n_train].all():
-            raise DgzslError(
-                "train_mask must mark a prefix of the rows: the train block, then the test block"
-            )
-        object.__setattr__(self, "n_train", n_train)
+        if labels.shape != (feats.shape[0],):
+            raise ShapeError("labels must align with feature rows")
+        if not 0 <= self.n_train <= labels.size:
+            raise DgzslError(f"n_train must be in 0..{labels.size}, got {self.n_train}")
         finite = all(np.isfinite(feats[s]).all() for s in row_blocks(*feats.shape))
         if not finite or not np.all(np.isfinite(attrs)):
             raise DataFormatError("features/attributes contain non-finite values")
-        _check_classes(labels, n_train, attrs, self.seen_classes, self.unseen_classes)
+        _check_classes(labels, self.n_train, attrs, self.seen_classes, self.unseen_classes)
 
     @property
     def num_classes(self) -> int:
@@ -161,8 +155,8 @@ class SynthSpec:
                 raise DgzslError(f"SynthSpec.{name} must be ≥ 1")
         if self.unseen < 2:
             raise DgzslError("SynthSpec.unseen must be ≥ 2")
-        if self.noise_std is not None and self.noise_std < 0:
-            raise DgzslError("SynthSpec.noise_std must be ≥ 0")
+        if self.noise_std is not None and not 0 <= self.noise_std < np.inf:
+            raise DgzslError(f"SynthSpec.noise_std must be finite and ≥ 0, got {self.noise_std}")
         if self.seed < 0:
             raise DgzslError(f"SynthSpec.seed must be ≥ 0, got {self.seed}")
 
@@ -196,20 +190,19 @@ def synth_generate(spec: SynthSpec) -> Dataset:
         noise *= noise_std
         np.add(means[cid], noise, out=feats[cid * per : (cid + 1) * per])
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per)
-    mask = labels < spec.seen
     return Dataset(
-        features=feats,
-        labels=labels,
-        attributes=attrs,
-        seen_classes=tuple(range(spec.seen)),
-        unseen_classes=tuple(range(spec.seen, num_classes)),
-        train_mask=mask,
+        feats,
+        labels,
+        spec.seen * per,
+        attrs,
+        tuple(range(spec.seen)),
+        tuple(range(spec.seen, num_classes)),
     )
 
 
 class FewshotSplit(NamedTuple):
-    """Row indices into the dataset's test block partitioning it into the
-    k-per-class labeled subset and the remaining unlabeled pool."""
+    """Dataset row indices, all in the test block, partitioning that block
+    into the k-per-class labeled subset and the remaining unlabeled pool."""
 
     labeled_idx: np.ndarray
     unlabeled_idx: np.ndarray
@@ -219,11 +212,11 @@ def fewshot_sample(dataset: Dataset, k: int, seed: int) -> FewshotSplit:
     """Uniformly pick k test examples per unseen class, without replacement."""
     if k < 0:
         raise DgzslError(f"k must be ≥ 0, got {k}")
-    test_idx = np.flatnonzero(~dataset.train_mask)
+    test_idx = np.arange(dataset.n_train, dataset.labels.size)
     rng = np.random.default_rng(seed)
     chosen = []
     for cid in dataset.unseen_classes:
-        rows = test_idx[dataset.labels[test_idx] == cid]
+        rows = test_idx[dataset.test_labels == cid]
         if k > rows.size:
             raise DgzslError(
                 f"class {cid} has {rows.size} test examples, cannot sample k={k}"
@@ -309,14 +302,4 @@ def load_dataset(feature_path, attribute_path, manifest_path) -> Dataset:
     """Assemble and validate a Dataset from its three files; the feature
     matrix is loaded whole, then the rest is checked as open_dataset does."""
     features = load_matrix(feature_path)
-    labels, n_train, attrs, seen, unseen = _read_labeled_side(
-        attribute_path, manifest_path, features.shape[0]
-    )
-    return Dataset(
-        features=features,
-        labels=labels,
-        attributes=attrs,
-        seen_classes=seen,
-        unseen_classes=unseen,
-        train_mask=np.arange(labels.size) < n_train,
-    )
+    return Dataset(features, *_read_labeled_side(attribute_path, manifest_path, features.shape[0]))

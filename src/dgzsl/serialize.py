@@ -259,9 +259,12 @@ def read_labels(path):
         if not line:
             continue
         try:
-            out.append(int(line))
+            label = int(line)
         except ValueError:
             raise DataFormatError(f"{path}:{ln}: not an integer label: {line!r}") from None
+        if not -(2**63) <= label < 2**63:
+            raise DataFormatError(f"{path}:{ln}: label out of range: {line!r}")
+        out.append(label)
     return np.array(out, dtype=np.int64)
 
 

@@ -195,7 +195,9 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     )
     opt = Adam(lr=cfg.learning_rate)
     records: list[MetricsRecord] = []
-    eval_idx = np.flatnonzero(~dataset.train_mask)
+    # the rows the logged accuracies refer to: the test block, or the few-shot pool
+    eval_idx = np.arange(dataset.n_train, dataset.labels.size)
+    eval_x, eval_y = dataset.test_features, dataset.test_labels
     objective = dict(
         margin_weight=cfg.margin_weight,
         exclude_true_class=cfg.exclude_true_class,
@@ -205,11 +207,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     def log(phase: str, t0: float, terms, **extra):
         """Append one record; ``terms`` follows _terms' order."""
         wall = time.perf_counter() - t0
-        acc = 0.0
-        if eval_idx.size:
-            acc = accuracy(
-                dataset.features[eval_idx], dataset.labels[eval_idx], unseen_ids, attrs, model
-            )
+        acc = accuracy(eval_x, eval_y, unseen_ids, attrs, model) if eval_y.size else 0.0
         records.append(
             MetricsRecord(
                 epoch=len(records) + 1,
@@ -248,8 +246,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             )
             log("inductive", t0, means)
 
-    def transductive_epochs(n: int, pool_idx: np.ndarray):
-        pool = dataset.features[pool_idx]
+    def transductive_epochs(n: int, pool: np.ndarray):
         if pool.shape[0] == 0:
             raise DgzslError("transductive phase has no unlabeled rows")
         total_rows = x_train.shape[0]
@@ -307,10 +304,11 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         inductive_epochs(cfg.pretrain_epochs if cfg.regime == "transductive" else cfg.epochs)
     if cfg.regime == "transductive":
         with named("transductive"):
-            transductive_epochs(cfg.epochs - cfg.pretrain_epochs, eval_idx)
+            transductive_epochs(cfg.epochs - cfg.pretrain_epochs, eval_x)
     if cfg.regime == "fewshot":
         split = fewshot_sample(dataset, cfg.k, fewshot_s)
         eval_idx = split.unlabeled_idx
+        eval_x, eval_y = dataset.features[eval_idx], dataset.labels[eval_idx]
         if cfg.k > 0:
             with named("fewshot"):
                 t0 = time.perf_counter()
@@ -344,7 +342,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 log("fewshot", t0, _terms(bd))
         if cfg.transductive_fewshot:
             with named("transductive"):
-                transductive_epochs(cfg.transductive_epochs, split.unlabeled_idx)
+                transductive_epochs(cfg.transductive_epochs, eval_x)
 
     return TrainResult(model, records, eval_idx)
 

@@ -177,7 +177,7 @@ def test_train_writes_all_artifacts(trained, tiny_dataset):
     summary = json.loads((trained / "summary.json").read_text())
     assert summary["epochs_logged"] == 3
     assert summary["regime"] == "inductive"
-    assert summary["eval_rows"] == int((~tiny_dataset.train_mask).sum())
+    assert summary["eval_rows"] == tiny_dataset.labels.size - tiny_dataset.n_train
 
     tensors, meta = load_checkpoint(trained / "model.ckpt")
     assert set(meta) == {"keep_prob"}  # the exact seed lives in config.cfg and summary.json
@@ -444,7 +444,9 @@ def test_checkpoint_dims_are_checked_against_the_data_before_any_output(
     assert not out.exists()
 
 
-BAD_FEATURE_FILES = ["nan-in-train-block", "short-by-10-bytes", "trailing-bytes", "rows-not-labels"]
+BAD_FEATURE_FILES = [
+    "nan-in-train-block", "short-by-10-bytes", "trailing-bytes", "rows-not-labels", "label-beyond-int64",
+]
 
 
 def write_bad_data(case, dataset, data):
@@ -466,25 +468,35 @@ def write_bad_data(case, dataset, data):
         feats.write_bytes(body + b"abc")
         return f"{feats}: 3 trailing bytes after matrix body"
     labels = data / "test_labels.txt"
-    labels.write_text(labels.read_text(encoding="utf-8") + "6\n", encoding="utf-8")
+    text = labels.read_text(encoding="utf-8")
+    if case == "label-beyond-int64":
+        labels.write_text(text + "99999999999999999999\n", encoding="utf-8")
+        line = text.count("\n") + 1
+        return f"{labels}:{line}: label out of range: '99999999999999999999'"
+    labels.write_text(text + "6\n", encoding="utf-8")
     return f"feature rows ({rows}) != train+test labels ({rows + 1})"
 
 
 @pytest.mark.parametrize("case", BAD_FEATURE_FILES)
-@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize("command", ["eval", "export", "train"])
 def test_bad_feature_files_are_rejected_with_one_message(
-    case, command, trained, tiny_dataset, tmp_path, monkeypatch, capsys
+    case, command, trained, cfg_path, tiny_dataset, tmp_path, monkeypatch, capsys
 ):
-    """Both commands read the feature body a row block at a time (seven rows
-    here, so the train block spans many blocks); the message is the one a
-    whole-matrix load gives, and export leaves no output directory."""
+    """eval and export read the feature body a row block at a time (seven
+    rows here, so the train block spans many blocks), train loads it whole;
+    the message is the same, and neither export nor train leaves an output
+    directory."""
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 7 * 8 * tiny_dataset.feature_dim)
-    assert tiny_dataset.train_mask[100]
+    assert tiny_dataset.n_train > 100
     data = tmp_path / "data"
     message = write_bad_data(case, tiny_dataset, data)
     out = tmp_path / "out"
-    args = ["--out", str(out)] if command == "export" else []
-    rc = main([command, "--checkpoint", str(trained / "model.ckpt"), "--data", str(data), *args])
+    if command == "train":
+        args = ["train", "--config", str(cfg_path), "--data", str(data), "--out", str(out)]
+    else:
+        args = [command, "--checkpoint", str(trained / "model.ckpt"), "--data", str(data)]
+        args += ["--out", str(out)] if command == "export" else []
+    rc = main(args)
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -48,10 +48,10 @@ def small_dataset(**overrides):
     fields = dict(
         features=np.arange(12.0).reshape(4, 3),
         labels=np.array([0, 0, 1, 2]),
+        n_train=3,
         attributes=np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]),
         seen_classes=(0, 1),
         unseen_classes=(2,),
-        train_mask=np.array([True, True, True, False]),
     )
     fields.update(overrides)
     return Dataset(**fields)
@@ -100,7 +100,7 @@ def test_dataset_rejects_empty():
         small_dataset(
             features=np.zeros((0, 3)),
             labels=np.zeros(0, int),
-            train_mask=np.zeros(0, bool),
+            n_train=0,
         )
 
 
@@ -119,6 +119,9 @@ def test_synth_spec_validation():
         tiny_spec(seen=0)
     with pytest.raises(DgzslError):
         tiny_spec(noise_std=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DgzslError, match=f"noise_std must be finite and ≥ 0, got {bad}"):
+            tiny_spec(noise_std=bad)
     with pytest.raises(DgzslError):
         tiny_spec(seed=-1)
     tiny_spec(noise_std=0.0)  # zero is allowed (noiseless sanity data)
@@ -194,13 +197,13 @@ def test_fewshot_zero_k_gives_full_pool():
     ds = synth_generate(tiny_spec())
     split = fewshot_sample(ds, 0, seed=1)
     assert split.labeled_idx.size == 0
-    assert np.array_equal(split.unlabeled_idx, np.flatnonzero(~ds.train_mask))
+    assert np.array_equal(split.unlabeled_idx, np.arange(ds.n_train, ds.labels.size))
 
 
 def test_fewshot_partition_is_exact():
     ds = synth_generate(tiny_spec())
     split = fewshot_sample(ds, 3, seed=2)
-    test_idx = np.flatnonzero(~ds.train_mask)
+    test_idx = np.arange(ds.n_train, ds.labels.size)
     union = np.union1d(split.labeled_idx, split.unlabeled_idx)
     assert np.array_equal(union, test_idx)
     assert np.intersect1d(split.labeled_idx, split.unlabeled_idx).size == 0
@@ -350,6 +353,16 @@ def test_labels_reject_non_integer(tmp_path):
     path.write_text("1\ntwo\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
         read_labels(path)
+
+
+@pytest.mark.parametrize("text", ["99999999999999999999", "-9223372036854775809"])
+def test_labels_reject_a_value_beyond_int64(tmp_path, text):
+    path = tmp_path / "l.txt"
+    path.write_text(f"1\n{text}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: label out of range: '{text}'")):
+        read_labels(path)
+    path.write_text("-9223372036854775808\n9223372036854775807\n", encoding="utf-8")
+    assert read_labels(path).tolist() == [-(2**63), 2**63 - 1]
 
 
 # --------------------------------------------------------------- manifest
@@ -516,7 +529,7 @@ def test_dataset_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.labels, np.concatenate([ds.train_labels, ds.test_labels]))
     assert loaded.seen_classes == ds.seen_classes
     assert loaded.unseen_classes == ds.unseen_classes
-    assert np.array_equal(loaded.train_mask, np.sort(ds.train_mask)[::-1])
+    assert loaded.n_train == ds.n_train
 
     # a second save reproduces every file byte-for-byte
     out2 = tmp_path / "again"

@@ -19,6 +19,7 @@ from dgzsl.serialize import (
     load_matrix,
     matrix_bytes,
     read_attribute_csv,
+    read_labels,
     read_manifest,
 )
 
@@ -103,3 +104,9 @@ def test_attribute_csv_reader(work, blob):
 @given(blob=text_of(MANIFEST, "seunitrabl_ .,=#0123456789-\n"))
 def test_manifest_reader(work, blob):
     loads_or_rejects(read_manifest, work / "split.manifest", blob)
+
+
+@settings(max_examples=EXAMPLES)
+@given(blob=text_of("0\n3\n-1\n", "0123456789-+ \n"))
+def test_label_reader(work, blob):
+    loads_or_rejects(read_labels, work / "labels.txt", blob)

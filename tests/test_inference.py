@@ -149,7 +149,7 @@ def test_fewshot_log_line_is_eval_mode_objective(tiny_dataset):
     result = train_model(ds, cfg)
     line = result.records[-1]
     assert line.phase == "fewshot"
-    labeled = np.setdiff1d(np.flatnonzero(~ds.train_mask), result.eval_idx)
+    labeled = np.setdiff1d(np.arange(ds.n_train, ds.labels.size), result.eval_idx)
     assert labeled.size == cfg.k * len(ds.unseen_classes)
     cols = inductive_terms(
         result.model,

@@ -142,18 +142,16 @@ def test_save_dataset_matches_a_whole_array_write(small_blocks, tmp_path):
     assert _dataset_files(loaded, tmp_path / "again") == files
 
 
-def test_train_and_test_blocks_are_views_and_an_interleaved_mask_is_rejected():
+def test_train_and_test_blocks_are_views_and_n_train_is_range_checked():
     ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=2, seed=4))
     assert np.shares_memory(ds.train_features, ds.features)
     assert np.shares_memory(ds.test_features, ds.features)
     assert ds.n_train == 6
-    order = np.random.default_rng(2).permutation(ds.labels.size)  # test rows between train rows
-    assert not ds.train_mask[order][: ds.n_train].all()
-    with pytest.raises(DgzslError, match="train_mask must mark a prefix of the rows"):
-        Dataset(
-            ds.features[order], ds.labels[order], ds.attributes,
-            ds.seen_classes, ds.unseen_classes, ds.train_mask[order],
-        )
+    side = (ds.attributes, ds.seen_classes, ds.unseen_classes)
+    assert Dataset(ds.features, ds.labels, 0, *side).test_features.shape[0] == 10
+    for n_train in (-1, 11):
+        with pytest.raises(DgzslError, match=f"n_train must be in 0..10, got {n_train}$"):
+            Dataset(ds.features, ds.labels, n_train, *side)
 
 
 def _export_fixture(tmp_path, rows_per_class, feature_dim, hidden):
@@ -214,7 +212,7 @@ def test_export_holds_model_latents_and_a_few_blocks(monkeypatch, tmp_path):
     _, peak = traced_peak(export_embeddings, tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
     rows = ds.features.shape[0]
     whole = model.flat.nbytes + rows * model.layout.latent_dim * 8
-    labels = ds.labels.nbytes + ds.train_mask.nbytes
+    labels = ds.labels.nbytes
     # activations of one block: the hidden layers here are as wide as the
     # features, and a block's reconstruction is cast to float32 on its way out
     assert peak < whole + labels + 6 * serialize._BLOCK_BYTES < ds.features.nbytes
