@@ -1,4 +1,4 @@
-"""Dense float64 arrays plus a tape-based reverse-mode autodiff engine.
+"""A tape-based reverse-mode autodiff engine over dense NumPy arrays.
 
 A ``Tape`` records one node per operation in execution order. Because the
 graph is built define-by-run, the recording order is already topological, so
@@ -8,12 +8,14 @@ once. Tapes are rebuilt for each objective evaluation and then discarded.
 Most helpers here are generic: they accept either a ``Var`` (recorded on its
 tape) or a plain ndarray (evaluated immediately with numpy). Math written
 against these helpers therefore runs both as a differentiable graph and as a
-fast forward-only evaluation, from a single implementation.
+fast forward-only evaluation, from a single implementation. Every op
+computes in the dtype of its operands; Python numbers stay Python numbers,
+so they never widen an array.
 
 The hot compositions are fused: ``dense`` (affine map, optional ReLU and
-dropout mask) and ``gaussian.kl_matrix`` each record one node whose backward
-is written by hand, through the ``record`` hook, instead of one node per
-elementary op.
+dropout mask), the prior map of ``networks.class_prior`` and
+``gaussian.kl_matrix`` each record one node whose backward is written by
+hand, through the ``record`` hook, instead of one node per elementary op.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class Tape:
         finiteness: ``init_model`` draws finite values, and the checkpoint
         reader and ``Adam.step`` check the parameters they make. Backward
         writes the leaf's gradient into ``out`` when given (see _accum)."""
-        return self._record("leaf", np.asarray(value, dtype=np.float64), None, name, out)
+        return self._record("leaf", np.asarray(value), None, name, out)
 
     def backward(self, out: Var) -> None:
         """Accumulate d(out)/d(node) into every ancestor of the scalar out."""
@@ -141,10 +143,10 @@ def _accum(node: _Node, g: Array) -> None:
         np.add(node.grad, g, out=node.grad)
 
 
-def _value(x) -> Array:
+def _value(x):
     if isinstance(x, Var):
         return x.value
-    return np.asarray(x, dtype=np.float64)
+    return x if isinstance(x, (int, float)) else np.asarray(x)
 
 
 def _tape_of(*xs) -> Tape | None:
@@ -224,44 +226,6 @@ def mul(a, b):
             _accum(bn, _unbroadcast(gout * av, bv.shape))
 
     return tape._record("mul", out, bwd)
-
-
-def matmul(a, b):
-    tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(
-            f"matmul needs 2-D operands, got shapes {av.shape} and {bv.shape}"
-        )
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul shapes {av.shape} and {bv.shape} do not chain")
-    out = av @ bv
-    if tape is None:
-        return out
-    an, bn = _node_of(tape, a), _node_of(tape, b)
-
-    def bwd(gout):
-        if an is not None:
-            _accum(an, gout @ bv.T)
-        if bn is not None:
-            _accum(bn, av.T @ gout)
-
-    return tape._record("matmul", out, bwd)
-
-
-def transpose(x):
-    xv = _value(x)
-    if xv.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D array, got shape {xv.shape}")
-    out = xv.T
-    if not isinstance(x, Var):
-        return out
-    xn = _node_of(x.tape, x)
-
-    def bwd(gout):
-        _accum(xn, gout.T)
-
-    return x.tape._record("transpose", out, bwd)
 
 
 def exp(x):
@@ -428,7 +392,7 @@ def value_and_grad(fn, model, out=None):
     it by name), ``out`` when given so a training loop can reuse one.
     """
     tape = Tape()
-    grad = np.empty(model.flat.size) if out is None else out
+    grad = np.empty_like(model.flat) if out is None else out
     value, aux = fn(model.bind(tape, grad))
     backward_grad(tape, value)
     return float(value), grad, aux

@@ -184,7 +184,7 @@ def synth_generate(spec: SynthSpec) -> Dataset:
 
     # seen classes come first, so the train block naturally leads
     per = spec.per_class
-    feats = np.empty((num_classes * per, spec.feature_dim))
+    feats = np.empty((num_classes * per, spec.feature_dim), np.float64)
     for cid in range(num_classes):
         noise = noise_rng.normal(size=(per, spec.feature_dim))
         noise *= noise_std

@@ -50,7 +50,7 @@ def _check_same_shape(a, b, what: str) -> None:
 def sample_reparam(g: DiagGaussian, noise):
     """z = mean + exp(logvar/2) ⊙ noise; differentiable through mean/logvar."""
     _check_same_shape(g.mean, noise, "sample_reparam noise")
-    return g.mean + ad.exp(g.logvar * 0.5) * np.asarray(noise, dtype=np.float64)
+    return g.mean + ad.exp(g.logvar * 0.5) * noise
 
 
 def gauss_loglik_rows(x, mean):

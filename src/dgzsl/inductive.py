@@ -39,6 +39,9 @@ class ObjectiveBreakdown:
 
 
 def one_hot(labels, num_classes: int) -> Array:
+    """The B×C boolean indicator of integer labels: row b is True only at
+    column labels[b]. Multiplying it into a float array keeps that array's
+    dtype."""
     lab = np.asarray(labels)
     if lab.ndim != 1:
         raise ShapeError(f"labels must be 1-D, got shape {lab.shape}")
@@ -47,8 +50,8 @@ def one_hot(labels, num_classes: int) -> Array:
             f"label out of range: saw {int(lab.min())}..{int(lab.max())} "
             f"with {num_classes} classes"
         )
-    out = np.zeros((lab.size, num_classes))
-    out[np.arange(lab.size), lab] = 1.0
+    out = np.zeros((lab.size, num_classes), dtype=bool)
+    out[np.arange(lab.size), lab] = True
     return out
 
 
@@ -92,7 +95,7 @@ def inductive_terms(
         )
     mask = np.broadcast_to(allowed, hot.shape)
     if exclude_true_class:
-        mask = mask & (hot == 0.0)
+        mask = mask & ~hot
 
     q = encode(features, model, enc_masks)
     z = sample_reparam(q, noise)

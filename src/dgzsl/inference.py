@@ -33,7 +33,7 @@ def predict_batch(features, candidate_ids, attr_rows, model: ModelParams):
     ids, posterior DiagGaussian batch). Eval mode, deterministic.
     """
     ids = _sorted_candidates(candidate_ids, np.asarray(attr_rows).shape[0])
-    q = encode(np.atleast_2d(np.asarray(features, dtype=np.float64)), model)
+    q = encode(np.atleast_2d(features), model)
     scores = kl_matrix(q, class_prior(np.asarray(attr_rows)[ids], model))
     labels = ids[np.argmin(scores, axis=1)]  # first occurrence = lowest class id
     return labels, scores, q

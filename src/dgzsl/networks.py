@@ -6,10 +6,12 @@ class-attribute vector linearly (no bias) to latent mean and logvar. Log-
 variances are clamped to [-10, 10] before any exponentiation.
 
 A model is a ``Layout`` (the names, shapes and offsets of its tensors, fixed
-by four numbers), one float64 vector holding every tensor, and the dropout
-keep-probability. All forward functions are generic over plain arrays and
-tape variables: binding a model's tensors to a tape (``ModelParams.bind``)
-makes the same code differentiable.
+by four numbers), one vector holding every tensor, and the dropout
+keep-probability. ``init_model`` and ``model_from_named`` make that vector
+float64; everything else computes in the dtype of its inputs. All forward
+functions are generic over plain arrays and tape variables: binding a
+model's tensors to a tape (``ModelParams.bind``) makes the same code
+differentiable.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class ModelParams:
     the dropout keep-probability of every hidden activation in train mode
     (inverted dropout; eval mode applies nothing).
 
-    Built from ``flat``, the tensors are views into that one float64 vector;
+    Built from ``flat``, the tensors are views into that one vector;
     built from a name -> tensor dict (tape leaves, say), ``flat`` is None.
     ``model[name]`` is one tensor.
     """
@@ -119,7 +121,7 @@ def init_model(
     Weights are drawn in layout order; the prior mean map is drawn M×L and
     stored transposed."""
     layout = Layout(feature_dim, attr_dim, latent_dim, hidden_dims)
-    model = ModelParams(layout, np.zeros(layout.size), keep_prob)
+    model = ModelParams(layout, np.zeros(layout.size, np.float64), keep_prob)
     for name, w in model.named_arrays().items():
         if name == "prior.mean_w":
             w[...] = glorot(rng, attr_dim, latent_dim).T
@@ -160,7 +162,7 @@ def model_from_named(tensors: dict, keep_prob: float = 1.0, where: str = "checkp
     extra = set(tensors) - {name for name, _, _ in layout.entries}
     if extra:
         raise DataFormatError(f"{where}: unexpected tensors {sorted(extra)}")
-    model = ModelParams(layout, np.empty(layout.size), keep_prob)
+    model = ModelParams(layout, np.empty(layout.size, np.float64), keep_prob)
     for name, shape, _ in layout.entries:
         actual = shape_of(name)
         if actual != shape and not (len(shape) == 1 and actual == (1, *shape)):
@@ -171,13 +173,14 @@ def model_from_named(tensors: dict, keep_prob: float = 1.0, where: str = "checkp
 
 def make_dropout_masks(rng: np.random.Generator, model: ModelParams, batch: int):
     """(encoder masks, decoder masks) of inverted dropout, one
-    Bernoulli(keep)/keep mask per hidden layer, drawn encoder first;
-    (None, None) when keep_prob is 1."""
+    Bernoulli(keep)/keep mask per hidden layer in the dtype of
+    ``model.flat``, drawn encoder first; (None, None) when keep_prob is 1."""
     keep = model.keep_prob
     if keep >= 1.0:
         return None, None
+    dtype = model.flat.dtype
     return tuple(
-        [(rng.random((batch, width)) < keep) / keep for width in model.layout.hidden_dims]
+        [((rng.random((batch, w)) < keep) / keep).astype(dtype, copy=False) for w in model.layout.hidden_dims]
         for _ in ("enc", "dec")
     )
 
@@ -215,11 +218,20 @@ def decode(z, model: ModelParams, dropout_masks=None):
     return ad.dense(_trunk(z, model, "dec", dropout_masks), model["dec.out.w"], model["dec.out.b"])
 
 
+def _prior_map(attrs, w):
+    """attrs·wᵀ as one tape node; the w gradient is (attrsᵀ·g)ᵀ, the product
+    a matmul node under a transpose node would pass back."""
+    av, wv = ad._value(attrs), ad._value(w)
+
+    def vjp(g, wanted):
+        return g @ wv if wanted[0] else None, (av.T @ g).T if wanted[1] else None
+
+    return ad.record("prior", av @ wv.T, (attrs, w), vjp)
+
+
 def class_prior(attrs, model: ModelParams) -> DiagGaussian:
     """Latent prior for attribute rows: mean = a·Wᵀ, logvar = a·Wᵀ (clamped)."""
     _rows(attrs, model.layout.attr_dim, "prior")
-    mean = ad.matmul(attrs, ad.transpose(model["prior.mean_w"]))
-    logvar = ad.clip(
-        ad.matmul(attrs, ad.transpose(model["prior.logvar_w"])), LOGVAR_MIN, LOGVAR_MAX
-    )
+    mean = _prior_map(attrs, model["prior.mean_w"])
+    logvar = ad.clip(_prior_map(attrs, model["prior.logvar_w"]), LOGVAR_MIN, LOGVAR_MAX)
     return DiagGaussian(mean, logvar)

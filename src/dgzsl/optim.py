@@ -25,9 +25,8 @@ class Adam:
         self.eps = eps
         # moments laid out like model.flat, updated in place; they start at
         # zero (m0 = v0 = 0, Kingma & Ba, arXiv 1412.6980, Algorithm 1)
-        self._m = self._v = None
+        self._m = self._v = self._scratch = None
         self._t = 0
-        self._scratch = (np.empty(_BLOCK), np.empty(_BLOCK))
 
     def step(self, model: ModelParams, grad) -> None:
         """One ascent step, in place on ``model.flat``; ``grad`` is one vector
@@ -42,11 +41,12 @@ class Adam:
         stops training here, with the step count and tensor named.
         """
         p = model.flat
-        g = np.asarray(grad, dtype=np.float64).reshape(-1)
+        g = np.asarray(grad).reshape(-1)
         if g.size != p.size:
             raise ShapeError(f"gradient has {g.size} entries, the model has {p.size}")
-        if self._m is None:
-            self._m, self._v = np.zeros(p.size), np.zeros(p.size)
+        if self._m is None:  # the state and scratch take the model's dtype
+            self._m, self._v = np.zeros_like(p), np.zeros_like(p)
+            self._scratch = (np.empty(_BLOCK, p.dtype), np.empty(_BLOCK, p.dtype))
         self._t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1.0 - b1, 1.0 - b2

@@ -16,10 +16,10 @@ u32 name length, the UTF-8 name, and the tensor in the matrix-file layout.
 Scalar metadata rides along as 1×1 tensors named ``meta.<key>``.
 
 Matrix bodies stream in row blocks of at most ``_BLOCK_BYTES`` of float64
-(``row_blocks``): the writers cast one block at a time, and the one body
-reader checks a header against the file size before anything is allocated,
-then reads and checks one block at a time (``open_matrix`` hands each block
-to its caller, ``load_matrix`` fills one array from them).
+(``row_blocks``): the writers cast one block at a time to float32, and the
+one body reader checks a header against the file size before anything is
+allocated, then reads and checks one block at a time (``open_matrix`` hands
+each block to its caller, ``load_matrix`` fills one array from them).
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ def row_blocks(rows: int, cols: int):
 
 
 def _write_rows(fh, shape, blocks) -> None:
-    """Writes the matrix-file header for ``shape``, then each float64 row
-    block as float32; the blocks must fill ``shape`` in order."""
+    """Writes the matrix-file header for ``shape``, then each row block as
+    float32; the blocks must fill ``shape`` in order."""
     fh.write(MATRIX_MAGIC + _HEADER.pack(*shape))
     rows = 0
     for block in blocks:
-        b = np.asarray(block, dtype=np.float64)
+        b = np.asarray(block)
         if b.ndim != 2 or b.shape[1] != shape[1]:
             raise ShapeError(f"row block of shape {b.shape} does not fit a {shape} matrix")
         fh.write(np.ascontiguousarray(b, dtype="<f4").data)
@@ -71,7 +71,7 @@ def _write_rows(fh, shape, blocks) -> None:
 def _write_matrix(fh, arr) -> None:
     """Writes one matrix in the matrix-file layout to a binary file object,
     casting one row block at a time."""
-    a = np.asarray(arr, dtype=np.float64)
+    a = np.asarray(arr)
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2:
@@ -106,8 +106,8 @@ def save_matrix(path, arr) -> None:
 
 
 def save_rows(path, shape, blocks) -> None:
-    """Writes a ``shape`` matrix file from float64 row blocks that fill it in
-    order, so the whole matrix never has to exist at once."""
+    """Writes a ``shape`` matrix file from row blocks that fill it in order,
+    so the whole matrix never has to exist at once."""
     with _atomic_write(path) as fh:
         _write_rows(fh, shape, blocks)
 
@@ -185,7 +185,7 @@ def open_matrix(path):
 
 def load_matrix(path):
     with open_matrix(path) as (shape, blocks):
-        arr = np.empty(shape)
+        arr = np.empty(shape, np.float64)
         for s, block in blocks:
             arr[s] = block
     return arr
@@ -196,6 +196,19 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text: {e}") from None
+
+
+def _read_numbers(path) -> str:
+    """The text of a file that holds only numbers. It must be ASCII without
+    ``_``: int() and float() would read ``1_0`` as 10 and ``٣`` as 3, which
+    no format here allows. The error names the line of the first such
+    character."""
+    text = _read_text(path)
+    if text.isascii() and "_" not in text:
+        return text
+    at = next(i for i, c in enumerate(text) if c == "_" or not c.isascii())
+    line = len(text[: at + 1].splitlines())
+    raise DataFormatError(f"{path}:{line}: {text[at]!r} in a number; numbers are plain ASCII")
 
 
 def write_attribute_csv(path, attributes) -> None:
@@ -210,7 +223,7 @@ def read_attribute_csv(path):
     """Returns the C×M attribute matrix indexed by class id."""
     rows = {}
     width = None
-    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
+    for ln, raw in enumerate(_read_numbers(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -254,7 +267,7 @@ def write_labels(path, labels) -> None:
 
 def read_labels(path):
     out = []
-    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
+    for ln, raw in enumerate(_read_numbers(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -269,6 +282,8 @@ def read_labels(path):
 
 
 def _parse_ids(text: str, where: str):
+    if not text.isascii() or "_" in text:  # int() would read 1_0 as 10 and ٣ as 3
+        raise DataFormatError(f"{where}: not plain ASCII integers: {text!r}")
     try:
         ids = [int(t) for t in text.replace(",", " ").split()]
     except ValueError as e:

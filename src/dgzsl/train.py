@@ -94,7 +94,7 @@ def _labeled_epoch(model, opt, features, labels, attr_rows, rngs, batch_size, **
     reconstruction, kl_true_class, margin).
     """
     shuffle_rng, noise_rng, dropout_rng = rngs
-    sums, grad = np.zeros(4), np.empty(model.flat.size)
+    sums, grad = np.zeros(4), np.empty_like(model.flat)
     for rows in _batches(shuffle_rng.permutation(features.shape[0]), batch_size):
         noise = noise_rng.normal(size=(rows.size, model.layout.latent_dim))
         enc_m, dec_m = make_dropout_masks(dropout_rng, model, rows.size)
@@ -139,7 +139,7 @@ def fewshot_finetune(
     mutated.
     """
     model = model.copy()
-    feats = np.asarray(features, dtype=np.float64)
+    feats = np.asarray(features)
     if feats.size == 0:
         return model
     labs = np.asarray(labels, dtype=np.int64)
@@ -251,7 +251,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             raise DgzslError("transductive phase has no unlabeled rows")
         total_rows = x_train.shape[0]
         n_batches = max(1, -(-total_rows // cfg.batch_size))
-        target, grad = None, np.empty(model.flat.size)
+        target, grad = None, np.empty_like(model.flat)
         for epoch in range(n):
             t0 = time.perf_counter()
             if epoch % cfg.refresh_every == 0:
@@ -335,7 +335,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     feats,
                     labs,
                     attrs,
-                    noise=np.zeros((feats.shape[0], cfg.latent_dim)),
+                    noise=np.zeros((feats.shape[0], cfg.latent_dim), model.flat.dtype),
                     margin_class_ids=unseen_ids,
                     **objective,
                 )
@@ -427,7 +427,7 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
         labels = files.labels[first:]
         if labels.size == 0:
             raise DgzslError(f"{data_dir}: the test split is empty")
-        feats = np.empty((labels.size, files.shape[1]))
+        feats = np.empty((labels.size, files.shape[1]), model.flat.dtype)
         for s, block in files.blocks:
             start = max(s.start, first)
             if start < s.stop:
@@ -459,11 +459,11 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
         out = Path(out_dir)
         made = not out.exists()
         out.mkdir(parents=True, exist_ok=True)
-        latents = np.empty((files.shape[0], model.layout.latent_dim))
+        latents = np.empty((files.shape[0], model.layout.latent_dim), model.flat.dtype)
 
         def recons():
             for s, block in files.blocks:
-                latents[s] = encode(block.astype(np.float64), model).mean
+                latents[s] = encode(block, model).mean
                 yield decode(latents[s], model)
 
         try:

@@ -52,7 +52,7 @@ def assignment_logits(features, unseen_attr_rows, model: ModelParams):
 
 def soft_assign(features, unseen_attr_rows, model: ModelParams) -> AssignmentMatrix:
     """Soft class assignments of unlabeled inputs over the unseen classes."""
-    rows = np.asarray(unseen_attr_rows, dtype=np.float64)
+    rows = np.asarray(unseen_attr_rows)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise DgzslError(
             f"soft assignment needs at least 2 candidate classes, got "
@@ -81,7 +81,7 @@ def sharpen(assignments: AssignmentMatrix) -> TargetMatrix:
 
 
 def _values_of(m) -> Array:
-    return np.asarray(m.values if hasattr(m, "values") else m, dtype=np.float64)
+    return np.asarray(m.values if hasattr(m, "values") else m)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def transductive_value(
     (value, TransductiveParts) where the value is a tape variable when the
     model is bound. Sums, not means.
     """
-    unlab = np.asarray(unlab_features, dtype=np.float64)
+    unlab = np.asarray(unlab_features)
     unseen_ids = np.asarray(unseen_class_ids)
     if unseen_ids.size < 2:
         raise DgzslError("transductive objective needs at least 2 unseen classes")

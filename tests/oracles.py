@@ -4,7 +4,8 @@ differentiable program against. Nothing in ``dgzsl`` calls them.
 Per-pair Gaussian KL and log-density, a vector log-sum-exp, the
 single-example class-conditional bound, the margin term, the closest-prior
 label with its evidence, the label by the per-candidate bound, and the
-target-to-assignment KL.
+target-to-assignment KL. Also the tape ops ``matmul`` and ``transpose``, of
+which the unfused compositions that the fused nodes replaced are built.
 """
 
 from __future__ import annotations
@@ -20,6 +21,21 @@ from dgzsl.inductive import ObjectiveBreakdown
 from dgzsl.inference import _sorted_candidates, predict_batch
 from dgzsl.networks import ModelParams, class_prior, decode, encode
 from dgzsl.transductive import _values_of
+
+
+def matmul(a, b):
+    """a @ b of 2-D arrays as one tape node; gradients g @ bᵀ and aᵀ @ g."""
+    av, bv = ad._value(a), ad._value(b)
+
+    def vjp(g, wanted):
+        return g @ bv.T if wanted[0] else None, av.T @ g if wanted[1] else None
+
+    return ad.record("matmul", av @ bv, (a, b), vjp)
+
+
+def transpose(x):
+    """xᵀ of a 2-D array as one tape node; gradient gᵀ."""
+    return ad.record("transpose", ad._value(x).T, (x,), lambda g, wanted: (g.T,))
 
 
 def kl_diag(q: DiagGaussian, p: DiagGaussian) -> float:

@@ -12,10 +12,12 @@ from dgzsl import autodiff as ad
 from dgzsl.autodiff import Tape, Var
 from dgzsl.errors import DgzslError, ShapeError
 from dgzsl.inductive import inductive_value
-from dgzsl.networks import init_model, make_dropout_masks
+from dgzsl.inference import predict_batch
+from dgzsl.networks import ModelParams, init_model, make_dropout_masks
+from dgzsl.optim import Adam
 from dgzsl.transductive import sharpen, soft_assign, transductive_value
 
-from oracles import logsumexp
+from oracles import logsumexp, matmul
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -25,34 +27,6 @@ def leafs(tape, *arrays):
 
 
 # ---------------------------------------------------------------- basic ops
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(0)
-    a, b = rng.normal(size=(10, 10)), rng.normal(size=(10, 10))
-    tape = Tape()
-    va, vb = leafs(tape, a, b)
-    got = ad.matmul(va, vb).value
-    want = np.zeros((10, 10))
-    for i in range(10):
-        for j in range(10):
-            for k in range(10):
-                want[i, j] += a[i, k] * b[k, j]
-    assert np.abs(got - want).max() < 1e-12
-
-
-def test_matmul_requires_2d():
-    tape = Tape()
-    (v,) = leafs(tape, np.ones(3))
-    with pytest.raises(ShapeError):
-        ad.matmul(v, v)
-
-
-def test_matmul_inner_dim_mismatch():
-    tape = Tape()
-    a, b = leafs(tape, np.ones((2, 3)), np.ones((4, 2)))
-    with pytest.raises(ShapeError):
-        ad.matmul(a, b)
 
 
 def test_dense_reports_both_shapes():
@@ -65,7 +39,7 @@ def test_dense_reports_both_shapes():
 
 def unfused_dense(x, w, b, relu=False, mask=None):
     # the elementwise composition ad.dense replaces, kept as its oracle
-    h = ad.matmul(x, w) + b
+    h = matmul(x, w) + b
     if relu:
         h = ad.clip(h, 0.0, np.inf)
     return h if mask is None else h * mask
@@ -221,7 +195,7 @@ def test_flat_gradient_equals_per_leaf_gradients_bit_for_bit(kind, monkeypatch):
     for name, g in old.items():
         assert views[name].shape == g.shape, name
         assert views[name].tobytes() == g.tobytes(), name
-    # prior.mean_w enters class_prior through transpose: its gradient is gout.T
+    # class_prior's prior node passes prior.mean_w the transpose (attrsᵀ·g)ᵀ
     assert ("prior.mean_w", False) in arrivals
     names = [name for name, _ in arrivals]
     if kind == "transductive":
@@ -253,6 +227,53 @@ def test_gradient_destination_keeps_signed_zeros(uses):
     assert got is out
     assert got.tobytes() == expected.tobytes()
     assert np.signbit(got).tolist() == [True, False, True, False]
+
+
+def test_a_float32_model_computes_in_float32_throughout():
+    # float64 is fixed where a model or a dataset enters; the numeric core
+    # follows its inputs, so a float32 model with float32 data stays float32
+    f32 = np.float32
+    rng = np.random.default_rng(12)
+    base = init_model(rng, 8, 7, 4, (16, 16), keep_prob=0.8)
+    model = ModelParams(base.layout, base.flat.astype(f32), base.keep_prob)
+    attrs = rng.uniform(-1, 1, (7, 7)).astype(f32)
+    feats, unlab = rng.normal(size=(5, 8)).astype(f32), rng.normal(size=(6, 8)).astype(f32)
+    labels = np.array([0, 1, 3, 2, 0])
+    noise_l, noise_u = rng.normal(size=(5, 4)).astype(f32), rng.normal(size=(6, 4)).astype(f32)
+    masks = [*make_dropout_masks(rng, model, 5), *make_dropout_masks(rng, model, 6)]
+    assignments = soft_assign(unlab, attrs[4:], model)
+    target = sharpen(assignments)
+    for a in (*sum(masks, []), assignments.values, assignments.class_marginals, target.values):
+        assert a.dtype == f32
+
+    def inductive(m):
+        return inductive_value(
+            m, feats, labels, attrs, noise=noise_l, margin_class_ids=np.arange(4),
+            enc_masks=masks[0], dec_masks=masks[1],
+        )
+
+    def transductive(m):
+        return transductive_value(
+            m, feats, labels, unlab, target, attrs,
+            margin_class_ids=np.arange(4), unseen_class_ids=np.arange(4, 7),
+            noise_labeled=noise_l, noise_unlabeled=noise_u,
+            enc_masks_lab=masks[0], dec_masks_lab=masks[1],
+            enc_masks_unlab=masks[2], dec_masks_unlab=masks[3],
+        )
+
+    opt = Adam()
+    for fn in (inductive, transductive):
+        tape = Tape()
+        value, _ = fn(model.bind(tape))
+        ad.backward_grad(tape, value)
+        for node in tape.nodes:
+            assert node.value.dtype == f32 and node.grad.dtype == f32, node.op
+        _, grad, _ = ad.value_and_grad(fn, model)
+        assert grad.dtype == f32
+        opt.step(model, grad)
+        assert model.flat.dtype == opt._m.dtype == opt._v.dtype == f32
+    _, scores, _ = predict_batch(feats, np.arange(4, 7), attrs, model)
+    assert scores.dtype == f32
 
 
 # ----------------------------------------------------------------- backward
@@ -296,16 +317,6 @@ def test_shared_subexpression_accumulates():
     out = ad.sum(v * v + v)
     tape.backward(out)
     assert v.grad[0] == pytest.approx(7.0)
-
-
-def test_matmul_gradients_match_finite_differences():
-    rng = np.random.default_rng(1)
-    params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))}
-
-    def fn(p):
-        return ad.sum(ad.clip(ad.matmul(p["a"], p["b"]), 0.0, np.inf))
-
-    assert ad.grad_check(fn, params) < 1e-6
 
 
 def test_composite_expression_gradients():

@@ -339,6 +339,15 @@ def test_attribute_csv_rejects_malformed(tmp_path, text):
         read_attribute_csv(path)
 
 
+@pytest.mark.parametrize("text, line, char", [("0,1_0.5", 1, "_"), ("0,1.0\n1,٣", 2, "٣"), ("1_0,1.0", 1, "_")])
+def test_attribute_csv_takes_only_plain_ascii_numbers(tmp_path, text, line, char):
+    # float() and int() would read 1_0.5 as 10.5 and ٣ (Arabic-Indic three) as 3
+    path = tmp_path / "a.csv"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}:{line}: '{char}' in a number")):
+        read_attribute_csv(path)
+
+
 # ------------------------------------------------------------ label files
 
 
@@ -363,6 +372,15 @@ def test_labels_reject_a_value_beyond_int64(tmp_path, text):
         read_labels(path)
     path.write_text("-9223372036854775808\n9223372036854775807\n", encoding="utf-8")
     assert read_labels(path).tolist() == [-(2**63), 2**63 - 1]
+
+
+@pytest.mark.parametrize("text, char", [("1_0", "_"), ("٣", "٣")])
+def test_labels_take_only_plain_ascii_integers(tmp_path, text, char):
+    # int() would read 1_0 as 10 and ٣ (Arabic-Indic three) as 3
+    path = tmp_path / "l.txt"
+    path.write_text(f"1\n{text}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: '{char}' in a number")):
+        read_labels(path)
 
 
 # --------------------------------------------------------------- manifest
@@ -392,6 +410,16 @@ def test_manifest_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.manifest"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DataFormatError):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("key, ids", [("seen", "1_0, 2"), ("unseen", "٣")])
+def test_manifest_ids_are_plain_ascii_integers(tmp_path, key, ids):
+    # int() would read seen = 1_0, 2 as (10, 2) and unseen = ٣ as (3,)
+    path = tmp_path / "split.manifest"
+    entries = {"seen": "0,1", "unseen": "2,3", "train_labels": "a", "test_labels": "b", key: ids}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: {key}: not plain ASCII integers: '{ids}'")):
         read_manifest(path)
 
 

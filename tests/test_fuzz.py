@@ -95,18 +95,18 @@ def test_checkpoint_reader(work, blob):
 
 
 @settings(max_examples=EXAMPLES)
-@given(blob=text_of(CSV, "0123456789,.-+eEinfaINF \t\n"))
+@given(blob=text_of(CSV, "0123456789,.-+eEinfaINF_٣ \t\n"))
 def test_attribute_csv_reader(work, blob):
     loads_or_rejects(read_attribute_csv, work / "attributes.csv", blob)
 
 
 @settings(max_examples=EXAMPLES)
-@given(blob=text_of(MANIFEST, "seunitrabl_ .,=#0123456789-\n"))
+@given(blob=text_of(MANIFEST, "seunitrabl_ .,=#0123456789-٣\n"))
 def test_manifest_reader(work, blob):
     loads_or_rejects(read_manifest, work / "split.manifest", blob)
 
 
 @settings(max_examples=EXAMPLES)
-@given(blob=text_of("0\n3\n-1\n", "0123456789-+ \n"))
+@given(blob=text_of("0\n3\n-1\n", "0123456789-+_٣ \n"))
 def test_label_reader(work, blob):
     loads_or_rejects(read_labels, work / "labels.txt", blob)

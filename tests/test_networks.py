@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgzsl import autodiff as ad
 from dgzsl.autodiff import Tape, Var
 from dgzsl.errors import DataFormatError, ShapeError
+from dgzsl.gaussian import DiagGaussian
 from dgzsl.networks import (
     LOGVAR_MAX,
     LOGVAR_MIN,
@@ -21,6 +23,7 @@ from dgzsl.networks import (
 from dgzsl.serialize import load_checkpoint, save_checkpoint
 
 from conftest import prior_model
+from oracles import matmul, transpose
 
 
 def zeroed(model):
@@ -200,6 +203,34 @@ def test_class_prior_is_linear(alpha, beta, seed):
     g1, g2 = class_prior(a1, prior), class_prior(a2, prior)
     assert np.abs(combo.mean - (alpha * g1.mean + beta * g2.mean)).max() < 1e-12
     assert np.abs(combo.logvar - (alpha * g1.logvar + beta * g2.logvar)).max() < 1e-12
+
+
+def unfused_class_prior(attrs, model):
+    # the matmul-under-transpose composition class_prior's prior nodes replace
+    mean = matmul(attrs, transpose(model["prior.mean_w"]))
+    logvar = ad.clip(matmul(attrs, transpose(model["prior.logvar_w"])), LOGVAR_MIN, LOGVAR_MAX)
+    return DiagGaussian(mean, logvar)
+
+
+def test_class_prior_matches_the_unfused_composition_bit_for_bit():
+    rng = np.random.default_rng(11)
+    # logvar weights large enough that the clamp cuts some entries
+    model = prior_model(rng.normal(size=(4, 5)), 5.0 * rng.normal(size=(4, 5)))
+    attrs = rng.uniform(-1, 1, (6, 5))
+    weights = rng.normal(size=(2, 6, 4))
+    runs = []
+    for prior in (class_prior, unfused_class_prior):
+        tape = Tape()
+        g = prior(attrs, model.bind(tape))
+        ops = [node.op for node in tape.nodes if node.op != "leaf"]
+        grads = ad.backward_grad(tape, ad.sum(g.mean * weights[0]) + ad.sum(g.logvar * weights[1]))
+        runs.append((ops, [g.mean.value, g.logvar.value, grads["prior.mean_w"], grads["prior.logvar_w"]]))
+    (ops, fused), (unfused_ops, composed) = runs
+    assert ops == ["prior", "prior", "clip"]
+    assert unfused_ops == ["transpose", "matmul", "transpose", "matmul", "clip"]
+    assert np.abs(composed[1]).max() == LOGVAR_MAX
+    for a, b in zip(fused, composed):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_logvar_outputs_are_clamped():

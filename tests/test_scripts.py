@@ -1,5 +1,6 @@
 """Smoke runs of the helper scripts under scripts/, with tiny arguments."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -40,3 +41,14 @@ def test_fewshot_curve_writes_results(tmp_path):
         assert len(entry["per_seed"]) == 1
         assert 0.0 <= entry["per_seed"][0] <= 1.0
         assert entry["mean"] == pytest.approx(entry["per_seed"][0])
+
+
+def test_reference_digests_hash_every_output_of_a_case(tmp_path):
+    out = tmp_path / "ref"
+    proc = run_script("reference_digests.py", out, "--epochs", 1, "synth-inductive")
+    files = ("config.cfg", "metrics.jsonl", "model.ckpt", "eval.json", "export/latents.bin", "export/recons.bin")
+    lines = proc.stdout.splitlines()
+    assert [line.split("  ")[1] for line in lines] == [f"synth-inductive/{f}" for f in files]
+    for line, name in zip(lines, files):
+        assert line.split("  ")[0] == hashlib.sha256((out / "synth-inductive" / name).read_bytes()).hexdigest()
+    assert "epochs = 1" in (out / "synth-inductive" / "config.cfg").read_text(encoding="utf-8")
