@@ -7,9 +7,10 @@ under OUT, then runs each case with one BLAS thread:
   synth-inductive     train configs/synth-inductive.cfg
   synth-transductive  train configs/synth-transductive.cfg
   fewshot             fewshot --k 3 --transductive-phase on synth-inductive.cfg
-  full-scale          train configs/full-scale.cfg, 2 epochs, on
+  full-scale          train configs/full-scale.cfg (float32), 2 epochs, on
                       SynthSpec(seen=40, unseen=10, attr_dim=85,
                       feature_dim=2048, per_class=50, seed=0)
+  full-scale-float64  the same with dtype = float64
   gradcheck           dgzsl gradcheck with its defaults
 
 Each training case is followed by `eval --candidates all --out` and
@@ -37,12 +38,14 @@ from dgzsl.config import format_config, load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GBU = ("--seen", 40, "--unseen", 10, "--attr-dim", 85, "--feature-dim", 2048, "--per-class", 50)
-# case -> (config, dataset, default epochs or None for the config's own, extra CLI words)
+# case -> (config, dataset, default epochs or None for the config's own,
+#          config overrides, extra CLI words)
 CASES = {
-    "synth-inductive": ("synth-inductive.cfg", "data", None, ("train",)),
-    "synth-transductive": ("synth-transductive.cfg", "data", None, ("train",)),
-    "fewshot": ("synth-inductive.cfg", "data", None, ("fewshot", "--k", 3, "--transductive-phase")),
-    "full-scale": ("full-scale.cfg", "data-gbu", 2, ("train",)),
+    "synth-inductive": ("synth-inductive.cfg", "data", None, {}, ("train",)),
+    "synth-transductive": ("synth-transductive.cfg", "data", None, {}, ("train",)),
+    "fewshot": ("synth-inductive.cfg", "data", None, {}, ("fewshot", "--k", 3, "--transductive-phase")),
+    "full-scale": ("full-scale.cfg", "data-gbu", 2, {}, ("train",)),
+    "full-scale-float64": ("full-scale.cfg", "data-gbu", 2, {"dtype": "float64"}, ("train",)),
     "gradcheck": None,
 }
 OUTPUTS = ("config.cfg", "metrics.jsonl", "model.ckpt", "eval.json", "export/latents.bin", "export/recons.bin")
@@ -63,15 +66,19 @@ def dgzsl(*words) -> str:
     return proc.stdout
 
 
-def config_for(name: str, epochs, out: Path) -> Path:
-    """The case's config file, or a copy of it run at ``epochs`` epochs."""
+def config_for(case: str, epochs, out: Path) -> Path:
+    """The case's config file, or a copy of it with the case's overrides,
+    run at ``epochs`` epochs when that is not None."""
+    name, _, _, overrides, _ = CASES[case]
     path = CONFIGS / name
-    if epochs is None:
+    if epochs is None and not overrides:
         return path
-    cfg = load_config(path)
-    pretrain = cfg.pretrain_epochs * epochs // cfg.epochs
-    copy = out / f"{path.stem}-{epochs}.cfg"
-    copy.write_text(format_config(cfg.override(epochs=epochs, pretrain_epochs=pretrain)), encoding="utf-8")
+    cfg = load_config(path).override(**overrides)
+    if epochs is not None:
+        pretrain = cfg.pretrain_epochs * epochs // cfg.epochs
+        cfg = cfg.override(epochs=epochs, pretrain_epochs=pretrain)
+    copy = out / f"{case}.cfg"
+    copy.write_text(format_config(cfg), encoding="utf-8")
     return copy
 
 
@@ -79,11 +86,11 @@ def run_case(case: str, out: Path, epochs) -> dict:
     """Runs one case under ``out``; returns {'case/file': bytes}."""
     if CASES[case] is None:
         return {f"{case}/stdout": dgzsl("gradcheck").encode()}
-    config, data, default_epochs, command = CASES[case]
+    _, data, default_epochs, _, command = CASES[case]
     data_dir, run = out / data, out / case
     if not data_dir.exists():
         dgzsl("synth", "--out", data_dir, "--seed", 0, *(GBU if data == "data-gbu" else ()))
-    cfg = config_for(config, epochs if epochs is not None else default_epochs, out)
+    cfg = config_for(case, epochs if epochs is not None else default_epochs, out)
     dgzsl(command[0], "--config", cfg, "--data", data_dir, "--out", run, *command[1:])
     ckpt = run / "model.ckpt"
     dgzsl("eval", "--checkpoint", ckpt, "--data", data_dir, "--candidates", "all", "--out", run / "eval.json")

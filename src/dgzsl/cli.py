@@ -22,6 +22,7 @@ import numpy as np  # noqa: E402
 
 from .data import SynthSpec, save_dataset, synth_generate  # noqa: E402
 from .errors import DgzslError  # noqa: E402
+from .serialize import plain_number_text  # noqa: E402
 from .train import export_embeddings, run_eval, run_train  # noqa: E402
 
 
@@ -148,6 +149,22 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+def _plain(kind):
+    """An argparse type: ``kind`` (int or float) of plain_number_text only,
+    so ``--k 1_0`` is a usage error, as ``--k ten`` is."""
+
+    def parse(text: str):
+        if not plain_number_text(text):
+            raise ValueError(text)
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse names the type in its message
+    return parse
+
+
+INT, FLOAT = _plain(int), _plain(float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dgzsl",
@@ -160,13 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark")
     p.add_argument("--out", required=True)
-    p.add_argument("--seen", type=int, default=15)
-    p.add_argument("--unseen", type=int, default=5)
-    p.add_argument("--attr-dim", type=int, default=8)
-    p.add_argument("--feature-dim", type=int, default=32)
-    p.add_argument("--per-class", type=int, default=100)
-    p.add_argument("--noise-std", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seen", type=INT, default=15)
+    p.add_argument("--unseen", type=INT, default=5)
+    p.add_argument("--attr-dim", type=INT, default=8)
+    p.add_argument("--feature-dim", type=INT, default=32)
+    p.add_argument("--per-class", type=INT, default=100)
+    p.add_argument("--noise-std", type=FLOAT, default=None)
+    p.add_argument("--seed", type=INT, default=0)
     p.set_defaults(func=_cmd_synth)
 
     def train_like(name, help_text):
@@ -174,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--config", required=True)
         q.add_argument("--data", required=True)
         q.add_argument("--out", required=True)
-        q.add_argument("--seed", type=int, default=None)
+        q.add_argument("--seed", type=INT, default=None)
         flag(q, "--no-recon")
         flag(q, "--recon-only-unlabeled")
         flag(q, "--exclude-true-class")
@@ -183,10 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = train_like("train", "train a model per the config")
     p.add_argument("--regime", choices=("inductive", "transductive", "fewshot"), default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=INT, default=None)
 
     p = train_like("fewshot", "train, then fine-tune on k labeled unseen examples")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=INT, required=True)
     p.add_argument("--transductive-phase", dest="transductive_fewshot", action="store_const", const=True)
     p.set_defaults(regime="fewshot")
 
@@ -198,16 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of both objectives")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--latent-dim", type=int, default=4)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--attr-dim", type=int, default=3)
-    p.add_argument("--seen", type=int, default=4)
-    p.add_argument("--unseen", type=int, default=3)
-    p.add_argument("--batch", type=int, default=6)
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--seed", type=INT, default=0)
+    p.add_argument("--feature-dim", type=INT, default=8)
+    p.add_argument("--latent-dim", type=INT, default=4)
+    p.add_argument("--hidden", type=INT, default=16)
+    p.add_argument("--attr-dim", type=INT, default=3)
+    p.add_argument("--seen", type=INT, default=4)
+    p.add_argument("--unseen", type=INT, default=3)
+    p.add_argument("--batch", type=INT, default=6)
+    p.add_argument("--epsilon", type=FLOAT, default=1e-5)
+    p.add_argument("--tolerance", type=FLOAT, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("export", help="write latent means and reconstructions")

@@ -9,8 +9,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .serialize import plain_number_text
 
 REGIMES = ("inductive", "transductive", "fewshot")
+DTYPES = ("float64", "float32")
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,14 @@ class TrainConfig:
     recon_only_unlabeled: bool = False
     exclude_true_class: bool = False
     seed: int = 0
+    # the one float type of training, logging, the checkpoint and scoring
+    dtype: str = "float64"
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be {' or '.join(DTYPES)}, got {self.dtype!r}")
         for name in ("margin_weight", "learning_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -82,6 +88,8 @@ def _convert(name: str, text: str, sample):
         if low in _FALSE:
             return False
         raise ConfigError(f"{name}: expected a boolean, got {text!r}")
+    if isinstance(sample, (int, float, tuple)) and not plain_number_text(text):
+        raise ConfigError(f"{name}: numbers are plain ASCII without '_', got {text!r}")
     if isinstance(sample, int):
         try:
             return int(text)
@@ -116,7 +124,7 @@ def parse_config(text: str, *, where: str = "config") -> TrainConfig:
             raise ConfigError(f"{where}:{ln}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{where}:{ln}: duplicate config key {key!r}")
-        values[key] = _convert(key, value, known[key])
+        values[key] = _convert(f"{where}:{ln}: {key}", value, known[key])
     return TrainConfig(**values)
 
 

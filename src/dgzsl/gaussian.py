@@ -24,10 +24,13 @@ class DiagGaussian:
     """Mean and log-variance, one row (or one vector) per example.
 
     Fields may be plain arrays or tape variables; immutable either way.
+    ``label`` names the map that made them ("posterior", "prior") in the
+    error a non-finite entry raises.
     """
 
     mean: Array | Var
     logvar: Array | Var
+    label: str = "DiagGaussian"
 
     def __post_init__(self):
         m, lv = ad._value(self.mean), ad._value(self.logvar)
@@ -35,10 +38,12 @@ class DiagGaussian:
             raise ShapeError(
                 f"mean shape {m.shape} != logvar shape {lv.shape}"
             )
-        if not isinstance(self.mean, Var) and not (
-            np.all(np.isfinite(m)) and np.all(np.isfinite(lv))
-        ):
-            raise ShapeError("DiagGaussian entries must be finite")
+        if isinstance(self.mean, Var):
+            return
+        for name, a in (("mean", m), ("logvar", lv)):
+            if not np.all(np.isfinite(a)):
+                row = int(np.argmin(np.isfinite(np.atleast_2d(a)).all(axis=1)))
+                raise ShapeError(f"{self.label} {name} has a non-finite entry in row {row}")
 
 
 def _check_same_shape(a, b, what: str) -> None:

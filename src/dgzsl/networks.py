@@ -7,8 +7,9 @@ variances are clamped to [-10, 10] before any exponentiation.
 
 A model is a ``Layout`` (the names, shapes and offsets of its tensors, fixed
 by four numbers), one vector holding every tensor, and the dropout
-keep-probability. ``init_model`` and ``model_from_named`` make that vector
-float64; everything else computes in the dtype of its inputs. All forward
+keep-probability. ``init_model`` and ``model_from_named`` give that vector
+its dtype (float64 unless asked otherwise); everything else computes in the
+dtype of its inputs. All forward
 functions are generic over plain arrays and tape variables: binding a
 model's tensors to a tape (``ModelParams.bind``) makes the same code
 differentiable.
@@ -115,13 +116,16 @@ def init_model(
     latent_dim: int,
     hidden_dims: tuple[int, ...] = (1000, 1000),
     keep_prob: float = 0.8,
+    *,
+    dtype=np.float64,
 ) -> ModelParams:
     """Glorot-uniform weights, zero biases; logvar heads and the prior's
     logvar map start at zero so every Gaussian begins with unit variance.
     Weights are drawn in layout order; the prior mean map is drawn M×L and
-    stored transposed."""
+    stored transposed. The draws are float64 whatever ``dtype``, the type
+    of the flat vector they are stored in."""
     layout = Layout(feature_dim, attr_dim, latent_dim, hidden_dims)
-    model = ModelParams(layout, np.zeros(layout.size, np.float64), keep_prob)
+    model = ModelParams(layout, np.zeros(layout.size, dtype), keep_prob)
     for name, w in model.named_arrays().items():
         if name == "prior.mean_w":
             w[...] = glorot(rng, attr_dim, latent_dim).T
@@ -130,9 +134,11 @@ def init_model(
     return model
 
 
-def model_from_named(tensors: dict, keep_prob: float = 1.0, where: str = "checkpoint") -> ModelParams:
+def model_from_named(
+    tensors: dict, keep_prob: float = 1.0, where: str = "checkpoint", *, dtype=np.float64
+) -> ModelParams:
     """A model holding copies of ``tensors`` (name -> array, as a checkpoint
-    stores them), cast into one new float64 vector.
+    stores them), cast into one new vector of ``dtype``.
 
     This is where tensors arrive from outside, so the shape rule is checked
     here: the layout's dims are read from ``enc.h*.w``, ``enc.mean.w`` and
@@ -162,7 +168,7 @@ def model_from_named(tensors: dict, keep_prob: float = 1.0, where: str = "checkp
     extra = set(tensors) - {name for name, _, _ in layout.entries}
     if extra:
         raise DataFormatError(f"{where}: unexpected tensors {sorted(extra)}")
-    model = ModelParams(layout, np.empty(layout.size, np.float64), keep_prob)
+    model = ModelParams(layout, np.empty(layout.size, dtype), keep_prob)
     for name, shape, _ in layout.entries:
         actual = shape_of(name)
         if actual != shape and not (len(shape) == 1 and actual == (1, *shape)):
@@ -209,7 +215,7 @@ def encode(x, model: ModelParams, dropout_masks=None) -> DiagGaussian:
     h = _trunk(x, model, "enc", dropout_masks)
     mean = ad.dense(h, model["enc.mean.w"], model["enc.mean.b"])
     logvar = ad.clip(ad.dense(h, model["enc.logvar.w"], model["enc.logvar.b"]), LOGVAR_MIN, LOGVAR_MAX)
-    return DiagGaussian(mean, logvar)
+    return DiagGaussian(mean, logvar, "posterior")
 
 
 def decode(z, model: ModelParams, dropout_masks=None):
@@ -234,4 +240,4 @@ def class_prior(attrs, model: ModelParams) -> DiagGaussian:
     _rows(attrs, model.layout.attr_dim, "prior")
     mean = _prior_map(attrs, model["prior.mean_w"])
     logvar = ad.clip(_prior_map(attrs, model["prior.logvar_w"]), LOGVAR_MIN, LOGVAR_MAX)
-    return DiagGaussian(mean, logvar)
+    return DiagGaussian(mean, logvar, "prior")

@@ -198,13 +198,18 @@ def _read_text(path) -> str:
         raise DataFormatError(f"{path}: not UTF-8 text: {e}") from None
 
 
+def plain_number_text(text: str) -> bool:
+    """Whether ``text`` may hold numbers: ASCII without ``_``. int() and
+    float() would also read ``1_0`` as 10 and ``٣`` as 3, which no file
+    format, config value or command-line number here allows."""
+    return text.isascii() and "_" not in text
+
+
 def _read_numbers(path) -> str:
-    """The text of a file that holds only numbers. It must be ASCII without
-    ``_``: int() and float() would read ``1_0`` as 10 and ``٣`` as 3, which
-    no format here allows. The error names the line of the first such
-    character."""
+    """The text of a file that holds only numbers (plain_number_text). The
+    error names the line of the first character the rule rejects."""
     text = _read_text(path)
-    if text.isascii() and "_" not in text:
+    if plain_number_text(text):
         return text
     at = next(i for i, c in enumerate(text) if c == "_" or not c.isascii())
     line = len(text[: at + 1].splitlines())
@@ -282,7 +287,7 @@ def read_labels(path):
 
 
 def _parse_ids(text: str, where: str):
-    if not text.isascii() or "_" in text:  # int() would read 1_0 as 10 and ٣ as 3
+    if not plain_number_text(text):
         raise DataFormatError(f"{where}: not plain ASCII integers: {text!r}")
     try:
         ids = [int(t) for t in text.replace(",", " ").split()]

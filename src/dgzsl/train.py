@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import TrainConfig, format_config, load_config
 from .data import Dataset, fewshot_sample, load_dataset, open_dataset
-from .errors import DgzslError
+from .errors import DataFormatError, DgzslError
 from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, predict_batch
 from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_named
@@ -89,7 +89,8 @@ def _labeled_epoch(model, opt, features, labels, attr_rows, rngs, batch_size, **
     """One shuffled pass of in-place supervised Adam steps over a labeled set.
 
     ``rngs`` is the (shuffle, noise, dropout) generator triple; each batch
-    draws its noise, then its encoder and decoder masks. ``objective`` is
+    draws its noise (float64 draws, cast to the model's dtype), then its
+    encoder and decoder masks. ``objective`` is
     passed on to inductive_objective. Returns the per-row mean of (total,
     reconstruction, kl_true_class, margin).
     """
@@ -97,6 +98,7 @@ def _labeled_epoch(model, opt, features, labels, attr_rows, rngs, batch_size, **
     sums, grad = np.zeros(4), np.empty_like(model.flat)
     for rows in _batches(shuffle_rng.permutation(features.shape[0]), batch_size):
         noise = noise_rng.normal(size=(rows.size, model.layout.latent_dim))
+        noise = noise.astype(model.flat.dtype, copy=False)
         enc_m, dec_m = make_dropout_masks(dropout_rng, model, rows.size)
         _, grad, bd = inductive_objective(
             model,
@@ -172,10 +174,13 @@ def fewshot_finetune(
 
 
 def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
-    attrs = dataset.attributes
+    """Train per ``cfg`` in its dtype: the model is made in it, and the
+    features and attributes are cast to it once, here."""
+    dtype = np.dtype(cfg.dtype)
+    attrs = dataset.attributes.astype(dtype, copy=False)
     seen_ids = np.sort(np.asarray(dataset.seen_classes, dtype=np.int64))
     unseen_ids = np.sort(np.asarray(dataset.unseen_classes, dtype=np.int64))
-    x_train, y_train = dataset.train_features, dataset.train_labels
+    x_train, y_train = dataset.train_features.astype(dtype, copy=False), dataset.train_labels
     if x_train.shape[0] == 0:
         raise DgzslError("train split is empty")
 
@@ -192,12 +197,13 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         cfg.latent_dim,
         tuple(cfg.hidden_dims),
         cfg.keep_prob,
+        dtype=dtype,
     )
     opt = Adam(lr=cfg.learning_rate)
     records: list[MetricsRecord] = []
     # the rows the logged accuracies refer to: the test block, or the few-shot pool
     eval_idx = np.arange(dataset.n_train, dataset.labels.size)
-    eval_x, eval_y = dataset.test_features, dataset.test_labels
+    eval_x, eval_y = dataset.test_features.astype(dtype, copy=False), dataset.test_labels
     objective = dict(
         margin_weight=cfg.margin_weight,
         exclude_true_class=cfg.exclude_true_class,
@@ -261,10 +267,10 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             for rows, rows_u in zip(
                 _batches(shuffle_rng.permutation(total_rows), cfg.batch_size), unlab_parts
             ):
-                noise_l = noise_rng.normal(size=(rows.size, cfg.latent_dim))
+                noise_l = noise_rng.normal(size=(rows.size, cfg.latent_dim)).astype(dtype, copy=False)
                 enc_m, dec_m = make_dropout_masks(dropout_rng, model, rows.size)
                 # zero-size draws when rows_u is empty leave every stream as is
-                noise_u = noise_rng.normal(size=(rows_u.size, cfg.latent_dim))
+                noise_u = noise_rng.normal(size=(rows_u.size, cfg.latent_dim)).astype(dtype, copy=False)
                 enc_mu, dec_mu = make_dropout_masks(dropout_rng, model, rows_u.size)
                 _, grad, parts = transductive_objective(
                     model,
@@ -308,11 +314,11 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     if cfg.regime == "fewshot":
         split = fewshot_sample(dataset, cfg.k, fewshot_s)
         eval_idx = split.unlabeled_idx
-        eval_x, eval_y = dataset.features[eval_idx], dataset.labels[eval_idx]
+        eval_x, eval_y = dataset.features[eval_idx].astype(dtype, copy=False), dataset.labels[eval_idx]
         if cfg.k > 0:
             with named("fewshot"):
                 t0 = time.perf_counter()
-                feats = dataset.features[split.labeled_idx]
+                feats = dataset.features[split.labeled_idx].astype(dtype, copy=False)
                 labs = dataset.labels[split.labeled_idx]
                 model = fewshot_finetune(
                     model,
@@ -335,7 +341,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     feats,
                     labs,
                     attrs,
-                    noise=np.zeros((feats.shape[0], cfg.latent_dim), model.flat.dtype),
+                    noise=np.zeros((feats.shape[0], cfg.latent_dim), dtype),
                     margin_class_ids=unseen_ids,
                     **objective,
                 )
@@ -371,7 +377,10 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
     (out / "timings.jsonl").write_text(
         "".join(r.timing_line() + "\n" for r in result.records), encoding="utf-8"
     )
-    save_checkpoint(out / "model.ckpt", result.model.named_arrays(), meta={"keep_prob": cfg.keep_prob})
+    meta = {"keep_prob": cfg.keep_prob}
+    if result.model.flat.dtype != np.float64:  # float64 checkpoints keep their bytes
+        meta["float_bits"] = result.model.flat.dtype.itemsize * 8
+    save_checkpoint(out / "model.ckpt", result.model.named_arrays(), meta=meta)
     summary = {
         "regime": cfg.regime,
         "seed": cfg.seed,
@@ -386,9 +395,19 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
     return summary
 
 
+# a checkpoint's meta.float_bits -> the dtype its model computes in; a
+# checkpoint without the entry is float64
+_FLOAT_BITS = {32: np.float32, 64: np.float64}
+
+
 def _model_from_checkpoint(checkpoint_path) -> ModelParams:
     tensors, meta = load_checkpoint(checkpoint_path)
-    return model_from_named(tensors, meta.get("keep_prob", 1.0), where=str(checkpoint_path))
+    bits = meta.get("float_bits", 64)
+    if bits not in _FLOAT_BITS:
+        raise DataFormatError(f"{checkpoint_path}: float_bits must be 32 or 64, got {bits:g}")
+    return model_from_named(
+        tensors, meta.get("keep_prob", 1.0), where=str(checkpoint_path), dtype=_FLOAT_BITS[bits]
+    )
 
 
 @contextmanager
@@ -432,7 +451,8 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
             start = max(s.start, first)
             if start < s.stop:
                 feats[start - first : s.stop - first] = block[start - s.start :]
-    predicted, _, _ = predict_batch(feats, ids, files.attributes, model)
+    attrs = files.attributes.astype(model.flat.dtype, copy=False)
+    predicted, _, _ = predict_batch(feats, ids, attrs, model)
     confusion: dict[str, dict[str, int]] = {}
     for true, pred in zip(labels.tolist(), predicted.tolist()):
         confusion.setdefault(str(true), {}).setdefault(str(pred), 0)

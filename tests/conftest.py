@@ -95,6 +95,11 @@ def inductive_family(bench_datasets):
 
 
 @pytest.fixture(scope="session")
+def inductive_family_f32(bench_datasets):
+    return _train_family(bench_datasets, regime="inductive", dtype="float32")
+
+
+@pytest.fixture(scope="session")
 def transductive_family(bench_datasets):
     return _train_family(bench_datasets, regime="transductive", pretrain_epochs=40)
 

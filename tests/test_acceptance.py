@@ -125,19 +125,28 @@ def test_analytic_gradients_match_finite_differences():
     assert time.perf_counter() - started < 60.0
 
 
-def test_inductive_training_solves_synthetic_benchmark(inductive_family, bench_datasets):
+def _assert_family_solves_synthetic_benchmark(family, bench_datasets, what):
     """Mean unseen-class top-1 over 5 seeds ≥ 0.70 on the synthetic data."""
     accs = {
-        s: unseen_accuracy(inductive_family.runs[s].model, bench_datasets[s])
+        s: unseen_accuracy(family.runs[s].model, bench_datasets[s])
         for s in SEEDS
     }
     mean_acc = float(np.mean(list(accs.values())))
     detail = ", ".join(f"seed {s}: {a:.3f}" for s, a in accs.items())
-    print(f"inductive unseen accuracy — {detail}; mean {mean_acc:.3f}")
+    print(f"{what} unseen accuracy — {detail}; mean {mean_acc:.3f}")
     assert mean_acc >= 0.70, f"mean accuracy {mean_acc:.3f} ({detail})"
-    assert inductive_family.seconds < 300.0, (
-        f"training took {inductive_family.seconds:.0f}s"
-    )
+    assert family.seconds < 300.0, f"training took {family.seconds:.0f}s"
+
+
+def test_inductive_training_solves_synthetic_benchmark(inductive_family, bench_datasets):
+    _assert_family_solves_synthetic_benchmark(inductive_family, bench_datasets, "inductive")
+
+
+def test_float32_inductive_training_solves_synthetic_benchmark(inductive_family_f32, bench_datasets):
+    """The same gate, no threshold changed, for a family trained in float32."""
+    for run in inductive_family_f32.runs.values():
+        assert run.model.flat.dtype == np.float32
+    _assert_family_solves_synthetic_benchmark(inductive_family_f32, bench_datasets, "float32 inductive")
 
 
 def test_unlabeled_pool_does_not_hurt_average_accuracy(
@@ -262,6 +271,14 @@ def test_target_sharpening_preserves_probability_structure():
 
 def test_reruns_reproduce_metrics_bit_for_bit(bench_datasets, tmp_path):
     """Same config, same data, two runs: byte-identical metrics and weights."""
+    _assert_reruns_reproduce(bench_datasets, tmp_path, "float64")
+
+
+def test_float32_reruns_reproduce_metrics_bit_for_bit(bench_datasets, tmp_path):
+    _assert_reruns_reproduce(bench_datasets, tmp_path, "float32")
+
+
+def _assert_reruns_reproduce(bench_datasets, tmp_path, dtype):
     data_dir = tmp_path / "data"
     save_dataset(bench_datasets[3], data_dir)
     cfg_path = tmp_path / "run.cfg"
@@ -272,7 +289,8 @@ def test_reruns_reproduce_metrics_bit_for_bit(bench_datasets, tmp_path):
         "latent_dim = 8\n"
         "hidden_dims = 32,32\n"
         "batch_size = 100\n"
-        "seed = 3\n",
+        "seed = 3\n"
+        f"dtype = {dtype}\n",
         encoding="utf-8",
     )
     first, second = tmp_path / "first", tmp_path / "second"

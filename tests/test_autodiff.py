@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from dgzsl import autodiff as ad
 from dgzsl.autodiff import Tape, Var
+from dgzsl.config import TrainConfig
 from dgzsl.errors import DgzslError, ShapeError
 from dgzsl.inductive import inductive_value
 from dgzsl.inference import predict_batch
-from dgzsl.networks import ModelParams, init_model, make_dropout_masks
+from dgzsl.networks import init_model, make_dropout_masks
 from dgzsl.optim import Adam
+from dgzsl.train import train_model
 from dgzsl.transductive import sharpen, soft_assign, transductive_value
 
 from oracles import logsumexp, matmul
@@ -234,8 +236,7 @@ def test_a_float32_model_computes_in_float32_throughout():
     # follows its inputs, so a float32 model with float32 data stays float32
     f32 = np.float32
     rng = np.random.default_rng(12)
-    base = init_model(rng, 8, 7, 4, (16, 16), keep_prob=0.8)
-    model = ModelParams(base.layout, base.flat.astype(f32), base.keep_prob)
+    model = init_model(rng, 8, 7, 4, (16, 16), keep_prob=0.8, dtype=f32)
     attrs = rng.uniform(-1, 1, (7, 7)).astype(f32)
     feats, unlab = rng.normal(size=(5, 8)).astype(f32), rng.normal(size=(6, 8)).astype(f32)
     labels = np.array([0, 1, 3, 2, 0])
@@ -274,6 +275,39 @@ def test_a_float32_model_computes_in_float32_throughout():
         assert model.flat.dtype == opt._m.dtype == opt._v.dtype == f32
     _, scores, _ = predict_batch(feats, np.arange(4, 7), attrs, model)
     assert scores.dtype == f32
+
+
+def test_dtype_float32_runs_every_regime_in_float32(tiny_dataset, monkeypatch):
+    # the float64 dataset is cast where it enters train_model, and nothing
+    # after that widens: every tape node of every step stays float32
+    nodes = []
+    record = Tape._record
+
+    def keep(self, *args, **kwargs):
+        var = record(self, *args, **kwargs)
+        nodes.append(self.nodes[-1])
+        return var
+
+    monkeypatch.setattr(Tape, "_record", keep)
+    small = dict(latent_dim=4, hidden_dims=(8, 8), batch_size=64, epochs=3, dtype="float32")
+    for cfg in (
+        TrainConfig(regime="inductive", **small),
+        TrainConfig(regime="transductive", pretrain_epochs=1, **small),
+        TrainConfig(
+            regime="fewshot", k=2, fewshot_epochs=2, transductive_fewshot=True, transductive_epochs=2, **small
+        ),
+    ):
+        nodes.clear()
+        result = train_model(tiny_dataset, cfg)
+        assert result.model.flat.dtype == np.float32
+        ops = {n.op for n in nodes}
+        assert {"dense", "prior", "kl_matrix", "leaf"} <= ops, (cfg.regime, ops)
+        wide = {
+            (n.op, str(n.value.dtype), str(getattr(n.grad, "dtype", None)))
+            for n in nodes
+            if n.value.dtype != np.float32 or n.grad is not None and n.grad.dtype != np.float32
+        }
+        assert not wide, (cfg.regime, wide)
 
 
 # ----------------------------------------------------------------- backward

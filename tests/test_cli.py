@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgzsl import serialize
+from dgzsl import serialize, train
 from dgzsl.cli import main
-from dgzsl.config import parse_config
+from dgzsl.config import load_config, parse_config
 from dgzsl.data import SynthSpec, load_dataset, save_dataset, synth_generate
 from dgzsl.networks import encode, init_model, model_from_named
 from dgzsl.serialize import load_checkpoint, load_matrix, save_checkpoint, save_matrix
+from dgzsl.train import _model_from_checkpoint, train_model
 
 BASE_CFG = """\
 regime = inductive
@@ -161,7 +162,7 @@ def test_train_writes_all_artifacts(trained, tiny_dataset):
     for name in ("config.cfg", "metrics.jsonl", "timings.jsonl", "model.ckpt", "summary.json"):
         assert (trained / name).is_file(), name
     cfg = parse_config((trained / "config.cfg").read_text())
-    assert cfg.epochs == 3 and cfg.seed == 5 and cfg.latent_dim == 4
+    assert cfg.epochs == 3 and cfg.seed == 5 and cfg.latent_dim == 4 and cfg.dtype == "float64"
 
     lines = read_jsonl(trained / "metrics.jsonl")
     assert [r["epoch"] for r in lines] == [1, 2, 3]
@@ -183,6 +184,34 @@ def test_train_writes_all_artifacts(trained, tiny_dataset):
     assert set(meta) == {"keep_prob"}  # the exact seed lives in config.cfg and summary.json
     model = model_from_named(tensors, keep_prob=meta["keep_prob"])
     assert model.layout.latent_dim == 4 and model.layout.feature_dim == tiny_dataset.feature_dim
+    assert _model_from_checkpoint(trained / "model.ckpt").flat.dtype == np.float64
+
+
+def test_a_float32_run_is_exactly_its_checkpoint(tiny_dir, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "f32.cfg"
+    cfg.write_text(BASE_CFG + "dtype = float32\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(tiny_dir), "--out", str(out)]) == 0
+    _, meta = load_checkpoint(out / "model.ckpt")
+    assert set(meta) == {"keep_prob", "float_bits"} and meta["float_bits"] == 32
+    dataset = load_dataset(tiny_dir / "features.bin", tiny_dir / "attributes.csv", tiny_dir / "split.manifest")
+    trained = train_model(dataset, load_config(cfg)).model
+    reloaded = _model_from_checkpoint(out / "model.ckpt")
+    assert trained.flat.dtype == reloaded.flat.dtype == np.float32
+    assert reloaded.flat.tobytes() == trained.flat.tobytes()
+    capsys.readouterr()
+    scored, score = [], train.predict_batch
+
+    def spy(feats, ids, attrs, model):
+        scored.append({feats.dtype, attrs.dtype, model.flat.dtype})
+        return score(feats, ids, attrs, model)
+
+    monkeypatch.setattr(train, "predict_batch", spy)
+    ckpt = str(out / "model.ckpt")
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(tiny_dir), "--candidates", "unseen"]) == 0
+    assert scored == [{np.dtype(np.float32)}]  # eval scores in float32 from end to end
+    report = json.loads(capsys.readouterr().out)
+    assert report["accuracy"] == read_jsonl(out / "metrics.jsonl")[-1]["accuracy"]
 
 
 def test_repeat_run_reproduces_artifacts_exactly(trained, tiny_dir, cfg_path, tmp_path):
@@ -398,7 +427,7 @@ def test_training_failure_names_the_phase_and_epoch(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: inductive epoch 1: DiagGaussian entries must be finite\n"
+    assert capsys.readouterr().err == "error: inductive epoch 1: posterior mean has a non-finite entry in row 0\n"
 
 
 def test_missing_data_dir_fails_cleanly(cfg_path, tmp_path, capsys):
@@ -552,6 +581,17 @@ def test_eval_rejects_a_checkpoint_keep_prob_outside_the_unit_interval(
     assert captured.err == f"error: {ckpt}: keep_prob must be in (0, 1], got {keep_prob}\n"
 
 
+@pytest.mark.parametrize("bits", [16, 64.5])
+def test_eval_rejects_a_checkpoint_float_bits_other_than_32_or_64(bits, trained, tiny_dir, tmp_path, capsys):
+    tensors, _ = load_checkpoint(trained / "model.ckpt")
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, tensors, meta={"keep_prob": 0.8, "float_bits": bits})
+    rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_dir)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {ckpt}: float_bits must be 32 or 64, got {bits}\n"
+
+
 def test_eval_rejects_an_empty_test_split(trained, tiny_dataset, tmp_path, capsys):
     data = tmp_path / "no-test"
     save_dataset(tiny_dataset, data)
@@ -572,3 +612,19 @@ def test_argparse_misuse_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["fewshot", "--config", "c", "--data", "d", "--out", "o", "--k", "1_0"], "--k: invalid int value: '1_0'"),
+        (["train", "--config", "c", "--data", "d", "--out", "o", "--seed", "٣"], "--seed: invalid int value: '٣'"),
+        (["synth", "--out", "o", "--noise-std", "0_5"], "--noise-std: invalid float value: '0_5'"),
+    ],
+)
+def test_command_line_numbers_must_be_plain_ascii(argv, message, capsys):
+    # int() and float() alone would read these as 10, 3 and 0.5
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {message}\n")

@@ -1,6 +1,7 @@
 """Training configuration: defaults, text round trip, validation."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ def test_defaults():
     assert cfg.batch_size == 100
     assert cfg.refresh_every == 1
     assert cfg.seed == 0
+    assert cfg.dtype == "float64"
     assert not cfg.no_recon
 
 
@@ -40,6 +42,7 @@ def test_format_parse_round_trip():
         include_seen_margin=True,
         recon_only_unlabeled=True,
         seed=42,
+        dtype="float32",
     )
     assert parse_config(format_config(cfg)) == cfg
 
@@ -125,6 +128,24 @@ def test_validation_rejects(kwargs):
 def test_non_finite_values_are_rejected_naming_the_key(key, value):
     with pytest.raises(ConfigError, match=rf"^{key} must be finite, got {value}$"):
         parse_config(f"{key} = {value}\n")
+
+
+def test_dtype_is_float64_or_float32():
+    assert "dtype = float64\n" in format_config(TrainConfig())
+    assert parse_config("dtype = float32\n").dtype == "float32"
+    with pytest.raises(ConfigError, match=r"^dtype must be float64 or float32, got 'float16'$"):
+        parse_config("dtype = float16\n")
+
+
+@pytest.mark.parametrize(
+    "line", ["epochs = 1_0", "latent_dim = ٣", "learning_rate = 1_0e-3", "hidden_dims = 6_4,64"]
+)
+def test_numbers_must_be_plain_ascii(line):
+    # int() and float() alone would read these as 10, 3, 0.01 and (64, 64)
+    key, _, value = line.partition(" = ")
+    expected = f"my.cfg:2: {key}: numbers are plain ASCII without '_', got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        parse_config(f"seed = 1\n{line}\n", where="my.cfg")
 
 
 def test_keep_prob_one_is_valid():

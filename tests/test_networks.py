@@ -70,8 +70,20 @@ def test_prior_params_validation(model):
     with pytest.raises(DataFormatError, match=r"'prior.logvar_w' has shape \(3, 4\), expected \(4, 3\)"):
         rebuild(model, **{"prior.logvar_w": np.ones((3, 4))})
     nan_prior = prior_model(np.array([[np.nan]]), np.array([[0.0]]))
-    with pytest.raises(ShapeError, match="DiagGaussian entries must be finite"):
+    with pytest.raises(ShapeError, match="^prior mean has a non-finite entry in row 0$"):
         class_prior(np.ones((2, 1)), nan_prior)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_posterior_names_its_map_field_and_first_row():
+    # float32 overflows near 3.4e38, so scores of a huge model stop here
+    model = init_model(np.random.default_rng(0), 6, 3, 4, (8,), keep_prob=1.0, dtype=np.float32)
+    model["enc.mean.w"][...] *= np.float32(1e38)
+    x = np.zeros((4, 6), np.float32)
+    x[2:] = 100.0  # rows 0 and 1 reach the mean head as zeros and stay finite
+    with pytest.raises(ShapeError, match="^posterior mean has a non-finite entry in row 2$"):
+        encode(x, model)
+    assert np.isfinite(encode(x[:2], model).mean).all()
 
 
 def test_loader_errors_name_the_file(model):
@@ -385,6 +397,16 @@ def flat_sources(model, tmp_path):
         "checkpoint": model_from_named(tensors, keep_prob=meta["keep_prob"]),
         "copy": model.copy(),
     }
+
+
+def test_the_dtype_asked_for_holds_the_same_draws_and_tensors(model):
+    narrow = init_model(np.random.default_rng(0), 8, 3, 4, (16, 16), keep_prob=0.8, dtype=np.float32)
+    assert narrow.flat.dtype == np.float32
+    assert narrow.flat.tobytes() == model.flat.astype(np.float32).tobytes()
+    for source in (narrow, model):
+        loaded = model_from_named(source.named_arrays(), 0.8, dtype=np.float32)
+        assert loaded.flat.dtype == np.float32
+        assert loaded.flat.tobytes() == narrow.flat.tobytes()
 
 
 @pytest.mark.parametrize("source", ["init_model", "model_from_named", "checkpoint", "copy"])

@@ -45,10 +45,15 @@ def test_fewshot_curve_writes_results(tmp_path):
 
 def test_reference_digests_hash_every_output_of_a_case(tmp_path):
     out = tmp_path / "ref"
-    proc = run_script("reference_digests.py", out, "--epochs", 1, "synth-inductive")
+    cases = ("synth-inductive", "full-scale-float64")
+    proc = run_script("reference_digests.py", out, "--epochs", 1, *cases)
     files = ("config.cfg", "metrics.jsonl", "model.ckpt", "eval.json", "export/latents.bin", "export/recons.bin")
     lines = proc.stdout.splitlines()
-    assert [line.split("  ")[1] for line in lines] == [f"synth-inductive/{f}" for f in files]
-    for line, name in zip(lines, files):
-        assert line.split("  ")[0] == hashlib.sha256((out / "synth-inductive" / name).read_bytes()).hexdigest()
-    assert "epochs = 1" in (out / "synth-inductive" / "config.cfg").read_text(encoding="utf-8")
+    assert [line.split("  ")[1] for line in lines] == [f"{case}/{f}" for case in cases for f in files]
+    for line in lines:
+        digest, name = line.split("  ")
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+    for case in cases:
+        assert "epochs = 1" in (out / case / "config.cfg").read_text(encoding="utf-8")
+    # the shipped full-scale.cfg is float32; this case overrides it back
+    assert "dtype = float64" in (out / "full-scale-float64" / "config.cfg").read_text(encoding="utf-8")
