@@ -133,12 +133,14 @@ class Tape:
 
 def _accum(node: _Node, g: Array) -> None:
     # never in-place: contributions may alias upstream gradient arrays; a
-    # leaf with an ``out`` copies the first one there and adds the rest to it
+    # leaf with an ``out`` copies the first one there (unless it was computed
+    # there, as ``dense`` does) and adds the rest to it
     if node.out is None:
         node.grad = g if node.grad is None else node.grad + g
     elif node.grad is None:
         node.grad = node.out
-        np.copyto(node.out, g)
+        if g is not node.out:
+            np.copyto(node.out, g)
     else:
         np.add(node.grad, g, out=node.grad)
 
@@ -340,25 +342,34 @@ def dense(x, weights, bias, relu: bool = False, mask=None):
     On plain arrays the bias, ReLU and mask are applied in place on the fresh
     product, so no second rows×cols array is made. The backward applies the
     mask, then the ReLU gate, then takes the bias, input and weight gradients,
-    the same operations in the same order as the unfused composition.
+    the same operations in the same order as the unfused composition. The
+    first weight gradient a leaf with an ``out`` receives is computed
+    straight into it; later ones are added there by _accum.
     """
     xv, wv, bv = _value(x), _value(weights), _value(bias)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
         raise ShapeError(f"dense shapes {xv.shape} and {wv.shape} do not chain")
     out = xv @ wv
     out += bv
-    active = out > 0.0 if relu and _tape_of(x, weights, bias) is not None else None
+    tape = _tape_of(x, weights, bias)
+    active = out > 0.0 if relu and tape is not None else None
     if relu:
         np.maximum(out, 0.0, out=out)
     if mask is not None:
         out *= mask
+    wn = None if tape is None else _node_of(tape, weights)
+    if wn is not None and (wn.out is None or wn is _node_of(tape, x)):
+        wn = None  # no slice, or x's gradient would reach it first
 
     def vjp(gout, wanted):
         g = gout if mask is None else gout * mask
         if relu:
             g = g * active if mask is None else np.multiply(g, active, out=g)
         gx = g @ wv.T if wanted[0] else None
-        gw = xv.T @ g if wanted[1] else None
+        if wanted[1] and wn is not None and wn.grad is None:  # its first contribution
+            gw = np.matmul(xv.T, g, out=wn.out)
+        else:
+            gw = xv.T @ g if wanted[1] else None
         return gx, gw, g.sum(axis=0) if wanted[2] else None
 
     return record("dense", out, (x, weights, bias), vjp)

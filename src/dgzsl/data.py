@@ -66,7 +66,8 @@ class Dataset:
     """Features (train block then test block), labels, per-class attributes.
 
     The first ``n_train`` rows are the train split and the rest the test
-    split, so the two blocks are slices and their features views.
+    split, so the two blocks are slices and their features views. Features
+    keep float32 or float64 as given and become float64 otherwise.
     ``attributes`` has one row per class id; every train label must be a
     seen class.
     """
@@ -79,7 +80,9 @@ class Dataset:
     unseen_classes: tuple[int, ...]
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = np.asarray(self.features)
+        if feats.dtype not in (np.float32, np.float64):
+            feats = feats.astype(np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         attrs = np.asarray(self.attributes, dtype=np.float64)
         object.__setattr__(self, "features", feats)
@@ -298,8 +301,9 @@ def open_dataset(feature_path, attribute_path, manifest_path):
             raise
 
 
-def load_dataset(feature_path, attribute_path, manifest_path) -> Dataset:
+def load_dataset(feature_path, attribute_path, manifest_path, dtype=np.float64) -> Dataset:
     """Assemble and validate a Dataset from its three files; the feature
-    matrix is loaded whole, then the rest is checked as open_dataset does."""
-    features = load_matrix(feature_path)
+    matrix is loaded whole into a ``dtype`` array, then the rest is checked
+    as open_dataset does."""
+    features = load_matrix(feature_path, dtype)
     return Dataset(features, *_read_labeled_side(attribute_path, manifest_path, features.shape[0]))

@@ -180,13 +180,15 @@ def model_from_named(
 def make_dropout_masks(rng: np.random.Generator, model: ModelParams, batch: int):
     """(encoder masks, decoder masks) of inverted dropout, one
     Bernoulli(keep)/keep mask per hidden layer in the dtype of
-    ``model.flat``, drawn encoder first; (None, None) when keep_prob is 1."""
+    ``model.flat``, drawn encoder first; (None, None) when keep_prob is 1.
+    The entries are +0 and 1/keep rounded once to that dtype, the bits of
+    the float64 quotient cast to it, without the float64 array."""
     keep = model.keep_prob
     if keep >= 1.0:
         return None, None
-    dtype = model.flat.dtype
+    scale = model.flat.dtype.type(1.0 / keep)
     return tuple(
-        [((rng.random((batch, w)) < keep) / keep).astype(dtype, copy=False) for w in model.layout.hidden_dims]
+        [(rng.random((batch, w)) < keep) * scale for w in model.layout.hidden_dims]
         for _ in ("enc", "dec")
     )
 

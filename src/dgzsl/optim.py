@@ -8,11 +8,12 @@ import numpy as np
 from .errors import ConfigError, DgzslError, ShapeError
 from .networks import ModelParams
 
-# Elements per block of the update. A block's slices of g, m, v and p plus the
-# two scratch buffers stay in cache, so each full-size array crosses main
-# memory once per step instead of once per temporary of the whole-vector
-# expression. Much smaller blocks lose to per-call Python overhead.
-_BLOCK = 8192
+# Bytes per block of each array the update walks (65,536 float32 or 32,768
+# float64 entries). The blocks of g, m, v and p and two scratch buffers, 1.5 MiB,
+# fit a 2 MiB per-core L2, so each full-size array crosses main memory once per
+# step instead of once per temporary of the whole-vector expression. Much
+# smaller blocks lose to per-call Python overhead.
+_BLOCK_BYTES = 1 << 18
 
 
 class Adam:
@@ -44,9 +45,9 @@ class Adam:
         g = np.asarray(grad).reshape(-1)
         if g.size != p.size:
             raise ShapeError(f"gradient has {g.size} entries, the model has {p.size}")
-        if self._m is None:  # the state and scratch take the model's dtype
+        if self._m is None:  # state and scratch in the model's dtype; scratch no longer than p
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
-            self._scratch = (np.empty(_BLOCK, p.dtype), np.empty(_BLOCK, p.dtype))
+            self._scratch = np.empty((2, min(_BLOCK_BYTES // p.itemsize, p.size)), p.dtype)
         self._t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1.0 - b1, 1.0 - b2
@@ -54,8 +55,9 @@ class Adam:
         bc2 = 1.0 - b2**self._t
         m, v = self._m, self._v
         scratch_a, scratch_b = self._scratch
-        for lo in range(0, p.size, _BLOCK):
-            hi = lo + _BLOCK  # slices stop at the end of a ragged tail
+        block = scratch_a.size
+        for lo in range(0, p.size, block):
+            hi = lo + block  # slices stop at the end of a ragged tail
             gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
             a, b = scratch_a[: gb.size], scratch_b[: gb.size]
             np.multiply(b1, mb, out=mb)

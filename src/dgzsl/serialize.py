@@ -19,7 +19,8 @@ Matrix bodies stream in row blocks of at most ``_BLOCK_BYTES`` of float64
 (``row_blocks``): the writers cast one block at a time to float32, and the
 one body reader checks a header against the file size before anything is
 allocated, then reads and checks one block at a time (``open_matrix`` hands
-each block to its caller, ``load_matrix`` fills one array from them).
+each block to its caller, ``load_matrix`` fills one array of the caller's
+dtype from them).
 """
 
 from __future__ import annotations
@@ -183,9 +184,10 @@ def open_matrix(path):
         yield shape, blocks()
 
 
-def load_matrix(path):
+def load_matrix(path, dtype=np.float64):
+    """The whole matrix of a file, filled into one ``dtype`` array."""
     with open_matrix(path) as (shape, blocks):
-        arr = np.empty(shape, np.float64)
+        arr = np.empty(shape, dtype)
         for s, block in blocks:
             arr[s] = block
     return arr

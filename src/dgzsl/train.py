@@ -175,7 +175,8 @@ def fewshot_finetune(
 
 def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Train per ``cfg`` in its dtype: the model is made in it, and the
-    features and attributes are cast to it once, here."""
+    features and attributes are cast to it once, here (no copy when they
+    hold it already, as the features run_train loads do)."""
     dtype = np.dtype(cfg.dtype)
     attrs = dataset.attributes.astype(dtype, copy=False)
     seen_ids = np.sort(np.asarray(dataset.seen_classes, dtype=np.int64))
@@ -353,9 +354,9 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     return TrainResult(model, records, eval_idx)
 
 
-def _dataset_from_dir(data_dir) -> Dataset:
+def _dataset_from_dir(data_dir, dtype) -> Dataset:
     d = Path(data_dir)
-    return load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest")
+    return load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest", dtype)
 
 
 def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
@@ -366,7 +367,7 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
     the run exactly.
     """
     cfg = load_config(config_path).override(**overrides)
-    dataset = _dataset_from_dir(data_dir)
+    dataset = _dataset_from_dir(data_dir, cfg.dtype)
     result = train_model(dataset, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,8 @@ Per-pair Gaussian KL and log-density, a vector log-sum-exp, the
 single-example class-conditional bound, the margin term, the closest-prior
 label with its evidence, the label by the per-candidate bound, and the
 target-to-assignment KL. Also the tape ops ``matmul`` and ``transpose``, of
-which the unfused compositions that the fused nodes replaced are built.
+which the unfused compositions that the fused nodes replaced are built, and
+the dropout masks divided in float64 and then cast.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ def matmul(a, b):
 def transpose(x):
     """xᵀ of a 2-D array as one tape node; gradient gᵀ."""
     return ad.record("transpose", ad._value(x).T, (x,), lambda g, wanted: (g.T,))
+
+
+def dropout_masks(rng: np.random.Generator, model: ModelParams, batch: int):
+    """make_dropout_masks as (draw < keep) / keep in float64, cast to the
+    dtype of ``model.flat``."""
+    keep, dtype = model.keep_prob, model.flat.dtype
+    return tuple(
+        [((rng.random((batch, w)) < keep) / keep).astype(dtype) for w in model.layout.hidden_dims]
+        for _ in ("enc", "dec")
+    )
 
 
 def kl_diag(q: DiagGaussian, p: DiagGaussian) -> float:

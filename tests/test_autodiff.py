@@ -1,6 +1,7 @@
 """Tape, ops, and the finite-difference checker."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -68,6 +69,25 @@ def test_dense_matches_the_unfused_composition_bit_for_bit(relu, masked):
         assert fused.tobytes() == composed.tobytes()
     plain = ad.dense(ad.dense(x, w, b, relu=relu, mask=mask), w, b2)
     assert plain.tobytes() == runs[0][1].tobytes()
+
+
+@pytest.mark.parametrize("same_input", [False, True], ids=["two-layers", "weight-as-input"])
+def test_dense_weight_gradient_written_in_its_slice_matches_a_plain_leaf(same_input):
+    # the last use computes its weight gradient in the leaf's ``out`` and the
+    # first adds to it; a weight that is also the last use's input gets its
+    # input gradient first, so nothing is written there ahead of it
+    rng = np.random.default_rng(8)
+    x, w, b = rng.normal(size=(5, 5)), rng.normal(size=(5, 5)), rng.normal(size=5)
+    weights = rng.normal(size=(5, 5))
+    grads = []
+    for out in (np.zeros((5, 5)), None):
+        tape = Tape()
+        vx, vb = leafs(tape, x, b)
+        vw = tape.leaf(w, name="w", out=out)
+        h = ad.dense(vx, vw, vb, relu=True)
+        tape.backward(ad.sum(ad.dense(vw if same_input else h, vw, vb) * weights))
+        grads.append(vw.grad)
+    assert grads[0] is not None and grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_dense_records_one_node():
@@ -208,6 +228,33 @@ def test_flat_gradient_equals_per_leaf_gradients_bit_for_bit(kind, monkeypatch):
         assert not any(name.startswith("dec.") for name in names)
         dec = np.concatenate([g.ravel() for k, g in views.items() if k.startswith("dec.")])
         assert dec.tobytes() == np.zeros(dec.size).tobytes()
+
+
+def test_weight_gradients_are_computed_in_their_flat_gradient_slices():
+    # enc.h0.w and dec.out.w (1000×64, 512 KB each) are the largest tensors;
+    # a weight gradient made apart and then copied in would alone reach the
+    # bound, while the batch's activations are 32 KB each
+    rng = np.random.default_rng(3)
+    model = init_model(rng, 1000, 5, 4, (64,), keep_prob=0.8)
+    weight = model["enc.h0.w"]
+    assert max(a.nbytes for a in model.named_arrays().values()) == weight.nbytes
+    feats, attrs = rng.normal(size=(4, 1000)), rng.uniform(-1, 1, (5, 5))
+    masks = make_dropout_masks(rng, model, 4)
+    tape, grad = Tape(), np.empty_like(model.flat)
+    value, _ = inductive_value(
+        model.bind(tape, grad), feats, np.array([0, 1, 2, 0]), attrs, noise=rng.normal(size=(4, 4)),
+        margin_class_ids=np.arange(3), enc_masks=masks[0], dec_masks=masks[1],
+    )
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ad.backward_grad(tape, value)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < weight.nbytes
+    assert np.any(model.layout.views(grad)["enc.h0.w"] != 0.0)
 
 
 @pytest.mark.parametrize("uses", [1, 2])

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgzsl import data, train
+from dgzsl.config import TrainConfig, format_config
 from dgzsl.data import (
     Dataset,
     FewshotSplit,
@@ -107,6 +109,15 @@ def test_dataset_rejects_empty():
 def test_dataset_shape_alignment_checked():
     with pytest.raises(ShapeError):
         small_dataset(labels=np.array([0, 0, 1]))
+
+
+def test_dataset_keeps_float32_and_float64_features_and_widens_others():
+    for dtype in (np.float32, np.float64):
+        feats = np.arange(12.0, dtype=dtype).reshape(4, 3)
+        assert small_dataset(features=feats).features is feats
+    widened = small_dataset(features=np.arange(12).reshape(4, 3)).features
+    assert widened.dtype == np.float64
+    assert np.array_equal(widened, np.arange(12.0).reshape(4, 3))
 
 
 # --------------------------------------------------------- synth generator
@@ -283,17 +294,27 @@ def test_matrix_empty_rejected(tmp_path):
         load_matrix(path)
 
 
+def test_load_matrix_in_float32_equals_the_float64_load_cast(tmp_path):
+    path = tmp_path / "m.bin"
+    save_matrix(path, np.random.default_rng(0).normal(size=(7, 5)) * 1e3)
+    loaded = load_matrix(path, np.float32)
+    assert loaded.dtype == np.float32
+    assert loaded.tobytes() == load_matrix(path).astype(np.float32).tobytes()
+
+
 def test_matrix_non_finite_rejected(tmp_path):
     path = tmp_path / "inf.bin"
     save_matrix(path, np.array([[np.inf, 1.0]]))
-    with pytest.raises(DataFormatError, match="row 0"):
-        load_matrix(path)
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(DataFormatError, match="row 0"):
+            load_matrix(path, dtype)
     arr = np.ones((5, 3))
     arr[3, 1] = np.nan
     arr[4, 0] = np.inf
     save_matrix(path, arr)
-    with pytest.raises(DataFormatError, match=re.escape(f"{path}: non-finite value nan at row 3, column 1")):
-        load_matrix(path)
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: non-finite value nan at row 3, column 1")):
+            load_matrix(path, dtype)
 
 
 def test_matrix_rejects_3d():
@@ -490,8 +511,9 @@ def test_huge_matrix_header_over_a_short_body_fails_before_allocating(tmp_path):
     ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + b"w" + head + b"\x00" * 16)
     tracemalloc.start()
     try:
-        with pytest.raises(DataFormatError, match=re.escape(f"{path}: expected {65535 * 65535} float32 values, file is short by {short} bytes")):
-            load_matrix(path)
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(DataFormatError, match=re.escape(f"{path}: expected {65535 * 65535} float32 values, file is short by {short} bytes")):
+                load_matrix(path, dtype)
         with pytest.raises(DataFormatError, match=re.escape(f"{ckpt}[w]: expected {65535 * 65535} float32 values, file is short by {short} bytes")):
             load_checkpoint(ckpt)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
@@ -564,6 +586,30 @@ def test_dataset_save_load_round_trip(tmp_path):
     save_dataset(loaded, out2)
     for name in ("features.bin", "attributes.csv", "train_labels.txt", "test_labels.txt", "split.manifest"):
         assert (out2 / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_a_float32_run_trains_on_the_features_it_loaded(tmp_path, monkeypatch):
+    save_dataset(synth_generate(tiny_spec()), tmp_path / "data")
+    cfg = TrainConfig(regime="inductive", latent_dim=4, hidden_dims=(8,), batch_size=16, epochs=1, dtype="float32")
+    (tmp_path / "run.cfg").write_text(format_config(cfg), encoding="utf-8")
+    loaded, trained = [], []
+    load, epoch = data.load_matrix, train._labeled_epoch
+
+    def spy_load(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
+
+    def spy_epoch(model, opt, features, *args, **kwargs):
+        trained.append(features)
+        return epoch(model, opt, features, *args, **kwargs)
+
+    monkeypatch.setattr(data, "load_matrix", spy_load)
+    monkeypatch.setattr(train, "_labeled_epoch", spy_epoch)
+    train.run_train(tmp_path / "run.cfg", tmp_path / "data", tmp_path / "run")
+    assert len(loaded) == len(trained) == 1
+    assert loaded[0].dtype == trained[0].dtype == np.float32
+    # the train block is a view of the loaded array: no cast copy was made
+    assert np.shares_memory(trained[0], loaded[0])
 
 
 def test_load_dataset_row_count_mismatch(tmp_path):

@@ -23,7 +23,7 @@ from dgzsl.networks import (
 from dgzsl.serialize import load_checkpoint, save_checkpoint
 
 from conftest import prior_model
-from oracles import matmul, transpose
+from oracles import dropout_masks, matmul, transpose
 
 
 def zeroed(model):
@@ -297,6 +297,18 @@ def test_dropout_masks_draw_the_encoder_first(model):
     rng = np.random.default_rng(8)
     for m in enc_masks + dec_masks:
         assert np.array_equal(m, (rng.random((6, 16)) < 0.8) / 0.8)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("keep", [0.8, 0.5, 0.3])
+def test_dropout_masks_match_the_float64_quotient_cast_bit_for_bit(dtype, keep):
+    model = init_model(np.random.default_rng(0), 8, 3, 4, (16, 9), keep_prob=keep, dtype=dtype)
+    got = make_dropout_masks(np.random.default_rng(8), model, 50)
+    expected = dropout_masks(np.random.default_rng(8), model, 50)
+    for g, e in zip(got[0] + got[1], expected[0] + expected[1]):
+        assert g.dtype == e.dtype == dtype
+        assert g.shape == e.shape and g.tobytes() == e.tobytes()
+    assert 0.0 < np.mean(got[0][0] == 0.0) < 1.0
 
 
 def test_dropout_masks_change_training_output(model):

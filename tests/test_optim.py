@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from dgzsl import optim
 from dgzsl.errors import ConfigError, DgzslError
 from dgzsl.networks import init_model
-from dgzsl.optim import _BLOCK, Adam
+from dgzsl.optim import Adam
 
 
 class OracleAdam:
@@ -22,8 +23,8 @@ class OracleAdam:
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         out = {}
-        for name, value in arrays.items():
-            g = np.asarray(grads[name], dtype=np.float64)
+        for name, value in arrays.items():  # in the dtype of each tensor
+            g = np.asarray(grads[name], dtype=value.dtype)
             m, v = self.m.get(name), self.v.get(name)
             m = (1.0 - self.beta1) * g if m is None else self.beta1 * m + (1.0 - self.beta1) * g
             v = (1.0 - self.beta2) * g * g if v is None else self.beta2 * v + (1.0 - self.beta2) * g * g
@@ -32,10 +33,11 @@ class OracleAdam:
         return out
 
 
-def make_model():
-    # enc.h0.w and dec.out.w hold 40·530 = 21,200 entries: two full blocks
-    # plus a ragged tail; biases and prior maps are smaller than one block
-    return init_model(np.random.default_rng(0), 40, 3, 5, (530,))
+def make_model(dtype=np.float64):
+    # enc.h0.w and dec.out.w hold 40·530 = 21,200 entries: two full blocks of
+    # 8,192 entries plus a ragged tail; biases and prior maps are smaller
+    # than one block
+    return init_model(np.random.default_rng(0), 40, 3, 5, (530,), dtype=dtype)
 
 
 class FlatGrad(dict):
@@ -51,7 +53,7 @@ class FlatGrad(dict):
 
 
 def make_grads(model, rng, transpose=()):
-    grads = FlatGrad(model, np.zeros(model.flat.size))
+    grads = FlatGrad(model, np.zeros_like(model.flat))
     for name, g in grads.items():
         shape = g.shape
         if name in transpose:
@@ -64,19 +66,27 @@ def make_grads(model, rng, transpose=()):
     return grads
 
 
+CASES = [
+    ("enc.h0.w", (), 3, "multi-block"),  # two full blocks and a ragged tail
+    ("prior.mean_w", (), 1, "sub-block"),  # smaller than one block
+    ("dec.out.w", ("dec.out.w",), 3, "non-contiguous-grad"),  # gradient arrives as gout.T
+]
+
+
 @pytest.mark.parametrize(
-    "name, transpose, blocks",
+    "name, transpose, blocks, dtype",
     [
-        ("enc.h0.w", (), 3),  # two full blocks and a ragged tail
-        ("prior.mean_w", (), 1),  # smaller than one block
-        ("dec.out.w", ("dec.out.w",), 3),  # gradient arrives as gout.T
+        pytest.param(*case, dtype, id=case_id if dtype is np.float64 else f"{case_id}-float32")
+        for dtype in (np.float64, np.float32)
+        for *case, case_id in CASES
     ],
-    ids=["multi-block", "sub-block", "non-contiguous-grad"],
 )
-def test_step_matches_whole_tensor_expression(name, transpose, blocks):
-    model = make_model()
+def test_step_matches_whole_tensor_expression(monkeypatch, name, transpose, blocks, dtype):
+    # a block of 8,192 entries in either dtype keeps each case's block count
+    monkeypatch.setattr(optim, "_BLOCK_BYTES", 8192 * np.dtype(dtype).itemsize)
+    model = make_model(dtype)
     size = np.size(model.named_arrays()[name])
-    assert -(-size // _BLOCK) == blocks and size % _BLOCK != 0
+    assert -(-size // 8192) == blocks and size % 8192 != 0
     rng = np.random.default_rng(1)
     opt, oracle = Adam(lr=0.05), OracleAdam(lr=0.05)
     expected = {k: a.copy() for k, a in model.named_arrays().items()}
@@ -86,6 +96,7 @@ def test_step_matches_whole_tensor_expression(name, transpose, blocks):
         opt.step(model, grads.vec)
         expected = oracle.step(expected, grads)
         got = model.named_arrays()
+        assert got[name].dtype == expected[name].dtype == dtype
         assert got[name].tobytes() == expected[name].tobytes()
         assert all(got[k].shape == expected[k].shape for k in expected)
         assert all(got[k].tobytes() == expected[k].tobytes() for k in expected)
@@ -115,7 +126,8 @@ def test_step_updates_model_in_place_and_leaves_grads_untouched():
     [("enc.h0.w", -1, np.nan), ("prior.logvar_w", 0, np.inf)],
     ids=["nan-in-ragged-tail", "inf-in-sub-block"],
 )
-def test_non_finite_update_names_the_step_and_tensor(name, index, bad):
+def test_non_finite_update_names_the_step_and_tensor(monkeypatch, name, index, bad):
+    monkeypatch.setattr(optim, "_BLOCK_BYTES", 8192 * 8)  # enc.h0.w ends in a ragged tail
     model = make_model()
     grads = make_grads(model, np.random.default_rng(3))
     grads[name].reshape(-1)[index] = bad
