@@ -5,17 +5,17 @@ graph is built define-by-run, the recording order is already topological, so
 the backward pass is a single reverse sweep that visits every node exactly
 once. Tapes are rebuilt for each objective evaluation and then discarded.
 
-Most helpers here are generic: they accept either a ``Var`` (recorded on its
-tape) or a plain ndarray (evaluated immediately with numpy). Math written
-against these helpers therefore runs both as a differentiable graph and as a
-fast forward-only evaluation, from a single implementation. Every op
-computes in the dtype of its operands; Python numbers stay Python numbers,
-so they never widen an array.
-
-The hot compositions are fused: ``dense`` (affine map, optional ReLU and
-dropout mask), the prior map of ``networks.class_prior`` and
-``gaussian.kl_matrix`` each record one node whose backward is written by
-hand, through the ``record`` hook, instead of one node per elementary op.
+Every operation is one hand-differentiated node, recorded through the
+``record`` hook: ``dense`` (affine map, optional ReLU and dropout mask),
+``clip``, the prior map of ``networks.class_prior``, and in ``gaussian``,
+``inductive`` and ``transductive`` the reparameterised sample, the per-row
+reconstruction log-likelihood, ``kl_matrix``, the labeled objective and the
+unlabeled objective. Each accepts a ``Var`` (recorded on its tape) or a
+plain ndarray (evaluated immediately), so one forward serves training and
+scoring. Each backward repeats the products and the accumulation order of the
+elementwise composition it replaced, kept in the tests as its oracle, so the
+gradients keep their bytes. Every node computes in the dtype of its operands;
+Python numbers stay Python numbers, so they never widen an array.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ class _Node:
 
 
 class Var:
-    """Handle to one node on a Tape. Arithmetic on Vars records new nodes."""
+    """Handle to one node on a Tape; the fused ops record new nodes."""
 
     __slots__ = ("tape", "index")
 
-    # Defer mixed ndarray/Var arithmetic to our reflected operators instead
-    # of letting numpy build object arrays.
+    # Mixed ndarray/Var arithmetic raises TypeError instead of building an
+    # object array.
     __array_ufunc__ = None
 
     def __init__(self, tape: "Tape", index: int):
@@ -73,27 +73,6 @@ class Var:
     def __repr__(self):
         node = self.tape.nodes[self.index]
         return f"Var(op={node.op!r}, shape={node.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 class Tape:
@@ -166,152 +145,6 @@ def _node_of(tape: Tape, x) -> _Node | None:
     return tape.nodes[x.index] if isinstance(x, Var) else None
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient over the axes numpy broadcasting introduced."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def add(a, b):
-    tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
-    out = av + bv
-    if tape is None:
-        return out
-    an, bn = _node_of(tape, a), _node_of(tape, b)
-
-    def bwd(gout):
-        if an is not None:
-            _accum(an, _unbroadcast(gout, av.shape))
-        if bn is not None:
-            _accum(bn, _unbroadcast(gout, bv.shape))
-
-    return tape._record("add", out, bwd)
-
-
-def sub(a, b):
-    tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
-    out = av - bv
-    if tape is None:
-        return out
-    an, bn = _node_of(tape, a), _node_of(tape, b)
-
-    def bwd(gout):
-        if an is not None:
-            _accum(an, _unbroadcast(gout, av.shape))
-        if bn is not None:
-            _accum(bn, _unbroadcast(-gout, bv.shape))
-
-    return tape._record("sub", out, bwd)
-
-
-def mul(a, b):
-    tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
-    out = av * bv
-    if tape is None:
-        return out
-    an, bn = _node_of(tape, a), _node_of(tape, b)
-
-    def bwd(gout):
-        if an is not None:
-            _accum(an, _unbroadcast(gout * bv, av.shape))
-        if bn is not None:
-            _accum(bn, _unbroadcast(gout * av, bv.shape))
-
-    return tape._record("mul", out, bwd)
-
-
-def exp(x):
-    out = np.exp(_value(x))
-    if not isinstance(x, Var):
-        return out
-    xn = _node_of(x.tape, x)
-
-    def bwd(gout):
-        _accum(xn, gout * out)
-
-    return x.tape._record("exp", out, bwd)
-
-
-def clip(x, lo: float, hi: float):
-    """Clamp entries to [lo, hi]; gradient passes through inside the band."""
-    xv = _value(x)
-    out = np.clip(xv, lo, hi)
-    if not isinstance(x, Var):
-        return out
-    xn = _node_of(x.tape, x)
-
-    def bwd(gout):
-        _accum(xn, gout * ((xv >= lo) & (xv <= hi)))
-
-    return x.tape._record("clip", out, bwd)
-
-
-def sum(x, axis=None, keepdims: bool = False):  # noqa: A001 - numpy-style name
-    xv = _value(x)
-    out = np.asarray(np.sum(xv, axis=axis, keepdims=keepdims))
-    if not isinstance(x, Var):
-        return out
-    xn = _node_of(x.tape, x)
-
-    def bwd(gout):
-        g = gout
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(xn, np.broadcast_to(g, xv.shape))
-
-    return x.tape._record("sum", out, bwd)
-
-
-def mean(x, axis=None, keepdims: bool = False):
-    xv = _value(x)
-    n = xv.size if axis is None else np.prod([xv.shape[a] for a in np.atleast_1d(axis)])
-    return sum(x, axis=axis, keepdims=keepdims) * (1.0 / float(n))
-
-
-def logsumexp_rows(x, mask=None):
-    """Stable row-wise log-sum-exp of a 2-D array, optionally masked.
-
-    ``mask`` is a constant boolean array broadcastable to ``x``; False entries
-    are excluded from the reduction (and receive zero gradient). Returns a
-    column of shape (rows, 1).
-    """
-    xv = _value(x)
-    if xv.ndim != 2:
-        raise ShapeError(f"logsumexp_rows needs a 2-D array, got shape {xv.shape}")
-    if xv.shape[1] == 0:
-        raise DgzslError("logsumexp_rows over zero columns")
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), xv.shape)
-        if not m.any(axis=1).all():
-            raise DgzslError("logsumexp_rows: some row has an empty mask")
-        work = np.where(m, xv, -np.inf)
-    else:
-        work = xv
-    mx = np.max(work, axis=1, keepdims=True)
-    w = np.exp(work - mx)
-    total = np.sum(w, axis=1, keepdims=True)
-    out = mx + np.log(total)
-    if not isinstance(x, Var):
-        return out
-    xn = _node_of(x.tape, x)
-    soft = w / total
-
-    def bwd(gout):
-        _accum(xn, gout * soft)
-
-    return x.tape._record("logsumexp_rows", out, bwd)
-
-
 def record(op: str, value: Array, operands, vjp):
     """Put one hand-differentiated node on the tape of the Var operands.
 
@@ -333,6 +166,12 @@ def record(op: str, value: Array, operands, vjp):
                 _accum(node, g)
 
     return tape._record(op, value, bwd)
+
+
+def clip(x, lo: float, hi: float):
+    """Clamp entries to [lo, hi]; gradient passes through inside the band."""
+    xv = _value(x)
+    return record("clip", np.clip(xv, lo, hi), (x,), lambda g, wanted: (g * ((xv >= lo) & (xv <= hi)),))
 
 
 def dense(x, weights, bias, relu: bool = False, mask=None):

@@ -290,7 +290,8 @@ def open_dataset(feature_path, attribute_path, manifest_path):
     only after the rest of the body has been checked, so a bad feature file
     is reported first, as when the whole matrix is loaded first.
     """
-    with open_matrix(feature_path) as (shape, blocks):
+    with open_matrix(feature_path) as (shape, read):
+        blocks = read()
         try:
             side = _read_labeled_side(attribute_path, manifest_path, shape[0])
             _check_classes(*side)

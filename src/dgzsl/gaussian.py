@@ -1,9 +1,9 @@
 """Diagonal Gaussians: closed-form KL, reparameterized sampling, log-density.
 
 Distributions are stored as (mean, logvar) pairs; variance = exp(logvar) is
-positive by construction. The batched `gauss_loglik_rows` and `kl_matrix` are
-generic over tape variables, so the training objectives differentiate through
-them.
+positive by construction. `sample_reparam`, `gauss_loglik_rows` and
+`kl_matrix` each record one node when an input is a tape variable, so the
+training objectives differentiate through them.
 """
 
 from __future__ import annotations
@@ -53,17 +53,43 @@ def _check_same_shape(a, b, what: str) -> None:
 
 
 def sample_reparam(g: DiagGaussian, noise):
-    """z = mean + exp(logvar/2) ⊙ noise; differentiable through mean/logvar."""
+    """z = mean + exp(logvar/2) ⊙ noise: one node, differentiable through
+    mean and logvar."""
     _check_same_shape(g.mean, noise, "sample_reparam noise")
-    return g.mean + ad.exp(g.logvar * 0.5) * noise
+    std = np.exp(ad._value(g.logvar) * 0.5)
+    out = ad._value(g.mean) + std * noise
+
+    def vjp(gout, wanted):
+        return gout, gout * noise * std * 0.5 if wanted[1] else None
+
+    return ad.record("sample", out, (g.mean, g.logvar), vjp)
 
 
 def gauss_loglik_rows(x, mean):
-    """Per-row unit-variance log-density of a batch; returns a B×1 column."""
+    """Per-row unit-variance log-density of a batch; returns a B×1 column,
+    one node on a tape."""
     _check_same_shape(x, mean, "gauss_loglik_rows")
-    d = x - mean
-    dim = ad._value(x).shape[1]
-    return ad.sum(d * d, axis=1, keepdims=True) * (-0.5) - 0.5 * LOG_2PI * dim
+    d = ad._value(x) - ad._value(mean)
+    out = np.sum(d * d, axis=1, keepdims=True) * (-0.5) - 0.5 * LOG_2PI * d.shape[1]
+
+    def vjp(gout, wanted):
+        t = gout * (-0.5) * d
+        gx = t + t
+        return gx, -gx if wanted[1] else None
+
+    return ad.record("loglik", out, (x, mean), vjp)
+
+
+def softmin_rows(kl, mask=None):
+    """−kl, its row-wise log-sum-exp and the softmax weights, over the True
+    entries of a constant boolean ``mask`` only when one is given. The plain
+    forward that the margin, the soft assignments and their nodes share."""
+    neg = -1.0 * kl
+    work = neg if mask is None else np.where(mask, neg, -np.inf)
+    mx = np.max(work, axis=1, keepdims=True)
+    w = np.exp(work - mx)
+    total = np.sum(w, axis=1, keepdims=True)
+    return neg, mx + np.log(total), w / total
 
 
 def kl_matrix(q: DiagGaussian, priors: DiagGaussian):

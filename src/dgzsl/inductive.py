@@ -7,20 +7,19 @@ Per labeled example the objective is
 where the margin term is the negated log-sum-exp of negated KLs against the
 allowed class set. Maximizing it pulls the posterior toward the true class
 prior while pushing it away from the nearest competing prior. The batch value
-is the arithmetic mean.
+is the arithmetic mean; the transductive objective takes the sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array
 from .errors import DgzslError, ShapeError
-from .gaussian import gauss_loglik_rows, kl_matrix, sample_reparam
+from .gaussian import gauss_loglik_rows, kl_matrix, sample_reparam, softmin_rows
 from .networks import ModelParams, class_prior, decode, encode
 
 
@@ -55,15 +54,7 @@ def one_hot(labels, num_classes: int) -> Array:
     return out
 
 
-class ObjectiveColumns(NamedTuple):
-    """Per-example (B×1) terms; tape variables when the model is bound."""
-
-    reconstruction: object
-    kl_true_class: object
-    margin: object
-
-
-def inductive_terms(
+def inductive_value(
     model: ModelParams,
     features,
     labels,
@@ -71,15 +62,22 @@ def inductive_terms(
     *,
     noise,
     margin_class_ids,
+    margin_weight: float = 1.0,
+    include_recon: bool = True,
     enc_masks=None,
     dec_masks=None,
     exclude_true_class: bool = False,
-) -> ObjectiveColumns:
-    """Per-example objective columns for a labeled batch.
+    mean: bool = True,
+):
+    """Objective of a labeled batch: its mean, or with ``mean=False`` its sum
+    (the labeled side of the transductive objective).
 
     ``attr_rows`` is the full (num_classes × M) attribute matrix indexed by
     class id; ``margin_class_ids`` selects which classes the margin term sums
-    over, and every label must belong to that set.
+    over, and every label must belong to that set. The tail after
+    ``kl_matrix`` and the reconstruction is one ``labeled`` node. Works on
+    plain and tape-bound models; returns (value, ObjectiveBreakdown) where the
+    value is a tape variable when the model is bound.
     """
     num_classes = np.asarray(attr_rows).shape[0]
     hot = one_hot(labels, num_classes)
@@ -93,57 +91,41 @@ def inductive_terms(
         raise DgzslError(
             f"labels outside the training class set: {sorted(np.unique(np.asarray(labels)[bad]).tolist())}"
         )
-    mask = np.broadcast_to(allowed, hot.shape)
-    if exclude_true_class:
-        mask = mask & ~hot
-
-    q = encode(features, model, enc_masks)
-    z = sample_reparam(q, noise)
-    recon = gauss_loglik_rows(decode(z, model, dec_masks), features)
-    kl_all = kl_matrix(q, class_prior(attr_rows, model))  # B × num_classes
-    kl_true = ad.sum(kl_all * hot, axis=1, keepdims=True)
-    margin = -1.0 * ad.logsumexp_rows(-1.0 * kl_all, mask=mask)
-    return ObjectiveColumns(recon, kl_true, margin)
-
-
-def per_example(cols: ObjectiveColumns, margin_weight: float, *, include_recon: bool = True):
-    """B×1 labeled objective: margin_weight · margin − kl (+ reconstruction)."""
+    mask = allowed & ~hot if exclude_true_class else np.broadcast_to(allowed, hot.shape)
+    if not mask.any(axis=1).all():
+        raise DgzslError(
+            f"margin: row {int(np.argmin(mask.any(axis=1)))} has no class besides its own to compare "
+            f"against; excluding the true class needs at least 2 margin classes"
+        )
     if margin_weight < 0:
         raise DgzslError(f"margin weight must be ≥ 0, got {margin_weight}")
-    out = margin_weight * cols.margin - cols.kl_true_class
-    return out + cols.reconstruction if include_recon else out
 
+    q = encode(features, model, enc_masks)
+    recon = gauss_loglik_rows(decode(sample_reparam(q, noise), model, dec_masks), features)
+    kl_all = kl_matrix(q, class_prior(attr_rows, model))  # B × num_classes
+    kl = ad._value(kl_all)
+    kl_true = np.sum(kl * hot, axis=1, keepdims=True)
+    _, lse, soft = softmin_rows(kl, mask)
+    margin = -1.0 * lse
+    per = margin_weight * margin - kl_true
+    if include_recon:
+        per = per + ad._value(recon)
+    scale = 1.0 / float(per.size) if mean else 1.0  # times 1.0 is exact
+    value = np.asarray(np.sum(per)) * scale
 
-def assemble(cols: ObjectiveColumns, margin_weight: float, *, include_recon: bool = True):
-    """Mean objective over the batch from per-example columns."""
-    return ad.mean(per_example(cols, margin_weight, include_recon=include_recon))
+    def vjp(gout, wanted):
+        # the elementwise composition's products in its order, so the bytes
+        # match it (its two exact −1 factors cancel); g is the per-example
+        # column's gradient
+        g = np.broadcast_to(gout * scale, per.shape)
+        return g * margin_weight * soft + (-g) * hot, g
 
-
-def breakdown_of(cols: ObjectiveColumns, margin_weight: float, *, include_recon: bool = True) -> ObjectiveBreakdown:
-    recon = float(np.mean(ad._value(cols.reconstruction))) if include_recon else 0.0
-    kl = float(np.mean(ad._value(cols.kl_true_class)))
-    margin = float(np.mean(ad._value(cols.margin)))
-    return ObjectiveBreakdown(recon, kl, margin, margin_weight, recon - kl + margin_weight * margin)
-
-
-def inductive_value(
-    model: ModelParams,
-    features,
-    labels,
-    attr_rows,
-    *,
-    margin_weight: float = 1.0,
-    include_recon: bool = True,
-    **terms,
-):
-    """Batch-mean objective of a labeled batch; ``terms`` go to inductive_terms.
-
-    Works on plain and tape-bound models; returns (value, ObjectiveBreakdown)
-    where the value is a tape variable when the model is bound.
-    """
-    cols = inductive_terms(model, features, labels, attr_rows, **terms)
-    value = assemble(cols, margin_weight, include_recon=include_recon)
-    return value, breakdown_of(cols, margin_weight, include_recon=include_recon)
+    node = ad.record("labeled", value, (kl_all, recon) if include_recon else (kl_all,), vjp)
+    rec = float(np.mean(ad._value(recon))) if include_recon else 0.0
+    kl_mean, margin_mean = float(np.mean(kl_true)), float(np.mean(margin))
+    return node, ObjectiveBreakdown(
+        rec, kl_mean, margin_mean, margin_weight, rec - kl_mean + margin_weight * margin_mean
+    )
 
 
 def inductive_objective(model: ModelParams, *args, out=None, **kwargs):

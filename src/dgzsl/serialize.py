@@ -20,7 +20,7 @@ Matrix bodies stream in row blocks of at most ``_BLOCK_BYTES`` of float64
 one body reader checks a header against the file size before anything is
 allocated, then reads and checks one block at a time (``open_matrix`` hands
 each block to its caller, ``load_matrix`` fills one array of the caller's
-dtype from them).
+dtype from them, or reads a float32 one in place).
 """
 
 from __future__ import annotations
@@ -163,33 +163,36 @@ def _read_blocks(fh, where: str, shape, out=None):
 def open_matrix(path):
     """Opens a matrix file and checks its header against the file size.
 
-    Yields ``(shape, blocks)``. ``blocks`` reads the body as _read_blocks does,
-    through one reused float32 stage, and after the last block rejects
-    trailing bytes and an empty matrix; so a caller that keeps what it needs
-    of each block never holds the whole matrix, and a file passes only once
-    it has been read to the end.
+    Yields ``(shape, blocks)``. ``blocks(out=None)`` reads the body as
+    _read_blocks does, into ``out`` or through one reused float32 stage, and
+    after the last block rejects trailing bytes and an empty matrix; so a
+    caller that keeps what it needs of each block never holds the whole
+    matrix, and a file passes only once it has been read to the end.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         shape = _read_header(fh, size, str(path))
 
-        def blocks():
-            yield from _read_blocks(fh, str(path), shape)
+        def blocks(out=None):
+            yield from _read_blocks(fh, str(path), shape, out)
             end = fh.tell()
             if end != size:
                 raise DataFormatError(f"{path}: {size - end} trailing bytes after matrix body")
             if shape[0] * shape[1] == 0:
                 raise DataFormatError(f"{path}: matrix is empty")
 
-        yield shape, blocks()
+        yield shape, blocks
 
 
 def load_matrix(path, dtype=np.float64):
-    """The whole matrix of a file, filled into one ``dtype`` array."""
+    """The whole matrix of a file in one ``dtype`` array; float32 is read
+    straight into it."""
     with open_matrix(path) as (shape, blocks):
         arr = np.empty(shape, dtype)
-        for s, block in blocks:
-            arr[s] = block
+        direct = arr.dtype == np.dtype("<f4")
+        for s, block in blocks(arr if direct else None):
+            if not direct:
+                arr[s] = block
     return arr
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array
 from .errors import DgzslError, ShapeError
-from .gaussian import gauss_loglik_rows, kl_matrix, sample_reparam
-from .inductive import ObjectiveBreakdown, breakdown_of, inductive_terms, per_example
+from .gaussian import gauss_loglik_rows, kl_matrix, sample_reparam, softmin_rows
+from .inductive import ObjectiveBreakdown, inductive_value
 from .networks import ModelParams, class_prior, decode, encode
 
 @dataclass(frozen=True)
@@ -40,14 +40,11 @@ class TargetMatrix:
 
 
 def assignment_logits(features, unseen_attr_rows, model: ModelParams):
-    """Log of the soft assignments: −KL − logsumexp(−KL), row-wise.
-
-    Generic over tape variables; this is the differentiable core behind
-    soft_assign and the transductive regularizer.
-    """
+    """Log of the soft assignments, −KL − logsumexp(−KL) row-wise, on plain
+    arrays; the forward of the ``unlabeled`` node's assignment side."""
     priors = class_prior(unseen_attr_rows, model)
-    neg_kl = -1.0 * kl_matrix(encode(features, model), priors)
-    return neg_kl - ad.logsumexp_rows(neg_kl)
+    neg, lse, _ = softmin_rows(kl_matrix(encode(features, model), priors))
+    return neg - lse
 
 
 def soft_assign(features, unseen_attr_rows, model: ModelParams) -> AssignmentMatrix:
@@ -122,9 +119,11 @@ def transductive_value(
     ``target_rows`` are the sharpened-target rows aligned with the unlabeled
     batch, produced by sharpen() at the last refresh; they are constants (no
     gradient flows through the target). An empty unlabeled batch contributes
-    a zero unlabeled term. Works on plain and tape-bound models; returns
-    (value, TransductiveParts) where the value is a tape variable when the
-    model is bound. Sums, not means.
+    a zero unlabeled term. After the networks and ``kl_matrix``, the target
+    KL, the reconstruction sum and the labeled sum are one ``unlabeled`` node.
+    Works on plain and tape-bound models; returns (value, TransductiveParts)
+    where the value is a tape variable when the model is bound. Sums, not
+    means.
     """
     unlab = np.asarray(unlab_features)
     unseen_ids = np.asarray(unseen_class_ids)
@@ -137,46 +136,43 @@ def transductive_value(
             f"({unlab.shape[0]}, {unseen_ids.size})"
         )
 
-    cols = inductive_terms(
-        model,
-        lab_features,
-        lab_labels,
-        attr_rows,
-        noise=noise_labeled,
-        margin_class_ids=margin_class_ids,
-        enc_masks=enc_masks_lab,
-        dec_masks=dec_masks_lab,
-        exclude_true_class=exclude_true_class,
+    lab_sum, lab_parts = inductive_value(
+        model, lab_features, lab_labels, attr_rows, noise=noise_labeled, margin_class_ids=margin_class_ids,
+        margin_weight=margin_weight, include_recon=include_recon, enc_masks=enc_masks_lab,
+        dec_masks=dec_masks_lab, exclude_true_class=exclude_true_class, mean=False,
     )
-    labeled_sum = ad.sum(per_example(cols, margin_weight, include_recon=include_recon))
-
     q_u = encode(unlab, model, enc_masks_unlab)
-    z_u = sample_reparam(q_u, noise_unlabeled)
-    recon_col = gauss_loglik_rows(decode(z_u, model, dec_masks_unlab), unlab)
-    unlab_term = ad.sum(recon_col)
-    recon_val = float(unlab_term)
-    kl_pq_val = 0.0
+    recon = gauss_loglik_rows(decode(sample_reparam(q_u, noise_unlabeled), model, dec_masks_unlab), unlab)
+    recon_col = ad._value(recon)  # the backward holds no Var, so no tape cycle
+    recon_sum = np.asarray(np.sum(recon_col))
+    unlab_total, kl_pq, operands = recon_sum, 0.0, (lab_sum, recon)
     if not recon_only_unlabeled:
         # target entries are constants: only the log-assignment side carries
         # gradient, which is exactly the no-gradient-through-target rule
-        logq = assignment_logits(unlab, np.asarray(attr_rows)[unseen_ids], model)
+        priors = class_prior(np.asarray(attr_rows)[unseen_ids], model)
+        kl_u = kl_matrix(encode(unlab, model), priors)
+        neg, lse, soft = softmin_rows(ad._value(kl_u))
         with np.errstate(divide="ignore", invalid="ignore"):
             self_info = float(np.where(p > 0, p * np.log(p), 0.0).sum())
-        kl_pq = self_info - ad.sum(p * logq)
-        kl_pq_val = float(kl_pq)
-        unlab_term = unlab_term - kl_pq
+        kl_pq = self_info - np.asarray(np.sum(p * (neg - lse)))
+        unlab_total = recon_sum - kl_pq
+        operands += (kl_u,)
+    lab_val, unlab_val = float(ad._value(lab_sum)), float(unlab_total)
 
-    total = labeled_sum + unlab_term
-    lab_val, unlab_val = float(labeled_sum), float(unlab_term)
-    parts = TransductiveParts(
-        labeled_total=lab_val,
-        unlabeled_total=unlab_val,
-        unlabeled_recon=recon_val,
-        target_kl=kl_pq_val,
-        total=lab_val + unlab_val,
-        labeled_breakdown=breakdown_of(cols, margin_weight, include_recon=include_recon),
+    def vjp(gout, wanted):
+        # the elementwise composition's products and sums in its order, so
+        # the bytes match it (the signs of zero sums too)
+        grads = [gout, np.broadcast_to(gout, recon_col.shape)]
+        if not recon_only_unlabeled:
+            g_logq = gout * p
+            grads.append((g_logq + (-g_logq).sum(axis=1, keepdims=True) * soft) * -1.0)
+        return grads
+
+    total = ad.record("unlabeled", ad._value(lab_sum) + unlab_total, operands, vjp)
+    return total, TransductiveParts(
+        labeled_total=lab_val, unlabeled_total=unlab_val, unlabeled_recon=float(recon_sum),
+        target_kl=float(kl_pq), total=lab_val + unlab_val, labeled_breakdown=lab_parts,
     )
-    return total, parts
 
 
 def transductive_objective(model: ModelParams, *args, out=None, **kwargs):

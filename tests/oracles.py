@@ -4,9 +4,13 @@ differentiable program against. Nothing in ``dgzsl`` calls them.
 Per-pair Gaussian KL and log-density, a vector log-sum-exp, the
 single-example class-conditional bound, the margin term, the closest-prior
 label with its evidence, the label by the per-candidate bound, and the
-target-to-assignment KL. Also the tape ops ``matmul`` and ``transpose``, of
-which the unfused compositions that the fused nodes replaced are built, and
-the dropout masks divided in float64 and then cast.
+target-to-assignment KL. Also the elementwise tape ops (``add``, ``sub``,
+``mul``, ``exp``, ``sum``, ``mean``, ``logsumexp_rows``, ``matmul``,
+``transpose``), each one node through ``ad.record``, and the unfused
+compositions built of them that the fused nodes replaced: they are the
+bit-for-bit reference of ``sample_reparam``, ``gauss_loglik_rows``, the
+labeled and the transductive objective. And the dropout masks divided in
+float64 and then cast.
 """
 
 from __future__ import annotations
@@ -18,10 +22,79 @@ import numpy as np
 from dgzsl import autodiff as ad
 from dgzsl.errors import DgzslError, ShapeError
 from dgzsl.gaussian import LOG_2PI, DiagGaussian, _check_same_shape, kl_matrix, sample_reparam
-from dgzsl.inductive import ObjectiveBreakdown
+from dgzsl.inductive import ObjectiveBreakdown, one_hot
 from dgzsl.inference import _sorted_candidates, predict_batch
 from dgzsl.networks import ModelParams, class_prior, decode, encode
-from dgzsl.transductive import _values_of
+from dgzsl.transductive import TransductiveParts, _values_of
+
+
+def _unbroadcast(g, shape):
+    """Sum a gradient over the axes numpy broadcasting introduced."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _op(op, value, operands, *grads):
+    """One tape node; the gradient of operand i is grads[i](gout), summed
+    back over the axes it was broadcast along."""
+    shapes = [np.shape(ad._value(x)) for x in operands]
+    return ad.record(
+        op, value, operands,
+        lambda g, wanted: [_unbroadcast(d(g), s) if w else None for d, s, w in zip(grads, shapes, wanted)],
+    )
+
+
+def add(a, b):
+    return _op("add", ad._value(a) + ad._value(b), (a, b), lambda g: g, lambda g: g)
+
+
+def sub(a, b):
+    return _op("sub", ad._value(a) - ad._value(b), (a, b), lambda g: g, lambda g: -g)
+
+
+def mul(a, b):
+    av, bv = ad._value(a), ad._value(b)
+    return _op("mul", av * bv, (a, b), lambda g: g * bv, lambda g: g * av)
+
+
+def exp(x):
+    out = np.exp(ad._value(x))
+    return _op("exp", out, (x,), lambda g: g * out)
+
+
+def sum(x, axis=None, keepdims: bool = False):  # noqa: A001 - numpy-style name
+    xv = ad._value(x)
+
+    def grad(g):
+        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), xv.shape)
+
+    return _op("sum", np.asarray(np.sum(xv, axis=axis, keepdims=keepdims)), (x,), grad)
+
+
+def mean(x):
+    return mul(sum(x), 1.0 / float(ad._value(x).size))
+
+
+def logsumexp_rows(x, mask=None):
+    """Stable row-wise log-sum-exp of a 2-D array as a column; False entries
+    of a constant boolean ``mask`` are left out and get zero gradient."""
+    xv = ad._value(x)
+    work = xv
+    if mask is not None:
+        m = np.broadcast_to(np.asarray(mask, dtype=bool), xv.shape)
+        if not m.any(axis=1).all():
+            raise DgzslError("logsumexp_rows: some row has an empty mask")
+        work = np.where(m, xv, -np.inf)
+    mx = np.max(work, axis=1, keepdims=True)
+    w = np.exp(work - mx)
+    total = np.sum(w, axis=1, keepdims=True)
+    soft = w / total
+    return _op("logsumexp_rows", mx + np.log(total), (x,), lambda g: g * soft)
 
 
 def matmul(a, b):
@@ -37,6 +110,77 @@ def matmul(a, b):
 def transpose(x):
     """xᵀ of a 2-D array as one tape node; gradient gᵀ."""
     return ad.record("transpose", ad._value(x).T, (x,), lambda g, wanted: (g.T,))
+
+
+def unfused_sample_reparam(g: DiagGaussian, noise):
+    return add(g.mean, mul(exp(mul(g.logvar, 0.5)), noise))
+
+
+def unfused_gauss_loglik_rows(x, mean):
+    d = sub(x, mean)
+    return sub(mul(sum(mul(d, d), axis=1, keepdims=True), -0.5), 0.5 * LOG_2PI * ad._value(x).shape[1])
+
+
+def inductive_terms(
+    model, features, labels, attr_rows, *, noise, margin_class_ids, enc_masks=None, dec_masks=None,
+    exclude_true_class=False,
+):
+    """The per-example (B×1) reconstruction, true-class KL and margin
+    columns of a labeled batch, unfused after ``kl_matrix``."""
+    hot = one_hot(labels, attr_rows.shape[0])
+    allowed = np.zeros(attr_rows.shape[0], dtype=bool)
+    allowed[margin_class_ids] = True
+    mask = allowed & ~hot if exclude_true_class else np.broadcast_to(allowed, hot.shape)
+    q = encode(features, model, enc_masks)
+    recon = unfused_gauss_loglik_rows(decode(unfused_sample_reparam(q, noise), model, dec_masks), features)
+    kl_all = kl_matrix(q, class_prior(attr_rows, model))
+    margin = mul(-1.0, logsumexp_rows(mul(-1.0, kl_all), mask=mask))
+    return recon, sum(mul(kl_all, hot), axis=1, keepdims=True), margin
+
+
+def per_example(cols, margin_weight: float, include_recon: bool = True):
+    """B×1 labeled objective: margin_weight · margin − kl (+ reconstruction)."""
+    out = sub(mul(margin_weight, cols[2]), cols[1])
+    return add(out, cols[0]) if include_recon else out
+
+
+def breakdown_of(cols, margin_weight: float, include_recon: bool = True) -> ObjectiveBreakdown:
+    recon = float(np.mean(ad._value(cols[0]))) if include_recon else 0.0
+    kl, margin = float(np.mean(ad._value(cols[1]))), float(np.mean(ad._value(cols[2])))
+    return ObjectiveBreakdown(recon, kl, margin, margin_weight, recon - kl + margin_weight * margin)
+
+
+def unfused_inductive_value(model, features, labels, attr_rows, *, margin_weight=1.0, include_recon=True, **terms):
+    cols = inductive_terms(model, features, labels, attr_rows, **terms)
+    return mean(per_example(cols, margin_weight, include_recon)), breakdown_of(cols, margin_weight, include_recon)
+
+
+def unfused_transductive_value(
+    model, lab_features, lab_labels, unlab_features, target_rows, attr_rows, *, margin_class_ids, unseen_class_ids,
+    noise_labeled, noise_unlabeled, margin_weight=1.0, enc_masks_lab=None, dec_masks_lab=None,
+    enc_masks_unlab=None, dec_masks_unlab=None, exclude_true_class=False, include_recon=True,
+    recon_only_unlabeled=False,
+):
+    unlab = unlab_features
+    cols = inductive_terms(
+        model, lab_features, lab_labels, attr_rows, noise=noise_labeled, margin_class_ids=margin_class_ids,
+        enc_masks=enc_masks_lab, dec_masks=dec_masks_lab, exclude_true_class=exclude_true_class,
+    )
+    labeled = sum(per_example(cols, margin_weight, include_recon))
+    z = unfused_sample_reparam(encode(unlab, model, enc_masks_unlab), noise_unlabeled)
+    unlab_term = sum(unfused_gauss_loglik_rows(decode(z, model, dec_masks_unlab), unlab))
+    recon, kl_pq = float(unlab_term), 0.0
+    if not recon_only_unlabeled:
+        priors = class_prior(attr_rows[unseen_class_ids], model)
+        neg_kl = mul(-1.0, kl_matrix(encode(unlab, model), priors))
+        p = target_rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self_info = float(np.where(p > 0, p * np.log(p), 0.0).sum())
+        kl = sub(self_info, sum(mul(p, sub(neg_kl, logsumexp_rows(neg_kl)))))
+        kl_pq, unlab_term = float(kl), sub(unlab_term, kl)
+    lab, unl = float(labeled), float(unlab_term)
+    parts = TransductiveParts(lab, unl, recon, kl_pq, lab + unl, breakdown_of(cols, margin_weight, include_recon))
+    return add(labeled, unlab_term), parts
 
 
 def dropout_masks(rng: np.random.Generator, model: ModelParams, batch: int):

@@ -15,7 +15,7 @@ from oracles import kl_diag, margin_term, predict_via_bound, predict_zsl, target
 from dgzsl import autodiff as ad
 from dgzsl.data import fewshot_sample, save_dataset
 from dgzsl.gaussian import DiagGaussian
-from dgzsl.inductive import assemble, inductive_terms
+from dgzsl.inductive import inductive_value
 from dgzsl.networks import ModelParams, class_prior
 from dgzsl.train import fewshot_finetune, run_train
 from dgzsl.transductive import (
@@ -98,10 +98,9 @@ def test_analytic_gradients_match_finite_differences():
 
     def supervised(params):
         m = ModelParams(model.layout, tensors=params)
-        cols = inductive_terms(
+        return inductive_value(
             m, feats, labels, attrs, noise=noise, margin_class_ids=seen_ids
-        )
-        return assemble(cols, 1.0)
+        )[0]
 
     def combined(params):
         m = ModelParams(model.layout, tensors=params)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from dgzsl import autodiff as ad
 from dgzsl.errors import DgzslError
 from dgzsl.gaussian import LOG_2PI, DiagGaussian, sample_reparam
-from dgzsl.inductive import assemble, inductive_objective, inductive_terms, one_hot
-from dgzsl.networks import ModelParams, class_prior, decode, encode
+from dgzsl.inductive import inductive_objective, inductive_value, one_hot
+from dgzsl.networks import ModelParams, class_prior, decode, encode, init_model, make_dropout_masks
 
 from conftest import perturbed_model
-from oracles import class_conditional_elbo, gauss_loglik, kl_diag, margin_term
+from oracles import class_conditional_elbo, gauss_loglik, kl_diag, margin_term, unfused_inductive_value
 
 
 @pytest.fixture()
@@ -121,7 +121,7 @@ def test_margin_bounded_by_minimum_kl(seed):
 def test_labels_must_be_inside_margin_set(setup):
     model, attrs, feats, labels, noise = setup
     with pytest.raises(DgzslError):
-        inductive_terms(
+        inductive_value(
             model,
             feats,
             np.array([0, 2, 1, 4, 0]),  # class 4 is not a margin class
@@ -134,9 +134,69 @@ def test_labels_must_be_inside_margin_set(setup):
 def test_empty_margin_set_rejected(setup):
     model, attrs, feats, labels, noise = setup
     with pytest.raises(DgzslError):
-        inductive_terms(
+        inductive_value(
             model, feats, labels, attrs, noise=noise, margin_class_ids=np.array([], int)
         )
+
+
+def test_excluding_the_true_class_of_a_single_margin_class_is_rejected(setup):
+    # every row's margin set would be empty: one error that names the margin
+    model, attrs, feats, _, noise = setup
+    with pytest.raises(DgzslError, match="margin"):
+        inductive_objective(
+            model,
+            feats,
+            np.zeros(5, dtype=int),
+            attrs,
+            noise=noise,
+            margin_class_ids=np.array([0]),
+            exclude_true_class=True,
+        )
+
+
+def labeled_case(dtype, batch=5):
+    """A model with dropout masks and one labeled batch, all in ``dtype``."""
+    rng = np.random.default_rng(41)
+    model = init_model(rng, 8, 3, 4, (16, 16), keep_prob=0.8, dtype=dtype)
+    model.flat += (0.05 * rng.normal(size=model.flat.size)).astype(dtype)
+    enc_masks, dec_masks = make_dropout_masks(rng, model, batch)
+    return model, dict(
+        features=rng.normal(size=(batch, 8)).astype(dtype),
+        labels=rng.integers(0, 4, batch),
+        attr_rows=rng.uniform(-1, 1, (6, 3)).astype(dtype),
+        noise=rng.normal(size=(batch, 4)).astype(dtype),
+        margin_class_ids=np.arange(4),
+        enc_masks=enc_masks,
+        dec_masks=dec_masks,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "margin_weight,include_recon,exclude_true_class", [(1.0, True, False), (0.3, False, True), (0.0, True, True)]
+)
+def test_labeled_node_matches_the_unfused_composition_bit_for_bit(
+    dtype, margin_weight, include_recon, exclude_true_class
+):
+    model, case = labeled_case(dtype)
+    case.update(margin_weight=margin_weight, include_recon=include_recon, exclude_true_class=exclude_true_class)
+    (value, grad, bd), (unfused, unfused_grad, unfused_bd) = (
+        ad.value_and_grad(lambda m: fn(m, **case), model) for fn in (inductive_value, unfused_inductive_value)
+    )
+    assert value == unfused and bd == unfused_bd
+    assert grad.dtype == dtype and grad.tobytes() == unfused_grad.tobytes()
+    assert float(inductive_value(model, **case)[0]) == value  # the plain-array path
+
+
+def test_an_inductive_step_records_one_node_per_fused_op():
+    model, case = labeled_case(np.float64)
+    tape = ad.Tape()
+    inductive_value(model.bind(tape), **case)
+    encode_ops = ["dense"] * 4 + ["clip"]
+    decode_ops = ["dense"] * 3
+    assert [n.op for n in tape.nodes] == ["leaf"] * 16 + encode_ops + ["sample"] + decode_ops + [
+        "loglik", "prior", "prior", "clip", "kl_matrix", "labeled"
+    ]
 
 
 def test_weight_zero_reduces_to_mean_elbo(setup):
@@ -191,15 +251,6 @@ def test_breakdown_identity(setup):
 
 def test_exclude_true_class_drops_it_from_the_margin(setup):
     model, attrs, feats, labels, noise = setup
-    cols = inductive_terms(
-        model,
-        feats,
-        labels,
-        attrs,
-        noise=noise,
-        margin_class_ids=np.arange(4),
-        exclude_true_class=True,
-    )
     q = encode(feats, model)
     kl_all = np.array(
         [
@@ -216,7 +267,16 @@ def test_exclude_true_class_drops_it_from_the_margin(setup):
     for i in range(5):
         others = [c for c in range(4) if c != labels[i]]
         manual = -np.log(np.exp(-kl_all[i, others]).sum())
-        assert ad._value(cols.margin)[i, 0] == pytest.approx(manual, abs=1e-9)
+        _, bd = inductive_value(
+            model,
+            feats[i : i + 1],
+            labels[i : i + 1],
+            attrs,
+            noise=noise[i : i + 1],
+            margin_class_ids=np.arange(4),
+            exclude_true_class=True,
+        )
+        assert bd.margin == pytest.approx(manual, abs=1e-9)
 
 
 def test_no_recon_flag_zeroes_reconstruction(setup):
@@ -266,15 +326,14 @@ def test_small_model_gradient_check(setup):
     params = model.named_arrays()
 
     def fn(p):
-        cols = inductive_terms(
+        return inductive_value(
             ModelParams(model.layout, tensors=p),
             feats[:2],
             labels[:2],
             attrs,
             noise=noise[:2],
             margin_class_ids=np.arange(4),
-        )
-        return assemble(cols, 1.0)
+        )[0]
 
     assert ad.grad_check(fn, params) < 1e-4
 

@@ -7,7 +7,7 @@ from dgzsl.errors import DgzslError
 from dgzsl.gaussian import DiagGaussian, kl_matrix
 from dgzsl.inference import accuracy, predict_batch
 from dgzsl.config import TrainConfig
-from dgzsl.inductive import breakdown_of, inductive_terms
+from dgzsl.inductive import inductive_value
 from dgzsl.networks import class_prior, encode, model_from_named
 from dgzsl.serialize import load_checkpoint, save_checkpoint
 from dgzsl.train import fewshot_finetune, train_model
@@ -151,15 +151,15 @@ def test_fewshot_log_line_is_eval_mode_objective(tiny_dataset):
     assert line.phase == "fewshot"
     labeled = np.setdiff1d(np.arange(ds.n_train, ds.labels.size), result.eval_idx)
     assert labeled.size == cfg.k * len(ds.unseen_classes)
-    cols = inductive_terms(
+    _, bd = inductive_value(
         result.model,
         ds.features[labeled],
         ds.labels[labeled],
         ds.attributes,
         noise=np.zeros((labeled.size, cfg.latent_dim)),
         margin_class_ids=np.sort(ds.unseen_classes),
+        margin_weight=cfg.margin_weight,
     )
-    bd = breakdown_of(cols, cfg.margin_weight)
     assert (line.total, line.reconstruction, line.kl_true_class, line.margin) == (
         bd.total,
         bd.reconstruction,

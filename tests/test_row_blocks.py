@@ -189,6 +189,18 @@ def test_load_matrix_holds_the_result_and_at_most_two_blocks(monkeypatch, tmp_pa
     assert peak < loaded.nbytes + 2 * serialize._BLOCK_BYTES
 
 
+def test_load_matrix_in_float32_holds_the_result_and_less_than_one_block(monkeypatch, tmp_path):
+    # the blocks are read into the result itself, not through a stage
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 1 << 16)
+    arr = np.random.default_rng(3).normal(size=(3000, 64))
+    path = tmp_path / "big.bin"
+    save_matrix(path, arr)
+    loaded, peak = traced_peak(load_matrix, path, np.float32)
+    assert loaded.tobytes() == load_matrix(path).astype(np.float32).tobytes()
+    block = row_blocks(*arr.shape)[0]
+    assert peak < loaded.nbytes + (block.stop - block.start) * arr.shape[1] * loaded.itemsize
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
 def test_export_failing_in_its_last_block_leaves_no_outputs(small_blocks, tmp_path, existing):
     ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from dgzsl import autodiff as ad
 from dgzsl.errors import DgzslError, ShapeError
-from dgzsl.gaussian import gauss_loglik_rows, sample_reparam
-from dgzsl.inductive import inductive_objective, inductive_terms, inductive_value, per_example
-from dgzsl.networks import decode, encode
+from dgzsl.gaussian import gauss_loglik_rows, sample_reparam, softmin_rows
+from dgzsl.inductive import inductive_objective, inductive_value
+from dgzsl.networks import decode, encode, init_model, make_dropout_masks
 from dgzsl.transductive import (
     AssignmentMatrix,
     TargetMatrix,
@@ -21,7 +21,7 @@ from dgzsl.transductive import (
 )
 
 from conftest import perturbed_model
-from oracles import target_assignment_kl
+from oracles import target_assignment_kl, unfused_transductive_value
 
 
 def stochastic_rows(rows, cols, seed):
@@ -95,8 +95,11 @@ def test_row_softmax_shift_invariance(cols, rows, seed, shift):
     # the normalizer behind soft_assign: adding a constant to every KL in a
     # row leaves that row's assignment unchanged
     logits = np.random.default_rng(seed).normal(size=(rows, cols))
-    a = np.exp(logits - ad.logsumexp_rows(logits))
-    b = np.exp((logits + shift) - ad.logsumexp_rows(logits + shift))
+    def softmax(kl):
+        neg, lse, _ = softmin_rows(kl)
+        return np.exp(neg - lse)
+
+    a, b = softmax(-logits), softmax(-(logits + shift))
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -268,8 +271,12 @@ def test_empty_unlabeled_batch_gives_the_labeled_sum(setup):
         model, feats, labels, attrs, noise=noise_l, margin_class_ids=seen
     )
     batch = feats.shape[0]
-    cols = inductive_terms(model, feats, labels, attrs, noise=noise_l, margin_class_ids=seen)
-    labeled_sum = float(np.sum(per_example(cols, 1.0)))
+    # the sum of the objective of each example alone
+    labeled_sum = 0.0
+    for i in range(batch):
+        row = slice(i, i + 1)
+        one, _ = inductive_value(model, feats[row], labels[row], attrs, noise=noise_l[row], margin_class_ids=seen)
+        labeled_sum += float(one)
     assert value == parts.labeled_total == parts.total
     assert value == pytest.approx(labeled_sum, rel=1e-12)
     assert value == pytest.approx(batch * mean_value, rel=1e-12)
@@ -359,3 +366,66 @@ def test_assignment_logits_are_log_softmax(setup):
     model, attrs, _, unseen, _, _, unlab, _, _ = setup
     logits = assignment_logits(unlab, attrs[unseen], model)
     assert np.abs(np.exp(logits).sum(axis=1) - 1.0).max() < 1e-12
+
+
+def transductive_case(dtype, unlabeled):
+    """A model with dropout masks, a labeled and an unlabeled batch and the
+    unlabeled batch's sharpened targets, all in ``dtype``."""
+    rng = np.random.default_rng(51)
+    model = init_model(rng, 8, 3, 4, (16, 16), keep_prob=0.8, dtype=dtype)
+    model.flat += (0.05 * rng.normal(size=model.flat.size)).astype(dtype)
+    attrs = rng.uniform(-1, 1, (7, 3)).astype(dtype)
+    unlab = rng.normal(size=(unlabeled, 8)).astype(dtype)
+    masks = [*make_dropout_masks(rng, model, 5), *make_dropout_masks(rng, model, unlabeled)]
+    return model, dict(
+        lab_features=rng.normal(size=(5, 8)).astype(dtype),
+        lab_labels=rng.integers(0, 4, 5),
+        unlab_features=unlab,
+        target_rows=sharpen(soft_assign(unlab, attrs[4:], model)).values,
+        attr_rows=attrs,
+        margin_class_ids=np.arange(4),
+        unseen_class_ids=np.arange(4, 7),
+        noise_labeled=rng.normal(size=(5, 4)).astype(dtype),
+        noise_unlabeled=rng.normal(size=(unlabeled, 4)).astype(dtype),
+        enc_masks_lab=masks[0],
+        dec_masks_lab=masks[1],
+        enc_masks_unlab=masks[2],
+        dec_masks_unlab=masks[3],
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "unlabeled,margin_weight,exclude_true_class,include_recon,recon_only_unlabeled",
+    [(4, 1.0, False, True, False), (4, 0.3, True, False, False), (4, 1.0, False, True, True), (0, 0.5, True, True, False)],
+    ids=["default", "weighted-excluding-no-recon", "recon-only", "empty-unlabeled"],
+)
+def test_transductive_nodes_match_the_unfused_composition_bit_for_bit(
+    dtype, unlabeled, margin_weight, exclude_true_class, include_recon, recon_only_unlabeled
+):
+    model, case = transductive_case(dtype, unlabeled)
+    case.update(
+        margin_weight=margin_weight,
+        exclude_true_class=exclude_true_class,
+        include_recon=include_recon,
+        recon_only_unlabeled=recon_only_unlabeled,
+    )
+    (value, grad, parts), (unfused, unfused_grad, unfused_parts) = (
+        ad.value_and_grad(lambda m: fn(m, **case), model)
+        for fn in (transductive_value, unfused_transductive_value)
+    )
+    assert value == unfused and parts == unfused_parts
+    assert grad.dtype == dtype and grad.tobytes() == unfused_grad.tobytes()
+    assert float(transductive_value(model, **case)[0]) == value  # the plain-array path
+
+
+def test_a_transductive_step_records_one_node_per_fused_op():
+    model, case = transductive_case(np.float64, 4)
+    tape = ad.Tape()
+    transductive_value(model.bind(tape), **case)
+    encode_ops = ["dense"] * 4 + ["clip"]
+    recon_ops = encode_ops + ["sample"] + ["dense"] * 3 + ["loglik"]
+    prior_ops = ["prior", "prior", "clip"]
+    assert [n.op for n in tape.nodes] == ["leaf"] * 16 + recon_ops + prior_ops + ["kl_matrix", "labeled"] + (
+        recon_ops + prior_ops + encode_ops + ["kl_matrix", "unlabeled"]
+    )
