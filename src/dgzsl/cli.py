@@ -15,6 +15,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 
@@ -165,7 +166,10 @@ def _plain(kind):
 INT, FLOAT = _plain(int), _plain(float)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dgzsl`` parser, built once per process: building it costs about
+    twenty times a parse, and each parse_args fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dgzsl",
         description="Zero-shot learning with attribute-conditioned latent priors.",

@@ -54,11 +54,20 @@ def _check_classes(labels, n_train: int, attrs, seen_classes, unseen_classes) ->
         raise DgzslError(
             f"train split contains non-seen labels: {sorted(train_present - seen)}"
         )
-    diffs = attrs[:, None, :] - attrs[None, :, :]
-    same = (np.abs(diffs).sum(axis=2) == 0) & ~np.eye(attrs.shape[0], dtype=bool)
+    # rows as byte strings: −0.0 + 0.0 is +0.0, so rows equal as (finite)
+    # floats are equal as bytes, and the zero column keeps a row from being
+    # zero bytes wide. A stable sort puts twins side by side, smallest class
+    # first; the error names the smallest class with a twin, then its
+    # smallest twin.
+    a = np.zeros((attrs.shape[0], attrs.shape[1] + 1))
+    np.add(attrs, 0.0, out=a[:, :-1])
+    rows = a.view(f"V{a.itemsize * a.shape[1]}").ravel()
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    same = ordered[1:] == ordered[:-1]
     if same.any():
-        a, b = np.argwhere(same)[0]
-        raise DgzslError(f"classes {a} and {b} share an attribute vector")
+        i = np.flatnonzero(same)[np.argmin(order[:-1][same])]
+        raise DgzslError(f"classes {order[i]} and {order[i + 1]} share an attribute vector")
 
 
 @dataclass(frozen=True)

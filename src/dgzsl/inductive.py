@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array
 from .errors import DgzslError, ShapeError
-from .gaussian import gauss_loglik_rows, kl_matrix, sample_reparam, softmin_rows
+from .gaussian import _check_same_shape, gauss_loglik_rows, kl_matrix, sample_reparam, softmin_rows
 from .networks import ModelParams, class_prior, decode, encode
 
 
@@ -74,7 +74,8 @@ def inductive_value(
 
     ``attr_rows`` is the full (num_classes × M) attribute matrix indexed by
     class id; ``margin_class_ids`` selects which classes the margin term sums
-    over, and every label must belong to that set. The tail after
+    over, and every label must belong to that set. ``include_recon=False``
+    skips the sample, the decoder and the log-likelihood. The tail after
     ``kl_matrix`` and the reconstruction is one ``labeled`` node. Works on
     plain and tape-bound models; returns (value, ObjectiveBreakdown) where the
     value is a tape variable when the model is bound.
@@ -101,7 +102,10 @@ def inductive_value(
         raise DgzslError(f"margin weight must be ≥ 0, got {margin_weight}")
 
     q = encode(features, model, enc_masks)
-    recon = gauss_loglik_rows(decode(sample_reparam(q, noise), model, dec_masks), features)
+    if include_recon:
+        recon = gauss_loglik_rows(decode(sample_reparam(q, noise), model, dec_masks), features)
+    else:  # no sample, decoder or log-likelihood nodes; the noise is checked all the same
+        _check_same_shape(q.mean, noise, "sample_reparam noise")
     kl_all = kl_matrix(q, class_prior(attr_rows, model))  # B × num_classes
     kl = ad._value(kl_all)
     kl_true = np.sum(kl * hot, axis=1, keepdims=True)

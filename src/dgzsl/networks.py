@@ -7,7 +7,7 @@ variances are clamped to [-10, 10] before any exponentiation.
 
 A model is a ``Layout`` (the names, shapes and offsets of its tensors, fixed
 by four numbers), one vector holding every tensor, and the dropout
-keep-probability. ``init_model`` and ``model_from_named`` give that vector
+keep-probability. ``init_model`` and ``model_from_shapes`` give that vector
 its dtype (float64 unless asked otherwise); everything else computes in the
 dtype of its inputs. All forward
 functions are generic over plain arrays and tape variables: binding a
@@ -134,11 +134,11 @@ def init_model(
     return model
 
 
-def model_from_named(
-    tensors: dict, keep_prob: float = 1.0, where: str = "checkpoint", *, dtype=np.float64
+def model_from_shapes(
+    shapes: dict, keep_prob: float = 1.0, where: str = "checkpoint", *, dtype=np.float64
 ) -> ModelParams:
-    """A model holding copies of ``tensors`` (name -> array, as a checkpoint
-    stores them), cast into one new vector of ``dtype``.
+    """A model with an unfilled vector of ``dtype`` whose layout ``shapes``
+    (name -> shape, as a checkpoint stores its tensors) describes.
 
     This is where tensors arrive from outside, so the shape rule is checked
     here: the layout's dims are read from ``enc.h*.w``, ``enc.mean.w`` and
@@ -150,9 +150,9 @@ def model_from_named(
         raise DataFormatError(f"{where}: keep_prob must be in (0, 1], got {keep_prob}")
 
     def shape_of(name):
-        if name not in tensors:
+        if name not in shapes:
             raise DataFormatError(f"{where}: missing tensor {name!r}")
-        return np.shape(tensors[name])
+        return tuple(shapes[name])
 
     def dims(name):  # a weight matrix the layout is read from
         shape = shape_of(name)
@@ -161,19 +161,29 @@ def model_from_named(
         return shape
 
     hidden = []
-    while f"enc.h{len(hidden)}.w" in tensors:
+    while f"enc.h{len(hidden)}.w" in shapes:
         hidden.append(dims(f"enc.h{len(hidden)}.w")[1])
     feature_dim = dims("enc.h0.w" if hidden else "enc.mean.w")[0]
     layout = Layout(feature_dim, dims("prior.mean_w")[1], dims("enc.mean.w")[1], hidden)
-    extra = set(tensors) - {name for name, _, _ in layout.entries}
+    extra = set(shapes) - {name for name, _, _ in layout.entries}
     if extra:
         raise DataFormatError(f"{where}: unexpected tensors {sorted(extra)}")
-    model = ModelParams(layout, np.empty(layout.size, dtype), keep_prob)
     for name, shape, _ in layout.entries:
         actual = shape_of(name)
         if actual != shape and not (len(shape) == 1 and actual == (1, *shape)):
             raise DataFormatError(f"{where}: tensor {name!r} has shape {actual}, expected {shape}")
-        np.copyto(model[name], np.reshape(tensors[name], shape))
+    return ModelParams(layout, np.empty(layout.size, dtype), keep_prob)
+
+
+def model_from_named(
+    tensors: dict, keep_prob: float = 1.0, where: str = "checkpoint", *, dtype=np.float64
+) -> ModelParams:
+    """A model holding copies of ``tensors`` (name -> array), cast into one
+    new vector of ``dtype``; the shape rule of model_from_shapes holds."""
+    shapes = {name: np.shape(a) for name, a in tensors.items()}
+    model = model_from_shapes(shapes, keep_prob, where, dtype=dtype)
+    for name, a in model.named_arrays().items():
+        np.copyto(a, np.reshape(tensors[name], a.shape))
     return model
 
 

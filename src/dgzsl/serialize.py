@@ -20,7 +20,9 @@ Matrix bodies stream in row blocks of at most ``_BLOCK_BYTES`` of float64
 one body reader checks a header against the file size before anything is
 allocated, then reads and checks one block at a time (``open_matrix`` hands
 each block to its caller, ``load_matrix`` fills one array of the caller's
-dtype from them, or reads a float32 one in place).
+dtype from them, or reads a float32 one in place, and ``load_checkpoint``
+reads every header first, then each tensor body into the array its caller
+allocated for it).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -184,16 +187,22 @@ def open_matrix(path):
         yield shape, blocks
 
 
+def _fill(blocks, arr):
+    """Reads a matrix body into ``arr`` through ``blocks(out)`` (as
+    open_matrix yields it): straight in when ``arr`` is float32, else one
+    block at a time through the reader's float32 stage."""
+    direct = arr.dtype == np.dtype("<f4")
+    for s, block in blocks(arr if direct else None):
+        if not direct:
+            arr[s] = block
+    return arr
+
+
 def load_matrix(path, dtype=np.float64):
     """The whole matrix of a file in one ``dtype`` array; float32 is read
     straight into it."""
     with open_matrix(path) as (shape, blocks):
-        arr = np.empty(shape, dtype)
-        direct = arr.dtype == np.dtype("<f4")
-        for s, block in blocks(arr if direct else None):
-            if not direct:
-                arr[s] = block
-    return arr
+        return _fill(blocks, np.empty(shape, dtype))
 
 
 def _read_text(path) -> str:
@@ -355,10 +364,24 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
             _write_matrix(fh, arr)
 
 
-def load_checkpoint(path) -> tuple[dict, dict]:
+def _float32_arrays(shapes, meta) -> dict:
+    return {name: np.empty(shape, "<f4") for name, shape in shapes.items()}
+
+
+def load_checkpoint(path, allocate=_float32_arrays) -> tuple[dict, dict]:
     """Returns (tensors, meta) with meta values unpacked from 1×1 tensors.
-    Tensors stay float32, as stored: model_from_named casts them into its
-    flat vector without a second float64 copy."""
+
+    The file is read in two passes. The first reads every entry's name and
+    header, checks them against the file size, and reads the meta entries.
+    ``allocate(shapes, meta)`` then gets the stored shape of every tensor
+    (name -> (rows, cols)) and returns the arrays they are read into, name ->
+    float32 or float64 array of that size; the default is one float32 array
+    per tensor, as stored, and ``train`` passes the views of one model's
+    flat vector. The second pass reads each body once, straight into its
+    array or through the float32 stage one block at a time. So a faulty
+    value in a body is reported after every fault of the entries, the meta
+    and ``allocate``'s checks.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
@@ -368,7 +391,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         if len(head) < 4:
             raise DataFormatError(f"{path}: truncated tensor count")
         (count,) = struct.unpack("<I", head)
-        tensors, meta, names = {}, {}, set()
+        bodies, meta, names = {}, {}, set()  # bodies: name -> (shape, offset)
         for _ in range(count):
             head = fh.read(4)
             if len(head) < 4:
@@ -382,16 +405,21 @@ def load_checkpoint(path) -> tuple[dict, dict]:
                 raise DataFormatError(f"{path}: tensor {name!r} appears twice")
             names.add(name)
             where = f"{path}[{name}]"
-            arr = np.empty(_read_header(fh, size, where), "<f4")
-            for _ in _read_blocks(fh, where, arr.shape, arr):
-                pass
+            shape = _read_header(fh, size, where)
             if name.startswith("meta."):
-                if arr.shape != (1, 1):
+                for _, block in _read_blocks(fh, where, shape):
+                    pass
+                if shape != (1, 1):
                     raise DataFormatError(f"{path}: meta entry {name!r} is not 1×1")
-                meta[name[5:]] = float(arr[0, 0])
+                meta[name[5:]] = float(block[0, 0])
             else:
-                tensors[name] = arr
+                bodies[name] = shape, fh.tell()
+                fh.seek(4 * shape[0] * shape[1], os.SEEK_CUR)
         end = fh.tell()
-    if end != size:
-        raise DataFormatError(f"{path}: {size - end} trailing bytes")
+        if end != size:
+            raise DataFormatError(f"{path}: {size - end} trailing bytes")
+        tensors = allocate({name: shape for name, (shape, _) in bodies.items()}, meta)
+        for name, (shape, offset) in bodies.items():
+            fh.seek(offset)
+            _fill(partial(_read_blocks, fh, f"{path}[{name}]", shape), tensors[name].reshape(shape))
     return tensors, meta

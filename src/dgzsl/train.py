@@ -23,7 +23,7 @@ from .data import Dataset, fewshot_sample, load_dataset, open_dataset
 from .errors import DataFormatError, DgzslError
 from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, predict_batch
-from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_named
+from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_shapes
 from .optim import Adam
 from .serialize import load_checkpoint, save_checkpoint, save_matrix, save_rows
 from .transductive import sharpen, soft_assign, transductive_objective
@@ -402,13 +402,20 @@ _FLOAT_BITS = {32: np.float32, 64: np.float64}
 
 
 def _model_from_checkpoint(checkpoint_path) -> ModelParams:
-    tensors, meta = load_checkpoint(checkpoint_path)
-    bits = meta.get("float_bits", 64)
-    if bits not in _FLOAT_BITS:
-        raise DataFormatError(f"{checkpoint_path}: float_bits must be 32 or 64, got {bits:g}")
-    return model_from_named(
-        tensors, meta.get("keep_prob", 1.0), where=str(checkpoint_path), dtype=_FLOAT_BITS[bits]
-    )
+    """The checkpoint's model: its shapes and meta make the model, and the
+    tensors are read straight into the views of its flat vector."""
+    made = []
+
+    def allocate(shapes, meta):
+        bits = meta.get("float_bits", 64)
+        if bits not in _FLOAT_BITS:
+            raise DataFormatError(f"{checkpoint_path}: float_bits must be 32 or 64, got {bits:g}")
+        keep_prob, where = meta.get("keep_prob", 1.0), str(checkpoint_path)
+        made.append(model_from_shapes(shapes, keep_prob, where, dtype=_FLOAT_BITS[bits]))
+        return made[0].named_arrays()
+
+    load_checkpoint(checkpoint_path, allocate)
+    return made[0]
 
 
 @contextmanager
@@ -454,10 +461,13 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
                 feats[start - first : s.stop - first] = block[start - s.start :]
     attrs = files.attributes.astype(model.flat.dtype, copy=False)
     predicted, _, _ = predict_batch(feats, ids, attrs, model)
+    # each (true, predicted) pair as one code, counted by one np.unique
+    classes = files.attributes.shape[0]
+    codes, counts = np.unique(labels * classes + predicted, return_counts=True)
     confusion: dict[str, dict[str, int]] = {}
-    for true, pred in zip(labels.tolist(), predicted.tolist()):
-        confusion.setdefault(str(true), {}).setdefault(str(pred), 0)
-        confusion[str(true)][str(pred)] += 1
+    for code, n in zip(codes.tolist(), counts.tolist()):
+        true, pred = divmod(code, classes)
+        confusion.setdefault(str(true), {})[str(pred)] = n
     return {
         "accuracy": float(np.mean(predicted == labels)),
         "examples": int(labels.size),

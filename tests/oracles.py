@@ -4,7 +4,9 @@ differentiable program against. Nothing in ``dgzsl`` calls them.
 Per-pair Gaussian KL and log-density, a vector log-sum-exp, the
 single-example class-conditional bound, the margin term, the closest-prior
 label with its evidence, the label by the per-candidate bound, and the
-target-to-assignment KL. Also the elementwise tape ops (``add``, ``sub``,
+target-to-assignment KL. The class rules of a dataset with the pairwise
+C×C×M duplicate check that ``data._check_classes`` replaced, and the
+confusion table counted row by row. Also the elementwise tape ops (``add``, ``sub``,
 ``mul``, ``exp``, ``sum``, ``mean``, ``logsumexp_rows``, ``matmul``,
 ``transpose``), each one node through ``ad.record``, and the unfused
 compositions built of them that the fused nodes replaced: they are the
@@ -321,3 +323,38 @@ def target_assignment_kl(target, assignments) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
     return float(terms.sum())
+
+
+def check_classes(labels, n_train: int, attrs, seen_classes, unseen_classes) -> None:
+    """``data._check_classes`` with its duplicate-row check on the C×C×M
+    array of pairwise differences."""
+    seen, unseen = set(seen_classes), set(unseen_classes)
+    if seen & unseen:
+        raise DgzslError(f"classes both seen and unseen: {sorted(seen & unseen)}")
+    declared = seen | unseen
+    if declared != set(range(attrs.shape[0])):
+        raise DgzslError(
+            f"seen+unseen must cover class ids 0..{attrs.shape[0] - 1} exactly"
+        )
+    present = set(np.unique(labels).tolist())
+    if not present <= declared:
+        raise DgzslError(f"labels outside declared classes: {sorted(present - declared)}")
+    train_present = set(np.unique(labels[:n_train]).tolist())
+    if not train_present <= seen:
+        raise DgzslError(
+            f"train split contains non-seen labels: {sorted(train_present - seen)}"
+        )
+    diffs = attrs[:, None, :] - attrs[None, :, :]
+    same = (np.abs(diffs).sum(axis=2) == 0) & ~np.eye(attrs.shape[0], dtype=bool)
+    if same.any():
+        a, b = np.argwhere(same)[0]
+        raise DgzslError(f"classes {a} and {b} share an attribute vector")
+
+
+def confusion_counts(labels, predicted) -> dict:
+    """true -> predicted -> count, with string keys, one row at a time."""
+    confusion: dict[str, dict[str, int]] = {}
+    for true, pred in zip(np.asarray(labels).tolist(), np.asarray(predicted).tolist()):
+        confusion.setdefault(str(true), {}).setdefault(str(pred), 0)
+        confusion[str(true)][str(pred)] += 1
+    return confusion

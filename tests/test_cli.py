@@ -4,6 +4,7 @@ The console-script tests alone start a separate process, as the installed
 `dgzsl` command would.
 """
 
+import argparse
 import importlib.metadata
 import json
 import os
@@ -16,13 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgzsl import serialize, train
+from dgzsl import cli, serialize, train
 from dgzsl.cli import main
 from dgzsl.config import load_config, parse_config
-from dgzsl.data import SynthSpec, load_dataset, save_dataset, synth_generate
+from dgzsl.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from dgzsl.networks import encode, init_model, model_from_named
 from dgzsl.serialize import load_checkpoint, load_matrix, save_checkpoint, save_matrix
 from dgzsl.train import _model_from_checkpoint, train_model
+
+import oracles
 
 BASE_CFG = """\
 regime = inductive
@@ -603,6 +606,61 @@ def test_eval_rejects_an_empty_test_split(trained, tiny_dataset, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert str(data) in captured.err and "test split is empty" in captured.err
+
+
+def test_one_parser_serves_every_call_with_a_fresh_namespace(monkeypatch, capsys):
+    built, real_init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    calls = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "run_train", lambda *args, **kwargs: calls.append(kwargs) or {})
+    monkeypatch.setattr(cli, "run_eval", lambda *args, **kwargs: calls.append(kwargs) or {})
+    cli.build_parser.cache_clear()
+    common = ["--config", "c", "--data", "d", "--out", "o"]
+    assert main(["train", *common, "--seed", "3", "--no-recon", "--regime", "transductive"]) == 0
+    assert main(["fewshot", *common, "--k", "2", "--transductive-phase"]) == 0
+    assert main(["eval", "--checkpoint", "m", "--data", "d", "--candidates", "all"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--seed", "3"])  # a usage error between calls
+    assert exc.value.code == 2
+    assert main(["train", *common]) == 0
+    assert main(["eval", "--checkpoint", "m", "--data", "d"]) == 0
+    capsys.readouterr()
+    unset = dict(seed=None, no_recon=None, recon_only_unlabeled=None, exclude_true_class=None)
+    assert calls == [
+        {**unset, "regime": "transductive", "k": None, "transductive_fewshot": None, "seed": 3, "no_recon": True},
+        {**unset, "regime": "fewshot", "k": 2, "transductive_fewshot": True},
+        {"candidates": "all"},
+        {**unset, "regime": None, "k": None, "transductive_fewshot": None},
+        {"candidates": "unseen"},
+    ]
+    assert built.count("dgzsl") == 1  # the subcommand parsers are built with it, once
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_confusion_table_counts_what_a_row_by_row_loop_counts(seed, trained, tiny_dataset, tmp_path, monkeypatch):
+    """Test labels in a random order, predictions drawn at random from every
+    class, so seen classes are predicted but never true."""
+    rng = np.random.default_rng(seed)
+    ds, first = tiny_dataset, tiny_dataset.n_train
+    order = np.concatenate([np.arange(first), first + rng.permutation(ds.labels.size - first)])
+    data = tmp_path / "data"
+    save_dataset(Dataset(ds.features[order], ds.labels[order], first, ds.attributes, ds.seen_classes, ds.unseen_classes), data)
+    predicted = []
+
+    def draw(feats, ids, attrs, model):
+        predicted.append(rng.choice(ids, feats.shape[0]))
+        return predicted[-1], None, None
+
+    monkeypatch.setattr(train, "predict_batch", draw)
+    report = train.run_eval(trained / "model.ckpt", data, candidates="all")
+    labels = ds.labels[order][first:]
+    assert report["confusion"] == oracles.confusion_counts(labels, predicted[0])
+    assert report["accuracy"] == float(np.mean(predicted[0] == labels))
 
 
 def test_argparse_misuse_exits_two():

@@ -37,6 +37,8 @@ from dgzsl.serialize import (
     write_manifest,
 )
 
+import oracles
+
 
 def tiny_spec(**kwargs):
     base = dict(seen=4, unseen=2, attr_dim=3, feature_dim=6, per_class=10, seed=5)
@@ -88,6 +90,50 @@ def test_dataset_rejects_duplicate_attribute_rows():
         small_dataset(
             attributes=np.array([[0.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
         )
+
+
+def class_rule_error(check, attrs):
+    """The message ``check`` raises for an all-seen dataset with these
+    attribute rows, or None."""
+    classes = attrs.shape[0]
+    try:
+        check(np.arange(classes), classes, attrs, range(classes), ())
+    except DgzslError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_duplicate_attribute_rows_are_named_as_the_pairwise_check_names_them(seed):
+    rng = np.random.default_rng(seed)
+    classes, width = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+    # few distinct values, so rows collide by chance as well as by planting
+    attrs = rng.choice([-1.0, -0.0, 0.0, 0.5], size=(classes, width))
+    for _ in range(int(rng.integers(0, 3))):
+        a, b = rng.integers(0, classes, 2)
+        attrs[b] = attrs[a] * np.where(attrs[a] == 0.0, rng.choice([-1.0, 1.0], width), 1.0)
+    assert class_rule_error(data._check_classes, attrs) == class_rule_error(oracles.check_classes, attrs)
+
+
+def test_minus_zero_and_zero_attributes_are_the_same_vector():
+    attrs = np.array([[1.0, 2.0], [0.0, -0.0], [3.0, 4.0], [-0.0, 0.0], [0.0, 0.0]])
+    assert class_rule_error(data._check_classes, attrs) == "classes 1 and 3 share an attribute vector"
+    assert class_rule_error(oracles.check_classes, attrs) == "classes 1 and 3 share an attribute vector"
+
+
+def test_the_duplicate_row_check_holds_no_class_by_class_array():
+    # SUN's shape: the pairwise differences alone would be 717 × 717 × 102
+    # float64 values, 400 MB
+    attrs = np.random.default_rng(0).uniform(-1, 1, (717, 102))
+    tracemalloc.start()
+    try:
+        assert class_rule_error(data._check_classes, attrs) is None
+        attrs[600] = attrs[42]
+        assert class_rule_error(data._check_classes, attrs) == "classes 42 and 600 share an attribute vector"
+        assert tracemalloc.get_traced_memory()[1] < 4 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_dataset_rejects_non_finite_features():

@@ -1,12 +1,14 @@
 """Supervised objective: per-class lower bound, margin term, batch assembly."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgzsl import autodiff as ad
-from dgzsl.errors import DgzslError
+from dgzsl.errors import DgzslError, ShapeError
 from dgzsl.gaussian import LOG_2PI, DiagGaussian, sample_reparam
 from dgzsl.inductive import inductive_objective, inductive_value, one_hot
 from dgzsl.networks import ModelParams, class_prior, decode, encode, init_model, make_dropout_masks
@@ -197,6 +199,27 @@ def test_an_inductive_step_records_one_node_per_fused_op():
     assert [n.op for n in tape.nodes] == ["leaf"] * 16 + encode_ops + ["sample"] + decode_ops + [
         "loglik", "prior", "prior", "clip", "kl_matrix", "labeled"
     ]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_no_recon_step_records_no_sample_decoder_or_loglik_node(dtype):
+    model, case = labeled_case(dtype)
+    tape = ad.Tape()
+    value, _ = inductive_value(model.bind(tape), **case, include_recon=False)
+    encode_ops = ["dense"] * 4 + ["clip"]
+    assert [n.op for n in tape.nodes] == ["leaf"] * 16 + encode_ops + ["prior", "prior", "clip", "kl_matrix", "labeled"]
+    # every op left on the tape feeds the value; of the leaves, the decoder's do not
+    ad.backward_grad(tape, value)
+    assert all(n.grad is not None for n in tape.nodes if n.op != "leaf")
+    assert [n.name for n in tape.nodes if n.grad is None] == [n for n in model.named_arrays() if n.startswith("dec.")]
+
+
+def test_a_no_recon_step_still_checks_the_noise_shape(setup):
+    model, attrs, feats, labels, noise = setup
+    with pytest.raises(ShapeError, match=re.escape("sample_reparam noise: shape (5, 4) != shape (5, 3)")):
+        inductive_value(
+            model, feats, labels, attrs, noise=noise[:, :3], margin_class_ids=np.arange(4), include_recon=False
+        )
 
 
 def test_weight_zero_reduces_to_mean_elbo(setup):

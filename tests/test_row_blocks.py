@@ -23,7 +23,7 @@ from dgzsl.serialize import (
     save_matrix,
     save_rows,
 )
-from dgzsl.train import export_embeddings, run_eval
+from dgzsl.train import _model_from_checkpoint, export_embeddings, run_eval
 
 ROWS, COLS = 11, 5  # 11 rows in blocks of at most 3: 2, 3, 3, 3
 
@@ -177,6 +177,45 @@ def test_export_matches_a_whole_array_pass(small_blocks, tmp_path):
     assert (tmp_path / "emb" / "latents.bin").read_bytes() == whole_matrix_bytes(latents)
     assert (tmp_path / "emb" / "recons.bin").read_bytes() == whole_matrix_bytes(recons)
     assert sorted(p.name for p in (tmp_path / "emb").iterdir()) == ["latents.bin", "recons.bin"]
+
+
+def checkpoint_of(path, model, *, reverse=False):
+    """Saves ``model`` as ``train`` would (float_bits for a float32 model),
+    its biases given as 1×n rows, in layout order or reversed."""
+    tensors = {name: a[None] if a.ndim == 1 else a for name, a in model.named_arrays().items()}
+    meta = {"keep_prob": model.keep_prob}
+    if model.flat.dtype == np.float32:
+        meta["float_bits"] = 32
+    save_checkpoint(path, dict(reversed(tensors.items())) if reverse else tensors, meta=meta)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["layout-order", "reversed"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_checkpoint_is_read_into_the_model_as_model_from_named_copies_it(small_blocks, tmp_path, dtype, reverse):
+    # the small blocks split the 11-row encoder weight across four reads
+    model = init_model(np.random.default_rng(8), ROWS, 3, COLS, (COLS,), 0.8, dtype=dtype)
+    checkpoint_of(tmp_path / "m.ckpt", model, reverse=reverse)
+    tensors, meta = load_checkpoint(tmp_path / "m.ckpt")
+    expected = model_from_named(tensors, meta["keep_prob"], dtype=dtype)
+    loaded = _model_from_checkpoint(tmp_path / "m.ckpt")
+    assert loaded.layout.entries == expected.layout.entries and loaded.keep_prob == expected.keep_prob
+    assert loaded.flat.dtype == dtype and loaded.flat.tobytes() == expected.flat.tobytes()
+    if dtype == np.float32:
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_checkpoint_is_read_holding_the_flat_vector_and_one_stage(tmp_path, dtype):
+    """A float32 body is read straight into its slice of the flat vector, a
+    float64 one through one float32 stage as tall as the tensor; no tensor is
+    held beside the vector."""
+    model = init_model(np.random.default_rng(9), 256, 16, 32, (256, 256), 0.8, dtype=dtype)
+    checkpoint_of(tmp_path / "m.ckpt", model)
+    loaded, peak = traced_peak(_model_from_checkpoint, tmp_path / "m.ckpt")
+    stage = 4 * max(np.prod(shape) for _, shape, _ in model.layout.entries)
+    tensors = 4 * model.layout.size  # what per-tensor float32 arrays would hold
+    # a block is checked through a boolean mask a quarter of its size
+    assert peak < loaded.flat.nbytes + 2 * stage < loaded.flat.nbytes + tensors
 
 
 def test_load_matrix_holds_the_result_and_at_most_two_blocks(monkeypatch, tmp_path):
