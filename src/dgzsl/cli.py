@@ -15,6 +15,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse  # noqa: E402
+import ctypes  # noqa: E402
 import functools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -240,7 +241,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # <malloc.h> option numbers
+
+
+@functools.cache
+def malloc_policy() -> bool:
+    """Sets the process's glibc malloc thresholds once; whether it did.
+
+    By default glibc trims the freed top of the heap after a call and the
+    next call faults the same pages back in, and setting only the trim
+    threshold turns off the dynamic mmap threshold, so every array of
+    128 KiB or more would be mapped afresh. Fixing both keeps freed arrays
+    on the heap for reuse. Off glibc, or without ``mallopt``, it does
+    nothing. Only ``main`` calls it: library callers keep their allocator.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # 32 MiB is glibc's own 64-bit ceiling for its dynamic mmap threshold;
+    # 256 MiB is above any heap top a run frees and takes back
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    trim_set = mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    return bool(mmap_set and trim_set)
+
+
 def main(argv=None) -> int:
+    malloc_policy()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -285,8 +285,23 @@ def write_labels(path, labels) -> None:
 
 
 def read_labels(path):
+    """One int64 label per line; blank lines are skipped. A file ending in a
+    newline is read in one pass of int(), which strips whitespace as the
+    line loop does and rejects a blank line, an inner space or a line break
+    other than \\n; on any fault the line loop reads it again and names the
+    line."""
+    text = _read_numbers(path)
+    if text.endswith("\n"):
+        try:
+            return np.fromiter(map(int, text.split("\n")[:-1]), dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+    return _label_lines(text, path)
+
+
+def _label_lines(text: str, path):
     out = []
-    for ln, raw in enumerate(_read_numbers(path).splitlines(), 1):
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -639,6 +640,89 @@ def test_one_parser_serves_every_call_with_a_fresh_namespace(monkeypatch, capsys
         {"candidates": "unseen"},
     ]
     assert built.count("dgzsl") == 1  # the subcommand parsers are built with it, once
+
+
+GLIBC = (getattr(os, "confstr", lambda name: None)("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+
+# One process runs synth, a 1-epoch train and two exports through cli.main
+# and prints the minor page faults of the second export.
+EXPORT_FAULTS = """
+import contextlib, io, resource, sys
+from pathlib import Path
+from dgzsl.cli import main
+from dgzsl.config import format_config, load_config
+
+work, cfg = Path(sys.argv[1]), Path(sys.argv[2])
+(work / "one.cfg").write_text(format_config(load_config(cfg).override(epochs=1)), encoding="utf-8")
+run = lambda *argv: main([str(a) for a in argv])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run("synth", "--out", work / "data", "--seed", 0) == 0
+    assert run("train", "--config", work / "one.cfg", "--data", work / "data", "--out", work / "run") == 0
+    export = ("export", "--checkpoint", work / "run" / "model.ckpt", "--data", work / "data", "--out", work / "x")
+    assert run(*export) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert run(*export) == 0
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(after - before)
+"""
+
+
+@pytest.mark.skipif(not GLIBC, reason="the malloc policy is glibc's")
+def test_a_repeated_export_reuses_its_heap(tmp_path):
+    """Without the policy glibc trims the export's freed 1 MB activations off
+    the heap top and the next export faults them back in (about 800 faults)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", EXPORT_FAULTS, str(tmp_path), str(REPO / "configs" / "synth-inductive.cfg")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
+
+
+@pytest.fixture
+def fresh_malloc_policy():
+    cli.malloc_policy.cache_clear()
+    yield
+    cli.malloc_policy.cache_clear()  # the next main sets the real policy again
+
+
+def test_the_malloc_policy_is_set_once_per_process(fresh_malloc_policy, monkeypatch, capsys):
+    calls = []
+
+    def mallopt(option, value):
+        calls.append((option, value))
+        return 1
+
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: calls.append(name) or SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(cli, "run_eval", lambda *args, **kwargs: {})
+    for _ in range(3):
+        assert main(["eval", "--checkpoint", "m", "--data", "d"]) == 0
+    capsys.readouterr()
+    assert calls == [None, (-3, 32 << 20), (-1, 256 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert cli.malloc_policy() is True
+
+
+def _unknown_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize(
+    "libc_version, libc",
+    [
+        (lambda name: "glibc 2.36", SimpleNamespace()),  # no mallopt symbol
+        (lambda name: None, None),  # a libc that does not name itself
+        (lambda name: "musl", None),
+        (_unknown_name, None),
+    ],
+)
+def test_the_malloc_policy_is_a_silent_no_op_off_glibc(libc_version, libc, fresh_malloc_policy, monkeypatch):
+    opened = []
+    monkeypatch.setattr(cli.os, "confstr", libc_version)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or libc)
+    assert cli.malloc_policy() is False
+    assert opened == ([None] if libc else [])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

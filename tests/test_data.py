@@ -441,6 +441,51 @@ def test_labels_reject_a_value_beyond_int64(tmp_path, text):
     assert read_labels(path).tolist() == [-(2**63), 2**63 - 1]
 
 
+def _label_outcome(read, path):
+    try:
+        labels = read(path)
+    except DataFormatError as e:
+        return "error", str(e)
+    return labels.dtype, labels.tolist()
+
+
+_PAD = st.text(alphabet=" \t\f\v", max_size=2)
+_LABEL_LINE = st.one_of(
+    _PAD,  # a blank line
+    st.builds(
+        "{}{}{}{}{}".format,
+        _PAD,
+        st.sampled_from(["", "+", "-"]),
+        st.one_of(st.integers(0, 2**64), st.sampled_from([2**63 - 1, 2**63, 2**63 + 1])),
+        st.sampled_from(["", "", "", " 7", "x"]),  # mostly whole labels
+        _PAD,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.tuples(_LABEL_LINE, st.sampled_from(["\n", "\n", "\r\n", "\r", "\f"])), max_size=8),
+    tail=st.one_of(st.just(""), _LABEL_LINE),
+)
+def test_labels_one_pass_read_matches_the_line_loop(tmp_path_factory, lines, tail):
+    # blank lines, CRLF, lone CR, form feeds, signs, inner and outer spaces,
+    # values beyond int64, a last line without its newline and the empty
+    # file: the same labels or the same message as the line loop alone
+    path = tmp_path_factory.mktemp("labels") / "l.txt"
+    path.write_bytes(("".join(line + brk for line, brk in lines) + tail).encode("ascii"))
+    loop = lambda p: serialize._label_lines(serialize._read_numbers(p), p)  # noqa: E731
+    assert _label_outcome(read_labels, path) == _label_outcome(loop, path)
+
+
+def test_labels_of_a_well_formed_file_skip_the_line_loop(tmp_path, monkeypatch):
+    path = tmp_path / "l.txt"
+    path.write_bytes(b"3\n -1\t\n+7\r\n0\f\n")
+    monkeypatch.setattr(serialize, "_label_lines", None)
+    labels = read_labels(path)
+    assert labels.dtype == np.int64 and labels.tolist() == [3, -1, 7, 0]
+
+
 @pytest.mark.parametrize("text, char", [("1_0", "_"), ("٣", "٣")])
 def test_labels_take_only_plain_ascii_integers(tmp_path, text, char):
     # int() would read 1_0 as 10 and ٣ (Arabic-Indic three) as 3

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, rc=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
@@ -24,7 +25,7 @@ def run_script(name, *args):
         env=env,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == rc, proc.stderr
     return proc
 
 
@@ -57,3 +58,20 @@ def test_reference_digests_hash_every_output_of_a_case(tmp_path):
         assert "epochs = 1" in (out / case / "config.cfg").read_text(encoding="utf-8")
     # the shipped full-scale.cfg is float32; this case overrides it back
     assert "dtype = float64" in (out / "full-scale-float64" / "config.cfg").read_text(encoding="utf-8")
+
+
+def test_fresh_process_measures_each_command_in_its_own_process(tmp_path):
+    data = tmp_path / "data"
+    commands = [f"synth --out {shlex.quote(str(data))} --per-class 5 --seed 1", "gradcheck --seed 2"]
+    proc = run_script("fresh_process.py", *commands)
+    records = [json.loads(line) for line in proc.stdout.splitlines()]  # the commands' own output is discarded
+    assert [r["command"] for r in records] == commands
+    for r in records:
+        assert r["rc"] == 0
+        assert r["wall_s"] > 0 and r["user_s"] > 0 and r["sys_s"] >= 0
+        assert r["maxrss_mb"] > 10 and r["minflt"] > 1000  # an interpreter that imported numpy
+    assert (data / "split.manifest").is_file()
+    missing = f"eval --checkpoint {shlex.quote(str(tmp_path / 'none.ckpt'))} --data {shlex.quote(str(data))}"
+    proc = run_script("fresh_process.py", missing, rc=1)
+    assert json.loads(proc.stdout)["rc"] == 1
+    assert proc.stderr.startswith("error: ")
