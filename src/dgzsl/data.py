@@ -109,7 +109,7 @@ class Dataset:
             raise ShapeError("labels must align with feature rows")
         if not 0 <= self.n_train <= labels.size:
             raise DgzslError(f"n_train must be in 0..{labels.size}, got {self.n_train}")
-        finite = all(np.isfinite(feats[s]).all() for s in row_blocks(*feats.shape))
+        finite = all(np.isfinite(feats[s]).all() for s in row_blocks(*feats.shape, feats.itemsize))
         if not finite or not np.all(np.isfinite(attrs)):
             raise DataFormatError("features/attributes contain non-finite values")
         _check_classes(labels, self.n_train, attrs, self.seen_classes, self.unseen_classes)

@@ -15,10 +15,12 @@ Checkpoint: 8-byte magic ``DGZSLCK1``, u32 tensor count, then per tensor a
 u32 name length, the UTF-8 name, and the tensor in the matrix-file layout.
 Scalar metadata rides along as 1×1 tensors named ``meta.<key>``.
 
-Matrix bodies stream in row blocks of at most ``_BLOCK_BYTES`` of float64
-(``row_blocks``): the writers cast one block at a time to float32, and the
-one body reader checks a header against the file size before anything is
-allocated, then reads and checks one block at a time (``open_matrix`` hands
+Matrix bodies stream in row blocks of at most ``_BLOCK_BYTES`` of the array
+a block is cut from or read into (``row_blocks``): the writers cut their
+source, float64 or float32, and cast one block at a time to float32,
+rejecting a finite value that float32 cannot hold; the one body reader
+checks a header against the file size before anything is allocated, then
+reads and checks one float32 block at a time (``open_matrix`` hands
 each block to its caller, ``load_matrix`` fills one array of the caller's
 dtype from them, or reads a float32 one in place, and ``load_checkpoint``
 reads every header first, then each tensor body into the array its caller
@@ -42,50 +44,71 @@ from .errors import DataFormatError, ShapeError
 MATRIX_MAGIC = b"DGZSLM01"
 CHECKPOINT_MAGIC = b"DGZSLCK1"
 _HEADER = struct.Struct("<II")
-# bytes of float64 rows per block when a matrix streams to or from disk
+# bytes per row block when a matrix streams to or from disk, counted in the
+# array the block is cut from (a writer's source) or read into (a reader's
+# float32 stage): a 2,048-wide file is read in 512-row blocks, so a product
+# over a block spreads the packing of its weight over that many rows
 _BLOCK_BYTES = 1 << 22
 
 
-def row_blocks(rows: int, cols: int):
-    """Slices cutting ``rows`` rows of ``cols`` float64 values into blocks of
-    at most _BLOCK_BYTES each (one row at least), sized within one row of
-    each other: a block holds at least half a budget's worth of rows, so no
-    block is a lone straggler row."""
-    per = max(1, _BLOCK_BYTES // max(1, 8 * cols))
+def row_blocks(rows: int, cols: int, itemsize: int):
+    """Slices cutting ``rows`` rows of ``cols`` values of ``itemsize`` bytes
+    into blocks of at most _BLOCK_BYTES each (one row at least), sized within
+    one row of each other: a block holds at least half a budget's worth of
+    rows, so no block is a lone straggler row."""
+    per = max(1, _BLOCK_BYTES // max(1, itemsize * cols))
     count = -(-rows // per)
     return [slice(i * rows // count, (i + 1) * rows // count) for i in range(count)]
 
 
-def _write_rows(fh, shape, blocks) -> None:
+def _as_float32(b, first: int, where: str):
+    """Row block ``b`` (rows ``first``… of its matrix) as contiguous float32.
+    A finite value that float32 cannot hold, which the cast would turn into
+    ±inf, is a DataFormatError naming its row, column and value; NaN and
+    ±inf pass as they are."""
+    try:
+        with np.errstate(over="raise"):
+            return np.ascontiguousarray(b, dtype="<f4")
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            lost = np.isfinite(b) & ~np.isfinite(b.astype("<f4"))
+        row, col = divmod(int(np.argmax(lost)), b.shape[1])
+        raise DataFormatError(
+            f"{where}: value {b[row, col]} at row {first + row}, column {col} does not fit in float32"
+        ) from None
+
+
+def _write_rows(fh, shape, blocks, where: str) -> None:
     """Writes the matrix-file header for ``shape``, then each row block as
-    float32; the blocks must fill ``shape`` in order."""
+    float32 (_as_float32); the blocks must fill ``shape`` in order."""
     fh.write(MATRIX_MAGIC + _HEADER.pack(*shape))
     rows = 0
     for block in blocks:
         b = np.asarray(block)
         if b.ndim != 2 or b.shape[1] != shape[1]:
             raise ShapeError(f"row block of shape {b.shape} does not fit a {shape} matrix")
-        fh.write(np.ascontiguousarray(b, dtype="<f4").data)
+        fh.write(_as_float32(b, rows, where).data)
         rows += b.shape[0]
         del block, b  # so a producer that computes the next block can reuse this one's memory
     if rows != shape[0]:
         raise ShapeError(f"row blocks hold {rows} rows, the header says {shape[0]}")
 
 
-def _write_matrix(fh, arr) -> None:
+def _write_matrix(fh, arr, where: str) -> None:
     """Writes one matrix in the matrix-file layout to a binary file object,
-    casting one row block at a time."""
+    casting one row block of ``arr`` at a time; ``where`` names it in
+    errors."""
     a = np.asarray(arr)
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2:
         raise DataFormatError(f"can only serialize 1-D or 2-D arrays, got shape {a.shape}")
-    _write_rows(fh, a.shape, (a[s] for s in row_blocks(*a.shape)))
+    _write_rows(fh, a.shape, (a[s] for s in row_blocks(*a.shape, a.itemsize)), where)
 
 
 def matrix_bytes(arr) -> bytes:
     buf = io.BytesIO()
-    _write_matrix(buf, arr)
+    _write_matrix(buf, arr, "matrix")
     return buf.getvalue()
 
 
@@ -106,14 +129,18 @@ def _atomic_write(path):
 
 def save_matrix(path, arr) -> None:
     with _atomic_write(path) as fh:
-        _write_matrix(fh, arr)
+        _write_matrix(fh, arr, str(path))
 
 
-def save_rows(path, shape, blocks) -> None:
+def save_rows(path, shape, blocks, then=None) -> None:
     """Writes a ``shape`` matrix file from row blocks that fill it in order,
-    so the whole matrix never has to exist at once."""
+    so the whole matrix never has to exist at once. ``then()``, if given,
+    runs once the body is written and before the file replaces ``path``:
+    if it raises, ``path`` is left as it was."""
     with _atomic_write(path) as fh:
-        _write_rows(fh, shape, blocks)
+        _write_rows(fh, shape, blocks, str(path))
+        if then is not None:
+            then()
 
 
 def _read_header(fh, size: int, where: str) -> tuple[int, int]:
@@ -145,7 +172,7 @@ def _read_blocks(fh, where: str, shape, out=None):
     until the next one.
     """
     rows, cols = shape
-    blocks = row_blocks(rows, cols)
+    blocks = row_blocks(rows, cols, 4)
     direct = out is not None
     if not direct:  # the stage is as tall as the tallest block
         out = np.empty((-(-rows // max(1, len(blocks))), cols), "<f4")
@@ -376,7 +403,7 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
         for name, arr in items.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)) + encoded)
-            _write_matrix(fh, arr)
+            _write_matrix(fh, arr, f"{path}[{name}]")
 
 
 def _float32_arrays(shapes, meta) -> dict:

@@ -14,6 +14,7 @@ import json
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -483,8 +484,10 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
     then test block). Reconstructions decode the posterior mean. Each row
     block of features goes through the networks as it is read, and the
     reconstructions stream to disk block by block, so the feature matrix is
-    never held. A failure while the rows stream writes no output file (the
-    writes are atomic) and removes the output directory if this call made it.
+    never held. ``latents.bin`` is written before ``recons.bin`` replaces its
+    old file, so a failure in either write, such as a value that float32
+    cannot hold, leaves no new output file (the writes are atomic) and
+    removes the output directory if this call made it.
     """
     with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
         out = Path(out_dir)
@@ -498,8 +501,8 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
                 yield decode(latents[s], model)
 
         try:
-            save_rows(out / "recons.bin", files.shape, recons())
-            save_matrix(out / "latents.bin", latents)
+            save_latents = partial(save_matrix, out / "latents.bin", latents)
+            save_rows(out / "recons.bin", files.shape, recons(), then=save_latents)
         except BaseException:
             if made:
                 with suppress(OSError):

@@ -477,6 +477,58 @@ def test_checkpoint_dims_are_checked_against_the_data_before_any_output(
     assert not out.exists()
 
 
+def overflowing_checkpoint(path, trained, output):
+    """The trained checkpoint with one map pushed to float32's edge: its bias
+    3e38 and its weights 1e38, so the float64 scoring pass yields finite
+    values above float32's largest. For ``latents`` the decoder's first
+    weight is zeroed, so the reconstructions stay small."""
+    tensors, meta = load_checkpoint(trained / "model.ckpt")
+    part = "dec.out" if output == "recons" else "enc.mean"
+    tensors[f"{part}.w"][:] = 1e38
+    tensors[f"{part}.b"][:] = 3e38
+    if output == "latents":
+        tensors["dec.h0.w"][:] = 0
+    save_checkpoint(path, tensors, meta=meta)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-outputs"])
+@pytest.mark.parametrize("output", ["recons", "latents"])
+def test_an_export_float32_cannot_hold_fails_and_leaves_no_new_output(
+    output, existing, trained, tiny_dir, tmp_path, capsys
+):
+    """A value the float32 cast would turn into ±inf stops export with the
+    file, row, column and value named; an output directory it made is gone,
+    and old outputs keep their bytes, recons.bin too when latents.bin fails."""
+    ckpt = tmp_path / "edge.ckpt"
+    overflowing_checkpoint(ckpt, trained, output)
+    model = _model_from_checkpoint(ckpt)
+    ds = load_dataset(tiny_dir / "features.bin", tiny_dir / "attributes.csv", tiny_dir / "split.manifest")
+    latents = encode(ds.features, model).mean
+    values = latents if output == "latents" else train.decode(latents, model)
+    with np.errstate(over="ignore"):
+        lost = np.isfinite(values) & ~np.isfinite(values.astype(np.float32))
+    assert lost.any()
+    row, col = divmod(int(np.argmax(lost)), values.shape[1])
+    out = tmp_path / "emb"
+    old = {}
+    if existing:
+        out.mkdir()
+        old = {name: f"old {name}".encode() for name in ("latents.bin", "recons.bin")}
+        for name, body in old.items():
+            (out / name).write_bytes(body)
+    rc = main(["export", "--checkpoint", str(ckpt), "--data", str(tiny_dir), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (
+        f"error: {out / f'{output}.bin'}: value {values[row, col]} at row {row}, column {col} "
+        "does not fit in float32\n"
+    )
+    if existing:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+    else:
+        assert not out.exists()
+
+
 BAD_FEATURE_FILES = [
     "nan-in-train-block", "short-by-10-bytes", "trailing-bytes", "rows-not-labels", "label-beyond-int64",
 ]
@@ -519,7 +571,7 @@ def test_bad_feature_files_are_rejected_with_one_message(
     rows here, so the train block spans many blocks), train loads it whole;
     the message is the same, and neither export nor train leaves an output
     directory."""
-    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 7 * 8 * tiny_dataset.feature_dim)
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 7 * 4 * tiny_dataset.feature_dim)
     assert tiny_dataset.n_train > 100
     data = tmp_path / "data"
     message = write_bad_data(case, tiny_dataset, data)

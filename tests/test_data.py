@@ -643,7 +643,7 @@ def test_matrix_write_that_fails_partway_keeps_the_old_file(tmp_path, monkeypatc
     save_matrix(path, np.ones((2, 3)))
     old = path.read_bytes()
 
-    def disk_full(fh, arr):
+    def disk_full(fh, arr, where):
         fh.write(old[:10])
         raise OSError(28, "No space left on device")
 
@@ -652,6 +652,34 @@ def test_matrix_write_that_fails_partway_keeps_the_old_file(tmp_path, monkeypatc
         save_matrix(path, np.zeros((4, 4)))
     assert path.read_bytes() == old
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_value_float32_cannot_hold_is_rejected_and_keeps_the_old_file(tmp_path, monkeypatch):
+    """The cast to float32 would turn ±1e39 into ±inf; NaN, ±inf and a value
+    that rounds to float32's largest pass. One row per block, so the row
+    named is counted across blocks."""
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 8 * 3)
+    path = tmp_path / "latents.bin"
+    save_matrix(path, np.ones((2, 3)))
+    old = path.read_bytes()
+    top = float(np.finfo(np.float32).max)
+    arr = np.array([[np.nan, np.inf, -np.inf], [top, np.nextafter(top, np.inf), -top], [0.0, 1.0, -1e39], [1e39, 0, 0]])
+    message = f"{path}: value -1e+39 at row 2, column 2 does not fit in float32"
+    with pytest.raises(DataFormatError, match=re.escape(message) + "$"):
+        save_matrix(path, arr)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+    save_matrix(path, arr[:2])
+    assert np.frombuffer(path.read_bytes()[16:], "<f4")[3:].tolist() == [top, top, -top]
+
+
+def test_a_checkpoint_tensor_float32_cannot_hold_is_rejected_by_name(tmp_path):
+    path = tmp_path / "model.ckpt"
+    w = np.zeros((3, 2))
+    w[1, 1] = 5e38
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}[w]: value 5e+38 at row 1, column 1 does not")):
+        save_checkpoint(path, {"b": np.ones((1, 2)), "w": w}, meta={"keep_prob": 0.5})
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------- dataset round trip

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dgzsl import serialize
+from dgzsl import serialize, train
 from dgzsl.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from dgzsl.errors import DataFormatError, DgzslError, ShapeError
 from dgzsl.inference import predict_batch
@@ -30,7 +30,16 @@ ROWS, COLS = 11, 5  # 11 rows in blocks of at most 3: 2, 3, 3, 3
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Shrinks the block budget to 3 float64 rows of COLS values."""
+    """Shrinks the block budget to 3 float32 rows of COLS values, so a reader
+    (which fills a float32 stage) cuts ROWS rows into 2, 3, 3, 3; a float64
+    writer cuts one row at a time."""
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 3 * 4 * COLS)
+
+
+@pytest.fixture
+def small_write_blocks(monkeypatch):
+    """Shrinks the block budget to 3 float64 rows of COLS values, so a writer
+    cuts a float64 source of ROWS rows into 2, 3, 3, 3; a reader cuts 6."""
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 3 * 8 * COLS)
 
 
@@ -57,17 +66,19 @@ def traced_peak(fn, *args):
 
 
 def test_row_blocks_cover_every_row_with_no_straggler(small_blocks):
-    blocks = row_blocks(ROWS, COLS)
+    blocks = row_blocks(ROWS, COLS, 4)
     assert [(s.start, s.stop) for s in blocks] == [(0, 2), (2, 5), (5, 8), (8, 11)]
-    assert row_blocks(0, COLS) == []
-    assert row_blocks(3, COLS) == [slice(0, 3)]
+    assert row_blocks(0, COLS, 4) == []
+    assert row_blocks(3, COLS, 4) == [slice(0, 3)]
     # a block never holds fewer than half a budget's rows
     for rows in range(4, 40):
-        sizes = [s.stop - s.start for s in row_blocks(rows, COLS)]
+        sizes = [s.stop - s.start for s in row_blocks(rows, COLS, 4)]
         assert sum(sizes) == rows and min(sizes) >= 2 and max(sizes) <= 3
+    # the budget counts bytes: the same rows in float64 take twice the room
+    assert row_blocks(ROWS, COLS, 8) == [slice(i, i + 1) for i in range(ROWS)]
 
 
-def test_matrix_bytes_match_a_whole_array_cast(small_blocks, tmp_path):
+def test_matrix_bytes_match_a_whole_array_cast(small_write_blocks, tmp_path):
     arr = ragged()
     expected = whole_matrix_bytes(arr)
     assert matrix_bytes(arr) == expected
@@ -131,10 +142,10 @@ def _dataset_files(dataset, out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
-def test_save_dataset_matches_a_whole_array_write(small_blocks, tmp_path):
+def test_save_dataset_matches_a_whole_array_write(small_write_blocks, tmp_path):
     ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=2, seed=4))
     files = _dataset_files(ds, tmp_path / "data")
-    assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS)) == 4
+    assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS, ds.features.itemsize)) == 4
     assert files["features.bin"] == whole_matrix_bytes(ds.features)
     # a second save of the loaded dataset reproduces every file
     d = tmp_path / "data"
@@ -168,7 +179,7 @@ def test_export_matches_a_whole_array_pass(small_blocks, tmp_path):
     least two rows, so BLAS runs the same kernel on a block as on the whole
     array (a one-row product would go through matrix-vector code)."""
     ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
-    assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS)) == 4
+    assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS, 4)) == 4
     tensors, meta = load_checkpoint(tmp_path / "model.ckpt")
     model = model_from_named(tensors, meta["keep_prob"])  # the float32-rounded model
     latents = encode(ds.features, model).mean
@@ -236,13 +247,14 @@ def test_load_matrix_in_float32_holds_the_result_and_less_than_one_block(monkeyp
     save_matrix(path, arr)
     loaded, peak = traced_peak(load_matrix, path, np.float32)
     assert loaded.tobytes() == load_matrix(path).astype(np.float32).tobytes()
-    block = row_blocks(*arr.shape)[0]
+    block = row_blocks(*arr.shape, 4)[0]
     assert peak < loaded.nbytes + (block.stop - block.start) * arr.shape[1] * loaded.itemsize
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
 def test_export_failing_in_its_last_block_leaves_no_outputs(small_blocks, tmp_path, existing):
     ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
+    assert len(row_blocks(10, COLS, 4)) == 4
     bad = ds.features.copy()
     bad[9, 1] = np.nan  # the last of four blocks, after three were written
     save_matrix(tmp_path / "data" / "features.bin", bad)
@@ -266,7 +278,9 @@ def test_export_holds_model_latents_and_a_few_blocks(monkeypatch, tmp_path):
     labels = ds.labels.nbytes
     # activations of one block: the hidden layers here are as wide as the
     # features, and a block's reconstruction is cast to float32 on its way out
-    assert peak < whole + labels + 6 * serialize._BLOCK_BYTES < ds.features.nbytes
+    block = row_blocks(rows, 64, 4)[0]
+    activation = (block.stop - block.start) * 64 * 8
+    assert peak < whole + labels + 6 * activation < ds.features.nbytes
 
 
 def test_eval_holds_the_test_block_model_and_a_few_blocks(monkeypatch, tmp_path):
@@ -279,3 +293,36 @@ def test_eval_holds_the_test_block_model_and_a_few_blocks(monkeypatch, tmp_path)
     kept = ds.test_features.nbytes + model.flat.nbytes + ds.labels.nbytes + scoring
     # the train block (2,400 rows, 1.2 MB) would not fit under the bound
     assert peak < kept + 2 * serialize._BLOCK_BYTES < kept + ds.train_features.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_wide_export_multiplies_500_row_blocks_and_matches_a_whole_array_pass(tmp_path, monkeypatch, dtype):
+    """A reader's block is _BLOCK_BYTES of the float32 rows it holds: 1,000
+    rows of 2,048 features reach the encoder as two 500-row blocks, not as
+    four of 250, so each product packs its weights over twice the rows."""
+    ds, _ = _export_fixture(tmp_path, 200, 2048, (8,))
+    assert ds.features.shape == (1000, 2048)
+    model = init_model(np.random.default_rng(10), 2048, 2, 3, (8,), 0.8, dtype=dtype)
+    checkpoint_of(tmp_path / "model.ckpt", model)
+    rows = []
+
+    def counting_encode(x, m):
+        rows.append(x.shape[0])
+        return encode(x, m)
+
+    monkeypatch.setattr(train, "encode", counting_encode)
+    export_embeddings(tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
+    assert rows == [500, 500]
+    loaded = _model_from_checkpoint(tmp_path / "model.ckpt")
+    latents = encode(ds.features.astype(dtype), loaded).mean
+    assert (tmp_path / "emb" / "latents.bin").read_bytes() == whole_matrix_bytes(latents)
+    assert (tmp_path / "emb" / "recons.bin").read_bytes() == whole_matrix_bytes(decode(latents, loaded))
+
+
+def test_a_float64_writer_casts_at_most_256_rows_of_a_wide_matrix_at_a_time(tmp_path):
+    """A writer's block is _BLOCK_BYTES of the float64 source it is cut from,
+    so its float32 cast stays at half of that."""
+    arr = np.random.default_rng(11).normal(size=(1000, 2048))
+    _, peak = traced_peak(save_matrix, tmp_path / "m.bin", arr)
+    assert peak < 256 * 2048 * 4
+    assert (tmp_path / "m.bin").read_bytes() == whole_matrix_bytes(arr)
