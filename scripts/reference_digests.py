@@ -17,8 +17,10 @@ Each training case is followed by `eval --candidates all --out` and
 `export`. One `sha256  case/file` line is printed per output file (the
 run's config, metrics and checkpoint, the eval report and both export
 files; never the wall-clock timings or the summary, which holds paths),
-so two trees give byte-identical outputs exactly when the printed lines
-do. `--epochs N` runs every training case at N epochs, keeping the
+and one `sha256  data/file` (or `data-gbu/file`) line per file of a
+dataset, before the lines of the case that wrote it. So two trees give
+byte-identical data and outputs exactly when the printed lines do.
+`--epochs N` runs every training case at N epochs, keeping the
 transductive config's share of pretrain epochs.
 
 Example, against a second checkout of the code:
@@ -83,19 +85,22 @@ def config_for(case: str, epochs, out: Path) -> Path:
 
 
 def run_case(case: str, out: Path, epochs) -> dict:
-    """Runs one case under ``out``; returns {'case/file': bytes}."""
+    """Runs one case under ``out``; returns {'case/file': bytes}, led by
+    {'data/file': bytes} for the files of a dataset this call wrote."""
     if CASES[case] is None:
         return {f"{case}/stdout": dgzsl("gradcheck").encode()}
     _, data, default_epochs, _, command = CASES[case]
     data_dir, run = out / data, out / case
+    written = {}
     if not data_dir.exists():
         dgzsl("synth", "--out", data_dir, "--seed", 0, *(GBU if data == "data-gbu" else ()))
+        written = {f"{data}/{p.name}": p.read_bytes() for p in sorted(data_dir.iterdir())}
     cfg = config_for(case, epochs if epochs is not None else default_epochs, out)
     dgzsl(command[0], "--config", cfg, "--data", data_dir, "--out", run, *command[1:])
     ckpt = run / "model.ckpt"
     dgzsl("eval", "--checkpoint", ckpt, "--data", data_dir, "--candidates", "all", "--out", run / "eval.json")
     dgzsl("export", "--checkpoint", ckpt, "--data", data_dir, "--out", run / "export")
-    return {f"{case}/{name}": (run / name).read_bytes() for name in OUTPUTS}
+    return written | {f"{case}/{name}": (run / name).read_bytes() for name in OUTPUTS}
 
 
 def main() -> int:

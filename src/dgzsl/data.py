@@ -3,10 +3,11 @@ few-shot subsampling.
 
 The synthetic benchmark draws per-class attribute vectors uniformly from
 [−1, 1]^M, pushes them through a fixed random one-hidden-layer tanh map to
-get class feature means, and adds isotropic Gaussian noise. Classes are split
-so the unseen ones appear only in the test block. Everything is driven by
-named child seeds of one root seed, so identical specs give bit-identical
-datasets.
+get class feature means, and adds isotropic Gaussian noise. Its features are
+float32, the dtype ``features.bin`` stores, so a dataset in memory is the
+one its files hold. Classes are split so the unseen ones appear only in the
+test block. Everything is driven by named child seeds of one root seed, so
+identical specs give bit-identical datasets.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import DataFormatError, DgzslError, ShapeError
 from .serialize import (
+    as_float32,
     load_matrix,
     open_matrix,
     read_attribute_csv,
@@ -76,9 +78,10 @@ class Dataset:
 
     The first ``n_train`` rows are the train split and the rest the test
     split, so the two blocks are slices and their features views. Features
-    keep float32 or float64 as given and become float64 otherwise.
-    ``attributes`` has one row per class id; every train label must be a
-    seen class.
+    keep float32 or float64 as given and become float64 otherwise: a
+    dataset from ``synth_generate`` or a float32 ``load_dataset`` is
+    float32, and the trainer casts it to its run's dtype. ``attributes`` has
+    one row per class id; every train label must be a seen class.
     """
 
     features: np.ndarray
@@ -174,7 +177,16 @@ class SynthSpec:
 
 
 def synth_generate(spec: SynthSpec) -> Dataset:
-    """Deterministic synthetic dataset for the given spec."""
+    """Deterministic synthetic dataset for the given spec, with float32
+    features.
+
+    Each class's rows are computed in float64 (its mean plus scaled noise)
+    and rounded once into the float32 feature matrix, so the features hold
+    exactly the values ``save_dataset`` writes and training on them in
+    memory equals training on the saved files. Beside the matrix only one
+    class's float64 rows are held. A finite value that float32 cannot hold
+    (a huge ``noise_std``) is a DataFormatError naming its row and column.
+    """
     attr_rng, map_rng, noise_rng = (
         np.random.default_rng(s)
         for s in np.random.SeedSequence(spec.seed).spawn(3)
@@ -194,13 +206,18 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     else:
         noise_std = float(spec.noise_std)
 
-    # seen classes come first, so the train block naturally leads
+    # seen classes come first, so the train block naturally leads; a class's
+    # rows are computed in one reused float64 block and rounded once into
+    # the float32 matrix (standard_normal draws the bits normal would)
     per = spec.per_class
-    feats = np.empty((num_classes * per, spec.feature_dim), np.float64)
+    feats = np.empty((num_classes * per, spec.feature_dim), np.float32)
+    rows = np.empty((per, spec.feature_dim))
     for cid in range(num_classes):
-        noise = noise_rng.normal(size=(per, spec.feature_dim))
-        noise *= noise_std
-        np.add(means[cid], noise, out=feats[cid * per : (cid + 1) * per])
+        noise_rng.standard_normal(out=rows)
+        rows *= noise_std
+        rows += means[cid]
+        first = cid * per
+        as_float32(rows, first, "synthetic features", out=feats[first : first + per])
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per)
     return Dataset(
         feats,

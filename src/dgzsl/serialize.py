@@ -61,14 +61,18 @@ def row_blocks(rows: int, cols: int, itemsize: int):
     return [slice(i * rows // count, (i + 1) * rows // count) for i in range(count)]
 
 
-def _as_float32(b, first: int, where: str):
-    """Row block ``b`` (rows ``first``… of its matrix) as contiguous float32.
-    A finite value that float32 cannot hold, which the cast would turn into
-    ±inf, is a DataFormatError naming its row, column and value; NaN and
-    ±inf pass as they are."""
+def as_float32(b, first: int, where: str, out=None):
+    """Row block ``b`` (rows ``first``… of its matrix) as contiguous float32,
+    cast into ``out`` (a float32 array of its shape) when given. A finite
+    value that float32 cannot hold, which the cast would turn into ±inf, is
+    a DataFormatError naming its row, column and value; NaN and ±inf pass as
+    they are."""
     try:
         with np.errstate(over="raise"):
-            return np.ascontiguousarray(b, dtype="<f4")
+            if out is None:
+                return np.ascontiguousarray(b, dtype="<f4")
+            np.copyto(out, b)
+            return out
     except FloatingPointError:
         with np.errstate(over="ignore"):
             lost = np.isfinite(b) & ~np.isfinite(b.astype("<f4"))
@@ -78,16 +82,25 @@ def _as_float32(b, first: int, where: str):
         ) from None
 
 
+def check_finite(b, first: int, where: str) -> None:
+    """A NaN or ±inf in row block ``b`` (rows ``first``… of its matrix) is a
+    DataFormatError naming the first one's row, column and value."""
+    finite = np.isfinite(b)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), b.shape[1])
+        raise DataFormatError(f"{where}: non-finite value {b[row, col]} at row {first + row}, column {col}")
+
+
 def _write_rows(fh, shape, blocks, where: str) -> None:
     """Writes the matrix-file header for ``shape``, then each row block as
-    float32 (_as_float32); the blocks must fill ``shape`` in order."""
+    float32 (as_float32); the blocks must fill ``shape`` in order."""
     fh.write(MATRIX_MAGIC + _HEADER.pack(*shape))
     rows = 0
     for block in blocks:
         b = np.asarray(block)
         if b.ndim != 2 or b.shape[1] != shape[1]:
             raise ShapeError(f"row block of shape {b.shape} does not fit a {shape} matrix")
-        fh.write(_as_float32(b, rows, where).data)
+        fh.write(as_float32(b, rows, where).data)
         rows += b.shape[0]
         del block, b  # so a producer that computes the next block can reuse this one's memory
     if rows != shape[0]:
@@ -180,12 +193,7 @@ def _read_blocks(fh, where: str, shape, out=None):
         block = out[s] if direct else out[: s.stop - s.start]
         if fh.readinto(block) != block.nbytes:
             raise DataFormatError(f"{where}: file ended inside the matrix body")
-        finite = np.isfinite(block)
-        if not finite.all():
-            row, col = divmod(int(np.argmin(finite)), cols)
-            raise DataFormatError(
-                f"{where}: non-finite value {block[row, col]} at row {s.start + row}, column {col}"
-            )
+        check_finite(block, s.start, where)
         yield s, block
 
 

@@ -26,7 +26,7 @@ from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, predict_batch
 from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_shapes
 from .optim import Adam
-from .serialize import load_checkpoint, save_checkpoint, save_matrix, save_rows
+from .serialize import check_finite, load_checkpoint, save_checkpoint, save_matrix, save_rows
 from .transductive import sharpen, soft_assign, transductive_objective
 
 
@@ -484,10 +484,13 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
     then test block). Reconstructions decode the posterior mean. Each row
     block of features goes through the networks as it is read, and the
     reconstructions stream to disk block by block, so the feature matrix is
-    never held. ``latents.bin`` is written before ``recons.bin`` replaces its
-    old file, so a failure in either write, such as a value that float32
-    cannot hold, leaves no new output file (the writes are atomic) and
-    removes the output directory if this call made it.
+    never held. Each reconstruction block is checked for NaN and ±inf while
+    it is in cache, so a model whose outputs overflow is an error naming
+    ``recons.bin``, row and column, not a file that no reader accepts.
+    ``latents.bin`` is written before ``recons.bin`` replaces its old file,
+    so a failure in either write, such as a value that float32 cannot hold,
+    leaves no new output file (the writes are atomic) and removes the output
+    directory if this call made it.
     """
     with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
         out = Path(out_dir)
@@ -497,8 +500,13 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
 
         def recons():
             for s, block in files.blocks:
-                latents[s] = encode(block, model).mean
-                yield decode(latents[s], model)
+                # an overflow is reported by the checks, not as a warning
+                with np.errstate(over="ignore", invalid="ignore"):
+                    latents[s] = encode(block, model).mean
+                    recon = decode(latents[s], model)
+                check_finite(recon, s.start, str(out / "recons.bin"))
+                yield recon
+                del recon  # before the next block is computed, so it can reuse the memory
 
         try:
             save_latents = partial(save_matrix, out / "latents.bin", latents)

@@ -22,6 +22,7 @@ from dgzsl import cli, serialize, train
 from dgzsl.cli import main
 from dgzsl.config import load_config, parse_config
 from dgzsl.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
+from dgzsl.errors import DataFormatError
 from dgzsl.networks import encode, init_model, model_from_named
 from dgzsl.serialize import load_checkpoint, load_matrix, save_checkpoint, save_matrix
 from dgzsl.train import _model_from_checkpoint, train_model
@@ -527,6 +528,40 @@ def test_an_export_float32_cannot_hold_fails_and_leaves_no_new_output(
         assert {p.name: p.read_bytes() for p in out.iterdir()} == old
     else:
         assert not out.exists()
+
+
+def test_an_export_whose_float32_model_overflows_fails_with_one_line(tmp_path):
+    """A float32 model whose decoder output overflows to ±inf: export exits 1
+    with one error line naming recons.bin, row and column, prints no
+    RuntimeWarning, and leaves no output directory behind."""
+    data, ckpt, out = tmp_path / "data", tmp_path / "model.ckpt", tmp_path / "emb"
+    save_dataset(synth_generate(SynthSpec(seed=0)), data)
+    model = init_model(np.random.default_rng(0), 32, 8, 16, (64, 64), 0.8, dtype=np.float32)
+    model["dec.out.b"][...] = 3e38
+    model["dec.out.w"][...] = 1e38
+    save_checkpoint(ckpt, model.named_arrays(), meta={"keep_prob": 0.8, "float_bits": 32})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dgzsl.cli", "export", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.fullmatch(rf"error: {re.escape(str(out / 'recons.bin'))}: non-finite value -?inf at row \d+, column \d+\n", proc.stderr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "model.ckpt"]
+
+
+def test_synth_values_float32_cannot_hold_fail_before_any_output(tmp_path, capsys):
+    """noise_std = 1e39 gives finite float64 features that float32 cannot
+    hold: synth_generate and dgzsl synth fail with the same one message, and
+    no output directory is made."""
+    with pytest.raises(DataFormatError) as raised:
+        synth_generate(SynthSpec(noise_std=1e39))
+    assert re.fullmatch(r"synthetic features: value \S+ at row 0, column 0 does not fit in float32", str(raised.value))
+    rc = main(["synth", "--out", str(tmp_path / "data"), "--noise-std", "1e39"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {raised.value}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 BAD_FEATURE_FILES = [

@@ -3,6 +3,7 @@
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgzsl import data, train
-from dgzsl.config import TrainConfig, format_config
+from dgzsl.config import TrainConfig, format_config, load_config
 from dgzsl.data import (
     Dataset,
     FewshotSplit,
@@ -245,6 +246,52 @@ def test_synth_default_noise_tracks_class_separation():
     noise_norm = np.linalg.norm(within, axis=1).mean()
     # expected noise norm is about a tenth of the mean inter-class distance
     assert 0.05 * mean_gap < noise_norm < 0.2 * mean_gap
+
+
+def test_synth_features_are_float32_and_are_what_its_files_hold(tmp_path):
+    ds = synth_generate(SynthSpec(seed=2, feature_dim=48))
+    assert ds.features.dtype == np.float32
+    save_dataset(ds, tmp_path)
+    for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
+        loaded = load_dataset(tmp_path / "features.bin", tmp_path / "attributes.csv", tmp_path / "split.manifest", dtype)
+        assert loaded.features.dtype == dtype
+        assert np.array_equal(loaded.features.view(bits), ds.features.astype(dtype).view(bits))
+
+
+def test_training_on_synth_in_memory_equals_training_on_its_files(tmp_path):
+    """train_model on synth_generate's dataset writes the metrics and the
+    checkpoint bytes that run_train writes from the saved files."""
+    ds = synth_generate(SynthSpec(seed=0))
+    save_dataset(ds, tmp_path / "data")
+    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "synth-inductive.cfg"
+    train.run_train(cfg_path, tmp_path / "data", tmp_path / "files", epochs=3)
+    cfg = load_config(cfg_path).override(epochs=3)
+    result = train.train_model(ds, cfg)
+    metrics = "".join(r.metrics_line() + "\n" for r in result.records)
+    assert metrics == (tmp_path / "files" / "metrics.jsonl").read_text(encoding="utf-8")
+    save_checkpoint(tmp_path / "model.ckpt", result.model.named_arrays(), meta={"keep_prob": cfg.keep_prob})
+    assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "files" / "model.ckpt").read_bytes()
+
+
+def test_synth_holds_its_float32_features_and_one_float64_class_block():
+    """Peak traced memory: the float32 features, one class's float64 rows,
+    the two C×C×D float64 temporaries of the class-gap norm, Dataset's
+    finiteness check (one boolean block of 4 MiB of float32, 1 MiB) and
+    256 KiB of slack; a float64 feature matrix alone would exceed it."""
+    spec = SynthSpec(seen=8, unseen=2, attr_dim=8, feature_dim=512, per_class=200)
+    classes, rows = spec.seen + spec.unseen, (spec.seen + spec.unseen) * spec.per_class
+    features = rows * spec.feature_dim * 4
+    bound = features + spec.per_class * spec.feature_dim * 8 + 2 * classes**2 * spec.feature_dim * 8
+    bound += (1 << 20) + (1 << 18)
+    assert 2 * features > bound
+    tracemalloc.start()
+    try:
+        ds = synth_generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.dtype == np.float32
+    assert peak < bound, f"synth_generate peaked at {peak} B, bound {bound} B"
 
 
 # ------------------------------------------------------------- few-shot

@@ -142,15 +142,28 @@ def _dataset_files(dataset, out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
-def test_save_dataset_matches_a_whole_array_write(small_write_blocks, tmp_path):
-    ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=2, seed=4))
+def _assert_save_dataset_matches_a_whole_array_write(dtype, tmp_path):
+    """A dataset with ``dtype`` features, written in four row blocks, gives
+    the bytes of a whole-array write, and so does a second save of it as
+    loaded in that dtype."""
+    synth = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=2, seed=4))
+    side = (synth.labels, synth.n_train, synth.attributes, synth.seen_classes, synth.unseen_classes)
+    ds = Dataset(synth.features.astype(dtype), *side)
     files = _dataset_files(ds, tmp_path / "data")
+    assert ds.features.dtype == dtype
     assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS, ds.features.itemsize)) == 4
     assert files["features.bin"] == whole_matrix_bytes(ds.features)
-    # a second save of the loaded dataset reproduces every file
     d = tmp_path / "data"
-    loaded = load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest")
+    loaded = load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest", dtype)
     assert _dataset_files(loaded, tmp_path / "again") == files
+
+
+def test_save_dataset_matches_a_whole_array_write(small_write_blocks, tmp_path):
+    _assert_save_dataset_matches_a_whole_array_write(np.float64, tmp_path)
+
+
+def test_save_dataset_of_float32_features_matches_a_whole_array_write(small_blocks, tmp_path):
+    _assert_save_dataset_matches_a_whole_array_write(np.float32, tmp_path)
 
 
 def test_train_and_test_blocks_are_views_and_n_train_is_range_checked():

@@ -49,8 +49,13 @@ def test_reference_digests_hash_every_output_of_a_case(tmp_path):
     cases = ("synth-inductive", "full-scale-float64")
     proc = run_script("reference_digests.py", out, "--epochs", 1, *cases)
     files = ("config.cfg", "metrics.jsonl", "model.ckpt", "eval.json", "export/latents.bin", "export/recons.bin")
+    data = ("attributes.csv", "features.bin", "split.manifest", "test_labels.txt", "train_labels.txt")
     lines = proc.stdout.splitlines()
-    assert [line.split("  ")[1] for line in lines] == [f"{case}/{f}" for case in cases for f in files]
+    assert [line.split("  ")[1] for line in lines] == [
+        f"{d}/{f}" if f in data else f"{case}/{f}"
+        for case, d in zip(cases, ("data", "data-gbu"))
+        for f in data + files
+    ]
     for line in lines:
         digest, name = line.split("  ")
         assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
