@@ -176,6 +176,24 @@ class SynthSpec:
             raise DgzslError(f"SynthSpec.seed must be ≥ 0, got {self.seed}")
 
 
+def _mean_class_gap(means) -> np.float64:
+    """Mean Euclidean distance between the means of two distinct classes.
+
+    The C×C distance matrix is filled one class row at a time in one reused
+    C×D float64 buffer: the subtraction, square, pairwise row sum and square
+    root that ``np.linalg.norm`` runs over all C×C×D differences at once, so
+    the same bits without the two C×C×D temporaries.
+    """
+    c = means.shape[0]
+    gaps = np.empty((c, c))
+    d = np.empty_like(means)
+    for i in range(c):
+        np.subtract(means[i], means, out=d)
+        np.multiply(d, d, out=d)
+        gaps[i] = np.sqrt(np.add.reduce(d, axis=1))
+    return gaps[~np.eye(c, dtype=bool)].mean()
+
+
 def synth_generate(spec: SynthSpec) -> Dataset:
     """Deterministic synthetic dataset for the given spec, with float32
     features.
@@ -200,9 +218,7 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     means = np.tanh(attrs @ w1 + b1) @ w2
 
     if spec.noise_std is None:
-        gaps = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
-        mean_gap = gaps[~np.eye(num_classes, dtype=bool)].mean()
-        noise_std = 0.1 * mean_gap / np.sqrt(spec.feature_dim)
+        noise_std = 0.1 * _mean_class_gap(means) / np.sqrt(spec.feature_dim)
     else:
         noise_std = float(spec.noise_std)
 

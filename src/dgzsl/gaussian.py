@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Var
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -43,7 +43,8 @@ class DiagGaussian:
         for name, a in (("mean", m), ("logvar", lv)):
             if not np.all(np.isfinite(a)):
                 row = int(np.argmin(np.isfinite(np.atleast_2d(a)).all(axis=1)))
-                raise ShapeError(f"{self.label} {name} has a non-finite entry in row {row}")
+                what = f"{self.label} {name}"
+                raise NonFiniteError(f"{what} has a non-finite entry in row {row}", what, a)
 
 
 def _check_same_shape(a, b, what: str) -> None:

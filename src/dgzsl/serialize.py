@@ -266,10 +266,9 @@ def _read_numbers(path) -> str:
 
 
 def write_attribute_csv(path, attributes) -> None:
-    a = np.asarray(attributes, dtype=np.float64)
-    lines = [
-        ",".join([str(i)] + [repr(float(v)) for v in row]) for i, row in enumerate(a)
-    ]
+    # Python floats from tolist() format as the NumPy scalars would, faster
+    a = np.asarray(attributes, dtype=np.float64).tolist()
+    lines = [",".join([str(i), *map(repr, row)]) for i, row in enumerate(a)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -314,9 +313,8 @@ def read_attribute_csv(path):
 
 
 def write_labels(path, labels) -> None:
-    Path(path).write_text(
-        "".join(f"{int(v)}\n" for v in np.asarray(labels)), encoding="utf-8"
-    )
+    ids = np.asarray(labels, dtype=np.int64).tolist()
+    Path(path).write_text("".join(f"{v}\n" for v in ids), encoding="utf-8")
 
 
 def read_labels(path):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import TrainConfig, format_config, load_config
 from .data import Dataset, fewshot_sample, load_dataset, open_dataset
-from .errors import DataFormatError, DgzslError
+from .errors import DataFormatError, DgzslError, NonFiniteError
 from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, predict_batch
 from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_shapes
@@ -486,7 +486,8 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
     reconstructions stream to disk block by block, so the feature matrix is
     never held. Each reconstruction block is checked for NaN and ±inf while
     it is in cache, so a model whose outputs overflow is an error naming
-    ``recons.bin``, row and column, not a file that no reader accepts.
+    ``recons.bin``, row and column, not a file that no reader accepts; a
+    non-finite posterior names ``latents.bin``, the map, row and column.
     ``latents.bin`` is written before ``recons.bin`` replaces its old file,
     so a failure in either write, such as a value that float32 cannot hold,
     leaves no new output file (the writes are atomic) and removes the output
@@ -502,7 +503,11 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
             for s, block in files.blocks:
                 # an overflow is reported by the checks, not as a warning
                 with np.errstate(over="ignore", invalid="ignore"):
-                    latents[s] = encode(block, model).mean
+                    try:
+                        latents[s] = encode(block, model).mean
+                    except NonFiniteError as e:  # its row counts from the block's first
+                        check_finite(e.values, s.start, f"{out / 'latents.bin'}: {e.what}")
+                        raise
                     recon = decode(latents[s], model)
                 check_finite(recon, s.start, str(out / "recons.bin"))
                 yield recon

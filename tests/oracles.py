@@ -12,7 +12,9 @@ confusion table counted row by row. Also the elementwise tape ops (``add``, ``su
 compositions built of them that the fused nodes replaced: they are the
 bit-for-bit reference of ``sample_reparam``, ``gauss_loglik_rows``, the
 labeled and the transductive objective. And the dropout masks divided in
-float64 and then cast.
+float64 and then cast, the synthetic noise scale's class-gap norm over all
+C×C×D differences at once, and the label and attribute files formatted one
+NumPy scalar at a time.
 """
 
 from __future__ import annotations
@@ -358,3 +360,22 @@ def confusion_counts(labels, predicted) -> dict:
         confusion.setdefault(str(true), {}).setdefault(str(pred), 0)
         confusion[str(true)][str(pred)] += 1
     return confusion
+
+
+def mean_class_gap(means):
+    """The mean distance between distinct class means from the norm of all
+    C×C×D differences at once, as ``data._mean_class_gap`` computes it one
+    class row at a time."""
+    gaps = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
+    return gaps[~np.eye(means.shape[0], dtype=bool)].mean()
+
+
+def labels_text(labels) -> str:
+    """A label file formatted one NumPy scalar at a time."""
+    return "".join(f"{int(v)}\n" for v in np.asarray(labels))
+
+
+def attribute_csv_text(attributes) -> str:
+    """An attribute file formatted one NumPy scalar at a time."""
+    a = np.asarray(attributes, dtype=np.float64)
+    return "\n".join(",".join([str(i)] + [repr(float(v)) for v in row]) for i, row in enumerate(a)) + "\n"

@@ -275,15 +275,19 @@ def test_training_on_synth_in_memory_equals_training_on_its_files(tmp_path):
 
 def test_synth_holds_its_float32_features_and_one_float64_class_block():
     """Peak traced memory: the float32 features, one class's float64 rows,
-    the two C×C×D float64 temporaries of the class-gap norm, Dataset's
-    finiteness check (one boolean block of 4 MiB of float32, 1 MiB) and
-    256 KiB of slack; a float64 feature matrix alone would exceed it."""
-    spec = SynthSpec(seen=8, unseen=2, attr_dim=8, feature_dim=512, per_class=200)
+    one C×D float64 array (the class means, or the buffer of one row of
+    class gaps), Dataset's finiteness check (one boolean block of at most
+    4 MiB of float32, 1 MiB) and 256 KiB of slack. A float64 feature matrix
+    alone would exceed it, and so would the two C×C×D float64 temporaries
+    of a class-gap norm over all pairs at once (20 MB here). A first call
+    makes the one-time allocations of the code it runs, so it is not traced."""
+    spec = SynthSpec(seen=40, unseen=10, attr_dim=8, feature_dim=512, per_class=100)
     classes, rows = spec.seen + spec.unseen, (spec.seen + spec.unseen) * spec.per_class
     features = rows * spec.feature_dim * 4
-    bound = features + spec.per_class * spec.feature_dim * 8 + 2 * classes**2 * spec.feature_dim * 8
+    bound = features + spec.per_class * spec.feature_dim * 8 + classes * spec.feature_dim * 8
     bound += (1 << 20) + (1 << 18)
-    assert 2 * features > bound
+    assert 2 * features > bound and 2 * classes**2 * spec.feature_dim * 8 > bound
+    synth_generate(tiny_spec())
     tracemalloc.start()
     try:
         ds = synth_generate(spec)
@@ -292,6 +296,44 @@ def test_synth_holds_its_float32_features_and_one_float64_class_block():
         tracemalloc.stop()
     assert ds.features.dtype == np.float32
     assert peak < bound, f"synth_generate peaked at {peak} B, bound {bound} B"
+
+
+@settings(max_examples=40)
+@given(
+    seen=st.integers(1, 28),
+    unseen=st.integers(2, 29),
+    attr_dim=st.integers(1, 12),
+    feature_dim=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_default_noise_scale_gives_the_features_of_the_whole_array_norm(seen, unseen, attr_dim, feature_dim, seed):
+    spec = SynthSpec(seen=seen, unseen=min(unseen, 30 - seen), attr_dim=attr_dim,
+                     feature_dim=feature_dim, per_class=2, seed=seed)
+    assert_noise_scale_matches_the_whole_array_norm(spec)
+
+
+def test_default_noise_scale_at_the_gbu_shape_matches_the_whole_array_norm():
+    assert_noise_scale_matches_the_whole_array_norm(
+        SynthSpec(seen=40, unseen=10, attr_dim=85, feature_dim=2048, per_class=1, seed=3)
+    )
+
+
+def assert_noise_scale_matches_the_whole_array_norm(spec):
+    """The mean class gap taken one class row at a time is bit-equal with the
+    norm over all C×C×D differences at once, and so are the features."""
+    rowwise_gap, gaps = data._mean_class_gap, []
+
+    def whole_array_gap(means):
+        gaps.append((rowwise_gap(means), oracles.mean_class_gap(means)))
+        return gaps[-1][1]
+
+    rowwise = synth_generate(spec).features
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_mean_class_gap", whole_array_gap)
+        whole = synth_generate(spec).features
+    ((got, want),) = gaps
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert rowwise.tobytes() == whole.tobytes()
 
 
 # ------------------------------------------------------------- few-shot
@@ -462,6 +504,29 @@ def test_attribute_csv_takes_only_plain_ascii_numbers(tmp_path, text, line, char
         read_attribute_csv(path)
 
 
+@pytest.mark.parametrize(
+    "attrs",
+    [
+        np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]).reshape(2, 4),
+        np.array([[0.1, -0.0], [3.4028235e38, 1e-45]], np.float32),
+        np.array([[1, -2], [3, 4]]),
+    ],
+    ids=["float64-edges", "float32", "int64"],
+)
+def test_attribute_csv_writes_the_bytes_of_per_scalar_formatting(tmp_path, attrs):
+    path = tmp_path / "a.csv"
+    write_attribute_csv(path, attrs)
+    assert path.read_bytes() == oracles.attribute_csv_text(attrs).encode()
+
+
+@settings(max_examples=50)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3), min_size=1, max_size=6))
+def test_attribute_csv_formats_any_finite_float_as_repr_does(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("attrs") / "a.csv"
+    write_attribute_csv(path, rows)
+    assert path.read_bytes() == oracles.attribute_csv_text(rows).encode()
+
+
 # ------------------------------------------------------------ label files
 
 
@@ -469,6 +534,20 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "l.txt"
     write_labels(path, np.array([3, 0, 7]))
     assert np.array_equal(read_labels(path), [3, 0, 7])
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max]),
+        np.array([3, 0, 7], np.int32),
+        np.array([], np.int64),
+    ],
+)
+def test_labels_write_the_bytes_of_per_scalar_formatting(tmp_path, labels):
+    path = tmp_path / "l.txt"
+    write_labels(path, labels)
+    assert path.read_bytes() == oracles.labels_text(labels).encode()
 
 
 def test_labels_reject_non_integer(tmp_path):

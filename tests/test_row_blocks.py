@@ -1,6 +1,7 @@
 """Matrix files, datasets and exports stream in row blocks: the bytes match a
 whole-array pass at every block boundary, and memory stays bounded."""
 
+import re
 import struct
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from dgzsl import serialize, train
+from dgzsl.cli import main
 from dgzsl.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from dgzsl.errors import DataFormatError, DgzslError, ShapeError
 from dgzsl.inference import predict_batch
@@ -280,6 +282,29 @@ def test_export_failing_in_its_last_block_leaves_no_outputs(small_blocks, tmp_pa
         assert list(out.iterdir()) == []
     else:
         assert not out.exists()
+
+
+def test_a_non_finite_posterior_in_export_names_latents_bin_and_the_files_row(small_blocks, tmp_path, capsys):
+    """Feature row 1500 at 3e38 overflows a float32 encoder. The reader hands
+    that row over inside a block of a few rows, and export names
+    latents.bin, the map, and the row counted from the file's first row."""
+    ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=400, seed=6))
+    save_dataset(ds, tmp_path / "data")
+    features = ds.features.copy()
+    features[1500] = 3e38
+    save_matrix(tmp_path / "data" / "features.bin", features)
+    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8, dtype=np.float32))
+    assert 1500 not in [s.start for s in row_blocks(ds.features.shape[0], COLS, 4)]
+    out = tmp_path / "emb"
+    rc = main(["export", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert re.fullmatch(
+        rf"error: {re.escape(str(out / 'latents.bin'))}: posterior mean: "
+        r"non-finite value (-?inf|nan) at row 1500, column [0-2]\n",
+        captured.err,
+    )
+    assert not out.exists()
 
 
 def test_export_holds_model_latents_and_a_few_blocks(monkeypatch, tmp_path):
