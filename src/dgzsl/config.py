@@ -6,10 +6,9 @@ silently training with defaults.
 
 import math
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from .errors import ConfigError
-from .serialize import plain_number_text
+from .serialize import _read_text, plain_number_text, read_key_values
 
 REGIMES = ("inductive", "transductive", "fewshot")
 DTYPES = ("float64", "float32")
@@ -111,25 +110,16 @@ def _convert(name: str, text: str, sample):
 def parse_config(text: str, *, where: str = "config") -> TrainConfig:
     defaults = TrainConfig()
     known = {f.name: getattr(defaults, f.name) for f in fields(TrainConfig)}
-    values = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{where}:{ln}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in known:
-            raise ConfigError(f"{where}:{ln}: unknown config key {key!r}")
-        if key in values:
-            raise ConfigError(f"{where}:{ln}: duplicate config key {key!r}")
-        values[key] = _convert(f"{where}:{ln}: {key}", value, known[key])
+    entries = read_key_values(text, where, known, ConfigError)
+    values = {
+        key: _convert(f"{where}:{ln}: {key}", value, known[key])
+        for key, (ln, value) in entries.items()
+    }
     return TrainConfig(**values)
 
 
 def load_config(path) -> TrainConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"), where=str(path))
+    return parse_config(_read_text(path), where=str(path))
 
 
 def format_config(cfg: TrainConfig) -> str:

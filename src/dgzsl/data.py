@@ -34,6 +34,12 @@ from .serialize import (
     write_manifest,
 )
 
+# a dataset directory's feature matrix, attribute table and split manifest,
+# which names the two label files
+_FEATURES, _ATTRIBUTES, _MANIFEST = "features.bin", "attributes.csv", "split.manifest"
+# width of the synthetic benchmark's hidden tanh layer
+_SYNTH_HIDDEN = 16
+
 
 def _check_classes(labels, n_train: int, attrs, seen_classes, unseen_classes) -> None:
     """The class rules of a dataset whose first ``n_train`` labels are the
@@ -162,10 +168,9 @@ class SynthSpec:
     per_class: int = 100
     noise_std: float | None = None
     seed: int = 0
-    hidden_dim: int = 16
 
     def __post_init__(self):
-        for name in ("seen", "attr_dim", "feature_dim", "per_class", "hidden_dim"):
+        for name in ("seen", "attr_dim", "feature_dim", "per_class"):
             if getattr(self, name) < 1:
                 raise DgzslError(f"SynthSpec.{name} must be ≥ 1")
         if self.unseen < 2:
@@ -212,9 +217,9 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     num_classes = spec.seen + spec.unseen
     attrs = attr_rng.uniform(-1.0, 1.0, size=(num_classes, spec.attr_dim))
 
-    w1 = map_rng.normal(size=(spec.attr_dim, spec.hidden_dim))
-    b1 = map_rng.normal(scale=0.5, size=spec.hidden_dim)
-    w2 = map_rng.normal(scale=1.0 / np.sqrt(spec.hidden_dim), size=(spec.hidden_dim, spec.feature_dim))
+    w1 = map_rng.normal(size=(spec.attr_dim, _SYNTH_HIDDEN))
+    b1 = map_rng.normal(scale=0.5, size=_SYNTH_HIDDEN)
+    w2 = map_rng.normal(scale=1.0 / np.sqrt(_SYNTH_HIDDEN), size=(_SYNTH_HIDDEN, spec.feature_dim))
     means = np.tanh(attrs @ w1 + b1) @ w2
 
     if spec.noise_std is None:
@@ -276,12 +281,12 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     """Write the dataset in the on-disk layout load_dataset expects."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_matrix(out / "features.bin", dataset.features)
-    write_attribute_csv(out / "attributes.csv", dataset.attributes)
+    save_matrix(out / _FEATURES, dataset.features)
+    write_attribute_csv(out / _ATTRIBUTES, dataset.attributes)
     write_labels(out / "train_labels.txt", dataset.train_labels)
     write_labels(out / "test_labels.txt", dataset.test_labels)
     write_manifest(
-        out / "split.manifest",
+        out / _MANIFEST,
         dataset.seen_classes,
         dataset.unseen_classes,
         "train_labels.txt",
@@ -304,12 +309,12 @@ class DatasetFiles(NamedTuple):
     unseen_classes: tuple[int, ...]
 
 
-def _read_labeled_side(attribute_path, manifest_path, rows: int):
-    """(labels, n_train, attributes, seen_classes, unseen_classes) of a
-    dataset whose feature matrix has ``rows`` rows, read from its files; the
+def _read_labeled_side(data_dir, rows: int):
+    """(labels, n_train, attributes, seen_classes, unseen_classes) of the
+    dataset in ``data_dir``, whose feature matrix has ``rows`` rows; the
     class rules are left to the caller (_check_classes, or Dataset)."""
-    attrs = read_attribute_csv(attribute_path)
-    manifest = read_manifest(manifest_path)
+    attrs = read_attribute_csv(Path(data_dir, _ATTRIBUTES))
+    manifest = read_manifest(Path(data_dir, _MANIFEST))
     train_labels = read_labels(manifest["train_labels"])
     test_labels = read_labels(manifest["test_labels"])
     total = train_labels.size + test_labels.size
@@ -320,8 +325,8 @@ def _read_labeled_side(attribute_path, manifest_path, rows: int):
 
 
 @contextmanager
-def open_dataset(feature_path, attribute_path, manifest_path):
-    """Opens a dataset's three files for one pass over its feature rows.
+def open_dataset(data_dir):
+    """Opens the dataset in ``data_dir`` for one pass over its feature rows.
 
     The feature matrix holds the train block first, then the test block; the
     manifest's label files fix the two block lengths. The feature header,
@@ -332,10 +337,10 @@ def open_dataset(feature_path, attribute_path, manifest_path):
     only after the rest of the body has been checked, so a bad feature file
     is reported first, as when the whole matrix is loaded first.
     """
-    with open_matrix(feature_path) as (shape, read):
+    with open_matrix(Path(data_dir, _FEATURES)) as (shape, read):
         blocks = read()
         try:
-            side = _read_labeled_side(attribute_path, manifest_path, shape[0])
+            side = _read_labeled_side(data_dir, shape[0])
             _check_classes(*side)
             yield DatasetFiles(shape, blocks, *side)
         except Exception:
@@ -344,9 +349,9 @@ def open_dataset(feature_path, attribute_path, manifest_path):
             raise
 
 
-def load_dataset(feature_path, attribute_path, manifest_path, dtype=np.float64) -> Dataset:
-    """Assemble and validate a Dataset from its three files; the feature
-    matrix is loaded whole into a ``dtype`` array, then the rest is checked
-    as open_dataset does."""
-    features = load_matrix(feature_path, dtype)
-    return Dataset(features, *_read_labeled_side(attribute_path, manifest_path, features.shape[0]))
+def load_dataset(data_dir, dtype=np.float64) -> Dataset:
+    """Assemble and validate the Dataset in ``data_dir``; the feature matrix
+    is loaded whole into a ``dtype`` array, then the rest is checked as
+    open_dataset does."""
+    features = load_matrix(Path(data_dir, _FEATURES), dtype)
+    return Dataset(features, *_read_labeled_side(data_dir, features.shape[0]))

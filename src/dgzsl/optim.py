@@ -15,15 +15,15 @@ from .networks import ModelParams
 # smaller blocks lose to per-call Python overhead.
 _BLOCK_BYTES = 1 << 18
 
+# moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         # moments laid out like model.flat, updated in place; they start at
         # zero (m0 = v0 = 0, Kingma & Ba, arXiv 1412.6980, Algorithm 1)
         self._m = self._v = self._scratch = None
@@ -49,7 +49,7 @@ class Adam:
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
             self._scratch = np.empty((2, min(_BLOCK_BYTES // p.itemsize, p.size)), p.dtype)
         self._t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = _BETA1, _BETA2, self.lr, _EPS
         c1, c2 = 1.0 - b1, 1.0 - b2
         bc1 = 1.0 - b1**self._t
         bc2 = 1.0 - b2**self._t

@@ -370,33 +370,41 @@ def write_manifest(path, seen, unseen, train_labels_file, test_labels_file) -> N
     Path(path).write_text(text, encoding="utf-8")
 
 
-def read_manifest(path) -> dict:
-    """Parses the split manifest; label paths are resolved against its dir."""
-    base = Path(path).parent
+def read_key_values(text: str, where: str, keys, error) -> dict:
+    """key -> (line number, value) of the ``key = value`` lines of a config
+    or manifest, skipping blank and ``#`` lines. A line without ``=``, a key
+    not in ``keys`` or a repeated one raises ``error`` naming ``where:line``."""
     entries = {}
-    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise DataFormatError(f"{path}:{ln}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise error(f"{where}:{ln}: expected 'key = value', got {line!r}")
+        key = key.strip()
+        if key not in keys:
+            raise error(f"{where}:{ln}: unknown key {key!r}")
         if key in entries:
-            raise DataFormatError(f"{path}:{ln}: duplicate key {key!r}")
-        entries[key] = value
-    required = {"seen", "unseen", "train_labels", "test_labels"}
-    missing = required - entries.keys()
+            raise error(f"{where}:{ln}: duplicate key {key!r}")
+        entries[key] = ln, value.strip()
+    return entries
+
+
+def read_manifest(path) -> dict:
+    """Parses the split manifest; label paths are resolved against its dir."""
+    keys = ("seen", "unseen", "train_labels", "test_labels")
+    entries = read_key_values(_read_text(path), str(path), keys, DataFormatError)
+    missing = set(keys) - entries.keys()
     if missing:
         raise DataFormatError(f"{path}: missing manifest keys {sorted(missing)}")
-    unknown = entries.keys() - required
-    if unknown:
-        raise DataFormatError(f"{path}: unknown manifest keys {sorted(unknown)}")
+    seen, unseen, train, test = (entries[key][1] for key in keys)
+    base = Path(path).parent
     return {
-        "seen": _parse_ids(entries["seen"], f"{path}: seen"),
-        "unseen": _parse_ids(entries["unseen"], f"{path}: unseen"),
-        "train_labels": base / entries["train_labels"],
-        "test_labels": base / entries["test_labels"],
+        "seen": _parse_ids(seen, f"{path}: seen"),
+        "unseen": _parse_ids(unseen, f"{path}: unseen"),
+        "train_labels": base / train,
+        "test_labels": base / test,
     }
 
 

@@ -355,11 +355,6 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     return TrainResult(model, records, eval_idx)
 
 
-def _dataset_from_dir(data_dir, dtype) -> Dataset:
-    d = Path(data_dir)
-    return load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest", dtype)
-
-
 def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
     """Train per the config (plus CLI overrides) and persist the run.
 
@@ -368,7 +363,7 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
     the run exactly.
     """
     cfg = load_config(config_path).override(**overrides)
-    dataset = _dataset_from_dir(data_dir, cfg.dtype)
+    dataset = load_dataset(data_dir, cfg.dtype)
     result = train_model(dataset, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -425,8 +420,7 @@ def _open_for_scoring(checkpoint_path, data_dir):
     ``data_dir`` opened for one pass over its feature rows (open_dataset),
     once the model's feature and attribute widths match the dataset's."""
     model = _model_from_checkpoint(checkpoint_path)
-    d = Path(data_dir)
-    with open_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest") as files:
+    with open_dataset(data_dir) as files:
         dims = model.layout
         feature_dim, attr_dim = files.shape[1], files.attributes.shape[1]
         if (dims.feature_dim, dims.attr_dim) != (feature_dim, attr_dim):

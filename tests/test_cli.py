@@ -150,7 +150,7 @@ def test_synth_writes_dataset_and_reports(tmp_path, capsys):
         "features.bin", "attributes.csv", "train_labels.txt", "test_labels.txt", "split.manifest",
     ):
         assert (out / name).is_file(), name
-    ds = load_dataset(out / "features.bin", out / "attributes.csv", out / "split.manifest")
+    ds = load_dataset(out)
     assert ds.features.shape == (20, 5)
     assert ds.unseen_classes == (3, 4)
 
@@ -199,7 +199,7 @@ def test_a_float32_run_is_exactly_its_checkpoint(tiny_dir, tmp_path, capsys, mon
     assert main(["train", "--config", str(cfg), "--data", str(tiny_dir), "--out", str(out)]) == 0
     _, meta = load_checkpoint(out / "model.ckpt")
     assert set(meta) == {"keep_prob", "float_bits"} and meta["float_bits"] == 32
-    dataset = load_dataset(tiny_dir / "features.bin", tiny_dir / "attributes.csv", tiny_dir / "split.manifest")
+    dataset = load_dataset(tiny_dir)
     trained = train_model(dataset, load_config(cfg)).model
     reloaded = _model_from_checkpoint(out / "model.ckpt")
     assert trained.flat.dtype == reloaded.flat.dtype == np.float32
@@ -255,9 +255,7 @@ def test_transductive_metrics_decompose(split, tiny_dir, tmp_path):
         text = text.replace("batch_size = 64", "batch_size = 2")
     cfg = tmp_path / "t.cfg"
     cfg.write_text(text, encoding="utf-8")
-    n_train = load_dataset(
-        data / "features.bin", data / "attributes.csv", data / "split.manifest"
-    ).train_features.shape[0]
+    n_train = load_dataset(data).train_features.shape[0]
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 0
     lines = read_jsonl(out / "metrics.jsonl")
@@ -363,9 +361,7 @@ def test_export_writes_aligned_embeddings(trained, tiny_dir, tmp_path, capsys):
     paths = json.loads(capsys.readouterr().out)
     latents = load_matrix(paths["latents"])
     recons = load_matrix(paths["recons"])
-    ds = load_dataset(
-        tiny_dir / "features.bin", tiny_dir / "attributes.csv", tiny_dir / "split.manifest"
-    )
+    ds = load_dataset(tiny_dir)
     assert latents.shape == (270, 4)
     assert recons.shape == (270, 12)
     tensors, meta = load_checkpoint(trained / "model.ckpt")
@@ -414,6 +410,17 @@ def test_unknown_config_key_fails_cleanly(tiny_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "bogus" in err
+
+
+def test_config_that_is_not_utf8_fails_cleanly(tiny_dir, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\n")
+    rc = main(["train", "--config", str(cfg), "--data", str(tiny_dir), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: not UTF-8 text")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -503,7 +510,7 @@ def test_an_export_float32_cannot_hold_fails_and_leaves_no_new_output(
     ckpt = tmp_path / "edge.ckpt"
     overflowing_checkpoint(ckpt, trained, output)
     model = _model_from_checkpoint(ckpt)
-    ds = load_dataset(tiny_dir / "features.bin", tiny_dir / "attributes.csv", tiny_dir / "split.manifest")
+    ds = load_dataset(tiny_dir)
     latents = encode(ds.features, model).mean
     values = latents if output == "latents" else train.decode(latents, model)
     with np.errstate(over="ignore"):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgzsl import data, train
-from dgzsl.config import TrainConfig, format_config, load_config
+from dgzsl.config import TrainConfig, format_config, load_config, parse_config
 from dgzsl.data import (
     Dataset,
     FewshotSplit,
@@ -22,7 +22,7 @@ from dgzsl.data import (
     synth_generate,
 )
 from dgzsl import serialize
-from dgzsl.errors import DataFormatError, DgzslError, ShapeError
+from dgzsl.errors import ConfigError, DataFormatError, DgzslError, ShapeError
 from dgzsl.serialize import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -253,7 +253,7 @@ def test_synth_features_are_float32_and_are_what_its_files_hold(tmp_path):
     assert ds.features.dtype == np.float32
     save_dataset(ds, tmp_path)
     for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
-        loaded = load_dataset(tmp_path / "features.bin", tmp_path / "attributes.csv", tmp_path / "split.manifest", dtype)
+        loaded = load_dataset(tmp_path, dtype)
         assert loaded.features.dtype == dtype
         assert np.array_equal(loaded.features.view(bits), ds.features.astype(dtype).view(bits))
 
@@ -638,17 +638,59 @@ def test_manifest_round_trip(tmp_path):
     "text",
     [
         "seen = 0,1\nunseen = 2\ntrain_labels = a\n",  # missing key
-        "seen = 0,1\nunseen = 2\ntrain_labels = a\ntest_labels = b\nfoo = 1\n",
         "seen = 0,0\nunseen = 2\ntrain_labels = a\ntest_labels = b\n",  # dup ids
-        "seen = 0,1\nseen = 2\nunseen = 3\ntrain_labels = a\ntest_labels = b\n",
-        "nonsense line\n",
     ],
 )
 def test_manifest_rejects_malformed(tmp_path, text):
+    # the line rules manifests share with configs: test_key_value_lines_are_read_alike below
     path = tmp_path / "bad.manifest"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DataFormatError):
         read_manifest(path)
+
+
+# the two readers of ``key = value`` files: each reads a path, raises its own
+# error class, and accepts a valid body, of which ``key`` is one key
+KEY_VALUE_FORMATS = {
+    "config": (
+        lambda path: parse_config(path.read_text(encoding="utf-8"), where=str(path)),
+        ConfigError,
+        "seed = 1\nepochs = 2\n",
+        "seed",
+    ),
+    "manifest": (
+        read_manifest,
+        DataFormatError,
+        "seen = 0,1\nunseen = 2\ntrain_labels = a\ntest_labels = b\n",
+        "seen",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(KEY_VALUE_FORMATS))
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # a skipped line still counts, so the error is on the next line
+        (["", "oops"], "expected 'key = value', got 'oops'"),
+        (["   # {key} = 3", "oops"], "expected 'key = value', got 'oops'"),
+        (["{key} 3"], "expected 'key = value', got '{key} 3'"),
+        (["{key} = 3"], "duplicate key '{key}'"),
+        (["mystery = 1"], "unknown key 'mystery'"),
+    ],
+    ids=["blank-line", "indented-comment", "no-equals", "duplicate-key", "unknown-key"],
+)
+def test_key_value_lines_are_read_alike(tmp_path, fmt, extra, message):
+    """Configs and manifests share one line reader: the error names the file
+    and the line of the last of ``extra``'s lines, appended to a valid
+    body."""
+    read, error, body, key = KEY_VALUE_FORMATS[fmt]
+    path = tmp_path / "text"
+    path.write_text(body + "".join(f"{line}\n" for line in extra).format(key=key), encoding="utf-8")
+    line = body.count("\n") + len(extra)
+    with pytest.raises(error) as err:
+        read(path)
+    assert str(err.value) == f"{path}:{line}: {message.format(key=key)}"
 
 
 @pytest.mark.parametrize("key, ids", [("seen", "1_0, 2"), ("unseen", "٣")])
@@ -814,9 +856,7 @@ def test_a_checkpoint_tensor_float32_cannot_hold_is_rejected_by_name(tmp_path):
 def test_dataset_save_load_round_trip(tmp_path):
     ds = synth_generate(tiny_spec())
     save_dataset(ds, tmp_path)
-    loaded = load_dataset(
-        tmp_path / "features.bin", tmp_path / "attributes.csv", tmp_path / "split.manifest"
-    )
+    loaded = load_dataset(tmp_path)
     # features pass through one float32 rounding on the way to disk
     ordered = np.concatenate([ds.train_features, ds.test_features])
     assert np.array_equal(loaded.features, ordered.astype(np.float32).astype(np.float64))
@@ -862,8 +902,4 @@ def test_load_dataset_row_count_mismatch(tmp_path):
     save_dataset(ds, tmp_path)
     save_matrix(tmp_path / "features.bin", np.ones((3, 6)))
     with pytest.raises(DataFormatError):
-        load_dataset(
-            tmp_path / "features.bin",
-            tmp_path / "attributes.csv",
-            tmp_path / "split.manifest",
-        )
+        load_dataset(tmp_path)

@@ -156,7 +156,7 @@ def _assert_save_dataset_matches_a_whole_array_write(dtype, tmp_path):
     assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS, ds.features.itemsize)) == 4
     assert files["features.bin"] == whole_matrix_bytes(ds.features)
     d = tmp_path / "data"
-    loaded = load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest", dtype)
+    loaded = load_dataset(d, dtype)
     assert _dataset_files(loaded, tmp_path / "again") == files
 
 
@@ -186,7 +186,7 @@ def _export_fixture(tmp_path, rows_per_class, feature_dim, hidden):
     model = init_model(np.random.default_rng(7), feature_dim, 2, 3, hidden, 0.8)
     save_checkpoint(tmp_path / "model.ckpt", model.named_arrays(), meta={"keep_prob": 0.8})
     d = tmp_path / "data"
-    return load_dataset(d / "features.bin", d / "attributes.csv", d / "split.manifest"), model
+    return load_dataset(d), model
 
 
 def test_export_matches_a_whole_array_pass(small_blocks, tmp_path):
