@@ -38,6 +38,7 @@ def main() -> int:
             latent_dim=args.latent_dim,
             hidden_dims=tuple(args.hidden),
             epochs=args.epochs,
+            fewshot_epochs=args.finetune_epochs,
             seed=seed,
         )
         base = train_model(ds, cfg).model
@@ -55,7 +56,7 @@ def main() -> int:
                     ds.labels[split.labeled_idx],
                     ds.attributes,
                     unseen_ids,
-                    epochs=args.finetune_epochs,
+                    cfg,
                     seed=seed,
                 )
                 acc = accuracy(

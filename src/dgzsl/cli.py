@@ -138,7 +138,7 @@ def _cmd_gradcheck(args) -> int:
             attrs,
             margin_class_ids=seen_ids,
             unseen_class_ids=unseen_ids,
-            noise_labeled=noise,
+            noise=noise,
             noise_unlabeled=noise_u,
         )[0]
 

@@ -15,6 +15,7 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -86,35 +87,70 @@ def _terms(bd) -> tuple:
     return bd.total, bd.reconstruction, bd.kl_true_class, bd.margin
 
 
-def _labeled_epoch(model, opt, features, labels, attr_rows, rngs, batch_size, **objective):
-    """One shuffled pass of in-place supervised Adam steps over a labeled set.
+def _objective(cfg: TrainConfig) -> dict:
+    """The labeled objective's options that a run's config sets."""
+    return dict(
+        margin_weight=cfg.margin_weight,
+        exclude_true_class=cfg.exclude_true_class,
+        include_recon=not cfg.no_recon,
+    )
+
+
+def _draws(rngs, model, n: int):
+    """A batch of ``n`` rows' (noise, encoder masks, decoder masks): float64
+    noise cast to the model's dtype, then the masks. Zero-size draws when n
+    is 0 leave every stream as is."""
+    _, noise_rng, dropout_rng = rngs
+    noise = noise_rng.normal(size=(n, model.layout.latent_dim)).astype(model.flat.dtype, copy=False)
+    return (noise, *make_dropout_masks(dropout_rng, model, n))
+
+
+def _epoch(model, opt, features, labels, attr_rows, rngs, batch_size, unlabeled=None, **objective):
+    """One shuffled pass of in-place Adam steps over a labeled set.
 
     ``rngs`` is the (shuffle, noise, dropout) generator triple; each batch
-    draws its noise (float64 draws, cast to the model's dtype), then its
-    encoder and decoder masks. ``objective`` is
-    passed on to inductive_objective. Returns the per-row mean of (total,
-    reconstruction, kl_true_class, margin).
+    draws for its labeled rows, then for its unlabeled ones (_draws). Without
+    ``unlabeled`` a step ascends inductive_objective. With ``unlabeled =
+    (pool, target, order)`` each batch also takes its share of
+    ``np.array_split(order, n_batches)``, pool rows with their target rows,
+    and a step ascends transductive_objective. ``objective`` is passed on to
+    the objective. Returns the per-row means of the labeled (total,
+    reconstruction, kl_true_class, margin) and the sums of the transductive
+    (labeled_total, unlabeled_total, unlabeled_recon, target_kl), zero
+    without ``unlabeled``.
     """
-    shuffle_rng, noise_rng, dropout_rng = rngs
-    sums, grad = np.zeros(4), np.empty_like(model.flat)
-    for rows in _batches(shuffle_rng.permutation(features.shape[0]), batch_size):
-        noise = noise_rng.normal(size=(rows.size, model.layout.latent_dim))
-        noise = noise.astype(model.flat.dtype, copy=False)
-        enc_m, dec_m = make_dropout_masks(dropout_rng, model, rows.size)
-        _, grad, bd = inductive_objective(
-            model,
-            features[rows],
-            labels[rows],
-            attr_rows,
-            noise=noise,
-            enc_masks=enc_m,
-            dec_masks=dec_m,
-            out=grad,
-            **objective,
-        )
+    n = features.shape[0]
+    batches = _batches(rngs[0].permutation(n), batch_size)
+    shares = repeat(None)
+    if unlabeled is not None:
+        pool, target, order = unlabeled
+        shares = np.array_split(order, max(1, -(-n // batch_size)))
+    means, sums, grad = np.zeros(4), np.zeros(4), np.empty_like(model.flat)
+    for rows, rows_u in zip(batches, shares):
+        noise, enc_m, dec_m = _draws(rngs, model, rows.size)
+        x, y = features[rows], labels[rows]
+        kwargs = dict(noise=noise, enc_masks=enc_m, dec_masks=dec_m, out=grad, **objective)
+        if rows_u is None:
+            _, grad, bd = inductive_objective(model, x, y, attr_rows, **kwargs)
+        else:
+            noise_u, enc_mu, dec_mu = _draws(rngs, model, rows_u.size)
+            _, grad, parts = transductive_objective(
+                model,
+                x,
+                y,
+                pool[rows_u],
+                target[rows_u],
+                attr_rows,
+                noise_unlabeled=noise_u,
+                enc_masks_unlab=enc_mu,
+                dec_masks_unlab=dec_mu,
+                **kwargs,
+            )
+            bd = parts.labeled_breakdown
+            sums += [parts.labeled_total, parts.unlabeled_total, parts.unlabeled_recon, parts.target_kl]
         opt.step(model, grad)
-        sums += rows.size * np.array(_terms(bd))
-    return sums / features.shape[0]
+        means += rows.size * np.array(_terms(bd))
+    return means / n, sums
 
 
 def fewshot_finetune(
@@ -123,23 +159,18 @@ def fewshot_finetune(
     labels,
     attr_rows,
     unseen_class_ids,
-    *,
-    epochs: int = 50,
-    batch_size: int = 32,
-    learning_rate: float = 1e-3,
-    margin_weight: float = 1.0,
-    include_seen_margin: bool = False,
-    seen_class_ids=(),
-    exclude_true_class: bool = False,
-    include_recon: bool = True,
-    seed: int = 0,
+    cfg: TrainConfig = TrainConfig(),
+    seed=0,
 ) -> ModelParams:
     """Continue supervised training on k labeled unseen-class examples.
 
-    The margin term runs over the unseen classes (optionally also the seen
-    ones). Dropout follows the model's keep_prob. Returns a trained copy
-    (an unchanged one for an empty example set); the input model is never
-    mutated.
+    ``cfg`` sets the epochs (``fewshot_epochs``), the batch size
+    (``fewshot_batch_size``), the learning rate and the labeled objective's
+    options. The margin term runs over the unseen classes, or with
+    ``cfg.include_seen_margin`` over every class of ``attr_rows``. Dropout
+    follows the model's keep_prob. ``seed`` is an int or a SeedSequence.
+    Returns a trained copy (an unchanged one for an empty example set); the
+    input model is never mutated.
     """
     model = model.copy()
     feats = np.asarray(features)
@@ -150,26 +181,22 @@ def fewshot_finetune(
     outside = set(labs.tolist()) - set(unseen.tolist())
     if outside:
         raise DgzslError(f"few-shot labels outside the unseen classes: {sorted(outside)}")
-    margin_ids = unseen
-    if include_seen_margin:
-        margin_ids = np.unique(np.concatenate([unseen, np.asarray(seen_class_ids, dtype=np.int64)]))
+    margin_ids = np.arange(np.asarray(attr_rows).shape[0]) if cfg.include_seen_margin else unseen
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = tuple(np.random.default_rng(s) for s in root.spawn(3))
-    opt = Adam(lr=learning_rate)
-    for _ in range(epochs):
-        _labeled_epoch(
+    opt = Adam(lr=cfg.learning_rate)
+    for _ in range(cfg.fewshot_epochs):
+        _epoch(
             model,
             opt,
             feats,
             labs,
             attr_rows,
             rngs,
-            batch_size,
+            cfg.fewshot_batch_size,
             margin_class_ids=margin_ids,
-            margin_weight=margin_weight,
-            exclude_true_class=exclude_true_class,
-            include_recon=include_recon,
+            **_objective(cfg),
         )
     return model
 
@@ -189,7 +216,6 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     seed_root = np.random.SeedSequence(cfg.seed)
     init_s, shuffle_s, noise_s, dropout_s, unlab_s, fewshot_s = seed_root.spawn(6)
     rngs = tuple(np.random.default_rng(s) for s in (shuffle_s, noise_s, dropout_s))
-    shuffle_rng, noise_rng, dropout_rng = rngs
     unlab_rng = np.random.default_rng(unlab_s)
 
     model = init_model(
@@ -206,11 +232,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     # the rows the logged accuracies refer to: the test block, or the few-shot pool
     eval_idx = np.arange(dataset.n_train, dataset.labels.size)
     eval_x, eval_y = dataset.test_features.astype(dtype, copy=False), dataset.test_labels
-    objective = dict(
-        margin_weight=cfg.margin_weight,
-        exclude_true_class=cfg.exclude_true_class,
-        include_recon=not cfg.no_recon,
-    )
+    objective = _objective(cfg)
 
     def log(phase: str, t0: float, terms, **extra):
         """Append one record; ``terms`` follows _terms' order."""
@@ -238,81 +260,34 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         except DgzslError as e:
             raise type(e)(f"{phase} epoch {len(records) + 1}: {e}") from e
 
-    def inductive_epochs(n: int):
-        for _ in range(n):
-            t0 = time.perf_counter()
-            means = _labeled_epoch(
-                model,
-                opt,
-                x_train,
-                y_train,
-                attrs,
-                rngs,
-                cfg.batch_size,
-                margin_class_ids=seen_ids,
-                **objective,
-            )
-            log("inductive", t0, means)
+    def epochs(n: int, pool=None):
+        """``n`` epochs over the train split: inductive ones, or with an
+        unlabeled ``pool`` transductive ones, whose target is refreshed every
+        ``cfg.refresh_every`` epochs."""
+        phase = "inductive" if pool is None else "transductive"
+        options = dict(objective, margin_class_ids=seen_ids)
+        if pool is not None:
+            options.update(unseen_class_ids=unseen_ids, recon_only_unlabeled=cfg.recon_only_unlabeled)
+        with named(phase):
+            if n > 0 and pool is not None and pool.shape[0] == 0:
+                raise DgzslError("transductive phase has no unlabeled rows")
+            unlabeled = None
+            for epoch in range(n):
+                t0 = time.perf_counter()
+                if pool is not None:
+                    if epoch % cfg.refresh_every == 0:
+                        target = sharpen(soft_assign(pool, attrs[unseen_ids], model)).values
+                    unlabeled = (pool, target, unlab_rng.permutation(pool.shape[0]))
+                means, sums = _epoch(model, opt, x_train, y_train, attrs, rngs, cfg.batch_size, unlabeled, **options)
+                if pool is None:
+                    log(phase, t0, means)
+                else:
+                    keys = ("labeled_total", "unlabeled_total", "unlabeled_recon", "target_kl")
+                    log(phase, t0, (sums[0] + sums[1], *means[1:]), **dict(zip(keys, sums)))
 
-    def transductive_epochs(n: int, pool: np.ndarray):
-        if pool.shape[0] == 0:
-            raise DgzslError("transductive phase has no unlabeled rows")
-        total_rows = x_train.shape[0]
-        n_batches = max(1, -(-total_rows // cfg.batch_size))
-        target, grad = None, np.empty_like(model.flat)
-        for epoch in range(n):
-            t0 = time.perf_counter()
-            if epoch % cfg.refresh_every == 0:
-                target = sharpen(soft_assign(pool, attrs[unseen_ids], model)).values
-            sums, bd_sums = np.zeros(4), np.zeros(3)
-            unlab_parts = np.array_split(unlab_rng.permutation(pool.shape[0]), n_batches)
-            for rows, rows_u in zip(
-                _batches(shuffle_rng.permutation(total_rows), cfg.batch_size), unlab_parts
-            ):
-                noise_l = noise_rng.normal(size=(rows.size, cfg.latent_dim)).astype(dtype, copy=False)
-                enc_m, dec_m = make_dropout_masks(dropout_rng, model, rows.size)
-                # zero-size draws when rows_u is empty leave every stream as is
-                noise_u = noise_rng.normal(size=(rows_u.size, cfg.latent_dim)).astype(dtype, copy=False)
-                enc_mu, dec_mu = make_dropout_masks(dropout_rng, model, rows_u.size)
-                _, grad, parts = transductive_objective(
-                    model,
-                    x_train[rows],
-                    y_train[rows],
-                    pool[rows_u],
-                    target[rows_u],
-                    attrs,
-                    margin_class_ids=seen_ids,
-                    unseen_class_ids=unseen_ids,
-                    noise_labeled=noise_l,
-                    noise_unlabeled=noise_u,
-                    enc_masks_lab=enc_m,
-                    dec_masks_lab=dec_m,
-                    enc_masks_unlab=enc_mu,
-                    dec_masks_unlab=dec_mu,
-                    recon_only_unlabeled=cfg.recon_only_unlabeled,
-                    out=grad,
-                    **objective,
-                )
-                opt.step(model, grad)
-                bd = parts.labeled_breakdown
-                sums += [parts.labeled_total, parts.unlabeled_total, parts.unlabeled_recon, parts.target_kl]
-                bd_sums += rows.size * np.array([bd.reconstruction, bd.kl_true_class, bd.margin])
-            lab_sum, unlab_sum, recon_sum, klpq_sum = sums
-            log(
-                "transductive",
-                t0,
-                (lab_sum + unlab_sum, *(bd_sums / total_rows)),
-                labeled_total=lab_sum,
-                unlabeled_total=unlab_sum,
-                unlabeled_recon=recon_sum,
-                target_kl=klpq_sum,
-            )
-
-    with named("inductive"):
-        inductive_epochs(cfg.pretrain_epochs if cfg.regime == "transductive" else cfg.epochs)
+    epochs(cfg.pretrain_epochs if cfg.regime == "transductive" else cfg.epochs)
     if cfg.regime == "transductive":
-        with named("transductive"):
-            transductive_epochs(cfg.epochs - cfg.pretrain_epochs, eval_x)
+        epochs(cfg.epochs - cfg.pretrain_epochs, eval_x)
     if cfg.regime == "fewshot":
         split = fewshot_sample(dataset, cfg.k, fewshot_s)
         eval_idx = split.unlabeled_idx
@@ -322,20 +297,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 t0 = time.perf_counter()
                 feats = dataset.features[split.labeled_idx].astype(dtype, copy=False)
                 labs = dataset.labels[split.labeled_idx]
-                model = fewshot_finetune(
-                    model,
-                    feats,
-                    labs,
-                    attrs,
-                    unseen_ids,
-                    epochs=cfg.fewshot_epochs,
-                    batch_size=cfg.fewshot_batch_size,
-                    learning_rate=cfg.learning_rate,
-                    include_seen_margin=cfg.include_seen_margin,
-                    seen_class_ids=seen_ids,
-                    seed=fewshot_s.spawn(1)[0],
-                    **objective,
-                )
+                model = fewshot_finetune(model, feats, labs, attrs, unseen_ids, cfg, fewshot_s.spawn(1)[0])
                 # eval-mode objective on the few-shot set, decoding the posterior
                 # mean (zero noise), so the log line draws no random numbers
                 _, bd = inductive_value(
@@ -349,8 +311,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 )
                 log("fewshot", t0, _terms(bd))
         if cfg.transductive_fewshot:
-            with named("transductive"):
-                transductive_epochs(cfg.transductive_epochs, eval_x)
+            epochs(cfg.transductive_epochs, eval_x)
 
     return TrainResult(model, records, eval_idx)
 

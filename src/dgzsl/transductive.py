@@ -101,18 +101,12 @@ def transductive_value(
     target_rows,
     attr_rows,
     *,
-    margin_class_ids,
     unseen_class_ids,
-    noise_labeled,
     noise_unlabeled,
-    margin_weight: float = 1.0,
-    enc_masks_lab=None,
-    dec_masks_lab=None,
     enc_masks_unlab=None,
     dec_masks_unlab=None,
-    exclude_true_class: bool = False,
-    include_recon: bool = True,
     recon_only_unlabeled: bool = False,
+    **labeled,
 ):
     """Combined objective value: Σ labeled supervised terms + unlabeled term.
 
@@ -123,7 +117,9 @@ def transductive_value(
     KL, the reconstruction sum and the labeled sum are one ``unlabeled`` node.
     Works on plain and tape-bound models; returns (value, TransductiveParts)
     where the value is a tape variable when the model is bound. Sums, not
-    means.
+    means: ``labeled`` holds inductive_value's options for the labeled batch
+    (``noise``, ``margin_class_ids``, its masks and the rest), which it is
+    called with, with ``mean=False``.
     """
     unlab = np.asarray(unlab_features)
     unseen_ids = np.asarray(unseen_class_ids)
@@ -136,11 +132,7 @@ def transductive_value(
             f"({unlab.shape[0]}, {unseen_ids.size})"
         )
 
-    lab_sum, lab_parts = inductive_value(
-        model, lab_features, lab_labels, attr_rows, noise=noise_labeled, margin_class_ids=margin_class_ids,
-        margin_weight=margin_weight, include_recon=include_recon, enc_masks=enc_masks_lab,
-        dec_masks=dec_masks_lab, exclude_true_class=exclude_true_class, mean=False,
-    )
+    lab_sum, lab_parts = inductive_value(model, lab_features, lab_labels, attr_rows, mean=False, **labeled)
     q_u = encode(unlab, model, enc_masks_unlab)
     recon = gauss_loglik_rows(decode(sample_reparam(q_u, noise_unlabeled), model, dec_masks_unlab), unlab)
     recon_col = ad._value(recon)  # the backward holds no Var, so no tape cycle

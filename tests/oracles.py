@@ -14,7 +14,8 @@ bit-for-bit reference of ``sample_reparam``, ``gauss_loglik_rows``, the
 labeled and the transductive objective. And the dropout masks divided in
 float64 and then cast, the synthetic noise scale's class-gap norm over all
 C×C×D differences at once, and the label and attribute files formatted one
-NumPy scalar at a time.
+NumPy scalar at a time. And ``reference_train``, the trainer as plain
+loops over the unfused objectives, for its step sequence.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from dgzsl import autodiff as ad
+from dgzsl.data import fewshot_sample
 from dgzsl.errors import DgzslError, ShapeError
 from dgzsl.gaussian import LOG_2PI, DiagGaussian, _check_same_shape, kl_matrix, sample_reparam
 from dgzsl.inductive import ObjectiveBreakdown, one_hot
-from dgzsl.inference import _sorted_candidates, predict_batch
-from dgzsl.networks import ModelParams, class_prior, decode, encode
-from dgzsl.transductive import TransductiveParts, _values_of
+from dgzsl.inference import _sorted_candidates, accuracy, predict_batch
+from dgzsl.networks import ModelParams, class_prior, decode, encode, init_model, make_dropout_masks
+from dgzsl.optim import Adam
+from dgzsl.train import MetricsRecord
+from dgzsl.transductive import TransductiveParts, _values_of, sharpen, soft_assign
 
 
 def _unbroadcast(g, shape):
@@ -161,14 +165,14 @@ def unfused_inductive_value(model, features, labels, attr_rows, *, margin_weight
 
 def unfused_transductive_value(
     model, lab_features, lab_labels, unlab_features, target_rows, attr_rows, *, margin_class_ids, unseen_class_ids,
-    noise_labeled, noise_unlabeled, margin_weight=1.0, enc_masks_lab=None, dec_masks_lab=None,
+    noise, noise_unlabeled, margin_weight=1.0, enc_masks=None, dec_masks=None,
     enc_masks_unlab=None, dec_masks_unlab=None, exclude_true_class=False, include_recon=True,
     recon_only_unlabeled=False,
 ):
     unlab = unlab_features
     cols = inductive_terms(
-        model, lab_features, lab_labels, attr_rows, noise=noise_labeled, margin_class_ids=margin_class_ids,
-        enc_masks=enc_masks_lab, dec_masks=dec_masks_lab, exclude_true_class=exclude_true_class,
+        model, lab_features, lab_labels, attr_rows, noise=noise, margin_class_ids=margin_class_ids,
+        enc_masks=enc_masks, dec_masks=dec_masks, exclude_true_class=exclude_true_class,
     )
     labeled = sum(per_example(cols, margin_weight, include_recon))
     z = unfused_sample_reparam(encode(unlab, model, enc_masks_unlab), noise_unlabeled)
@@ -379,3 +383,107 @@ def attribute_csv_text(attributes) -> str:
     """An attribute file formatted one NumPy scalar at a time."""
     a = np.asarray(attributes, dtype=np.float64)
     return "\n".join(",".join([str(i)] + [repr(float(v)) for v in row]) for i, row in enumerate(a)) + "\n"
+
+
+def reference_train(dataset, cfg):
+    """train_model as plain loops, for its step sequence: the six streams
+    spawned from the seed (init, shuffle, noise, dropout, unlabeled order,
+    few-shot); per epoch the unlabeled order (transductive), then the shuffle
+    permutation; per batch the labeled draws (noise, then masks), the
+    unlabeled draws, one unfused objective and one Adam step. The few-shot
+    fine-tune trains the model in place with its own Adam and three streams
+    spawned from the few-shot one. Returns (model, metrics lines)."""
+    dtype = np.dtype(cfg.dtype)
+    attrs = dataset.attributes.astype(dtype)
+    seen = np.sort(np.asarray(dataset.seen_classes, dtype=np.int64))
+    unseen = np.sort(np.asarray(dataset.unseen_classes, dtype=np.int64))
+    x, y = dataset.train_features.astype(dtype), dataset.train_labels
+    init_s, shuffle_s, noise_s, dropout_s, unlab_s, fewshot_s = np.random.SeedSequence(cfg.seed).spawn(6)
+    streams = [np.random.default_rng(s) for s in (shuffle_s, noise_s, dropout_s)]
+    unlab_rng = np.random.default_rng(unlab_s)
+    model = init_model(
+        np.random.default_rng(init_s), dataset.feature_dim, dataset.attr_dim, cfg.latent_dim,
+        tuple(cfg.hidden_dims), cfg.keep_prob, dtype=dtype,
+    )
+    opt = Adam(lr=cfg.learning_rate)
+    options = dict(margin_weight=cfg.margin_weight, exclude_true_class=cfg.exclude_true_class, include_recon=not cfg.no_recon)
+    eval_x, eval_y = dataset.test_features.astype(dtype), dataset.test_labels
+    lines = []
+
+    def log(phase, terms, **sums):
+        acc = accuracy(eval_x, eval_y, unseen, attrs, model) if eval_y.size else 0.0
+        total, reconstruction, kl_true_class, margin = terms
+        lines.append(MetricsRecord(
+            epoch=len(lines) + 1, phase=phase, seed=cfg.seed, total=total, reconstruction=reconstruction,
+            kl_true_class=kl_true_class, margin=margin, margin_weight=cfg.margin_weight, accuracy=acc,
+            wall_seconds=0.0, **sums,
+        ).metrics_line())
+
+    def draws(streams, n):
+        noise = streams[1].normal(size=(n, cfg.latent_dim)).astype(dtype)
+        enc, dec = make_dropout_masks(streams[2], model, n)
+        return dict(noise=noise, enc_masks=enc, dec_masks=dec)
+
+    def labeled_epoch(opt, feats, labs, streams, batch_size, margin_ids):
+        means = np.zeros(4)
+        order = streams[0].permutation(feats.shape[0])
+        for start in range(0, order.size, batch_size):
+            rows = order[start : start + batch_size]
+            kwargs = dict(draws(streams, rows.size), margin_class_ids=margin_ids, **options)
+            _, grad, bd = ad.value_and_grad(
+                lambda m: unfused_inductive_value(m, feats[rows], labs[rows], attrs, **kwargs), model
+            )
+            opt.step(model, grad)
+            means += rows.size * np.array([bd.total, bd.reconstruction, bd.kl_true_class, bd.margin])
+        return means / feats.shape[0]
+
+    def transductive_epochs(n, pool):
+        for epoch in range(n):
+            if epoch % cfg.refresh_every == 0:
+                target = sharpen(soft_assign(pool, attrs[unseen], model)).values
+            n_batches = -(-x.shape[0] // cfg.batch_size)
+            shares = np.array_split(unlab_rng.permutation(pool.shape[0]), n_batches)
+            order = streams[0].permutation(x.shape[0])
+            means, sums = np.zeros(4), np.zeros(4)
+            for b, rows_u in enumerate(shares):
+                rows = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                labeled = draws(streams, rows.size)
+                unlab = draws(streams, rows_u.size)
+                _, grad, parts = ad.value_and_grad(
+                    lambda m: unfused_transductive_value(
+                        m, x[rows], y[rows], pool[rows_u], target[rows_u], attrs, margin_class_ids=seen,
+                        unseen_class_ids=unseen, noise_unlabeled=unlab["noise"], enc_masks_unlab=unlab["enc_masks"],
+                        dec_masks_unlab=unlab["dec_masks"], recon_only_unlabeled=cfg.recon_only_unlabeled,
+                        **labeled, **options,
+                    ),
+                    model,
+                )
+                opt.step(model, grad)
+                bd = parts.labeled_breakdown
+                means += rows.size * np.array([bd.total, bd.reconstruction, bd.kl_true_class, bd.margin])
+                sums += [parts.labeled_total, parts.unlabeled_total, parts.unlabeled_recon, parts.target_kl]
+            names = ("labeled_total", "unlabeled_total", "unlabeled_recon", "target_kl")
+            log("transductive", (sums[0] + sums[1], *(means[1:] / x.shape[0])), **dict(zip(names, sums)))
+
+    for _ in range(cfg.pretrain_epochs if cfg.regime == "transductive" else cfg.epochs):
+        log("inductive", labeled_epoch(opt, x, y, streams, cfg.batch_size, seen))
+    if cfg.regime == "transductive":
+        transductive_epochs(cfg.epochs - cfg.pretrain_epochs, eval_x)
+    if cfg.regime == "fewshot":
+        split = fewshot_sample(dataset, cfg.k, fewshot_s)
+        eval_x, eval_y = dataset.features[split.unlabeled_idx].astype(dtype), dataset.labels[split.unlabeled_idx]
+        if cfg.k > 0:
+            feats, labs = dataset.features[split.labeled_idx].astype(dtype), dataset.labels[split.labeled_idx]
+            tuned = [np.random.default_rng(s) for s in fewshot_s.spawn(1)[0].spawn(3)]
+            margin_ids = np.arange(attrs.shape[0]) if cfg.include_seen_margin else unseen
+            fewshot_opt = Adam(lr=cfg.learning_rate)
+            for _ in range(cfg.fewshot_epochs):
+                labeled_epoch(fewshot_opt, feats, labs, tuned, cfg.fewshot_batch_size, margin_ids)
+            _, bd = unfused_inductive_value(
+                model, feats, labs, attrs, noise=np.zeros((feats.shape[0], cfg.latent_dim), dtype),
+                margin_class_ids=unseen, **options,
+            )
+            log("fewshot", (bd.total, bd.reconstruction, bd.kl_true_class, bd.margin))
+        if cfg.transductive_fewshot:
+            transductive_epochs(cfg.transductive_epochs, eval_x)
+    return model, lines

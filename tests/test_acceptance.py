@@ -13,6 +13,7 @@ from conftest import SEEDS, perturbed_model, prior_model, unseen_accuracy
 from oracles import kl_diag, margin_term, predict_via_bound, predict_zsl, target_assignment_kl
 
 from dgzsl import autodiff as ad
+from dgzsl.config import TrainConfig
 from dgzsl.data import fewshot_sample, save_dataset
 from dgzsl.gaussian import DiagGaussian
 from dgzsl.inductive import inductive_value
@@ -113,7 +114,7 @@ def test_analytic_gradients_match_finite_differences():
             attrs,
             margin_class_ids=seen_ids,
             unseen_class_ids=unseen_ids,
-            noise_labeled=noise,
+            noise=noise,
             noise_unlabeled=noise_u,
         )[0]
 
@@ -202,7 +203,7 @@ def test_accuracy_grows_with_labeled_unseen_examples(inductive_family, bench_dat
                 ds.labels[split.labeled_idx],
                 ds.attributes,
                 np.asarray(ds.unseen_classes),
-                epochs=60,
+                TrainConfig(fewshot_epochs=60),
                 seed=s,
             )
             per_k[k].append(unseen_accuracy(tuned, ds, idx=split.unlabeled_idx))

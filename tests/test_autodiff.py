@@ -182,8 +182,8 @@ def objective_case(kind):
             return transductive_value(
                 m, feats, labels, unlab, target, attrs,
                 margin_class_ids=np.arange(4), unseen_class_ids=np.arange(4, 7),
-                noise_labeled=noise_l, noise_unlabeled=noise_u,
-                enc_masks_lab=masks[0], dec_masks_lab=masks[1],
+                noise=noise_l, noise_unlabeled=noise_u,
+                enc_masks=masks[0], dec_masks=masks[1],
                 enc_masks_unlab=masks[2], dec_masks_unlab=masks[3],
             )
     else:
@@ -325,8 +325,8 @@ def test_a_float32_model_computes_in_float32_throughout():
         return transductive_value(
             m, feats, labels, unlab, target, attrs,
             margin_class_ids=np.arange(4), unseen_class_ids=np.arange(4, 7),
-            noise_labeled=noise_l, noise_unlabeled=noise_u,
-            enc_masks_lab=masks[0], dec_masks_lab=masks[1],
+            noise=noise_l, noise_unlabeled=noise_u,
+            enc_masks=masks[0], dec_masks=masks[1],
             enc_masks_unlab=masks[2], dec_masks_unlab=masks[3],
         )
 

@@ -878,7 +878,7 @@ def test_a_float32_run_trains_on_the_features_it_loaded(tmp_path, monkeypatch):
     cfg = TrainConfig(regime="inductive", latent_dim=4, hidden_dims=(8,), batch_size=16, epochs=1, dtype="float32")
     (tmp_path / "run.cfg").write_text(format_config(cfg), encoding="utf-8")
     loaded, trained = [], []
-    load, epoch = data.load_matrix, train._labeled_epoch
+    load, epoch = data.load_matrix, train._epoch
 
     def spy_load(*args):
         loaded.append(load(*args))
@@ -889,7 +889,7 @@ def test_a_float32_run_trains_on_the_features_it_loaded(tmp_path, monkeypatch):
         return epoch(model, opt, features, *args, **kwargs)
 
     monkeypatch.setattr(data, "load_matrix", spy_load)
-    monkeypatch.setattr(train, "_labeled_epoch", spy_epoch)
+    monkeypatch.setattr(train, "_epoch", spy_epoch)
     train.run_train(tmp_path / "run.cfg", tmp_path / "data", tmp_path / "run")
     assert len(loaded) == len(trained) == 1
     assert loaded[0].dtype == trained[0].dtype == np.float32

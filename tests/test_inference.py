@@ -126,9 +126,9 @@ def test_fewshot_is_deterministic_and_leaves_input_alone(setup):
     before = {k: v.copy() for k, v in model.named_arrays().items()}
     feats = rng.normal(size=(6, 8))
     labels = np.array([4, 5, 4, 5, 4, 5])
-    kwargs = dict(epochs=3, batch_size=4, seed=7)
-    a = fewshot_finetune(model, feats, labels, attrs, (4, 5), **kwargs)
-    b = fewshot_finetune(model, feats, labels, attrs, (4, 5), **kwargs)
+    cfg = TrainConfig(fewshot_epochs=3, fewshot_batch_size=4)
+    a = fewshot_finetune(model, feats, labels, attrs, (4, 5), cfg, seed=7)
+    b = fewshot_finetune(model, feats, labels, attrs, (4, 5), cfg, seed=7)
     for key in before:
         assert np.array_equal(a.named_arrays()[key], b.named_arrays()[key]), key
         assert np.array_equal(model.named_arrays()[key], before[key]), key
@@ -173,7 +173,7 @@ def test_fewshot_can_include_seen_classes_in_margin(setup):
     feats = rng.normal(size=(4, 8))
     labels = np.array([4, 5, 4, 5])
     narrow = fewshot_finetune(
-        model, feats, labels, attrs, (4, 5), epochs=2, seed=3
+        model, feats, labels, attrs, (4, 5), TrainConfig(fewshot_epochs=2), seed=3
     )
     wide = fewshot_finetune(
         model,
@@ -181,10 +181,8 @@ def test_fewshot_can_include_seen_classes_in_margin(setup):
         labels,
         attrs,
         (4, 5),
-        epochs=2,
+        TrainConfig(fewshot_epochs=2, include_seen_margin=True),
         seed=3,
-        include_seen_margin=True,
-        seen_class_ids=np.arange(4),
     )
     assert any(
         not np.array_equal(narrow.named_arrays()[k], wide.named_arrays()[k])
@@ -204,7 +202,7 @@ def test_fewshot_improves_benchmark_accuracy(bench_datasets, inductive_family):
         ds.labels[split.labeled_idx],
         ds.attributes,
         ds.unseen_classes,
-        epochs=30,
+        TrainConfig(fewshot_epochs=30),
         seed=0,
     )
     before = unseen_accuracy(run.model, ds, split.unlabeled_idx)

@@ -229,7 +229,7 @@ def test_combined_value_matches_manual_composition(setup):
         attrs,
         margin_class_ids=seen,
         unseen_class_ids=unseen,
-        noise_labeled=noise_l,
+        noise=noise_l,
         noise_unlabeled=noise_u,
     )
 
@@ -264,7 +264,7 @@ def test_empty_unlabeled_batch_gives_the_labeled_sum(setup):
         attrs,
         margin_class_ids=seen,
         unseen_class_ids=unseen,
-        noise_labeled=noise_l,
+        noise=noise_l,
         noise_unlabeled=np.zeros((0, 4)),
     )
     mean_value, mean_grads, bd = inductive_objective(
@@ -291,7 +291,7 @@ def test_recon_only_flag_drops_the_assignment_term(setup):
     kwargs = dict(
         margin_class_ids=seen,
         unseen_class_ids=unseen,
-        noise_labeled=noise_l,
+        noise=noise_l,
         noise_unlabeled=noise_u,
     )
     _, grads_star, parts_star = transductive_objective(
@@ -318,7 +318,7 @@ def test_no_recon_flag_zeroes_labeled_reconstruction(setup):
         attrs,
         margin_class_ids=seen,
         unseen_class_ids=unseen,
-        noise_labeled=noise_l,
+        noise=noise_l,
         noise_unlabeled=noise_u,
         include_recon=False,
     )
@@ -337,7 +337,7 @@ def test_target_shape_must_match_batch(setup):
             attrs,
             margin_class_ids=seen,
             unseen_class_ids=unseen,
-            noise_labeled=noise_l,
+            noise=noise_l,
             noise_unlabeled=noise_u,
         )
 
@@ -347,7 +347,7 @@ def test_transductive_value_on_an_empty_unlabeled_batch(setup):
     kwargs = dict(
         margin_class_ids=seen,
         unseen_class_ids=unseen,
-        noise_labeled=noise_l,
+        noise=noise_l,
         noise_unlabeled=np.zeros((0, 4)),
     )
     empty = (np.zeros((0, 8)), np.zeros((0, 3)))
@@ -385,10 +385,10 @@ def transductive_case(dtype, unlabeled):
         attr_rows=attrs,
         margin_class_ids=np.arange(4),
         unseen_class_ids=np.arange(4, 7),
-        noise_labeled=rng.normal(size=(5, 4)).astype(dtype),
+        noise=rng.normal(size=(5, 4)).astype(dtype),
         noise_unlabeled=rng.normal(size=(unlabeled, 4)).astype(dtype),
-        enc_masks_lab=masks[0],
-        dec_masks_lab=masks[1],
+        enc_masks=masks[0],
+        dec_masks=masks[1],
         enc_masks_unlab=masks[2],
         dec_masks_unlab=masks[3],
     )
