@@ -21,6 +21,14 @@ Example:
         "synth --out /tmp/d --seed 0" \\
         "train --config configs/synth-transductive.cfg --data /tmp/d --out /tmp/r" \\
         "eval --checkpoint /tmp/r/model.ckpt --data /tmp/d"
+
+A command may repeat. Three exports into one --out time a first write and
+two rewrites of the same files, which is where a filesystem that flushes
+on rename shows:
+    PYTHONPATH=src python3 scripts/fresh_process.py \\
+        "export --checkpoint /tmp/r/model.ckpt --data /tmp/d --out /tmp/e" \\
+        "export --checkpoint /tmp/r/model.ckpt --data /tmp/d --out /tmp/e" \\
+        "export --checkpoint /tmp/r/model.ckpt --data /tmp/d --out /tmp/e"
 """
 
 import argparse

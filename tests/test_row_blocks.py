@@ -1,6 +1,10 @@
 """Matrix files, datasets and exports stream in row blocks: the bytes match a
-whole-array pass at every block boundary, and memory stays bounded."""
+whole-array pass at every block boundary, and memory stays bounded. Each
+binary file is written into a temp file preallocated to its exact size, and
+a rewrite holds the bytes of a fresh write."""
 
+import errno
+import os
 import re
 import struct
 import tracemalloc
@@ -364,3 +368,110 @@ def test_a_float64_writer_casts_at_most_256_rows_of_a_wide_matrix_at_a_time(tmp_
     _, peak = traced_peak(save_matrix, tmp_path / "m.bin", arr)
     assert peak < 256 * 2048 * 4
     assert (tmp_path / "m.bin").read_bytes() == whole_matrix_bytes(arr)
+
+
+def _write_row_file(path, arr):
+    save_rows(path, arr.shape, (arr[s] for s in row_blocks(*arr.shape, arr.itemsize)))
+
+
+def _write_checkpoint_file(path, arr):
+    save_checkpoint(path, {"w": arr, "µ.bias": arr[:1]}, meta={"keep_prob": 0.5, "float_bits": 32})
+
+
+WRITERS = {"save_matrix": save_matrix, "save_rows": _write_row_file, "save_checkpoint": _write_checkpoint_file}
+
+
+@pytest.fixture
+def fallocate(monkeypatch):
+    """Stands in for os.posix_fallocate: records the (offset, length) of each
+    call in ``calls``, then makes it, or raises ``fails`` when a test sets
+    it to an errno."""
+    real = os.posix_fallocate
+
+    def spy(fd, offset, length):
+        spy.calls.append((offset, length))
+        if spy.fails is not None:
+            raise OSError(spy.fails, os.strerror(spy.fails))
+        real(fd, offset, length)
+
+    spy.calls, spy.fails = [], None
+    monkeypatch.setattr(os, "posix_fallocate", spy)
+    return spy
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+def test_a_rewritten_file_holds_the_bytes_of_a_fresh_write(small_blocks, tmp_path, writer):
+    arr = ragged()
+    writer(tmp_path / "fresh", arr)
+    writer(tmp_path / "old", 2 * np.ones((3, COLS)))
+    writer(tmp_path / "old", arr)
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert old.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "old"]
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+def test_each_writer_preallocates_exactly_its_file(small_blocks, tmp_path, fallocate, writer):
+    writer(tmp_path / "m", ragged())
+    assert fallocate.calls == [(0, (tmp_path / "m").stat().st_size)]
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_a_writer_that_misses_its_size_raises_naming_the_path(tmp_path, extra):
+    """The preallocated file would be zero-padded where a writer stops
+    short; the size check stops that file from replacing the old one."""
+    path = tmp_path / "m.bin"
+    save_matrix(path, ragged())
+    old = path.read_bytes()
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: wrote {len(old) + extra} bytes, expected {len(old)}$"):
+        with serialize._atomic_write(path, len(old)) as fh:
+            fh.write(old[: len(old) + extra] + b"\0" * max(0, extra))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
+
+
+def test_row_blocks_that_stop_short_name_the_path_and_keep_the_old_file(tmp_path):
+    path = tmp_path / "m.bin"
+    save_matrix(path, ragged())
+    old = path.read_bytes()
+    with pytest.raises(ShapeError, match=rf"^{re.escape(str(path))}: row blocks hold 2 rows, the header says {ROWS}$"):
+        save_rows(path, (ROWS, COLS), iter([np.ones((2, COLS))]))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
+
+
+@pytest.mark.parametrize("unsupported", ["EOPNOTSUPP", "ENOTSUP", "missing"])
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+def test_a_filesystem_without_fallocate_gets_the_same_bytes(small_blocks, tmp_path, monkeypatch, fallocate, writer, unsupported):
+    writer(tmp_path / "preallocated", ragged())
+    if unsupported == "missing":
+        monkeypatch.delattr(os, "posix_fallocate")
+    else:
+        fallocate.fails = getattr(errno, unsupported)
+    writer(tmp_path / "plain", ragged())
+    assert (tmp_path / "plain").read_bytes() == (tmp_path / "preallocated").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "preallocated"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-outputs"])
+def test_a_full_disk_stops_export_before_it_encodes_a_row(tmp_path, monkeypatch, fallocate, capsys, existing):
+    _export_fixture(tmp_path, 2, COLS, (8,))
+    out = tmp_path / "emb"
+    old = {}
+    if existing:
+        out.mkdir()
+        old = {name: f"old {name}".encode() for name in ("latents.bin", "recons.bin")}
+        for name, body in old.items():
+            (out / name).write_bytes(body)
+    encodes = []
+    monkeypatch.setattr(train, "encode", lambda *args: encodes.append(args))
+    fallocate.fails = errno.ENOSPC
+    rc = main(["export", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out / 'recons.bin'}'\n"
+    assert encodes == []
+    if existing:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+    else:
+        assert not out.exists()
