@@ -9,9 +9,8 @@ under OUT, then runs each case with one BLAS thread:
   fewshot             fewshot --k 3 --transductive-phase on synth-inductive.cfg
   ablations           fewshot --k 3 --transductive-phase --no-recon
                       --recon-only-unlabeled on synth-inductive.cfg with
-                      include_seen_margin, exclude_true_class,
-                      margin_weight = 0.5, refresh_every = 3 and
-                      dtype = float32
+                      include_seen_margin, margin_weight = 0.5,
+                      refresh_every = 3 and dtype = float32
   full-scale          train configs/full-scale.cfg (float32), 2 epochs, on
                       SynthSpec(seen=40, unseen=10, attr_dim=85,
                       feature_dim=2048, per_class=50, seed=0)
@@ -55,7 +54,7 @@ CASES = {
         "synth-inductive.cfg",
         "data",
         None,
-        dict(include_seen_margin=True, exclude_true_class=True, margin_weight=0.5, refresh_every=3, dtype="float32"),
+        dict(include_seen_margin=True, margin_weight=0.5, refresh_every=3, dtype="float32"),
         ("fewshot", "--k", 3, "--transductive-phase", "--no-recon", "--recon-only-unlabeled"),
     ),
     "full-scale": ("full-scale.cfg", "data-gbu", 2, {}, ("train",)),

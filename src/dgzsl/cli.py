@@ -66,7 +66,6 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         no_recon=args.no_recon,
         recon_only_unlabeled=args.recon_only_unlabeled,
-        exclude_true_class=args.exclude_true_class,
     )
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -199,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--seed", type=INT, default=None)
         flag(q, "--no-recon")
         flag(q, "--recon-only-unlabeled")
-        flag(q, "--exclude-true-class")
         q.set_defaults(func=_cmd_train, transductive_fewshot=None)
         return q
 
@@ -274,7 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DgzslError, OSError) as e:
+    except (DgzslError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -37,7 +37,6 @@ class TrainConfig:
     include_seen_margin: bool = False
     no_recon: bool = False
     recon_only_unlabeled: bool = False
-    exclude_true_class: bool = False
     seed: int = 0
     # the one float type of training, logging, the checkpoint and scoring
     dtype: str = "float64"
@@ -50,8 +49,8 @@ class TrainConfig:
         for name in ("margin_weight", "learning_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.margin_weight < 0:
-            raise ConfigError("margin_weight must be ≥ 0")
+        if not 0 <= self.margin_weight <= 1:
+            raise ConfigError(f"margin_weight must be in [0, 1], got {self.margin_weight}")
         for name in ("latent_dim", "batch_size", "refresh_every", "fewshot_batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be ≥ 1")

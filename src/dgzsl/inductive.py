@@ -6,8 +6,10 @@ Per labeled example the objective is
 
 where the margin term is the negated log-sum-exp of negated KLs against the
 allowed class set. Maximizing it pulls the posterior toward the true class
-prior while pushing it away from the nearest competing prior. The batch value
-is the arithmetic mean; the transductive objective takes the sum.
+prior while pushing it away from the nearest competing prior. The set holds
+every label, so margin ≤ KL to the true class, and the sum of the two terms
+is bounded above for the weights in [0, 1] that a TrainConfig accepts. The
+batch value is the arithmetic mean; the transductive objective takes the sum.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ def inductive_value(
     include_recon: bool = True,
     enc_masks=None,
     dec_masks=None,
-    exclude_true_class: bool = False,
     mean: bool = True,
 ):
     """Objective of a labeled batch: its mean, or with ``mean=False`` its sum
@@ -92,12 +93,6 @@ def inductive_value(
         raise DgzslError(
             f"labels outside the training class set: {sorted(np.unique(np.asarray(labels)[bad]).tolist())}"
         )
-    mask = allowed & ~hot if exclude_true_class else np.broadcast_to(allowed, hot.shape)
-    if not mask.any(axis=1).all():
-        raise DgzslError(
-            f"margin: row {int(np.argmin(mask.any(axis=1)))} has no class besides its own to compare "
-            f"against; excluding the true class needs at least 2 margin classes"
-        )
     if margin_weight < 0:
         raise DgzslError(f"margin weight must be ≥ 0, got {margin_weight}")
 
@@ -109,7 +104,7 @@ def inductive_value(
     kl_all = kl_matrix(q, class_prior(attr_rows, model))  # B × num_classes
     kl = ad._value(kl_all)
     kl_true = np.sum(kl * hot, axis=1, keepdims=True)
-    _, lse, soft = softmin_rows(kl, mask)
+    _, lse, soft = softmin_rows(kl, allowed)
     margin = -1.0 * lse
     per = margin_weight * margin - kl_true
     if include_recon:

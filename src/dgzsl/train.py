@@ -89,11 +89,7 @@ def _terms(bd) -> tuple:
 
 def _objective(cfg: TrainConfig) -> dict:
     """The labeled objective's options that a run's config sets."""
-    return dict(
-        margin_weight=cfg.margin_weight,
-        exclude_true_class=cfg.exclude_true_class,
-        include_recon=not cfg.no_recon,
-    )
+    return dict(margin_weight=cfg.margin_weight, include_recon=not cfg.no_recon)
 
 
 def _draws(rngs, model, n: int):

@@ -52,6 +52,18 @@ def unseen_accuracy(model, dataset, idx=None) -> float:
     return accuracy(feats, labels, dataset.unseen_classes, dataset.attributes, model)
 
 
+def write_new(path, data: bytes) -> None:
+    """Writes ``data`` to ``path``, which must not exist yet.
+
+    On ext4 (``auto_da_alloc``) a truncating rewrite of an existing file
+    waits for the disk when it is closed; a new file does not. A test that
+    writes one path in a loop unlinks it first, so that each write makes a
+    new file.
+    """
+    assert not path.exists(), f"{path} exists: unlink it first, a truncating rewrite waits on the disk"
+    path.write_bytes(data)
+
+
 def perturbed_model(seed, feature_dim=8, attr_dim=3, latent_dim=4, hidden=(16, 16)):
     """Random small model with every tensor nudged off its init point, so the
     zero-initialized logvar maps carry signal too."""

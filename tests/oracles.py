@@ -130,19 +130,17 @@ def unfused_gauss_loglik_rows(x, mean):
 
 
 def inductive_terms(
-    model, features, labels, attr_rows, *, noise, margin_class_ids, enc_masks=None, dec_masks=None,
-    exclude_true_class=False,
+    model, features, labels, attr_rows, *, noise, margin_class_ids, enc_masks=None, dec_masks=None
 ):
     """The per-example (B×1) reconstruction, true-class KL and margin
     columns of a labeled batch, unfused after ``kl_matrix``."""
     hot = one_hot(labels, attr_rows.shape[0])
     allowed = np.zeros(attr_rows.shape[0], dtype=bool)
     allowed[margin_class_ids] = True
-    mask = allowed & ~hot if exclude_true_class else np.broadcast_to(allowed, hot.shape)
     q = encode(features, model, enc_masks)
     recon = unfused_gauss_loglik_rows(decode(unfused_sample_reparam(q, noise), model, dec_masks), features)
     kl_all = kl_matrix(q, class_prior(attr_rows, model))
-    margin = mul(-1.0, logsumexp_rows(mul(-1.0, kl_all), mask=mask))
+    margin = mul(-1.0, logsumexp_rows(mul(-1.0, kl_all), mask=allowed))
     return recon, sum(mul(kl_all, hot), axis=1, keepdims=True), margin
 
 
@@ -166,13 +164,12 @@ def unfused_inductive_value(model, features, labels, attr_rows, *, margin_weight
 def unfused_transductive_value(
     model, lab_features, lab_labels, unlab_features, target_rows, attr_rows, *, margin_class_ids, unseen_class_ids,
     noise, noise_unlabeled, margin_weight=1.0, enc_masks=None, dec_masks=None,
-    enc_masks_unlab=None, dec_masks_unlab=None, exclude_true_class=False, include_recon=True,
-    recon_only_unlabeled=False,
+    enc_masks_unlab=None, dec_masks_unlab=None, include_recon=True, recon_only_unlabeled=False,
 ):
     unlab = unlab_features
     cols = inductive_terms(
         model, lab_features, lab_labels, attr_rows, noise=noise, margin_class_ids=margin_class_ids,
-        enc_masks=enc_masks, dec_masks=dec_masks, exclude_true_class=exclude_true_class,
+        enc_masks=enc_masks, dec_masks=dec_masks,
     )
     labeled = sum(per_example(cols, margin_weight, include_recon))
     z = unfused_sample_reparam(encode(unlab, model, enc_masks_unlab), noise_unlabeled)
@@ -406,7 +403,7 @@ def reference_train(dataset, cfg):
         tuple(cfg.hidden_dims), cfg.keep_prob, dtype=dtype,
     )
     opt = Adam(lr=cfg.learning_rate)
-    options = dict(margin_weight=cfg.margin_weight, exclude_true_class=cfg.exclude_true_class, include_recon=not cfg.no_recon)
+    options = dict(margin_weight=cfg.margin_weight, include_recon=not cfg.no_recon)
     eval_x, eval_y = dataset.test_features.astype(dtype), dataset.test_labels
     lines = []
 

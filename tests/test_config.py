@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,13 @@ def test_format_parse_round_trip():
         dtype="float32",
     )
     assert parse_config(format_config(cfg)) == cfg
+
+
+def test_the_readme_config_table_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, re.M)
+    printed = [tuple(line.split(" = ")) for line in format_config(TrainConfig()).splitlines()]
+    assert sorted(rows) == sorted(printed)
 
 
 def test_round_trip_preserves_floats_exactly():
@@ -98,6 +106,7 @@ def test_bool_rejects_other_text():
     [
         dict(regime="both"),
         dict(margin_weight=-0.5),
+        dict(margin_weight=1.0000001),
         dict(latent_dim=0),
         dict(keep_prob=0.0),
         dict(keep_prob=1.5),

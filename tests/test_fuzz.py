@@ -23,6 +23,8 @@ from dgzsl.serialize import (
     read_manifest,
 )
 
+from conftest import write_new
+
 EXAMPLES = 150
 
 _rng = np.random.default_rng(0)
@@ -70,7 +72,8 @@ def text_of(valid: str, alphabet: str):
 
 
 def loads_or_rejects(reader, path, blob: bytes) -> None:
-    path.write_bytes(blob)
+    path.unlink(missing_ok=True)
+    write_new(path, blob)
     try:
         reader(path)
     except DataFormatError:

@@ -141,21 +141,6 @@ def test_empty_margin_set_rejected(setup):
         )
 
 
-def test_excluding_the_true_class_of_a_single_margin_class_is_rejected(setup):
-    # every row's margin set would be empty: one error that names the margin
-    model, attrs, feats, _, noise = setup
-    with pytest.raises(DgzslError, match="margin"):
-        inductive_objective(
-            model,
-            feats,
-            np.zeros(5, dtype=int),
-            attrs,
-            noise=noise,
-            margin_class_ids=np.array([0]),
-            exclude_true_class=True,
-        )
-
-
 def labeled_case(dtype, batch=5):
     """A model with dropout masks and one labeled batch, all in ``dtype``."""
     rng = np.random.default_rng(41)
@@ -174,14 +159,10 @@ def labeled_case(dtype, batch=5):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize(
-    "margin_weight,include_recon,exclude_true_class", [(1.0, True, False), (0.3, False, True), (0.0, True, True)]
-)
-def test_labeled_node_matches_the_unfused_composition_bit_for_bit(
-    dtype, margin_weight, include_recon, exclude_true_class
-):
+@pytest.mark.parametrize("margin_weight,include_recon", [(1.0, True), (0.3, False), (0.0, True)])
+def test_labeled_node_matches_the_unfused_composition_bit_for_bit(dtype, margin_weight, include_recon):
     model, case = labeled_case(dtype)
-    case.update(margin_weight=margin_weight, include_recon=include_recon, exclude_true_class=exclude_true_class)
+    case.update(margin_weight=margin_weight, include_recon=include_recon)
     (value, grad, bd), (unfused, unfused_grad, unfused_bd) = (
         ad.value_and_grad(lambda m: fn(m, **case), model) for fn in (inductive_value, unfused_inductive_value)
     )
@@ -270,36 +251,6 @@ def test_breakdown_identity(setup):
     assert bd.total == pytest.approx(
         bd.reconstruction - bd.kl_true_class + bd.margin_weight * bd.margin, abs=1e-12
     )
-
-
-def test_exclude_true_class_drops_it_from_the_margin(setup):
-    model, attrs, feats, labels, noise = setup
-    q = encode(feats, model)
-    kl_all = np.array(
-        [
-            [
-                kl_diag(
-                    DiagGaussian(q.mean[i : i + 1], q.logvar[i : i + 1]),
-                    class_prior(attrs[c : c + 1], model),
-                )
-                for c in range(4)
-            ]
-            for i in range(5)
-        ]
-    )
-    for i in range(5):
-        others = [c for c in range(4) if c != labels[i]]
-        manual = -np.log(np.exp(-kl_all[i, others]).sum())
-        _, bd = inductive_value(
-            model,
-            feats[i : i + 1],
-            labels[i : i + 1],
-            attrs,
-            noise=noise[i : i + 1],
-            margin_class_ids=np.arange(4),
-            exclude_true_class=True,
-        )
-        assert bd.margin == pytest.approx(manual, abs=1e-9)
 
 
 def test_no_recon_flag_zeroes_reconstruction(setup):

@@ -22,7 +22,7 @@ CASES = {
     ),
     "fewshot-ablations": dict(
         regime="fewshot", k=2, fewshot_epochs=2, fewshot_batch_size=4, transductive_fewshot=True,
-        transductive_epochs=2, include_seen_margin=True, exclude_true_class=True, margin_weight=0.5,
+        transductive_epochs=2, include_seen_margin=True, margin_weight=0.5,
         no_recon=True, recon_only_unlabeled=True,
     ),
 }

@@ -396,19 +396,16 @@ def transductive_case(dtype, unlabeled):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize(
-    "unlabeled,margin_weight,exclude_true_class,include_recon,recon_only_unlabeled",
-    [(4, 1.0, False, True, False), (4, 0.3, True, False, False), (4, 1.0, False, True, True), (0, 0.5, True, True, False)],
-    ids=["default", "weighted-excluding-no-recon", "recon-only", "empty-unlabeled"],
+    "unlabeled,margin_weight,include_recon,recon_only_unlabeled",
+    [(4, 1.0, True, False), (4, 0.3, False, False), (4, 1.0, True, True), (0, 0.5, True, False)],
+    ids=["default", "weighted-no-recon", "recon-only", "empty-unlabeled"],
 )
 def test_transductive_nodes_match_the_unfused_composition_bit_for_bit(
-    dtype, unlabeled, margin_weight, exclude_true_class, include_recon, recon_only_unlabeled
+    dtype, unlabeled, margin_weight, include_recon, recon_only_unlabeled
 ):
     model, case = transductive_case(dtype, unlabeled)
     case.update(
-        margin_weight=margin_weight,
-        exclude_true_class=exclude_true_class,
-        include_recon=include_recon,
-        recon_only_unlabeled=recon_only_unlabeled,
+        margin_weight=margin_weight, include_recon=include_recon, recon_only_unlabeled=recon_only_unlabeled
     )
     (value, grad, parts), (unfused, unfused_grad, unfused_parts) = (
         ad.value_and_grad(lambda m: fn(m, **case), model)
