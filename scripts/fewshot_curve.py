@@ -17,6 +17,7 @@ import numpy as np
 from dgzsl.config import TrainConfig
 from dgzsl.data import SynthSpec, fewshot_sample, synth_generate
 from dgzsl.inference import accuracy
+from dgzsl.serialize import save_text
 from dgzsl.train import fewshot_finetune, train_model
 
 
@@ -78,14 +79,8 @@ def main() -> int:
         print(f"{k:>2}   {row}   {means[k]:.3f}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {str(k): {"per_seed": curve[k], "mean": means[k]} for k in args.ks},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        results = {str(k): {"per_seed": curve[k], "mean": means[k]} for k in args.ks}
+        save_text(args.out, json.dumps(results, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -75,6 +75,7 @@ def _cmd_eval(args) -> int:
     report = run_eval(args.checkpoint, args.data, candidates=args.candidates)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
+        # not save_text until the benchmark's synth peak stops growing per cycle (ROADMAP item 1)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)

@@ -26,15 +26,15 @@ dtype from them, or reads a float32 one in place, and ``load_checkpoint``
 reads every header first, then each tensor body into the array its caller
 allocated for it).
 
-Every binary file is written whole to a temp file beside it, preallocated
-to its exact size, then renamed over its path (``_atomic_write``); nothing
-is fsynced.
+Every output file except ``eval --out`` is written whole to a temp file
+beside it, preallocated to its exact size, then renamed over its path
+(``_atomic_write``; text goes through ``save_text`` as UTF-8); an empty file
+is not preallocated, and nothing is fsynced.
 """
 
 from __future__ import annotations
 
 import errno
-import io
 import math
 import os
 import struct
@@ -130,12 +130,6 @@ def _write_matrix(fh, arr, where: str) -> None:
     _write_rows(fh, a.shape, (a[s] for s in row_blocks(*a.shape, a.itemsize)), where)
 
 
-def matrix_bytes(arr) -> bytes:
-    buf = io.BytesIO()
-    _write_matrix(buf, arr, "matrix")
-    return buf.getvalue()
-
-
 def _preallocate(fh, size: int, path) -> None:
     """Allocates ``size`` bytes of disk for the empty file ``fh`` before it is
     written. A file whose blocks are allocated has nothing for the
@@ -145,7 +139,8 @@ def _preallocate(fh, size: int, path) -> None:
     it, the file is written as it comes; any other failure, such as a full
     disk, is raised naming ``path`` before a byte is written."""
     fallocate = getattr(os, "posix_fallocate", None)
-    if fallocate is None:
+    # an empty file has nothing to allocate, and a zero length is EINVAL
+    if fallocate is None or size == 0:
         return
     try:
         fallocate(fh.fileno(), 0, size)
@@ -171,6 +166,13 @@ def _atomic_write(path, size: int):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_text(path, text: str) -> None:
+    """Writes ``text`` as UTF-8 through _atomic_write."""
+    data = text.encode("utf-8")
+    with _atomic_write(path, len(data)) as fh:
+        fh.write(data)
 
 
 def save_matrix(path, arr) -> None:
@@ -303,7 +305,7 @@ def write_attribute_csv(path, attributes) -> None:
     # Python floats from tolist() format as the NumPy scalars would, faster
     a = np.asarray(attributes, dtype=np.float64).tolist()
     lines = [",".join([str(i), *map(repr, row)]) for i, row in enumerate(a)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_text(path, "\n".join(lines) + "\n")
 
 
 def read_attribute_csv(path):
@@ -348,7 +350,7 @@ def read_attribute_csv(path):
 
 def write_labels(path, labels) -> None:
     ids = np.asarray(labels, dtype=np.int64).tolist()
-    Path(path).write_text("".join(f"{v}\n" for v in ids), encoding="utf-8")
+    save_text(path, "".join(f"{v}\n" for v in ids))
 
 
 def read_labels(path):
@@ -395,13 +397,13 @@ def _parse_ids(text: str, where: str):
 
 
 def write_manifest(path, seen, unseen, train_labels_file, test_labels_file) -> None:
-    text = (
+    save_text(
+        path,
         f"seen = {','.join(str(i) for i in seen)}\n"
         f"unseen = {','.join(str(i) for i in unseen)}\n"
         f"train_labels = {train_labels_file}\n"
-        f"test_labels = {test_labels_file}\n"
+        f"test_labels = {test_labels_file}\n",
     )
-    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_key_values(text: str, where: str, keys, error) -> dict:

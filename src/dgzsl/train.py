@@ -27,7 +27,7 @@ from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, predict_batch
 from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_shapes
 from .optim import Adam
-from .serialize import check_finite, load_checkpoint, save_checkpoint, save_matrix, save_rows
+from .serialize import check_finite, load_checkpoint, save_checkpoint, save_matrix, save_rows, save_text
 from .transductive import sharpen, soft_assign, transductive_objective
 
 
@@ -324,13 +324,9 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
     result = train_model(dataset, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.cfg").write_text(format_config(cfg), encoding="utf-8")
-    (out / "metrics.jsonl").write_text(
-        "".join(r.metrics_line() + "\n" for r in result.records), encoding="utf-8"
-    )
-    (out / "timings.jsonl").write_text(
-        "".join(r.timing_line() + "\n" for r in result.records), encoding="utf-8"
-    )
+    save_text(out / "config.cfg", format_config(cfg))
+    save_text(out / "metrics.jsonl", "".join(r.metrics_line() + "\n" for r in result.records))
+    save_text(out / "timings.jsonl", "".join(r.timing_line() + "\n" for r in result.records))
     meta = {"keep_prob": cfg.keep_prob}
     if result.model.flat.dtype != np.float64:  # float64 checkpoints keep their bytes
         meta["float_bits"] = result.model.flat.dtype.itemsize * 8
@@ -343,9 +339,7 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
         "eval_rows": int(result.eval_idx.size),
         "checkpoint": str(out / "model.ckpt"),
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    save_text(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 

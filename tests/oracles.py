@@ -13,13 +13,15 @@ compositions built of them that the fused nodes replaced: they are the
 bit-for-bit reference of ``sample_reparam``, ``gauss_loglik_rows``, the
 labeled and the transductive objective. And the dropout masks divided in
 float64 and then cast, the synthetic noise scale's class-gap norm over all
-C×C×D differences at once, and the label and attribute files formatted one
-NumPy scalar at a time. And ``reference_train``, the trainer as plain
-loops over the unfused objectives, for its step sequence.
+C×C×D differences at once, the label and attribute files formatted one
+NumPy scalar at a time, and a matrix file's bytes from one whole-array
+cast. And ``reference_train``, the trainer as plain loops over the unfused
+objectives, for its step sequence.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ from dgzsl.inductive import ObjectiveBreakdown, one_hot
 from dgzsl.inference import _sorted_candidates, accuracy, predict_batch
 from dgzsl.networks import ModelParams, class_prior, decode, encode, init_model, make_dropout_masks
 from dgzsl.optim import Adam
+from dgzsl.serialize import MATRIX_MAGIC
 from dgzsl.train import MetricsRecord
 from dgzsl.transductive import TransductiveParts, _values_of, sharpen, soft_assign
 
@@ -380,6 +383,12 @@ def attribute_csv_text(attributes) -> str:
     """An attribute file formatted one NumPy scalar at a time."""
     a = np.asarray(attributes, dtype=np.float64)
     return "\n".join(",".join([str(i)] + [repr(float(v)) for v in row]) for i, row in enumerate(a)) + "\n"
+
+
+def whole_matrix_bytes(arr) -> bytes:
+    """The matrix-file layout built from one whole-array float32 cast."""
+    a = np.asarray(arr, dtype=np.float64)
+    return MATRIX_MAGIC + struct.pack("<II", *a.shape) + np.ascontiguousarray(a, "<f4").tobytes()
 
 
 def reference_train(dataset, cfg):

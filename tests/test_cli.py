@@ -909,21 +909,26 @@ def test_command_line_numbers_must_be_plain_ascii(argv, message, capsys):
     assert capsys.readouterr().err.endswith(f"error: argument {message}\n")
 
 
-def test_synth_and_export_rerun_into_one_out_write_the_same_files(trained, tmp_path, capsys):
+def test_synth_and_export_rerun_into_one_out_write_the_same_files(trained, cfg_path, tmp_path, capsys):
     """A second run over the outputs of the first rewrites each file in
-    place of the old one: the same bytes, and no temp file left beside."""
-    data, emb = tmp_path / "data", tmp_path / "emb"
+    place of the old one: the same bytes, and no temp file left beside.
+    Only timings.jsonl, which holds wall times, differs."""
+    data, emb, run = tmp_path / "data", tmp_path / "emb", tmp_path / "run"
     synth = ["synth", "--out", str(data), "--seen", "6", "--unseen", "3", "--attr-dim", "4",
              "--feature-dim", "12", "--per-class", "4", "--seed", "1"]
     export = ["export", "--checkpoint", str(trained / "model.ckpt"), "--data", str(data), "--out", str(emb)]
+    fit = ["train", "--config", str(cfg_path), "--data", str(data), "--out", str(run)]
     runs = []
     for _ in range(2):
-        assert main(synth) == 0 and main(export) == 0
+        assert main(synth) == 0 and main(export) == 0 and main(fit) == 0
         runs.append({p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()})
     capsys.readouterr()
-    assert runs[0] == runs[1]
     assert sorted(runs[1]) == [
         "data/attributes.csv", "data/features.bin", "data/split.manifest",
         "data/test_labels.txt", "data/train_labels.txt",
         "emb/latents.bin", "emb/recons.bin",
+        "run/config.cfg", "run/metrics.jsonl", "run/model.ckpt", "run/summary.json", "run/timings.jsonl",
     ]
+    timings = [r.pop("run/timings.jsonl") for r in runs]
+    assert runs[0] == runs[1]
+    assert [len(t.splitlines()) for t in timings] == [3, 3]

@@ -27,7 +27,6 @@ from dgzsl.serialize import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
     load_matrix,
-    matrix_bytes,
     read_attribute_csv,
     read_labels,
     read_manifest,
@@ -392,7 +391,8 @@ def test_matrix_round_trip_is_bit_stable(tmp_path):
     loaded = load_matrix(path)
     assert np.array_equal(loaded, arr)
     # a second save of the loaded matrix reproduces the bytes exactly
-    assert matrix_bytes(loaded) == path.read_bytes()
+    save_matrix(tmp_path / "again.bin", loaded)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_matrix_vector_becomes_row(tmp_path):
@@ -410,14 +410,14 @@ def test_matrix_bad_magic(tmp_path):
 
 def test_matrix_truncated_body(tmp_path):
     path = tmp_path / "short.bin"
-    path.write_bytes(matrix_bytes(np.ones((3, 3)))[:-4])
+    path.write_bytes(oracles.whole_matrix_bytes(np.ones((3, 3)))[:-4])
     with pytest.raises(DataFormatError):
         load_matrix(path)
 
 
 def test_matrix_trailing_bytes(tmp_path):
     path = tmp_path / "long.bin"
-    path.write_bytes(matrix_bytes(np.ones((2, 2))) + b"x")
+    path.write_bytes(oracles.whole_matrix_bytes(np.ones((2, 2))) + b"x")
     with pytest.raises(DataFormatError):
         load_matrix(path)
 
@@ -452,9 +452,10 @@ def test_matrix_non_finite_rejected(tmp_path):
             load_matrix(path, dtype)
 
 
-def test_matrix_rejects_3d():
+def test_matrix_rejects_3d(tmp_path):
     with pytest.raises(DataFormatError):
-        matrix_bytes(np.zeros((2, 2, 2)))
+        save_matrix(tmp_path / "m.bin", np.zeros((2, 2, 2)))
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------- attribute file
@@ -754,7 +755,7 @@ def test_checkpoint_non_finite_tensor(tmp_path):
 
 @pytest.mark.parametrize("name, shape", [("w", (1, 2)), ("meta.keep_prob", (1, 1))])
 def test_checkpoint_rejects_a_name_given_twice(tmp_path, name, shape):
-    entry = lambda v: struct.pack("<I", len(name)) + name.encode() + matrix_bytes(np.full(shape, v))
+    entry = lambda v: struct.pack("<I", len(name)) + name.encode() + oracles.whole_matrix_bytes(np.full(shape, v))
     path = tmp_path / "dup.ckpt"
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 2) + entry(1.0) + entry(2.0))
     with pytest.raises(DataFormatError, match=re.escape(f"{path}: tensor {name!r} appears twice")):

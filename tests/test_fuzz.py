@@ -17,20 +17,20 @@ from dgzsl.serialize import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
     load_matrix,
-    matrix_bytes,
     read_attribute_csv,
     read_labels,
     read_manifest,
 )
 
 from conftest import write_new
+from oracles import whole_matrix_bytes
 
 EXAMPLES = 150
 
 _rng = np.random.default_rng(0)
-MATRIX = matrix_bytes(_rng.normal(size=(3, 4)))
+MATRIX = whole_matrix_bytes(_rng.normal(size=(3, 4)))
 CHECKPOINT = CHECKPOINT_MAGIC + struct.pack("<I", 3) + b"".join(
-    struct.pack("<I", len(name)) + name + matrix_bytes(arr)
+    struct.pack("<I", len(name)) + name + whole_matrix_bytes(arr)
     for name, arr in (
         (b"enc.h0.w", _rng.normal(size=(3, 2))),
         (b"enc.h0.b", _rng.normal(size=(1, 2))),

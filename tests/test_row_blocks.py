@@ -1,7 +1,7 @@
 """Matrix files, datasets and exports stream in row blocks: the bytes match a
 whole-array pass at every block boundary, and memory stays bounded. Each
-binary file is written into a temp file preallocated to its exact size, and
-a rewrite holds the bytes of a fresh write."""
+output file, binary or text, is written into a temp file preallocated to
+its exact size, and a rewrite holds the bytes of a fresh write."""
 
 import errno
 import os
@@ -20,16 +20,20 @@ from dgzsl.inference import predict_batch
 from dgzsl.networks import decode, encode, init_model, model_from_named
 from dgzsl.serialize import (
     CHECKPOINT_MAGIC,
-    MATRIX_MAGIC,
     load_checkpoint,
     load_matrix,
-    matrix_bytes,
     row_blocks,
     save_checkpoint,
     save_matrix,
     save_rows,
+    save_text,
+    write_attribute_csv,
+    write_labels,
+    write_manifest,
 )
 from dgzsl.train import _model_from_checkpoint, export_embeddings, run_eval
+
+from oracles import whole_matrix_bytes
 
 ROWS, COLS = 11, 5  # 11 rows in blocks of at most 3: 2, 3, 3, 3
 
@@ -47,12 +51,6 @@ def small_write_blocks(monkeypatch):
     """Shrinks the block budget to 3 float64 rows of COLS values, so a writer
     cuts a float64 source of ROWS rows into 2, 3, 3, 3; a reader cuts 6."""
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 3 * 8 * COLS)
-
-
-def whole_matrix_bytes(arr) -> bytes:
-    """The matrix-file layout built from one whole-array float32 cast."""
-    a = np.asarray(arr, dtype=np.float64)
-    return MATRIX_MAGIC + struct.pack("<II", *a.shape) + np.ascontiguousarray(a, "<f4").tobytes()
 
 
 def ragged():
@@ -86,12 +84,11 @@ def test_row_blocks_cover_every_row_with_no_straggler(small_blocks):
 
 def test_matrix_bytes_match_a_whole_array_cast(small_write_blocks, tmp_path):
     arr = ragged()
-    expected = whole_matrix_bytes(arr)
-    assert matrix_bytes(arr) == expected
     save_matrix(tmp_path / "m.bin", arr)
-    assert (tmp_path / "m.bin").read_bytes() == expected
+    assert (tmp_path / "m.bin").read_bytes() == whole_matrix_bytes(arr)
     # a transposed (column-major) input writes its row-major values
-    assert matrix_bytes(arr.T) == whole_matrix_bytes(arr.T)
+    save_matrix(tmp_path / "t.bin", arr.T)
+    assert (tmp_path / "t.bin").read_bytes() == whole_matrix_bytes(arr.T)
 
 
 @pytest.mark.parametrize(
@@ -378,7 +375,29 @@ def _write_checkpoint_file(path, arr):
     save_checkpoint(path, {"w": arr, "µ.bias": arr[:1]}, meta={"keep_prob": 0.5, "float_bits": 32})
 
 
-WRITERS = {"save_matrix": save_matrix, "save_rows": _write_row_file, "save_checkpoint": _write_checkpoint_file}
+def _write_text_file(path, arr):
+    # µ takes two bytes in UTF-8, so a size counted in characters falls short
+    save_text(path, f"µ {arr.tolist()}\n")
+
+
+def _write_label_file(path, arr):
+    write_labels(path, np.floor(100 * arr).ravel())
+
+
+def _write_manifest_file(path, arr):
+    ids = np.floor(100 * arr).astype(np.int64)
+    write_manifest(path, ids[0], ids[1], "train_labels.txt", "test_labels.txt")
+
+
+WRITERS = {
+    "save_matrix": save_matrix,
+    "save_rows": _write_row_file,
+    "save_checkpoint": _write_checkpoint_file,
+    "save_text": _write_text_file,
+    "write_attribute_csv": write_attribute_csv,
+    "write_labels": _write_label_file,
+    "write_manifest": _write_manifest_file,
+}
 
 
 @pytest.fixture
@@ -414,6 +433,27 @@ def test_a_rewritten_file_holds_the_bytes_of_a_fresh_write(small_blocks, tmp_pat
 def test_each_writer_preallocates_exactly_its_file(small_blocks, tmp_path, fallocate, writer):
     writer(tmp_path / "m", ragged())
     assert fallocate.calls == [(0, (tmp_path / "m").stat().st_size)]
+
+
+def test_an_empty_file_is_written_and_rewritten_without_preallocating(tmp_path, fallocate, capsys):
+    """posix_fallocate rejects a zero length with EINVAL: an empty label file
+    and the metrics and timings of a zero-epoch run are written as they come,
+    and every other file of the run is preallocated to its size."""
+    _export_fixture(tmp_path, 2, COLS, (8,))
+    fallocate.calls.clear()
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("latent_dim = 2\nhidden_dims = 8\nepochs = 0\n", encoding="utf-8")
+    run = tmp_path / "run"
+    for _ in range(2):
+        write_labels(tmp_path / "empty.txt", [])
+        assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "empty.txt").read_bytes() == b""
+    assert (run / "metrics.jsonl").read_bytes() == (run / "timings.jsonl").read_bytes() == b""
+    assert sorted(p.name for p in run.iterdir()) == ["config.cfg", "metrics.jsonl", "model.ckpt", "summary.json", "timings.jsonl"]
+    assert not list(tmp_path.rglob("*.tmp"))
+    sized = [(0, (run / name).stat().st_size) for name in ("config.cfg", "model.ckpt", "summary.json")]
+    assert fallocate.calls == 2 * sized
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])

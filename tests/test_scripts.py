@@ -36,7 +36,9 @@ def test_fewshot_curve_writes_results(tmp_path):
         "--seeds", 0, "--ks", 0, 2, "--epochs", 2, "--finetune-epochs", 2,
         "--latent-dim", 4, "--hidden", 16, "--out", out,
     )
-    results = json.loads(out.read_text(encoding="utf-8"))
+    text = out.read_text(encoding="utf-8")
+    results = json.loads(text)
+    assert text == json.dumps(results, indent=2, sort_keys=True) + "\n"
     assert set(results) == {"0", "2"}
     for entry in results.values():
         assert len(entry["per_seed"]) == 1
