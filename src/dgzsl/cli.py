@@ -24,7 +24,7 @@ import numpy as np  # noqa: E402
 
 from .data import SynthSpec, save_dataset, synth_generate  # noqa: E402
 from .errors import DgzslError  # noqa: E402
-from .serialize import plain_number_text  # noqa: E402
+from .serialize import plain_number_text, save_text  # noqa: E402
 from .train import export_embeddings, run_eval, run_train  # noqa: E402
 
 
@@ -75,9 +75,7 @@ def _cmd_eval(args) -> int:
     report = run_eval(args.checkpoint, args.data, candidates=args.candidates)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        # not save_text until the benchmark's synth peak stops growing per cycle (ROADMAP item 1)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        save_text(args.out, text + "\n")
     print(text)
     return 0
 

@@ -26,10 +26,11 @@ dtype from them, or reads a float32 one in place, and ``load_checkpoint``
 reads every header first, then each tensor body into the array its caller
 allocated for it).
 
-Every output file except ``eval --out`` is written whole to a temp file
-beside it, preallocated to its exact size, then renamed over its path
-(``_atomic_write``; text goes through ``save_text`` as UTF-8); an empty file
-is not preallocated, and nothing is fsynced.
+Every output file is written whole to a temp file beside it, preallocated
+to its exact size, then renamed over its path (``_atomic_write``; the text
+files, ``eval.json`` among them, go through ``save_text`` as UTF-8); an
+empty file is not preallocated, nothing is fsynced, and a failure to open or
+rename the temp file names the path.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _atomic_write(path, size: int):
     """Writes the ``size`` bytes of a file to a preallocated temp file in the
     same directory, then os.replace()s it over ``path``; if the write raises,
     or writes other than ``size`` bytes, the temp file goes and ``path`` is
-    untouched."""
+    untouched. An OSError opening or renaming the temp file names ``path``."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -163,8 +164,10 @@ def _atomic_write(path, size: int):
             if fh.tell() != size:
                 raise DataFormatError(f"{path}: wrote {fh.tell()} bytes, expected {size}")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename == str(tmp):  # opening or renaming the temp file
+            raise OSError(e.errno, e.strerror, str(path)) from None
         raise
 
 

@@ -5,6 +5,7 @@ The console-script tests alone start a separate process, as the installed
 """
 
 import argparse
+import errno
 import importlib.metadata
 import json
 import os
@@ -349,6 +350,19 @@ def test_eval_candidate_pools(trained, tiny_dir, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["candidates"] == list(range(9))
+
+
+@pytest.mark.parametrize("target,code", [("missing/eval.json", errno.ENOENT), ("a-directory", errno.EISDIR)])
+def test_an_eval_out_that_cannot_be_written_names_the_out_path(trained, tiny_dir, tmp_path, capsys, target, code):
+    """The report goes to a temp file beside --out, then is renamed over
+    it; an error opening or renaming the temp file names --out."""
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / target
+    rc = main(["eval", "--checkpoint", str(trained / "model.ckpt"), "--data", str(tiny_dir), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_export_writes_aligned_embeddings(trained, tiny_dir, tmp_path, capsys):
@@ -910,23 +924,25 @@ def test_command_line_numbers_must_be_plain_ascii(argv, message, capsys):
 
 
 def test_synth_and_export_rerun_into_one_out_write_the_same_files(trained, cfg_path, tmp_path, capsys):
-    """A second run over the outputs of the first rewrites each file in
-    place of the old one: the same bytes, and no temp file left beside.
-    Only timings.jsonl, which holds wall times, differs."""
+    """A second run of synth, export, train and eval --out over the outputs
+    of the first rewrites each file in place of the old one: the same bytes,
+    and no temp file left beside. Only timings.jsonl, which holds wall
+    times, differs."""
     data, emb, run = tmp_path / "data", tmp_path / "emb", tmp_path / "run"
     synth = ["synth", "--out", str(data), "--seen", "6", "--unseen", "3", "--attr-dim", "4",
              "--feature-dim", "12", "--per-class", "4", "--seed", "1"]
     export = ["export", "--checkpoint", str(trained / "model.ckpt"), "--data", str(data), "--out", str(emb)]
     fit = ["train", "--config", str(cfg_path), "--data", str(data), "--out", str(run)]
+    score = ["eval", "--checkpoint", str(trained / "model.ckpt"), "--data", str(data), "--out", str(tmp_path / "eval.json")]
     runs = []
     for _ in range(2):
-        assert main(synth) == 0 and main(export) == 0 and main(fit) == 0
+        assert main(synth) == 0 and main(export) == 0 and main(fit) == 0 and main(score) == 0
         runs.append({p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()})
     capsys.readouterr()
     assert sorted(runs[1]) == [
         "data/attributes.csv", "data/features.bin", "data/split.manifest",
         "data/test_labels.txt", "data/train_labels.txt",
-        "emb/latents.bin", "emb/recons.bin",
+        "emb/latents.bin", "emb/recons.bin", "eval.json",
         "run/config.cfg", "run/metrics.jsonl", "run/model.ckpt", "run/summary.json", "run/timings.jsonl",
     ]
     timings = [r.pop("run/timings.jsonl") for r in runs]

@@ -3,11 +3,13 @@ whole-array pass at every block boundary, and memory stays bounded. Each
 output file, binary or text, is written into a temp file preallocated to
 its exact size, and a rewrite holds the bytes of a fresh write."""
 
+import ast
 import errno
 import os
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,3 +517,72 @@ def test_a_full_disk_stops_export_before_it_encodes_a_row(tmp_path, monkeypatch,
         assert {p.name: p.read_bytes() for p in out.iterdir()} == old
     else:
         assert not out.exists()
+
+
+def test_eval_out_preallocates_its_report_and_a_full_disk_keeps_the_old_one(tmp_path, fallocate, capsys):
+    _export_fixture(tmp_path, 2, COLS, (8,))
+    report = tmp_path / "eval.json"
+    argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data"), "--out", str(report)]
+    fallocate.calls.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == report.read_bytes()
+    assert fallocate.calls == [(0, report.stat().st_size)]
+    report.write_bytes(b"old eval.json")
+    fallocate.fails = errno.ENOSPC
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{report}'\n"
+    assert report.read_bytes() == b"old eval.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "eval.json", "model.ckpt"]
+
+
+def test_an_os_error_of_the_writer_keeps_its_own_file_name(tmp_path):
+    """Only an error opening or renaming the temp file is renamed to the
+    target: one raised by the code that writes the body names its own file."""
+    source = tmp_path / "missing" / "input.bin"
+    with pytest.raises(FileNotFoundError) as exc:
+        with serialize._atomic_write(tmp_path / "m.bin", 4):
+            open(source, "rb")
+    assert exc.value.filename == str(source)
+    assert list(tmp_path.iterdir()) == []
+
+
+def unguarded_writes(path: Path) -> list[int]:
+    """Lines of the module at ``path`` that write a file other than through
+    serialize._atomic_write: an ``open(file, mode)`` or ``Path.open(mode)``
+    whose mode holds w, a, x or + (or is not a string literal), and every
+    ``.write_text`` or ``.write_bytes`` call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = set()
+    if path.name == "serialize.py":
+        writer = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_atomic_write")
+        inside = set(ast.walk(writer))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or node in inside:
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0
+            mode = node.args[at] if len(node.args) > at else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            read_only = mode is None or (
+                isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+")
+            )
+            if not read_only:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_output_file_of_the_package_goes_through_the_atomic_writer(tmp_path):
+    sources = sorted(Path(serialize.__file__).parent.glob("*.py"))
+    assert {p.name: unguarded_writes(p) for p in sources} == {p.name: [] for p in sources}
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'open(p)\nopen(p, "rb")\nPath(p).open()\nopen(p, "w")\nopen(p, mode="a")\n'
+        'open(p, "r+b")\nPath(p).open("xb")\nopen(p, m)\np.write_text(t)\np.write_bytes(b)\n',
+        encoding="utf-8",
+    )
+    assert unguarded_writes(probe) == [4, 5, 6, 7, 8, 9, 10]
