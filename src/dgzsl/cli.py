@@ -123,7 +123,7 @@ def _cmd_gradcheck(args) -> int:
 
     unlab = rng.normal(size=(args.batch, args.feature_dim))
     noise_u = rng.normal(size=(args.batch, args.latent_dim))
-    target = sharpen(soft_assign(unlab, attrs[unseen_ids], model))
+    target = sharpen(soft_assign(unlab, attrs[unseen_ids], model)).values
 
     def combined(p):
         m = ModelParams(model.layout, tensors=p)

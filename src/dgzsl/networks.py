@@ -175,18 +175,6 @@ def model_from_shapes(
     return ModelParams(layout, np.empty(layout.size, dtype), keep_prob)
 
 
-def model_from_named(
-    tensors: dict, keep_prob: float = 1.0, where: str = "checkpoint", *, dtype=np.float64
-) -> ModelParams:
-    """A model holding copies of ``tensors`` (name -> array), cast into one
-    new vector of ``dtype``; the shape rule of model_from_shapes holds."""
-    shapes = {name: np.shape(a) for name, a in tensors.items()}
-    model = model_from_shapes(shapes, keep_prob, where, dtype=dtype)
-    for name, a in model.named_arrays().items():
-        np.copyto(a, np.reshape(tensors[name], a.shape))
-    return model
-
-
 def make_dropout_masks(rng: np.random.Generator, model: ModelParams, batch: int):
     """(encoder masks, decoder masks) of inverted dropout, one
     Bernoulli(keep)/keep mask per hidden layer in the dtype of

@@ -327,10 +327,7 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
     save_text(out / "config.cfg", format_config(cfg))
     save_text(out / "metrics.jsonl", "".join(r.metrics_line() + "\n" for r in result.records))
     save_text(out / "timings.jsonl", "".join(r.timing_line() + "\n" for r in result.records))
-    meta = {"keep_prob": cfg.keep_prob}
-    if result.model.flat.dtype != np.float64:  # float64 checkpoints keep their bytes
-        meta["float_bits"] = result.model.flat.dtype.itemsize * 8
-    save_checkpoint(out / "model.ckpt", result.model.named_arrays(), meta=meta)
+    save_model(out / "model.ckpt", result.model)
     summary = {
         "regime": cfg.regime,
         "seed": cfg.seed,
@@ -343,14 +340,24 @@ def run_train(config_path, data_dir, out_dir, **overrides) -> dict:
     return summary
 
 
+def save_model(path, model: ModelParams) -> None:
+    """Writes ``model`` as the checkpoint load_model reads back: its tensors,
+    ``meta.keep_prob``, and ``meta.float_bits`` unless the model is float64."""
+    meta = {"keep_prob": model.keep_prob}
+    if model.flat.dtype != np.float64:  # float64 checkpoints keep their bytes
+        meta["float_bits"] = model.flat.dtype.itemsize * 8
+    save_checkpoint(path, model.named_arrays(), meta=meta)
+
+
 # a checkpoint's meta.float_bits -> the dtype its model computes in; a
 # checkpoint without the entry is float64
 _FLOAT_BITS = {32: np.float32, 64: np.float64}
 
 
-def _model_from_checkpoint(checkpoint_path) -> ModelParams:
+def load_model(checkpoint_path) -> ModelParams:
     """The checkpoint's model: its shapes and meta make the model, and the
-    tensors are read straight into the views of its flat vector."""
+    tensors are read straight into the views of its flat vector. Meta values
+    are stored as float32, so ``keep_prob`` reads back rounded to it."""
     made = []
 
     def allocate(shapes, meta):
@@ -370,7 +377,7 @@ def _open_for_scoring(checkpoint_path, data_dir):
     """Yields (model, files): the checkpoint's model and the dataset in
     ``data_dir`` opened for one pass over its feature rows (open_dataset),
     once the model's feature and attribute widths match the dataset's."""
-    model = _model_from_checkpoint(checkpoint_path)
+    model = load_model(checkpoint_path)
     with open_dataset(data_dir) as files:
         dims = model.layout
         feature_dim, attr_dim = files.shape[1], files.attributes.shape[1]

@@ -22,16 +22,6 @@ from .inductive import ObjectiveBreakdown, inductive_value
 from .networks import ModelParams, class_prior, decode, encode
 
 @dataclass(frozen=True)
-class AssignmentMatrix:
-    """Row-stochastic soft assignments (one row per unlabeled input) plus the
-    per-class marginals (column sums). Row-stochastic by construction in
-    ``soft_assign``, not re-checked."""
-
-    values: Array
-    class_marginals: Array
-
-
-@dataclass(frozen=True)
 class TargetMatrix:
     """Row-stochastic sharpened targets, same shape as the assignments.
     Row-stochastic by construction in ``sharpen``, not re-checked."""
@@ -40,45 +30,44 @@ class TargetMatrix:
 
 
 def assignment_logits(features, unseen_attr_rows, model: ModelParams):
-    """Log of the soft assignments, −KL − logsumexp(−KL) row-wise, on plain
-    arrays; the forward of the ``unlabeled`` node's assignment side."""
+    """(KL, log q, q) of the soft assignments: the KL of each row's posterior
+    to each unseen-class prior (a tape variable on a bound model), then on
+    plain arrays log q = −KL − logsumexp(−KL) and q, its row softmax, row-wise;
+    the forward of the ``unlabeled`` node's assignment side."""
     priors = class_prior(unseen_attr_rows, model)
-    neg, lse, _ = softmin_rows(kl_matrix(encode(features, model), priors))
-    return neg - lse
+    kl = kl_matrix(encode(features, model), priors)
+    neg, lse, q = softmin_rows(ad._value(kl))
+    return kl, neg - lse, q
 
 
-def soft_assign(features, unseen_attr_rows, model: ModelParams) -> AssignmentMatrix:
-    """Soft class assignments of unlabeled inputs over the unseen classes."""
+def soft_assign(features, unseen_attr_rows, model: ModelParams) -> Array:
+    """The N×K soft assignments of N unlabeled inputs over K unseen classes:
+    exp(log q) of assignment_logits, whose q differs from it in rounding."""
     rows = np.asarray(unseen_attr_rows)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise DgzslError(
             f"soft assignment needs at least 2 candidate classes, got "
             f"{0 if rows.ndim != 2 else rows.shape[0]}"
         )
-    values = np.exp(assignment_logits(features, rows, model))
-    return AssignmentMatrix(values, values.sum(axis=0))
+    return np.exp(assignment_logits(features, rows, model)[1])
 
 
-def sharpen(assignments: AssignmentMatrix) -> TargetMatrix:
-    """Squared assignments normalized by class marginals, then row-normalized.
+def sharpen(q: Array) -> TargetMatrix:
+    """Squared assignments ``q`` normalized by the class marginals (its
+    column sums), then row-normalized.
 
     Classes with zero marginal contribute zero columns and are excluded from
     the normalization. A single-row matrix is returned unchanged (the algebra
     cancels exactly, so the identity is applied rather than recomputed).
     """
-    q = assignments.values
     if q.shape[0] == 1:
         return TargetMatrix(q.copy())
-    g = assignments.class_marginals
+    g = q.sum(axis=0)
     weights = np.where(g > 0, q * q / np.where(g > 0, g, 1.0), 0.0)
     row_sums = weights.sum(axis=1, keepdims=True)
     if (row_sums == 0).any():
         raise DgzslError("sharpening produced an all-zero row")
     return TargetMatrix(weights / row_sums)
-
-
-def _values_of(m) -> Array:
-    return np.asarray(m.values if hasattr(m, "values") else m)
 
 
 @dataclass(frozen=True)
@@ -110,22 +99,22 @@ def transductive_value(
 ):
     """Combined objective value: Σ labeled supervised terms + unlabeled term.
 
-    ``target_rows`` are the sharpened-target rows aligned with the unlabeled
-    batch, produced by sharpen() at the last refresh; they are constants (no
-    gradient flows through the target). An empty unlabeled batch contributes
-    a zero unlabeled term. After the networks and ``kl_matrix``, the target
-    KL, the reconstruction sum and the labeled sum are one ``unlabeled`` node.
-    Works on plain and tape-bound models; returns (value, TransductiveParts)
-    where the value is a tape variable when the model is bound. Sums, not
-    means: ``labeled`` holds inductive_value's options for the labeled batch
-    (``noise``, ``margin_class_ids``, its masks and the rest), which it is
-    called with, with ``mean=False``.
+    ``target_rows`` is the array of sharpened-target rows aligned with the
+    unlabeled batch, ``sharpen(...).values`` at the last refresh; they are
+    constants (no gradient flows through the target). An empty unlabeled
+    batch contributes a zero unlabeled term. After the networks and
+    ``kl_matrix``, the target KL, the reconstruction sum and the labeled sum
+    are one ``unlabeled`` node. Works on plain and tape-bound models; returns
+    (value, TransductiveParts) where the value is a tape variable when the
+    model is bound. Sums, not means: ``labeled`` holds inductive_value's
+    options for the labeled batch (``noise``, ``margin_class_ids``, its masks
+    and the rest), which it is called with, with ``mean=False``.
     """
     unlab = np.asarray(unlab_features)
     unseen_ids = np.asarray(unseen_class_ids)
     if unseen_ids.size < 2:
         raise DgzslError("transductive objective needs at least 2 unseen classes")
-    p = _values_of(target_rows)
+    p = np.asarray(target_rows)
     if p.shape != (unlab.shape[0], unseen_ids.size):
         raise ShapeError(
             f"target rows shape {p.shape} does not match "
@@ -141,12 +130,10 @@ def transductive_value(
     if not recon_only_unlabeled:
         # target entries are constants: only the log-assignment side carries
         # gradient, which is exactly the no-gradient-through-target rule
-        priors = class_prior(np.asarray(attr_rows)[unseen_ids], model)
-        kl_u = kl_matrix(encode(unlab, model), priors)
-        neg, lse, soft = softmin_rows(ad._value(kl_u))
+        kl_u, log_q, soft = assignment_logits(unlab, np.asarray(attr_rows)[unseen_ids], model)
         with np.errstate(divide="ignore", invalid="ignore"):
             self_info = float(np.where(p > 0, p * np.log(p), 0.0).sum())
-        kl_pq = self_info - np.asarray(np.sum(p * (neg - lse)))
+        kl_pq = self_info - np.asarray(np.sum(p * log_q))
         unlab_total = recon_sum - kl_pq
         operands += (kl_u,)
     lab_val, unlab_val = float(ad._value(lab_sum)), float(unlab_total)

@@ -36,7 +36,7 @@ from dgzsl.networks import ModelParams, class_prior, decode, encode, init_model,
 from dgzsl.optim import Adam
 from dgzsl.serialize import MATRIX_MAGIC
 from dgzsl.train import MetricsRecord
-from dgzsl.transductive import TransductiveParts, _values_of, sharpen, soft_assign
+from dgzsl.transductive import TransductiveParts, sharpen, soft_assign
 
 
 def _unbroadcast(g, shape):
@@ -321,7 +321,7 @@ def target_assignment_kl(target, assignments) -> float:
     Zero target entries contribute nothing; a positive target against a zero
     assignment is an error (infinite divergence).
     """
-    p, q = _values_of(target), _values_of(assignments)
+    p, q = np.asarray(target), np.asarray(assignments)
     if p.shape != q.shape:
         raise ShapeError(f"target shape {p.shape} != assignment shape {q.shape}")
     if ((p > 0) & (q == 0)).any():

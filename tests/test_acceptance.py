@@ -19,13 +19,7 @@ from dgzsl.gaussian import DiagGaussian
 from dgzsl.inductive import inductive_value
 from dgzsl.networks import ModelParams, class_prior
 from dgzsl.train import fewshot_finetune, run_train
-from dgzsl.transductive import (
-    AssignmentMatrix,
-    TargetMatrix,
-    sharpen,
-    soft_assign,
-    transductive_value,
-)
+from dgzsl.transductive import sharpen, soft_assign, transductive_value
 
 
 def test_closed_form_kl_matches_monte_carlo():
@@ -95,7 +89,7 @@ def test_analytic_gradients_match_finite_differences():
     noise = rng.normal(size=(6, 4))
     unlab = rng.normal(size=(5, 8))
     noise_u = rng.normal(size=(5, 4))
-    target = sharpen(soft_assign(unlab, attrs[unseen_ids], model))
+    target = sharpen(soft_assign(unlab, attrs[unseen_ids], model)).values
 
     def supervised(params):
         m = ModelParams(model.layout, tensors=params)
@@ -242,29 +236,27 @@ def test_target_sharpening_preserves_probability_structure():
     base = rng.dirichlet(np.full(5, 0.7), size=200)
     # stacking all cyclic shifts makes every class marginal exactly equal
     rows = np.concatenate([np.roll(base, shift, axis=1) for shift in range(5)])
-    q = AssignmentMatrix(rows, rows.sum(axis=0))
-    p = sharpen(q)
+    q = rows
+    p = sharpen(q).values
 
-    assert np.abs(q.values.sum(axis=1) - 1.0).max() <= 1e-9
-    assert np.abs(p.values.sum(axis=1) - 1.0).max() <= 1e-9
+    assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-9
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
 
     one_hot = np.eye(4)[rng.integers(0, 4, size=50)]
-    hot = AssignmentMatrix(one_hot, one_hot.sum(axis=0))
-    assert np.array_equal(sharpen(hot).values, one_hot)
+    assert np.array_equal(sharpen(one_hot).values, one_hot)
 
-    single = AssignmentMatrix(rows[:1], rows[0])
-    assert np.array_equal(sharpen(single).values, rows[:1])
+    assert np.array_equal(sharpen(rows[:1]).values, rows[:1])
 
     # equal marginals: sharpening can only concentrate each row
-    assert (p.values.max(axis=1) >= q.values.max(axis=1) - 1e-12).all()
+    assert (p.max(axis=1) >= q.max(axis=1) - 1e-12).all()
 
-    assert target_assignment_kl(TargetMatrix(rows), q) == 0.0
+    assert target_assignment_kl(rows, q) == 0.0
     kl_sharpened = target_assignment_kl(p, q)
     assert kl_sharpened > 0.0
 
     nearly = rows * (1.0 + 1e-9 * rng.uniform(0.5, 1.0, size=rows.shape))
     nearly /= nearly.sum(axis=1, keepdims=True)
-    kl_near = target_assignment_kl(TargetMatrix(nearly), q)
+    kl_near = target_assignment_kl(nearly, q)
     assert -1e-12 <= kl_near <= 1e-12
     assert np.abs(nearly - rows).max() < 1e-5
 

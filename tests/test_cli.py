@@ -24,9 +24,9 @@ from dgzsl.cli import main
 from dgzsl.config import load_config, parse_config
 from dgzsl.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from dgzsl.errors import DataFormatError
-from dgzsl.networks import encode, init_model, model_from_named
+from dgzsl.networks import encode, init_model
 from dgzsl.serialize import load_checkpoint, load_matrix, save_checkpoint, save_matrix
-from dgzsl.train import _model_from_checkpoint, train_model
+from dgzsl.train import load_model, save_model, train_model
 
 import oracles
 
@@ -186,11 +186,11 @@ def test_train_writes_all_artifacts(trained, tiny_dataset):
     assert summary["regime"] == "inductive"
     assert summary["eval_rows"] == tiny_dataset.labels.size - tiny_dataset.n_train
 
-    tensors, meta = load_checkpoint(trained / "model.ckpt")
+    _, meta = load_checkpoint(trained / "model.ckpt")
     assert set(meta) == {"keep_prob"}  # the exact seed lives in config.cfg and summary.json
-    model = model_from_named(tensors, keep_prob=meta["keep_prob"])
+    model = load_model(trained / "model.ckpt")
     assert model.layout.latent_dim == 4 and model.layout.feature_dim == tiny_dataset.feature_dim
-    assert _model_from_checkpoint(trained / "model.ckpt").flat.dtype == np.float64
+    assert model.flat.dtype == np.float64
 
 
 def test_a_float32_run_is_exactly_its_checkpoint(tiny_dir, tmp_path, capsys, monkeypatch):
@@ -202,7 +202,7 @@ def test_a_float32_run_is_exactly_its_checkpoint(tiny_dir, tmp_path, capsys, mon
     assert set(meta) == {"keep_prob", "float_bits"} and meta["float_bits"] == 32
     dataset = load_dataset(tiny_dir)
     trained = train_model(dataset, load_config(cfg)).model
-    reloaded = _model_from_checkpoint(out / "model.ckpt")
+    reloaded = load_model(out / "model.ckpt")
     assert trained.flat.dtype == reloaded.flat.dtype == np.float32
     assert reloaded.flat.tobytes() == trained.flat.tobytes()
     capsys.readouterr()
@@ -378,8 +378,7 @@ def test_export_writes_aligned_embeddings(trained, tiny_dir, tmp_path, capsys):
     ds = load_dataset(tiny_dir)
     assert latents.shape == (270, 4)
     assert recons.shape == (270, 12)
-    tensors, meta = load_checkpoint(trained / "model.ckpt")
-    model = model_from_named(tensors, keep_prob=meta["keep_prob"])
+    model = load_model(trained / "model.ckpt")
     expected = encode(ds.features, model).mean
     assert np.array_equal(latents, expected.astype(np.float32).astype(np.float64))
 
@@ -529,7 +528,7 @@ def test_checkpoint_dims_are_checked_against_the_data_before_any_output(
     export makes no output directory."""
     ckpt = tmp_path / "d7.ckpt"
     model = init_model(np.random.default_rng(0), 7, tiny_dataset.attr_dim, 4, (8, 8), 0.8)
-    save_checkpoint(ckpt, model.named_arrays(), meta={"keep_prob": 0.8})
+    save_model(ckpt, model)
     out = tmp_path / "out"
     args = ["--out", str(out)] if command == "export" else []
     rc = main([command, "--checkpoint", str(ckpt), "--data", str(tiny_dir), *args])
@@ -547,13 +546,13 @@ def overflowing_checkpoint(path, trained, output):
     3e38 and its weights 1e38, so the float64 scoring pass yields finite
     values above float32's largest. For ``latents`` the decoder's first
     weight is zeroed, so the reconstructions stay small."""
-    tensors, meta = load_checkpoint(trained / "model.ckpt")
+    model = load_model(trained / "model.ckpt")
     part = "dec.out" if output == "recons" else "enc.mean"
-    tensors[f"{part}.w"][:] = 1e38
-    tensors[f"{part}.b"][:] = 3e38
+    model[f"{part}.w"][:] = 1e38
+    model[f"{part}.b"][:] = 3e38
     if output == "latents":
-        tensors["dec.h0.w"][:] = 0
-    save_checkpoint(path, tensors, meta=meta)
+        model["dec.h0.w"][:] = 0
+    save_model(path, model)
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-outputs"])
@@ -566,7 +565,7 @@ def test_an_export_float32_cannot_hold_fails_and_leaves_no_new_output(
     and old outputs keep their bytes, recons.bin too when latents.bin fails."""
     ckpt = tmp_path / "edge.ckpt"
     overflowing_checkpoint(ckpt, trained, output)
-    model = _model_from_checkpoint(ckpt)
+    model = load_model(ckpt)
     ds = load_dataset(tiny_dir)
     latents = encode(ds.features, model).mean
     values = latents if output == "latents" else train.decode(latents, model)
@@ -603,7 +602,7 @@ def test_an_export_whose_float32_model_overflows_fails_with_one_line(tmp_path):
     model = init_model(np.random.default_rng(0), 32, 8, 16, (64, 64), 0.8, dtype=np.float32)
     model["dec.out.b"][...] = 3e38
     model["dec.out.w"][...] = 1e38
-    save_checkpoint(ckpt, model.named_arrays(), meta={"keep_prob": 0.8, "float_bits": 32})
+    save_model(ckpt, model)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "dgzsl.cli", "export", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)],
@@ -745,6 +744,25 @@ def test_eval_rejects_a_checkpoint_float_bits_other_than_32_or_64(bits, trained,
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == f"error: {ckpt}: float_bits must be 32 or 64, got {bits}\n"
+
+
+def test_a_checkpoint_meta_seed_changes_no_scored_byte(trained, tiny_dir, tmp_path):
+    """The benchmark's score-export checkpoint carries ``meta.seed`` beside
+    ``keep_prob``: eval --out and export write the same bytes with it as on
+    the same model's checkpoint without it."""
+    model = load_model(trained / "model.ckpt")
+    save_model(tmp_path / "plain.ckpt", model)
+    save_checkpoint(tmp_path / "seeded.ckpt", model.named_arrays(), meta={"keep_prob": model.keep_prob, "seed": 3})
+    assert load_checkpoint(tmp_path / "seeded.ckpt")[1]["seed"] == 3
+    written = {}
+    for name in ("plain", "seeded"):
+        ckpt, out = ["--checkpoint", str(tmp_path / f"{name}.ckpt"), "--data", str(tiny_dir)], tmp_path / name
+        out.mkdir()
+        assert main(["eval", *ckpt, "--candidates", "all", "--out", str(out / "eval.json")]) == 0
+        assert main(["export", *ckpt, "--out", str(out / "emb")]) == 0
+        written[name] = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+    assert sorted(written["plain"]) == ["emb/latents.bin", "emb/recons.bin", "eval.json"]
+    assert written["seeded"] == written["plain"]
 
 
 def test_eval_rejects_an_empty_test_split(trained, tiny_dataset, tmp_path, capsys):

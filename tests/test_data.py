@@ -268,7 +268,7 @@ def test_training_on_synth_in_memory_equals_training_on_its_files(tmp_path):
     result = train.train_model(ds, cfg)
     metrics = "".join(r.metrics_line() + "\n" for r in result.records)
     assert metrics == (tmp_path / "files" / "metrics.jsonl").read_text(encoding="utf-8")
-    save_checkpoint(tmp_path / "model.ckpt", result.model.named_arrays(), meta={"keep_prob": cfg.keep_prob})
+    train.save_model(tmp_path / "model.ckpt", result.model)
     assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "files" / "model.ckpt").read_bytes()
 
 

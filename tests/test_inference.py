@@ -8,9 +8,8 @@ from dgzsl.gaussian import DiagGaussian, kl_matrix
 from dgzsl.inference import accuracy, predict_batch
 from dgzsl.config import TrainConfig
 from dgzsl.inductive import inductive_value
-from dgzsl.networks import class_prior, encode, model_from_named
-from dgzsl.serialize import load_checkpoint, save_checkpoint
-from dgzsl.train import fewshot_finetune, train_model
+from dgzsl.networks import class_prior, encode
+from dgzsl.train import fewshot_finetune, load_model, save_model, train_model
 
 from conftest import perturbed_model, unseen_accuracy
 from oracles import Prediction, predict_via_bound, predict_zsl
@@ -216,8 +215,7 @@ def test_checkpoint_scores_the_final_logged_accuracy(family, bench_datasets, req
     # model must still reproduce the last logged unseen-class accuracy
     for seed, run in request.getfixturevalue(family).runs.items():
         path = tmp_path / f"{seed}.ckpt"
-        save_checkpoint(path, run.model.named_arrays(), meta={"keep_prob": run.model.keep_prob})
-        tensors, meta = load_checkpoint(path)
-        reloaded = model_from_named(tensors, keep_prob=meta["keep_prob"])
+        save_model(path, run.model)
+        reloaded = load_model(path)
         got = unseen_accuracy(reloaded, bench_datasets[seed], run.eval_idx)
         assert got == run.records[-1].accuracy, (family, seed)

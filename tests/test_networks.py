@@ -18,9 +18,10 @@ from dgzsl.networks import (
     glorot,
     init_model,
     make_dropout_masks,
-    model_from_named,
+    model_from_shapes,
 )
-from dgzsl.serialize import load_checkpoint, save_checkpoint
+from dgzsl.serialize import save_checkpoint
+from dgzsl.train import load_model, save_model
 
 from conftest import prior_model
 import oracles as op
@@ -38,9 +39,14 @@ def model():
     return init_model(np.random.default_rng(0), 8, 3, 4, (16, 16), keep_prob=0.8)
 
 
+def shapes(model, **changes):
+    """The model's tensor shapes, name -> shape, with some of them replaced."""
+    return {**{name: a.shape for name, a in model.named_arrays().items()}, **changes}
+
+
 def rebuild(model, **changes):
-    """model_from_named on the model's tensors with some of them replaced."""
-    return model_from_named({**model.named_arrays(), **changes})
+    """model_from_shapes on the model's tensor shapes with some of them replaced."""
+    return model_from_shapes(shapes(model, **changes))
 
 
 # ------------------------------------------------------------ shape rule
@@ -48,28 +54,28 @@ def rebuild(model, **changes):
 
 def test_affine_validates_shapes(model):
     with pytest.raises(DataFormatError, match=r"'enc.h0.w' has shape \(8,\), expected a matrix"):
-        rebuild(model, **{"enc.h0.w": np.ones(8)})  # weights must be 2-D
+        rebuild(model, **{"enc.h0.w": (8,)})  # weights must be 2-D
     with pytest.raises(DataFormatError, match=r"'dec.h1.b' has shape \(1, 9\), expected \(16,\)"):
-        rebuild(model, **{"dec.h1.b": np.zeros((1, 9))})  # bias must match out dim
+        rebuild(model, **{"dec.h1.b": (1, 9)})  # bias must match out dim
 
 
 def test_mlp_chain_validation(model):
     with pytest.raises(DataFormatError, match=r"'enc.h1.w' has shape \(15, 16\), expected \(16, 16\)"):
-        rebuild(model, **{"enc.h1.w": np.ones((15, 16))})
+        rebuild(model, **{"enc.h1.w": (15, 16)})
     with pytest.raises(DataFormatError, match=r"'dec.out.w' has shape \(16, 9\), expected \(16, 8\)"):
-        rebuild(model, **{"dec.out.w": np.ones((16, 9))})
+        rebuild(model, **{"dec.out.w": (16, 9)})
 
 
 def test_keep_prob_bounds(model):
     for bad in (0.0, -0.1, 1.5, float("nan")):
         with pytest.raises(DataFormatError, match="keep_prob must be in"):
-            model_from_named(model.named_arrays(), keep_prob=bad)
-    assert model_from_named(model.named_arrays(), keep_prob=1.0).keep_prob == 1.0
+            model_from_shapes(shapes(model), keep_prob=bad)
+    assert model_from_shapes(shapes(model), keep_prob=1.0).keep_prob == 1.0
 
 
 def test_prior_params_validation(model):
     with pytest.raises(DataFormatError, match=r"'prior.logvar_w' has shape \(3, 4\), expected \(4, 3\)"):
-        rebuild(model, **{"prior.logvar_w": np.ones((3, 4))})
+        rebuild(model, **{"prior.logvar_w": (3, 4)})
     nan_prior = prior_model(np.array([[np.nan]]), np.array([[0.0]]))
     with pytest.raises(ShapeError, match="^prior mean has a non-finite entry in row 0$"):
         class_prior(np.ones((2, 1)), nan_prior)
@@ -89,7 +95,7 @@ def test_an_overflowing_posterior_names_its_map_field_and_first_row():
 
 def test_loader_errors_name_the_file(model):
     with pytest.raises(DataFormatError, match=r"^run/model.ckpt: tensor 'enc.mean.w'"):
-        model_from_named({**model.named_arrays(), "enc.mean.w": np.ones(3)}, where="run/model.ckpt")
+        model_from_shapes(shapes(model, **{"enc.mean.w": (3,)}), where="run/model.ckpt")
 
 
 # ------------------------------------------------------------------- init
@@ -346,34 +352,38 @@ def test_plain_forward_matches_taped_bit_for_bit(model, train_mode):
 # ------------------------------------------------------------ named round trip
 
 
-def test_named_arrays_round_trip(model):
-    rebuilt = model_from_named(model.named_arrays(), keep_prob=0.8)
+def test_named_arrays_round_trip(model, tmp_path):
+    # a checkpoint holds float32 tensors and meta values
+    save_model(tmp_path / "m.ckpt", model)
+    rebuilt = load_model(tmp_path / "m.ckpt")
     for key, arr in model.named_arrays().items():
-        assert np.array_equal(rebuilt.named_arrays()[key], arr), key
-    assert rebuilt.keep_prob == 0.8
+        assert np.array_equal(rebuilt.named_arrays()[key], np.float32(arr)), key
+    assert rebuilt.keep_prob == np.float32(0.8)
     assert rebuilt.layout.entries == model.layout.entries
 
 
-def test_round_trip_accepts_row_shaped_biases(model):
-    named = {
-        k: (v[None, :] if v.ndim == 1 else v) for k, v in model.named_arrays().items()
-    }
-    rebuilt = model_from_named(named)
+def test_round_trip_accepts_row_shaped_biases(model, tmp_path):
+    model["enc.h0.b"][...] = np.arange(16)
+    named = {k: (v[None, :] if v.ndim == 1 else v) for k, v in model.named_arrays().items()}
+    save_checkpoint(tmp_path / "m.ckpt", named)
+    rebuilt = load_model(tmp_path / "m.ckpt")
     assert np.array_equal(rebuilt.named_arrays()["enc.h0.b"], model.named_arrays()["enc.h0.b"])
 
 
-def test_round_trip_rejects_missing_tensor(model):
+def test_round_trip_rejects_missing_tensor(model, tmp_path):
     named = model.named_arrays()
     named.pop("dec.out.w")
+    save_checkpoint(tmp_path / "m.ckpt", named)
     with pytest.raises(DataFormatError, match="missing tensor 'dec.out.w'"):
-        model_from_named(named)
+        load_model(tmp_path / "m.ckpt")
 
 
-def test_round_trip_rejects_extra_tensor(model):
+def test_round_trip_rejects_extra_tensor(model, tmp_path):
     named = model.named_arrays()
     named["mystery"] = np.zeros((2, 2))
+    save_checkpoint(tmp_path / "m.ckpt", named)
     with pytest.raises(DataFormatError, match="unexpected tensors"):
-        model_from_named(named)
+        load_model(tmp_path / "m.ckpt")
 
 
 def test_copy_is_independent(model):
@@ -402,27 +412,22 @@ def assert_flat_layout(model):
 
 def flat_sources(model, tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model.named_arrays(), meta={"keep_prob": 0.8})
-    tensors, meta = load_checkpoint(path)
-    return {
-        "init_model": model,
-        "model_from_named": model_from_named(model.named_arrays(), keep_prob=0.8),
-        "checkpoint": model_from_named(tensors, keep_prob=meta["keep_prob"]),
-        "copy": model.copy(),
-    }
+    save_model(path, model)
+    return {"init_model": model, "checkpoint": load_model(path), "copy": model.copy()}
 
 
-def test_the_dtype_asked_for_holds_the_same_draws_and_tensors(model):
+def test_the_dtype_asked_for_holds_the_same_draws_and_tensors(model, tmp_path):
     narrow = init_model(np.random.default_rng(0), 8, 3, 4, (16, 16), keep_prob=0.8, dtype=np.float32)
     assert narrow.flat.dtype == np.float32
     assert narrow.flat.tobytes() == model.flat.astype(np.float32).tobytes()
     for source in (narrow, model):
-        loaded = model_from_named(source.named_arrays(), 0.8, dtype=np.float32)
-        assert loaded.flat.dtype == np.float32
-        assert loaded.flat.tobytes() == narrow.flat.tobytes()
+        save_model(tmp_path / "m.ckpt", source)
+        loaded = load_model(tmp_path / "m.ckpt")
+        assert loaded.flat.dtype == source.flat.dtype
+        assert loaded.flat.astype(np.float32).tobytes() == narrow.flat.tobytes()
 
 
-@pytest.mark.parametrize("source", ["init_model", "model_from_named", "checkpoint", "copy"])
+@pytest.mark.parametrize("source", ["init_model", "checkpoint", "copy"])
 def test_tensors_are_views_of_one_flat_vector(model, tmp_path, source):
     built = flat_sources(model, tmp_path)[source]
     assert_flat_layout(built)

@@ -1,7 +1,8 @@
 """Matrix files, datasets and exports stream in row blocks: the bytes match a
 whole-array pass at every block boundary, and memory stays bounded. Each
 output file, binary or text, is written into a temp file preallocated to
-its exact size, and a rewrite holds the bytes of a fresh write."""
+its exact size, and a rewrite holds the bytes of a fresh write. Every
+public function and class of the package has a user outside the tests."""
 
 import ast
 import errno
@@ -19,7 +20,7 @@ from dgzsl.cli import main
 from dgzsl.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from dgzsl.errors import DataFormatError, DgzslError, ShapeError
 from dgzsl.inference import predict_batch
-from dgzsl.networks import decode, encode, init_model, model_from_named
+from dgzsl.networks import decode, encode, init_model
 from dgzsl.serialize import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -33,7 +34,7 @@ from dgzsl.serialize import (
     write_labels,
     write_manifest,
 )
-from dgzsl.train import _model_from_checkpoint, export_embeddings, run_eval
+from dgzsl.train import export_embeddings, load_model, run_eval, save_model
 
 from oracles import whole_matrix_bytes
 
@@ -187,7 +188,7 @@ def _export_fixture(tmp_path, rows_per_class, feature_dim, hidden):
     spec = SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=feature_dim, per_class=rows_per_class, seed=6)
     save_dataset(synth_generate(spec), tmp_path / "data")
     model = init_model(np.random.default_rng(7), feature_dim, 2, 3, hidden, 0.8)
-    save_checkpoint(tmp_path / "model.ckpt", model.named_arrays(), meta={"keep_prob": 0.8})
+    save_model(tmp_path / "model.ckpt", model)
     d = tmp_path / "data"
     return load_dataset(d), model
 
@@ -198,8 +199,7 @@ def test_export_matches_a_whole_array_pass(small_blocks, tmp_path):
     array (a one-row product would go through matrix-vector code)."""
     ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
     assert ds.features.shape[0] == 10 and len(row_blocks(10, COLS, 4)) == 4
-    tensors, meta = load_checkpoint(tmp_path / "model.ckpt")
-    model = model_from_named(tensors, meta["keep_prob"])  # the float32-rounded model
+    model = load_model(tmp_path / "model.ckpt")  # the float32-rounded model
     latents = encode(ds.features, model).mean
     recons = decode(latents, model)
     export_embeddings(tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
@@ -209,26 +209,25 @@ def test_export_matches_a_whole_array_pass(small_blocks, tmp_path):
 
 
 def checkpoint_of(path, model, *, reverse=False):
-    """Saves ``model`` as ``train`` would (float_bits for a float32 model),
-    its biases given as 1×n rows, in layout order or reversed."""
-    tensors = {name: a[None] if a.ndim == 1 else a for name, a in model.named_arrays().items()}
-    meta = {"keep_prob": model.keep_prob}
-    if model.flat.dtype == np.float32:
-        meta["float_bits"] = 32
-    save_checkpoint(path, dict(reversed(tensors.items())) if reverse else tensors, meta=meta)
+    """Saves ``model`` as ``train`` does (save_model), then with ``reverse``
+    rewrites its entries in reverse order."""
+    save_model(path, model)
+    if reverse:
+        tensors, meta = load_checkpoint(path)
+        save_checkpoint(path, dict(reversed(tensors.items())), meta=meta)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["layout-order", "reversed"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_a_checkpoint_is_read_into_the_model_as_model_from_named_copies_it(small_blocks, tmp_path, dtype, reverse):
+def test_a_checkpoint_is_read_into_the_model_it_holds(small_blocks, tmp_path, dtype, reverse):
     # the small blocks split the 11-row encoder weight across four reads
     model = init_model(np.random.default_rng(8), ROWS, 3, COLS, (COLS,), 0.8, dtype=dtype)
     checkpoint_of(tmp_path / "m.ckpt", model, reverse=reverse)
-    tensors, meta = load_checkpoint(tmp_path / "m.ckpt")
-    expected = model_from_named(tensors, meta["keep_prob"], dtype=dtype)
-    loaded = _model_from_checkpoint(tmp_path / "m.ckpt")
-    assert loaded.layout.entries == expected.layout.entries and loaded.keep_prob == expected.keep_prob
-    assert loaded.flat.dtype == dtype and loaded.flat.tobytes() == expected.flat.tobytes()
+    loaded = load_model(tmp_path / "m.ckpt")
+    assert loaded.layout.entries == model.layout.entries and loaded.keep_prob == np.float32(0.8)
+    # the tensors are stored as float32 and cast into the model's dtype
+    assert loaded.flat.dtype == dtype
+    assert loaded.flat.tobytes() == model.flat.astype(np.float32).astype(dtype).tobytes()
     if dtype == np.float32:
         assert loaded.flat.tobytes() == model.flat.tobytes()
 
@@ -240,7 +239,7 @@ def test_a_checkpoint_is_read_holding_the_flat_vector_and_one_stage(tmp_path, dt
     held beside the vector."""
     model = init_model(np.random.default_rng(9), 256, 16, 32, (256, 256), 0.8, dtype=dtype)
     checkpoint_of(tmp_path / "m.ckpt", model)
-    loaded, peak = traced_peak(_model_from_checkpoint, tmp_path / "m.ckpt")
+    loaded, peak = traced_peak(load_model, tmp_path / "m.ckpt")
     stage = 4 * max(np.prod(shape) for _, shape, _ in model.layout.entries)
     tensors = 4 * model.layout.size  # what per-tensor float32 arrays would hold
     # a block is checked through a boolean mask a quarter of its size
@@ -354,7 +353,7 @@ def test_a_wide_export_multiplies_500_row_blocks_and_matches_a_whole_array_pass(
     monkeypatch.setattr(train, "encode", counting_encode)
     export_embeddings(tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
     assert rows == [500, 500]
-    loaded = _model_from_checkpoint(tmp_path / "model.ckpt")
+    loaded = load_model(tmp_path / "model.ckpt")
     latents = encode(ds.features.astype(dtype), loaded).mean
     assert (tmp_path / "emb" / "latents.bin").read_bytes() == whole_matrix_bytes(latents)
     assert (tmp_path / "emb" / "recons.bin").read_bytes() == whole_matrix_bytes(decode(latents, loaded))
@@ -586,3 +585,36 @@ def test_every_output_file_of_the_package_goes_through_the_atomic_writer(tmp_pat
         encoding="utf-8",
     )
     assert unguarded_writes(probe) == [4, 5, 6, 7, 8, 9, 10]
+
+
+def unnamed_public_names(root: Path) -> list[str]:
+    """``module.name`` of each public top-level function or class of
+    ``root/src/dgzsl/*.py`` that no module of ``src/dgzsl``, ``scripts`` or
+    ``bench`` names apart from its definition: as a name, an attribute, an
+    import or a string (the benchmark's tracer names what it wraps in
+    strings). What the tests name does not count."""
+    package = sorted((root / "src" / "dgzsl").glob("*.py"))
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.Constant: "value"}
+    named = set()
+    for path in [*package, *sorted((root / "scripts").glob("*.py")), *sorted((root / "bench").glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named.update(getattr(node, fields[type(node)]) for node in ast.walk(tree) if type(node) in fields)
+    return [
+        f"{path.stem}.{node.name}"
+        for path in package
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") and node.name not in named
+    ]
+
+
+def test_every_public_function_and_class_of_the_package_has_a_user_outside_the_tests(tmp_path):
+    assert unnamed_public_names(Path(__file__).resolve().parents[1]) == []
+    for folder, text in {
+        "src/dgzsl": "class Used: pass\ndef kept(): pass\ndef unused(): pass\ndef _private(): pass\n",
+        "scripts": "from dgzsl.probe import Used\n",
+        "bench": "TRACED = ('probe', 'kept')\n",
+        "tests": "from dgzsl.probe import unused\n",
+    }.items():
+        (tmp_path / folder).mkdir(parents=True)
+        (tmp_path / folder / "probe.py").write_text(text, encoding="utf-8")
+    assert unnamed_public_names(tmp_path) == ["probe.unused"]

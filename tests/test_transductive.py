@@ -1,5 +1,7 @@
 """Soft assignments, target sharpening, and the combined objective."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,6 @@ from dgzsl.gaussian import gauss_loglik_rows, sample_reparam, softmin_rows
 from dgzsl.inductive import inductive_objective, inductive_value
 from dgzsl.networks import decode, encode, init_model, make_dropout_masks
 from dgzsl.transductive import (
-    AssignmentMatrix,
-    TargetMatrix,
     assignment_logits,
     sharpen,
     soft_assign,
@@ -26,11 +26,6 @@ from oracles import target_assignment_kl, unfused_transductive_value
 
 def stochastic_rows(rows, cols, seed):
     return np.random.default_rng(seed).dirichlet(np.ones(cols), size=rows)
-
-
-def assignment(values):
-    values = np.asarray(values, dtype=np.float64)
-    return AssignmentMatrix(values, values.sum(axis=0))
 
 
 @pytest.fixture()
@@ -55,7 +50,7 @@ def test_soft_assign_uniform_when_priors_coincide(setup):
     # zero prior weights collapse every class prior to N(0, I)
     model["prior.mean_w"][...] = model["prior.logvar_w"][...] = 0.0
     q = soft_assign(np.random.default_rng(0).normal(size=(6, 8)), attrs[4:], model)
-    assert np.abs(q.values - 1.0 / 3.0).max() < 1e-12
+    assert np.abs(q - 1.0 / 3.0).max() < 1e-12
 
 
 def test_soft_assign_dominant_class(setup):
@@ -68,9 +63,9 @@ def test_soft_assign_dominant_class(setup):
     model["prior.mean_w"][...] = 40.0
     rows = np.stack([np.zeros(3), np.ones(3)])
     q = soft_assign(np.zeros((1, 8)), rows, model)
-    assert q.values[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert q.values[0, 1] < 1e-12
-    assert q.values[0].sum() == pytest.approx(1.0, abs=1e-9)
+    assert q[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert q[0, 1] < 1e-12
+    assert q[0].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_soft_assign_matches_naive_softmax(setup):
@@ -81,7 +76,7 @@ def test_soft_assign_matches_naive_softmax(setup):
     q = soft_assign(unlab, attrs[unseen], model)
     kls = kl_matrix(encode(unlab, model), class_prior(attrs[unseen], model))
     naive = np.exp(-kls) / np.exp(-kls).sum(axis=1, keepdims=True)
-    assert np.abs(q.values - naive).max() < 1e-12
+    assert np.abs(q - naive).max() < 1e-12
 
 
 def test_soft_assign_needs_two_classes(setup):
@@ -106,16 +101,15 @@ def test_row_softmax_shift_invariance(cols, rows, seed, shift):
 def test_assignment_rows_always_stochastic(setup):
     model, attrs, _, unseen, _, _, unlab, _, _ = setup
     q = soft_assign(unlab, attrs[unseen], model)
-    assert np.abs(q.values.sum(axis=1) - 1.0).max() <= 1e-9
-    assert q.values.min() >= 0.0
-    assert np.allclose(q.class_marginals, q.values.sum(axis=0))
+    assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-9
+    assert q.min() >= 0.0
 
 
 # --------------------------------------------------------------- sharpen
 
 
 def test_sharpen_hand_worked_example():
-    q = assignment([[0.9, 0.1], [0.5, 0.5]])
+    q = np.array([[0.9, 0.1], [0.5, 0.5]])
     p = sharpen(q).values
     assert p[1] == pytest.approx([0.3, 0.7], abs=1e-12)
     assert p[0] == pytest.approx([0.9720, 0.0280], abs=5e-5)
@@ -123,33 +117,33 @@ def test_sharpen_hand_worked_example():
 
 def test_sharpen_single_row_is_exact_identity():
     row = np.array([[0.37, 0.41, 0.22]])
-    p = sharpen(assignment(row)).values
+    p = sharpen(row).values
     assert np.array_equal(p, row)
     assert p is not row  # a copy, not an alias
 
 
 def test_sharpen_one_hot_rows_are_exact_fixed_points():
     eye = np.eye(4)
-    q = assignment(eye[[0, 2, 2, 3, 0]])
-    assert np.array_equal(sharpen(q).values, q.values)
+    q = eye[[0, 2, 2, 3, 0]]
+    assert np.array_equal(sharpen(q).values, q)
 
 
 def test_sharpen_identical_rows_fixed_point():
     row = np.array([0.6, 0.3, 0.1])
-    q = assignment(np.tile(row, (5, 1)))
+    q = np.tile(row, (5, 1))
     assert np.abs(sharpen(q).values - row).max() < 1e-12
 
 
 def test_sharpen_shifts_mass_toward_smaller_classes():
-    q = assignment([[0.9, 0.1], [0.5, 0.5]])
+    q = np.array([[0.9, 0.1], [0.5, 0.5]])
     p = sharpen(q).values
     # second class has the smaller marginal (0.6 vs 1.4); the ambivalent row
     # moves toward it
-    assert p[1, 1] > q.values[1, 1]
+    assert p[1, 1] > q[1, 1]
 
 
 def test_sharpen_zero_marginal_column_stays_zero():
-    q = assignment([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0]])
+    q = np.array([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0]])
     p = sharpen(q).values
     assert np.array_equal(p[:, 2], np.zeros(2))
     assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
@@ -157,7 +151,7 @@ def test_sharpen_zero_marginal_column_stays_zero():
 
 @given(st.integers(2, 6), st.integers(2, 40), st.integers(0, 2**32 - 1))
 def test_sharpen_rows_stay_stochastic(cols, rows, seed):
-    p = sharpen(assignment(stochastic_rows(rows, cols, seed))).values
+    p = sharpen(stochastic_rows(rows, cols, seed)).values
     assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
     assert p.min() >= 0.0 and p.max() <= 1.0
 
@@ -166,39 +160,39 @@ def test_sharpen_rows_stay_stochastic(cols, rows, seed):
 
 
 def test_target_kl_zero_for_identical():
-    q = assignment(stochastic_rows(6, 4, 1))
-    assert target_assignment_kl(TargetMatrix(q.values), q) == 0.0
+    q = stochastic_rows(6, 4, 1)
+    assert target_assignment_kl(q, q) == 0.0
 
 
 def test_target_kl_one_hot_fixed_point_gives_zero():
-    q = assignment(np.eye(3)[[0, 1, 2, 1]])
-    assert target_assignment_kl(sharpen(q), q) == 0.0
+    q = np.eye(3)[[0, 1, 2, 1]]
+    assert target_assignment_kl(sharpen(q).values, q) == 0.0
 
 
 def test_target_kl_hand_value():
-    p = TargetMatrix(np.array([[0.75, 0.25]]))
-    q = assignment(np.array([[0.5, 0.5]]))
+    p = np.array([[0.75, 0.25]])
+    q = np.array([[0.5, 0.5]])
     want = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
     assert target_assignment_kl(p, q) == pytest.approx(want, abs=1e-9)
     assert target_assignment_kl(p, q) == pytest.approx(0.130812, abs=1e-6)
 
 
 def test_target_kl_zero_target_mass_is_ignored():
-    p = TargetMatrix(np.array([[1.0, 0.0]]))
-    q = assignment(np.array([[0.5, 0.5]]))
+    p = np.array([[1.0, 0.0]])
+    q = np.array([[0.5, 0.5]])
     assert target_assignment_kl(p, q) == pytest.approx(np.log(2.0))
 
 
 def test_target_kl_infinite_divergence_rejected():
-    p = TargetMatrix(np.array([[0.5, 0.5]]))
-    q = AssignmentMatrix(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
+    p = np.array([[0.5, 0.5]])
+    q = np.array([[1.0, 0.0]])
     with pytest.raises(DgzslError):
         target_assignment_kl(p, q)
 
 
 def test_target_kl_shape_mismatch():
-    p = TargetMatrix(np.array([[0.5, 0.5]]))
-    q = assignment(stochastic_rows(2, 3, 2))
+    p = np.array([[0.5, 0.5]])
+    q = stochastic_rows(2, 3, 2)
     with pytest.raises(ShapeError):
         target_assignment_kl(p, q)
 
@@ -207,7 +201,7 @@ def test_target_kl_shape_mismatch():
 def test_target_kl_nonnegative_and_separating(cols, rows, seed):
     p = stochastic_rows(rows, cols, seed)
     q = stochastic_rows(rows, cols, seed + 1)
-    kl = target_assignment_kl(TargetMatrix(p), assignment(q))
+    kl = target_assignment_kl(p, q)
     assert kl >= -1e-12
     if kl <= 1e-12:
         # Pinsker: tiny divergence forces the matrices together
@@ -244,7 +238,7 @@ def test_combined_value_matches_manual_composition(setup):
     z = sample_reparam(q, noise_u)
     recon = float(np.sum(gauss_loglik_rows(decode(z, model), unlab)))
     assignments = soft_assign(unlab, attrs[unseen], model)
-    klpq = target_assignment_kl(TargetMatrix(target), assignments)
+    klpq = target_assignment_kl(target, assignments)
     assert parts.unlabeled_recon == pytest.approx(recon, abs=1e-9)
     assert parts.target_kl == pytest.approx(klpq, abs=1e-9)
     assert parts.unlabeled_total == pytest.approx(recon - klpq, abs=1e-9)
@@ -327,19 +321,22 @@ def test_no_recon_flag_zeroes_labeled_reconstruction(setup):
 
 def test_target_shape_must_match_batch(setup):
     model, attrs, seen, unseen, feats, labels, unlab, noise_l, noise_u = setup
-    with pytest.raises(ShapeError):
-        transductive_objective(
-            model,
-            feats,
-            labels,
-            unlab,
-            np.full((2, 3), 1.0 / 3.0),
-            attrs,
-            margin_class_ids=seen,
-            unseen_class_ids=unseen,
-            noise=noise_l,
-            noise_unlabeled=noise_u,
-        )
+    # target rows are one array: the TargetMatrix itself has no rows
+    targets = {(2, 3): np.full((2, 3), 1.0 / 3.0), (): sharpen(soft_assign(unlab, attrs[unseen], model))}
+    for shape, target in targets.items():
+        with pytest.raises(ShapeError, match=re.escape(f"target rows shape {shape} does not match (4, 3)")):
+            transductive_objective(
+                model,
+                feats,
+                labels,
+                unlab,
+                target,
+                attrs,
+                margin_class_ids=seen,
+                unseen_class_ids=unseen,
+                noise=noise_l,
+                noise_unlabeled=noise_u,
+            )
 
 
 def test_transductive_value_on_an_empty_unlabeled_batch(setup):
@@ -364,8 +361,9 @@ def test_transductive_value_on_an_empty_unlabeled_batch(setup):
 
 def test_assignment_logits_are_log_softmax(setup):
     model, attrs, _, unseen, _, _, unlab, _, _ = setup
-    logits = assignment_logits(unlab, attrs[unseen], model)
+    _, logits, q = assignment_logits(unlab, attrs[unseen], model)
     assert np.abs(np.exp(logits).sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(q - np.exp(logits)).max() < 1e-12
 
 
 def transductive_case(dtype, unlabeled):
