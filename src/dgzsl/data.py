@@ -296,10 +296,12 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 class DatasetFiles(NamedTuple):
     """A dataset's files opened for one pass over the feature rows
-    (``open_dataset``): the feature header's ``shape``, the checked labels
-    (train block first, ``n_train`` of them) and class side, and ``blocks``,
-    which yields each checked float32 row block once (``open_matrix``)."""
+    (``open_dataset``): the feature file's ``path`` and its header's
+    ``shape``, the checked labels (train block first, ``n_train`` of them)
+    and class side, and ``blocks``, which yields each checked float32 row
+    block once (``open_matrix``)."""
 
+    path: Path
     shape: tuple[int, int]
     blocks: Iterator
     labels: np.ndarray
@@ -337,12 +339,13 @@ def open_dataset(data_dir):
     only after the rest of the body has been checked, so a bad feature file
     is reported first, as when the whole matrix is loaded first.
     """
-    with open_matrix(Path(data_dir, _FEATURES)) as (shape, read):
+    path = Path(data_dir, _FEATURES)
+    with open_matrix(path) as (shape, read):
         blocks = read()
         try:
             side = _read_labeled_side(data_dir, shape[0])
             _check_classes(*side)
-            yield DatasetFiles(shape, blocks, *side)
+            yield DatasetFiles(path, shape, blocks, *side)
         except Exception:
             for _ in blocks:
                 pass

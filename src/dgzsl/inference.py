@@ -26,17 +26,25 @@ def _sorted_candidates(candidate_ids, num_classes: int) -> np.ndarray:
     return ids
 
 
+def closest_prior(q, candidate_ids, attr_rows, model: ModelParams):
+    """Labels of a posterior batch ``q``, plus its KL score matrix: each
+    row's label is the candidate whose prior is closest in KL to its
+    posterior. Returns (labels N, kl matrix N×K aligned with the ascending
+    candidate ids); rows are scored independently."""
+    ids = _sorted_candidates(candidate_ids, np.asarray(attr_rows).shape[0])
+    scores = kl_matrix(q, class_prior(np.asarray(attr_rows)[ids], model))
+    labels = ids[np.argmin(scores, axis=1)]  # first occurrence = lowest class id
+    return labels, scores
+
+
 def predict_batch(features, candidate_ids, attr_rows, model: ModelParams):
     """Labels for a feature batch, plus the KL score matrix and posteriors.
 
     Returns (labels N, kl matrix N×K aligned with the ascending candidate
     ids, posterior DiagGaussian batch). Eval mode, deterministic.
     """
-    ids = _sorted_candidates(candidate_ids, np.asarray(attr_rows).shape[0])
     q = encode(np.atleast_2d(features), model)
-    scores = kl_matrix(q, class_prior(np.asarray(attr_rows)[ids], model))
-    labels = ids[np.argmin(scores, axis=1)]  # first occurrence = lowest class id
-    return labels, scores, q
+    return (*closest_prior(q, candidate_ids, attr_rows, model), q)
 
 
 def accuracy(features, labels, candidate_ids, attr_rows, model: ModelParams) -> float:

@@ -138,13 +138,13 @@ def model_from_shapes(
     shapes: dict, keep_prob: float = 1.0, where: str = "checkpoint", *, dtype=np.float64
 ) -> ModelParams:
     """A model with an unfilled vector of ``dtype`` whose layout ``shapes``
-    (name -> shape, as a checkpoint stores its tensors) describes.
+    (name -> (rows, cols), as a checkpoint reports its tensors) describes.
 
     This is where tensors arrive from outside, so the shape rule is checked
     here: the layout's dims are read from ``enc.h*.w``, ``enc.mean.w`` and
     ``prior.mean_w``, then every name and shape must match that layout. A
-    bias may arrive as a 1×n row (the matrix format has no 1-D shape).
-    Errors start with ``where``.
+    bias arrives as a 1×n row (the matrix format has no 1-D shape). Errors
+    start with ``where``.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise DataFormatError(f"{where}: keep_prob must be in (0, 1], got {keep_prob}")
@@ -154,23 +154,17 @@ def model_from_shapes(
             raise DataFormatError(f"{where}: missing tensor {name!r}")
         return tuple(shapes[name])
 
-    def dims(name):  # a weight matrix the layout is read from
-        shape = shape_of(name)
-        if len(shape) != 2:
-            raise DataFormatError(f"{where}: tensor {name!r} has shape {shape}, expected a matrix")
-        return shape
-
     hidden = []
     while f"enc.h{len(hidden)}.w" in shapes:
-        hidden.append(dims(f"enc.h{len(hidden)}.w")[1])
-    feature_dim = dims("enc.h0.w" if hidden else "enc.mean.w")[0]
-    layout = Layout(feature_dim, dims("prior.mean_w")[1], dims("enc.mean.w")[1], hidden)
+        hidden.append(shape_of(f"enc.h{len(hidden)}.w")[1])
+    feature_dim = shape_of("enc.h0.w" if hidden else "enc.mean.w")[0]
+    layout = Layout(feature_dim, shape_of("prior.mean_w")[1], shape_of("enc.mean.w")[1], hidden)
     extra = set(shapes) - {name for name, _, _ in layout.entries}
     if extra:
         raise DataFormatError(f"{where}: unexpected tensors {sorted(extra)}")
     for name, shape, _ in layout.entries:
         actual = shape_of(name)
-        if actual != shape and not (len(shape) == 1 and actual == (1, *shape)):
+        if actual != (shape if len(shape) == 2 else (1, *shape)):
             raise DataFormatError(f"{where}: tensor {name!r} has shape {actual}, expected {shape}")
     return ModelParams(layout, np.empty(layout.size, dtype), keep_prob)
 

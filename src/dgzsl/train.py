@@ -24,7 +24,7 @@ from .config import TrainConfig, format_config, load_config
 from .data import Dataset, fewshot_sample, load_dataset, open_dataset
 from .errors import DataFormatError, DgzslError, NonFiniteError
 from .inductive import inductive_objective, inductive_value
-from .inference import accuracy, predict_batch
+from .inference import accuracy, closest_prior
 from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_shapes
 from .optim import Adam
 from .serialize import check_finite, load_checkpoint, save_checkpoint, save_matrix, save_rows, save_text
@@ -389,10 +389,47 @@ def _open_for_scoring(checkpoint_path, data_dir):
         yield model, files
 
 
+def _posteriors(files, model: ModelParams, first: int, where: str):
+    """Yields (row, posterior) for each reader block of ``files``' feature
+    rows from row ``first`` on: the block's eval-mode posterior and the file
+    row of its first row. Earlier rows are read and checked, not encoded.
+
+    A lone row at ``first`` (the last of its reader block) is copied out of
+    the reused stage and carried into the next block, as a one-row product
+    goes through BLAS matrix-vector code and would not give the bytes of a
+    whole-array pass. A non-finite posterior is an error naming ``where``,
+    the map, the file row and column, with no warning. No yielded posterior
+    is held here, so the caller can free each before the next is encoded.
+    """
+
+    def encoded(rows, start):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return encode(rows, model)
+            except NonFiniteError as e:  # its row counts from the block's first
+                check_finite(e.values, start, f"{where}: {e.what}")
+                raise
+
+    carry = None
+    for s, block in files.blocks:
+        start = max(s.start, first)
+        if start >= s.stop:
+            continue
+        rows = block[start - s.start :]
+        if carry is not None:
+            start, rows, carry = start - 1, np.concatenate([carry, rows]), None
+        if rows.shape[0] == 1 and s.stop < files.shape[0]:
+            carry = rows.copy()
+            continue
+        yield start, encoded(rows, start)
+
+
 def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
     """Top-1 accuracy and per-class confusion counts on the test split.
 
-    Every feature row is read and checked, and only the test block is kept.
+    Every feature row is read and checked; the test rows of each block are
+    scored as the block is read (_posteriors), so only the predicted label of
+    each test row is kept.
     """
     with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
         pools = {
@@ -407,13 +444,12 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
         labels = files.labels[first:]
         if labels.size == 0:
             raise DgzslError(f"{data_dir}: the test split is empty")
-        feats = np.empty((labels.size, files.shape[1]), model.flat.dtype)
-        for s, block in files.blocks:
-            start = max(s.start, first)
-            if start < s.stop:
-                feats[start - first : s.stop - first] = block[start - s.start :]
-    attrs = files.attributes.astype(model.flat.dtype, copy=False)
-    predicted, _, _ = predict_batch(feats, ids, attrs, model)
+        attrs = files.attributes.astype(model.flat.dtype, copy=False)
+        predicted = np.empty(labels.size, np.int64)
+        for start, q in _posteriors(files, model, first, str(files.path)):
+            rows = slice(start - first, start - first + q.mean.shape[0])
+            predicted[rows], _ = closest_prior(q, ids, attrs, model)
+            del q  # before the next block is encoded, so it can reuse the memory
     # each (true, predicted) pair as one code, counted by one np.unique
     classes = files.attributes.shape[0]
     codes, counts = np.unique(labels * classes + predicted, return_counts=True)
@@ -452,16 +488,13 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
         latents = np.empty((files.shape[0], model.layout.latent_dim), model.flat.dtype)
 
         def recons():
-            for s, block in files.blocks:
-                # an overflow is reported by the checks, not as a warning
-                with np.errstate(over="ignore", invalid="ignore"):
-                    try:
-                        latents[s] = encode(block, model).mean
-                    except NonFiniteError as e:  # its row counts from the block's first
-                        check_finite(e.values, s.start, f"{out / 'latents.bin'}: {e.what}")
-                        raise
+            for start, q in _posteriors(files, model, 0, str(out / "latents.bin")):
+                s = slice(start, start + q.mean.shape[0])
+                latents[s] = q.mean
+                del q  # before the block is decoded, so it can reuse the memory
+                with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
                     recon = decode(latents[s], model)
-                check_finite(recon, s.start, str(out / "recons.bin"))
+                check_finite(recon, start, str(out / "recons.bin"))
                 yield recon
                 del recon  # before the next block is computed, so it can reuse the memory
 

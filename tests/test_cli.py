@@ -206,13 +206,13 @@ def test_a_float32_run_is_exactly_its_checkpoint(tiny_dir, tmp_path, capsys, mon
     assert trained.flat.dtype == reloaded.flat.dtype == np.float32
     assert reloaded.flat.tobytes() == trained.flat.tobytes()
     capsys.readouterr()
-    scored, score = [], train.predict_batch
+    scored, score = [], train.closest_prior
 
-    def spy(feats, ids, attrs, model):
-        scored.append({feats.dtype, attrs.dtype, model.flat.dtype})
-        return score(feats, ids, attrs, model)
+    def spy(q, ids, attrs, model):
+        scored.append({q.mean.dtype, q.logvar.dtype, attrs.dtype, model.flat.dtype})
+        return score(q, ids, attrs, model)
 
-    monkeypatch.setattr(train, "predict_batch", spy)
+    monkeypatch.setattr(train, "closest_prior", spy)
     ckpt = str(out / "model.ckpt")
     assert main(["eval", "--checkpoint", ckpt, "--data", str(tiny_dir), "--candidates", "unseen"]) == 0
     assert scored == [{np.dtype(np.float32)}]  # eval scores in float32 from end to end
@@ -905,15 +905,15 @@ def test_the_confusion_table_counts_what_a_row_by_row_loop_counts(seed, trained,
     save_dataset(Dataset(ds.features[order], ds.labels[order], first, ds.attributes, ds.seen_classes, ds.unseen_classes), data)
     predicted = []
 
-    def draw(feats, ids, attrs, model):
-        predicted.append(rng.choice(ids, feats.shape[0]))
-        return predicted[-1], None, None
+    def draw(q, ids, attrs, model):
+        predicted.append(rng.choice(ids, q.mean.shape[0]))
+        return predicted[-1], None
 
-    monkeypatch.setattr(train, "predict_batch", draw)
+    monkeypatch.setattr(train, "closest_prior", draw)
     report = train.run_eval(trained / "model.ckpt", data, candidates="all")
-    labels = ds.labels[order][first:]
-    assert report["confusion"] == oracles.confusion_counts(labels, predicted[0])
-    assert report["accuracy"] == float(np.mean(predicted[0] == labels))
+    labels, predicted = ds.labels[order][first:], np.concatenate(predicted)
+    assert report["confusion"] == oracles.confusion_counts(labels, predicted)
+    assert report["accuracy"] == float(np.mean(predicted == labels))
 
 
 def test_argparse_misuse_exits_two():

@@ -1,5 +1,7 @@
 """Encoder, decoder, attribute prior: shapes, init, dropout, round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,8 +42,9 @@ def model():
 
 
 def shapes(model, **changes):
-    """The model's tensor shapes, name -> shape, with some of them replaced."""
-    return {**{name: a.shape for name, a in model.named_arrays().items()}, **changes}
+    """The model's tensor shapes as a checkpoint reports them (a bias as a
+    1×n row), name -> shape, with some of them replaced."""
+    return {**{name: a.shape if a.ndim == 2 else (1, *a.shape) for name, a in model.named_arrays().items()}, **changes}
 
 
 def rebuild(model, **changes):
@@ -49,12 +52,21 @@ def rebuild(model, **changes):
     return model_from_shapes(shapes(model, **changes))
 
 
+def load_crafted(path, model, **changes):
+    """load_model of a checkpoint at ``path`` that holds the model's tensors
+    with some of them replaced by zero arrays of the given shapes."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(path, {**model.named_arrays(), **{k: np.zeros(v) for k, v in changes.items()}})
+    return load_model(path)
+
+
 # ------------------------------------------------------------ shape rule
 
 
-def test_affine_validates_shapes(model):
-    with pytest.raises(DataFormatError, match=r"'enc.h0.w' has shape \(8,\), expected a matrix"):
-        rebuild(model, **{"enc.h0.w": (8,)})  # weights must be 2-D
+def test_affine_validates_shapes(model, tmp_path):
+    # a 1-D weight is stored as a 1×8 row, so its layer reads as 1 → 8 wide
+    with pytest.raises(DataFormatError, match=r"'enc.h0.b' has shape \(1, 16\), expected \(8,\)"):
+        load_crafted(tmp_path / "m.ckpt", model, **{"enc.h0.w": (8,)})
     with pytest.raises(DataFormatError, match=r"'dec.h1.b' has shape \(1, 9\), expected \(16,\)"):
         rebuild(model, **{"dec.h1.b": (1, 9)})  # bias must match out dim
 
@@ -93,9 +105,10 @@ def test_an_overflowing_posterior_names_its_map_field_and_first_row():
     assert np.isfinite(encode(x[:2], model).mean).all()
 
 
-def test_loader_errors_name_the_file(model):
-    with pytest.raises(DataFormatError, match=r"^run/model.ckpt: tensor 'enc.mean.w'"):
-        model_from_shapes(shapes(model, **{"enc.mean.w": (3,)}), where="run/model.ckpt")
+def test_loader_errors_name_the_file(model, tmp_path):
+    path = tmp_path / "run" / "model.ckpt"
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: tensor 'enc.mean.w' has shape \(1, 4\)"):
+        load_crafted(path, model, **{"enc.mean.w": (4,)})
 
 
 # ------------------------------------------------------------------- init

@@ -36,7 +36,7 @@ from dgzsl.serialize import (
 )
 from dgzsl.train import export_embeddings, load_model, run_eval, save_model
 
-from oracles import whole_matrix_bytes
+from oracles import confusion_counts, whole_matrix_bytes
 
 ROWS, COLS = 11, 5  # 11 rows in blocks of at most 3: 2, 3, 3, 3
 
@@ -286,23 +286,29 @@ def test_export_failing_in_its_last_block_leaves_no_outputs(small_blocks, tmp_pa
         assert not out.exists()
 
 
-def test_a_non_finite_posterior_in_export_names_latents_bin_and_the_files_row(small_blocks, tmp_path, capsys):
+@pytest.mark.filterwarnings("error")  # an overflow is reported by the checks, not as a warning
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_a_non_finite_posterior_names_the_file_and_the_files_row(small_blocks, tmp_path, capsys, command):
     """Feature row 1500 at 3e38 overflows a float32 encoder. The reader hands
-    that row over inside a block of a few rows, and export names
-    latents.bin, the map, and the row counted from the file's first row."""
+    that row over inside a block of a few rows, and the test split starts at
+    row 1200; export names latents.bin, eval names features.bin, and both
+    name the map and the row counted from the file's first row."""
     ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=400, seed=6))
     save_dataset(ds, tmp_path / "data")
     features = ds.features.copy()
     features[1500] = 3e38
     save_matrix(tmp_path / "data" / "features.bin", features)
     checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8, dtype=np.float32))
-    assert 1500 not in [s.start for s in row_blocks(ds.features.shape[0], COLS, 4)]
+    assert ds.n_train == 1200 and 1500 not in [s.start for s in row_blocks(ds.features.shape[0], COLS, 4)]
     out = tmp_path / "emb"
-    rc = main(["export", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data"), "--out", str(out)])
+    argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data")]
+    named = {"eval": ([], tmp_path / "data" / "features.bin"), "export": (["--out", str(out)], out / "latents.bin")}
+    rest, path = named[command]
+    rc = main([command, *argv, *rest])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert re.fullmatch(
-        rf"error: {re.escape(str(out / 'latents.bin'))}: posterior mean: "
+        rf"error: {re.escape(str(path))}: posterior mean: "
         r"non-finite value (-?inf|nan) at row 1500, column [0-2]\n",
         captured.err,
     )
@@ -323,16 +329,90 @@ def test_export_holds_model_latents_and_a_few_blocks(monkeypatch, tmp_path):
     assert peak < whole + labels + 6 * activation < ds.features.nbytes
 
 
-def test_eval_holds_the_test_block_model_and_a_few_blocks(monkeypatch, tmp_path):
+def test_eval_holds_the_model_and_a_few_blocks(monkeypatch, tmp_path):
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 1 << 16)
     ds, model = _export_fixture(tmp_path, 800, 64, (8,))
     report, peak = traced_peak(run_eval, tmp_path / "model.ckpt", tmp_path / "data", "all")
     assert report["examples"] == ds.test_labels.size == 1600
-    # what scoring the whole test block at once allocates on its own
-    _, scoring = traced_peak(predict_batch, ds.test_features, range(5), ds.attributes, model)
-    kept = ds.test_features.nbytes + model.flat.nbytes + ds.labels.nbytes + scoring
-    # the train block (2,400 rows, 1.2 MB) would not fit under the bound
-    assert peak < kept + 2 * serialize._BLOCK_BYTES < kept + ds.train_features.nbytes
+    # the labels are read as two files, then joined; a block is held as the
+    # reader's float32 stage and cast to float64 for the encoder
+    kept = model.flat.nbytes + 2 * ds.labels.nbytes
+    # the test block (1,600 rows, 819 KB) would not fit under the bound
+    assert peak < kept + 4 * serialize._BLOCK_BYTES < ds.test_features.nbytes
+
+
+def _row_independence_fixture(tmp_path, order):
+    """Saves a 5-class dataset whose test rows (and their labels) are put
+    in ``order`` (None keeps them); returns (its directory, the dataset in
+    its original order)."""
+    ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=4, seed=6))
+    first = ds.n_train
+    rows = np.arange(ds.labels.size)
+    if order is not None:
+        rows[first:] = first + order
+    side = (ds.attributes, ds.seen_classes, ds.unseen_classes)
+    data = tmp_path / ("data" if order is None else "permuted")
+    save_dataset(Dataset(ds.features[rows], ds.labels[rows], first, *side), data)
+    return data, ds
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rows_are_scored_and_exported_independently_of_their_order(small_blocks, tmp_path, dtype):
+    """Test rows in a permuted order land in other blocks at other offsets:
+    every eval report keeps its bytes, and every exported row moves with
+    its feature row, bit for bit."""
+    data, ds = _row_independence_fixture(tmp_path, None)
+    order = np.random.default_rng(12).permutation(ds.labels.size - ds.n_train)
+    permuted, _ = _row_independence_fixture(tmp_path, order)
+    assert len(row_blocks(ds.labels.size, COLS, 4)) > 3
+    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8, dtype=dtype))
+    outputs = {}
+    for d in (data, permuted):
+        argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(d)]
+        for pool in ("all", "seen", "unseen"):
+            assert main(["eval", *argv, "--candidates", pool, "--out", str(d / f"{pool}.json")]) == 0
+        assert main(["export", *argv, "--out", str(d / "emb")]) == 0
+        outputs[d] = {p.name: p.read_bytes() for p in d.glob("*.json")}
+        for name in ("latents.bin", "recons.bin"):
+            outputs[d][name] = load_matrix(d / "emb" / name, np.float32)
+    for pool in ("all", "seen", "unseen"):
+        assert outputs[permuted][f"{pool}.json"] == outputs[data][f"{pool}.json"]
+    rows = np.concatenate([np.arange(ds.n_train), ds.n_train + order])
+    for name in ("latents.bin", "recons.bin"):
+        assert outputs[permuted][name].tobytes() == outputs[data][name][rows].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_test_split_starting_on_the_last_row_of_a_block_is_scored_as_a_whole_pass(tmp_path, monkeypatch, dtype):
+    """n_train = 15 is the last row of the reader block 13..16, so eval
+    carries that row into the next block: no scoring call gets one row (a
+    one-row product goes through BLAS matrix-vector code, which rounds these
+    64-wide rows differently), the KL rows are those of one whole-test-block
+    pass, and so is the report."""
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 3 * 4 * 64)  # 3 rows a block, as under small_blocks
+    ds, _ = _export_fixture(tmp_path, 5, 64, (8,))
+    assert ds.n_train == 15 and slice(13, 16) in row_blocks(ds.labels.size, 64, 4)
+    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), 64, 2, 3, (8,), 0.8, dtype=dtype))
+    model = load_model(tmp_path / "model.ckpt")
+    attrs, ids = ds.attributes.astype(dtype), np.arange(5)
+    predicted, whole, _ = predict_batch(ds.test_features.astype(dtype), ids, attrs, model)
+    scored, score = [], train.closest_prior
+
+    def spy(q, *args):
+        labels, scores = score(q, *args)
+        scored.append(scores)
+        return labels, scores
+
+    monkeypatch.setattr(train, "closest_prior", spy)
+    report = run_eval(tmp_path / "model.ckpt", tmp_path / "data", "all")
+    assert [s.shape[0] for s in scored] == [4, 3, 3]
+    assert np.concatenate(scored).tobytes() == whole.tobytes()
+    assert report == {
+        "accuracy": float(np.mean(predicted == ds.test_labels)),
+        "examples": 10,
+        "candidates": ids.tolist(),
+        "confusion": confusion_counts(ds.test_labels, predicted),
+    }
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
