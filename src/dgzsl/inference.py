@@ -15,24 +15,29 @@ from .gaussian import kl_matrix
 from .networks import ModelParams, class_prior, encode
 
 
-def _sorted_candidates(candidate_ids, num_classes: int) -> np.ndarray:
+def candidate_priors(candidate_ids, attr_rows, model: ModelParams):
+    """(ids, priors): the candidate ids in ascending order, checked against
+    the attribute rows, and their classes' latent priors in that order. A
+    pass that labels many batches builds these once (run_eval)."""
+    attr_rows = np.asarray(attr_rows)
     ids = np.unique(np.asarray(candidate_ids, dtype=np.int64))
     if ids.size == 0:
         raise DgzslError("candidate class set is empty")
-    if ids.min() < 0 or ids.max() >= num_classes:
+    if ids.min() < 0 or ids.max() >= attr_rows.shape[0]:
         raise DgzslError(
-            f"candidate ids {ids.min()}..{ids.max()} outside 0..{num_classes - 1}"
+            f"candidate ids {ids.min()}..{ids.max()} outside 0..{attr_rows.shape[0] - 1}"
         )
-    return ids
+    return ids, class_prior(attr_rows[ids], model)
 
 
-def closest_prior(q, candidate_ids, attr_rows, model: ModelParams):
+def closest_prior(q, ids, priors):
     """Labels of a posterior batch ``q``, plus its KL score matrix: each
     row's label is the candidate whose prior is closest in KL to its
-    posterior. Returns (labels N, kl matrix N×K aligned with the ascending
-    candidate ids); rows are scored independently."""
-    ids = _sorted_candidates(candidate_ids, np.asarray(attr_rows).shape[0])
-    scores = kl_matrix(q, class_prior(np.asarray(attr_rows)[ids], model))
+    posterior. ``ids`` and ``priors`` are candidate_priors' pair. Returns
+    (labels N, kl matrix N×K aligned with ``ids``); rows are scored
+    independently, so a batch cut into parts gives the same bytes part by
+    part."""
+    scores = kl_matrix(q, priors)
     labels = ids[np.argmin(scores, axis=1)]  # first occurrence = lowest class id
     return labels, scores
 
@@ -44,7 +49,7 @@ def predict_batch(features, candidate_ids, attr_rows, model: ModelParams):
     ids, posterior DiagGaussian batch). Eval mode, deterministic.
     """
     q = encode(np.atleast_2d(features), model)
-    return (*closest_prior(q, candidate_ids, attr_rows, model), q)
+    return (*closest_prior(q, *candidate_priors(candidate_ids, attr_rows, model)), q)
 
 
 def accuracy(features, labels, candidate_ids, attr_rows, model: ModelParams) -> float:

@@ -11,8 +11,9 @@ separate sidecar file.
 from __future__ import annotations
 
 import json
+import os
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import repeat
@@ -24,10 +25,10 @@ from .config import TrainConfig, format_config, load_config
 from .data import Dataset, fewshot_sample, load_dataset, open_dataset
 from .errors import DataFormatError, DgzslError, NonFiniteError
 from .inductive import inductive_objective, inductive_value
-from .inference import accuracy, closest_prior
+from .inference import accuracy, candidate_priors, closest_prior
 from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_shapes
 from .optim import Adam
-from .serialize import check_finite, load_checkpoint, save_checkpoint, save_matrix, save_rows, save_text
+from .serialize import check_finite, load_checkpoint, row_blocks, save_checkpoint, save_matrix, save_rows, save_text
 from .transductive import sharpen, soft_assign, transductive_objective
 
 
@@ -374,9 +375,13 @@ def load_model(checkpoint_path) -> ModelParams:
 
 @contextmanager
 def _open_for_scoring(checkpoint_path, data_dir):
-    """Yields (model, files): the checkpoint's model and the dataset in
-    ``data_dir`` opened for one pass over its feature rows (open_dataset),
-    once the model's feature and attribute widths match the dataset's."""
+    """Yields (model, files, score_blocks): the checkpoint's model, the
+    dataset in ``data_dir`` opened for one pass over its feature rows
+    (open_dataset), once the model's feature and attribute widths match the
+    dataset's, and ``score_blocks(first, where, score)``, _score_blocks on
+    the scoring threads (_scoring_threads). A feature file of one reader
+    block is scored on the calling thread and starts none. The threads are
+    shut down before this returns, on errors too."""
     model = load_model(checkpoint_path)
     with open_dataset(data_dir) as files:
         dims = model.layout
@@ -386,29 +391,75 @@ def _open_for_scoring(checkpoint_path, data_dir):
                 f"checkpoint dims (D={dims.feature_dim}, M={dims.attr_dim}) do not match "
                 f"dataset (D={feature_dim}, M={attr_dim}): {checkpoint_path} against {data_dir}"
             )
-        yield model, files
+        one_block = len(row_blocks(*files.shape, 4)) == 1  # the reader's blocks are float32
+        threads = 1 if one_block else _scoring_threads()
+        if threads > 1:  # it imports logging: 0.6 MB that a pass on one thread never needs
+            from concurrent.futures import ThreadPoolExecutor
+        # the pool is shut down, waiting for every part, before open_dataset
+        # drains the rest of the body through the stage the parts view
+        with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+            parts = partial(_in_parts, pool, threads)
+            yield model, files, partial(_score_blocks, files, model, parts)
 
 
-def _posteriors(files, model: ModelParams, first: int, where: str):
-    """Yields (row, posterior) for each reader block of ``files``' feature
-    rows from row ``first`` on: the block's eval-mode posterior and the file
-    row of its first row. Earlier rows are read and checked, not encoded.
+def _scoring_threads() -> int:
+    """Threads that score the parts of a reader block (_in_parts): the cores
+    this process may run on, over the BLAS threads of one product. That is
+    read as cli sets it from DGZSL_THREADS (OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS); unset, unparsable or 0 leaves OpenBLAS a thread per
+    core, and then the calling thread scores alone."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
+    try:
+        blas = int(value)
+    except ValueError:
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // blas) if blas > 0 else 1
+
+
+def _in_parts(pool, threads: int, fn, rows, start: int) -> list:
+    """``fn(part, row)`` over ``threads`` contiguous parts of the row block
+    ``rows`` (file rows ``start``…), in row order, where ``row`` is the file
+    row of the part's first row. The calling thread scores the first part,
+    ``pool``'s threads the rest, on views of ``rows``. A part holds two rows
+    at least (a one-row product goes through BLAS matrix-vector code, which
+    rounds otherwise), so a shorter block is cut into fewer parts or none.
+    Every part is done before this returns, and the error of the lowest
+    failing part is the one raised."""
+    n = rows.shape[0]
+    count = max(1, min(threads, n // 2))
+    cuts = [i * n // count for i in range(count + 1)]
+    futures = [pool.submit(fn, rows[a:b], start + a) for a, b in zip(cuts[1:-1], cuts[2:])]
+    first = fn(rows[: cuts[1]], start)
+    return [first, *(f.result() for f in futures)]
+
+
+def _score_blocks(files, model: ModelParams, parts, first: int, where: str, score):
+    """Yields ``score(q, row)`` for each part (``parts``, a bound _in_parts)
+    of each reader block of ``files``' feature rows from row ``first`` on,
+    in row order: ``q`` is the part's eval-mode posterior and ``row`` the
+    file row of its first row. Earlier rows are read and checked, not
+    encoded. Every part of a block is scored before the next block is read.
 
     A lone row at ``first`` (the last of its reader block) is copied out of
     the reused stage and carried into the next block, as a one-row product
     goes through BLAS matrix-vector code and would not give the bytes of a
     whole-array pass. A non-finite posterior is an error naming ``where``,
-    the map, the file row and column, with no warning. No yielded posterior
-    is held here, so the caller can free each before the next is encoded.
+    the map, the file row and column, with no warning. Neither ``q`` nor a
+    yielded result is held here, so each can be freed before the next part
+    needs the memory.
     """
 
     def encoded(rows, start):
+        # np.errstate is per thread, so each part sets its own
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 return encode(rows, model)
-            except NonFiniteError as e:  # its row counts from the block's first
+            except NonFiniteError as e:  # its row counts from the part's first
                 check_finite(e.values, start, f"{where}: {e.what}")
                 raise
+
+    def scored(rows, start):
+        return score(encoded(rows, start), start)
 
     carry = None
     for s, block in files.blocks:
@@ -421,17 +472,19 @@ def _posteriors(files, model: ModelParams, first: int, where: str):
         if rows.shape[0] == 1 and s.stop < files.shape[0]:
             carry = rows.copy()
             continue
-        yield start, encoded(rows, start)
+        yield from parts(scored, rows, start)
 
 
 def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
     """Top-1 accuracy and per-class confusion counts on the test split.
 
     Every feature row is read and checked; the test rows of each block are
-    scored as the block is read (_posteriors), so only the predicted label of
-    each test row is kept.
+    scored as the block is read, its parts on the scoring threads
+    (_score_blocks), against candidate priors built once, and each part's
+    predicted labels are written in place, so only one label per test row
+    is kept.
     """
-    with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
+    with _open_for_scoring(checkpoint_path, data_dir) as (model, files, score_blocks):
         pools = {
             "unseen": files.unseen_classes,
             "seen": files.seen_classes,
@@ -439,17 +492,19 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
         }
         if candidates not in pools:
             raise DgzslError(f"candidate selector must be one of {sorted(pools)}")
-        ids = np.sort(np.asarray(pools[candidates], dtype=np.int64))
         first = files.n_train
         labels = files.labels[first:]
         if labels.size == 0:
             raise DgzslError(f"{data_dir}: the test split is empty")
         attrs = files.attributes.astype(model.flat.dtype, copy=False)
+        ids, priors = candidate_priors(pools[candidates], attrs, model)
         predicted = np.empty(labels.size, np.int64)
-        for start, q in _posteriors(files, model, first, str(files.path)):
-            rows = slice(start - first, start - first + q.mean.shape[0])
-            predicted[rows], _ = closest_prior(q, ids, attrs, model)
-            del q  # before the next block is encoded, so it can reuse the memory
+
+        def label(q, start):
+            predicted[start - first : start - first + q.mean.shape[0]], _ = closest_prior(q, ids, priors)
+
+        for _ in score_blocks(first, str(files.path), label):
+            pass
     # each (true, predicted) pair as one code, counted by one np.unique
     classes = files.attributes.shape[0]
     codes, counts = np.unique(labels * classes + predicted, return_counts=True)
@@ -470,10 +525,11 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
 
     Output rows align one-for-one with the stored feature order (train block
     then test block). Reconstructions decode the posterior mean. Each row
-    block of features goes through the networks as it is read, and the
-    reconstructions stream to disk block by block, so the feature matrix is
-    never held. Each reconstruction block is checked for NaN and ±inf while
-    it is in cache, so a model whose outputs overflow is an error naming
+    block of features goes through the networks as it is read, its parts on
+    the scoring threads (_score_blocks), and the reconstructions stream to
+    disk part by part in row order, so the feature matrix is never held.
+    Each reconstruction part is checked for NaN and ±inf while it is in
+    cache, so a model whose outputs overflow is an error naming
     ``recons.bin``, row and column, not a file that no reader accepts; a
     non-finite posterior names ``latents.bin``, the map, row and column.
     ``latents.bin`` is written before ``recons.bin`` replaces its old file,
@@ -481,26 +537,25 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
     leaves no new output file (the writes are atomic) and removes the output
     directory if this call made it.
     """
-    with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
+    with _open_for_scoring(checkpoint_path, data_dir) as (model, files, score_blocks):
         out = Path(out_dir)
         made = not out.exists()
         out.mkdir(parents=True, exist_ok=True)
         latents = np.empty((files.shape[0], model.layout.latent_dim), model.flat.dtype)
 
-        def recons():
-            for start, q in _posteriors(files, model, 0, str(out / "latents.bin")):
-                s = slice(start, start + q.mean.shape[0])
-                latents[s] = q.mean
-                del q  # before the block is decoded, so it can reuse the memory
-                with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
-                    recon = decode(latents[s], model)
-                check_finite(recon, start, str(out / "recons.bin"))
-                yield recon
-                del recon  # before the next block is computed, so it can reuse the memory
+        def reconstruct(q, start):
+            s = slice(start, start + q.mean.shape[0])
+            latents[s] = q.mean
+            del q  # before the part is decoded, so it can reuse the memory
+            with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+                recon = decode(latents[s], model)
+            check_finite(recon, start, str(out / "recons.bin"))
+            return recon
 
         try:
             save_latents = partial(save_matrix, out / "latents.bin", latents)
-            save_rows(out / "recons.bin", files.shape, recons(), then=save_latents)
+            recons = score_blocks(0, str(out / "latents.bin"), reconstruct)
+            save_rows(out / "recons.bin", files.shape, recons, then=save_latents)
         except BaseException:
             if made:
                 with suppress(OSError):

@@ -31,7 +31,7 @@ from dgzsl.data import fewshot_sample
 from dgzsl.errors import DgzslError, ShapeError
 from dgzsl.gaussian import LOG_2PI, DiagGaussian, _check_same_shape, kl_matrix, sample_reparam
 from dgzsl.inductive import ObjectiveBreakdown, one_hot
-from dgzsl.inference import _sorted_candidates, accuracy, predict_batch
+from dgzsl.inference import accuracy, candidate_priors, predict_batch
 from dgzsl.networks import ModelParams, class_prior, decode, encode, init_model, make_dropout_masks
 from dgzsl.optim import Adam
 from dgzsl.serialize import MATRIX_MAGIC
@@ -289,7 +289,7 @@ class Prediction:
 def predict_zsl(x, candidate_ids, attr_rows, model: ModelParams) -> Prediction:
     """Closest-prior rule for one input: argmin over candidate KLs."""
     labels, scores, q = predict_batch(x, candidate_ids, attr_rows, model)
-    ids = _sorted_candidates(candidate_ids, np.asarray(attr_rows).shape[0])
+    ids, _ = candidate_priors(candidate_ids, attr_rows, model)
     return Prediction(
         label=int(labels[0]),
         candidate_ids=tuple(int(i) for i in ids),
@@ -305,12 +305,12 @@ def predict_via_bound(x, candidate_ids, attr_rows, model: ModelParams, noise) ->
     the reconstruction term is class-independent and the argmax must agree
     with predict_zsl.
     """
-    ids = _sorted_candidates(candidate_ids, np.asarray(attr_rows).shape[0])
+    ids, priors = candidate_priors(candidate_ids, attr_rows, model)
     x = np.asarray(x, dtype=np.float64)
     q = encode(np.atleast_2d(x), model)
     z = sample_reparam(q, np.atleast_2d(np.asarray(noise, dtype=np.float64)))
     recon = gauss_loglik(x.ravel(), decode(z, model).ravel())
-    kls = kl_matrix(q, class_prior(np.asarray(attr_rows)[ids], model))[0]
+    kls = kl_matrix(q, priors)[0]
     bounds = recon - kls
     return int(ids[np.argmax(bounds)])
 

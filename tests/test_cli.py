@@ -208,9 +208,9 @@ def test_a_float32_run_is_exactly_its_checkpoint(tiny_dir, tmp_path, capsys, mon
     capsys.readouterr()
     scored, score = [], train.closest_prior
 
-    def spy(q, ids, attrs, model):
-        scored.append({q.mean.dtype, q.logvar.dtype, attrs.dtype, model.flat.dtype})
-        return score(q, ids, attrs, model)
+    def spy(q, ids, priors):
+        scored.append({q.mean.dtype, q.logvar.dtype, priors.mean.dtype, priors.logvar.dtype})
+        return score(q, ids, priors)
 
     monkeypatch.setattr(train, "closest_prior", spy)
     ckpt = str(out / "model.ckpt")
@@ -905,7 +905,7 @@ def test_the_confusion_table_counts_what_a_row_by_row_loop_counts(seed, trained,
     save_dataset(Dataset(ds.features[order], ds.labels[order], first, ds.attributes, ds.seen_classes, ds.unseen_classes), data)
     predicted = []
 
-    def draw(q, ids, attrs, model):
+    def draw(q, ids, priors):
         predicted.append(rng.choice(ids, q.mean.shape[0]))
         return predicted[-1], None
 

@@ -1,5 +1,6 @@
 """Matrix files, datasets and exports stream in row blocks: the bytes match a
-whole-array pass at every block boundary, and memory stays bounded. Each
+whole-array pass at every block boundary and on any number of scoring
+threads, and memory stays bounded. Each
 output file, binary or text, is written into a temp file preallocated to
 its exact size, and a rewrite holds the bytes of a fresh write. Every
 public function and class of the package has a user outside the tests."""
@@ -9,7 +10,10 @@ import errno
 import os
 import re
 import struct
+import sys
+import threading
 import tracemalloc
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +43,19 @@ from dgzsl.train import export_embeddings, load_model, run_eval, save_model
 from oracles import confusion_counts, whole_matrix_bytes
 
 ROWS, COLS = 11, 5  # 11 rows in blocks of at most 3: 2, 3, 3, 3
+SCORING_THREADS = train._scoring_threads
+
+
+@pytest.fixture(autouse=True)
+def threads(monkeypatch):
+    """Pins the scoring threads (train._scoring_threads) to one, whatever the
+    BLAS variables of the environment say; ``threads(n)`` sets ``n``."""
+
+    def use(n):
+        monkeypatch.setattr(train, "_scoring_threads", lambda: n)
+
+    use(1)
+    return use
 
 
 @pytest.fixture
@@ -341,6 +358,14 @@ def test_eval_holds_the_model_and_a_few_blocks(monkeypatch, tmp_path):
     assert peak < kept + 4 * serialize._BLOCK_BYTES < ds.test_features.nbytes
 
 
+@pytest.mark.parametrize("test", [test_export_holds_model_latents_and_a_few_blocks, test_eval_holds_the_model_and_a_few_blocks])
+def test_scoring_on_two_threads_holds_the_same_bounds(monkeypatch, tmp_path, threads, test):
+    """Two threads hold two halves of one block at a time, never two
+    blocks: the reader's next block waits until both halves are done."""
+    threads(2)
+    test(monkeypatch, tmp_path)
+
+
 def _row_independence_fixture(tmp_path, order):
     """Saves a 5-class dataset whose test rows (and their labels) are put
     in ``order`` (None keeps them); returns (its directory, the dataset in
@@ -382,13 +407,11 @@ def test_rows_are_scored_and_exported_independently_of_their_order(small_blocks,
         assert outputs[permuted][name].tobytes() == outputs[data][name][rows].tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_a_test_split_starting_on_the_last_row_of_a_block_is_scored_as_a_whole_pass(tmp_path, monkeypatch, dtype):
-    """n_train = 15 is the last row of the reader block 13..16, so eval
-    carries that row into the next block: no scoring call gets one row (a
-    one-row product goes through BLAS matrix-vector code, which rounds these
-    64-wide rows differently), the KL rows are those of one whole-test-block
-    pass, and so is the report."""
+def _score_a_test_split_starting_on_the_last_row_of_a_block(tmp_path, monkeypatch, dtype) -> tuple:
+    """Scores a test split whose first row, n_train = 15, is the last row of
+    the reader block 13..16; checks that the report is that of one
+    whole-test-block pass, and returns (the KL rows of each scoring call, in
+    call order; the KL rows of the whole pass)."""
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 3 * 4 * 64)  # 3 rows a block, as under small_blocks
     ds, _ = _export_fixture(tmp_path, 5, 64, (8,))
     assert ds.n_train == 15 and slice(13, 16) in row_blocks(ds.labels.size, 64, 4)
@@ -405,21 +428,44 @@ def test_a_test_split_starting_on_the_last_row_of_a_block_is_scored_as_a_whole_p
 
     monkeypatch.setattr(train, "closest_prior", spy)
     report = run_eval(tmp_path / "model.ckpt", tmp_path / "data", "all")
-    assert [s.shape[0] for s in scored] == [4, 3, 3]
-    assert np.concatenate(scored).tobytes() == whole.tobytes()
     assert report == {
         "accuracy": float(np.mean(predicted == ds.test_labels)),
         "examples": 10,
         "candidates": ids.tolist(),
         "confusion": confusion_counts(ds.test_labels, predicted),
     }
+    return scored, whole
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_a_wide_export_multiplies_500_row_blocks_and_matches_a_whole_array_pass(tmp_path, monkeypatch, dtype):
-    """A reader's block is _BLOCK_BYTES of the float32 rows it holds: 1,000
-    rows of 2,048 features reach the encoder as two 500-row blocks, not as
-    four of 250, so each product packs its weights over twice the rows."""
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_test_split_starting_on_the_last_row_of_a_block_is_scored_as_a_whole_pass(tmp_path, monkeypatch, dtype):
+    """n_train = 15 is the last row of the reader block 13..16, so eval
+    carries that row into the next block: no scoring call gets one row (a
+    one-row product goes through BLAS matrix-vector code, which rounds these
+    64-wide rows differently), the KL rows are those of one whole-test-block
+    pass, and so is the report."""
+    scored, whole = _score_a_test_split_starting_on_the_last_row_of_a_block(tmp_path, monkeypatch, dtype)
+    assert [s.shape[0] for s in scored] == [4, 3, 3]
+    assert np.concatenate(scored).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_carried_row_on_two_threads_is_scored_in_a_two_row_half(tmp_path, monkeypatch, threads, dtype):
+    """The 4-row block that carries row 15 is scored as two halves of two
+    rows on two threads; the 3-row blocks stay whole, as one of their
+    halves would be one row. The parts' KL rows are those of the whole
+    pass."""
+    threads(2)
+    scored, whole = _score_a_test_split_starting_on_the_last_row_of_a_block(tmp_path, monkeypatch, dtype)
+    cuts = np.cumsum([0, 2, 2, 3, 3])
+    expected = sorted(whole[a:b].tobytes() for a, b in zip(cuts, cuts[1:]))
+    assert sorted(s.tobytes() for s in scored) == expected
+
+
+def _encoded_rows_of_a_wide_export(tmp_path, monkeypatch, dtype) -> list:
+    """Exports 1,000 rows of 2,048 features, checks that the files hold the
+    bytes of a whole-array pass, and returns the row count of each encode
+    call, in ascending order (parts of a block may finish in either order)."""
     ds, _ = _export_fixture(tmp_path, 200, 2048, (8,))
     assert ds.features.shape == (1000, 2048)
     model = init_model(np.random.default_rng(10), 2048, 2, 3, (8,), 0.8, dtype=dtype)
@@ -432,11 +478,195 @@ def test_a_wide_export_multiplies_500_row_blocks_and_matches_a_whole_array_pass(
 
     monkeypatch.setattr(train, "encode", counting_encode)
     export_embeddings(tmp_path / "model.ckpt", tmp_path / "data", tmp_path / "emb")
-    assert rows == [500, 500]
     loaded = load_model(tmp_path / "model.ckpt")
     latents = encode(ds.features.astype(dtype), loaded).mean
     assert (tmp_path / "emb" / "latents.bin").read_bytes() == whole_matrix_bytes(latents)
     assert (tmp_path / "emb" / "recons.bin").read_bytes() == whole_matrix_bytes(decode(latents, loaded))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_wide_export_multiplies_500_row_blocks_and_matches_a_whole_array_pass(tmp_path, monkeypatch, dtype):
+    """A reader's block is _BLOCK_BYTES of the float32 rows it holds: 1,000
+    rows of 2,048 features reach the encoder as two 500-row blocks, not as
+    four of 250, so each product packs its weights over twice the rows."""
+    assert _encoded_rows_of_a_wide_export(tmp_path, monkeypatch, dtype) == [500, 500]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_wide_export_on_two_threads_scores_250_row_halves_with_the_same_bytes(tmp_path, monkeypatch, threads, dtype):
+    threads(2)
+    assert _encoded_rows_of_a_wide_export(tmp_path, monkeypatch, dtype) == [250, 250, 250, 250]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("block_rows", [3, 8], ids=["3-row-blocks", "8-row-blocks"])
+def test_eval_and_export_write_the_same_bytes_on_one_and_two_threads(tmp_path, monkeypatch, threads, dtype, block_rows):
+    """20 rows with n_train = 12. In blocks of at most 8 rows (6, 7, 7) two
+    threads score each block in halves of three rows or more, and eval's
+    lone row 12 is carried into the last block, which it scores as 4 + 4.
+    In blocks of at most 3 (as under small_blocks) every block stays whole,
+    as a half would be one row. Reports and exports keep their bytes."""
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", block_rows * 4 * COLS)
+    data, ds = _row_independence_fixture(tmp_path, None)
+    assert ds.labels.size == 20 and ds.n_train == 12
+    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8, dtype=dtype))
+    argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(data)]
+    rows = []
+
+    def counting_encode(x, m):
+        rows.append(x.shape[0])
+        return encode(x, m)
+
+    monkeypatch.setattr(train, "encode", counting_encode)
+    outputs, encoded = {}, {}
+    for n in (1, 2):
+        threads(n)
+        rows.clear()
+        out = tmp_path / f"threads-{n}"
+        out.mkdir()
+        for pool in ("all", "seen", "unseen"):
+            assert main(["eval", *argv, "--candidates", pool, "--out", str(out / f"{pool}.json")]) == 0
+        assert main(["export", *argv, "--out", str(out / "emb")]) == 0
+        outputs[n] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
+        encoded[n] = sorted(rows)
+    assert len(outputs[1]) == 5 and outputs[2] == outputs[1]
+    eval_rows = 3 * [8] if block_rows == 8 else 3 * [2, 3, 3]
+    export_rows = [6, 7, 7] if block_rows == 8 else [2, 3, 3, 3, 3, 3, 3]
+    assert encoded[1] == sorted(eval_rows + export_rows)
+    halves = 3 * [4, 4] + [3, 3, 3, 4, 3, 4]
+    assert encoded[2] == (sorted(halves) if block_rows == 8 else encoded[1])
+
+
+def test_more_threads_than_cores_switching_often_write_the_bytes_of_one(tmp_path, monkeypatch, threads):
+    """Eight threads on 2-core hosts, with the interpreter switching threads
+    every 10 µs: each block's parts write disjoint rows of the labels and
+    latents, so no write is lost and the bytes are those of one thread."""
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 40 * 4 * COLS)  # 400 rows in ten blocks, parts of 5 rows
+    ds, _ = _export_fixture(tmp_path, 80, COLS, (8,))
+    argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data")]
+    outputs = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for n in (1, 8):
+            threads(n)
+            out = tmp_path / f"threads-{n}"
+            out.mkdir()
+            assert main(["eval", *argv, "--candidates", "all", "--out", str(out / "eval.json")]) == 0
+            assert main(["export", *argv, "--out", str(out / "emb")]) == 0
+            outputs[n] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outputs[1]) == 3 and outputs[8] == outputs[1]
+
+
+@pytest.mark.filterwarnings("error")  # an overflow is reported by the checks, not as a warning
+@pytest.mark.parametrize("bad", [(1510, 1560), (1560,)], ids=["both-halves", "second-half"])
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_a_non_finite_posterior_on_two_threads_names_the_lowest_row_and_stops_the_threads(
+    tmp_path, monkeypatch, capsys, threads, command, bad
+):
+    """2,000 rows in 100-row blocks: rows 1500..1549 are the first half of
+    a block, scored by the calling thread, and rows 1550..1599 the second,
+    scored by a worker. The lowest bad row is named, however the halves
+    finish; no new file is left, and no thread outlives the call."""
+    threads(2)
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 100 * 4 * COLS)
+    ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=400, seed=6))
+    save_dataset(ds, tmp_path / "data")
+    features = ds.features.copy()
+    features[list(bad)] = 3e38
+    save_matrix(tmp_path / "data" / "features.bin", features)
+    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8, dtype=np.float32))
+    assert slice(1500, 1600) in row_blocks(ds.labels.size, COLS, 4)
+    out = tmp_path / "emb"
+    argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data")]
+    named = {"eval": ([], tmp_path / "data" / "features.bin"), "export": (["--out", str(out)], out / "latents.bin")}
+    rest, path = named[command]
+    before = threading.active_count()
+    rc = main([command, *argv, *rest])
+    assert threading.active_count() == before
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert re.fullmatch(
+        rf"error: {re.escape(str(path))}: posterior mean: "
+        rf"non-finite value (-?inf|nan) at row {bad[0]}, column [0-2]\n",
+        captured.err,
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-outputs"])
+def test_a_full_disk_stops_a_two_thread_export_before_it_encodes_a_row(tmp_path, monkeypatch, fallocate, capsys, threads, existing):
+    threads(2)
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 4 * 4 * COLS)  # 10 rows in three blocks
+    before = threading.active_count()
+    test_a_full_disk_stops_export_before_it_encodes_a_row(tmp_path, monkeypatch, fallocate, capsys, existing)
+    assert threading.active_count() == before
+
+
+def test_a_feature_file_of_one_block_starts_no_thread(tmp_path, monkeypatch, threads):
+    """Every synth data set is one reader block: two threads would only
+    add their start-up to a pass of a few milliseconds."""
+    threads(2)
+    made, executor = [], futures.ThreadPoolExecutor
+
+    def pool(workers):
+        made.append(workers)
+        return executor(workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", pool)
+    ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
+    args = (tmp_path / "model.ckpt", tmp_path / "data")
+    assert len(row_blocks(*ds.features.shape, 4)) == 1
+    before = threading.active_count()
+    run_eval(*args, "all")
+    export_embeddings(*args, tmp_path / "emb")
+    assert made == [] and threading.active_count() == before
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 4 * 4 * COLS)  # three blocks
+    run_eval(*args, "all")
+    export_embeddings(*args, tmp_path / "emb")
+    assert made == [1, 1] and threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "env, count",
+    [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "-1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "two"}, 1),
+        ({"OPENBLAS_NUM_THREADS": ""}, 1),
+    ],
+    ids=["unset", "openblas-1", "omp-1", "openblas-first", "3", "8", "0", "negative", "malformed", "empty"],
+)
+def test_the_scoring_threads_are_the_cores_that_blas_leaves(monkeypatch, env, count):
+    """On 4 cores: BLAS threads per product that are unset, unparsable or 0
+    mean a BLAS thread per core, so one scoring thread."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert SCORING_THREADS() == count
+
+
+def test_a_malformed_blas_thread_count_scores_on_one_thread(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(train, "_scoring_threads", SCORING_THREADS)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "two")
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 4 * 4 * COLS)  # 10 rows in three blocks
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", None)  # calling it would fail
+    _export_fixture(tmp_path, 2, COLS, (8,))
+    argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data")]
+    assert main(["eval", *argv]) == 0
+    assert main(["export", *argv, "--out", str(tmp_path / "emb")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_float64_writer_casts_at_most_256_rows_of_a_wide_matrix_at_a_time(tmp_path):
