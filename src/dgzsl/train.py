@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import repeat
@@ -28,7 +28,7 @@ from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, candidate_priors, closest_prior
 from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_shapes
 from .optim import Adam
-from .serialize import check_finite, load_checkpoint, row_blocks, save_checkpoint, save_matrix, save_rows, save_text
+from .serialize import check_finite, load_checkpoint, save_checkpoint, save_matrix, save_rows, save_text
 from .transductive import sharpen, soft_assign, transductive_objective
 
 
@@ -379,11 +379,12 @@ def _open_for_scoring(checkpoint_path, data_dir):
     dataset in ``data_dir`` opened for one pass over its feature rows
     (open_dataset), once the model's feature and attribute widths match the
     dataset's, and ``score_blocks(first, where, score)``, _score_blocks on
-    the scoring threads (_scoring_threads). A feature file of one reader
-    block is scored on the calling thread and starts none. The threads are
-    shut down before this returns, on errors too."""
+    the scoring threads (_scoring_threads). The threads are shut down
+    before this returns, on errors too."""
     model = load_model(checkpoint_path)
-    with open_dataset(data_dir) as files:
+    # the pool (``threads``) is shut down, waiting for every part, before
+    # open_dataset drains the rest of the body through the stage the parts view
+    with open_dataset(data_dir) as files, ExitStack() as threads:
         dims = model.layout
         feature_dim, attr_dim = files.shape[1], files.attributes.shape[1]
         if (dims.feature_dim, dims.attr_dim) != (feature_dim, attr_dim):
@@ -391,29 +392,35 @@ def _open_for_scoring(checkpoint_path, data_dir):
                 f"checkpoint dims (D={dims.feature_dim}, M={dims.attr_dim}) do not match "
                 f"dataset (D={feature_dim}, M={attr_dim}): {checkpoint_path} against {data_dir}"
             )
-        one_block = len(row_blocks(*files.shape, 4)) == 1  # the reader's blocks are float32
-        threads = 1 if one_block else _scoring_threads()
-        if threads > 1:  # it imports logging: 0.6 MB that a pass on one thread never needs
-            from concurrent.futures import ThreadPoolExecutor
-        # the pool is shut down, waiting for every part, before open_dataset
-        # drains the rest of the body through the stage the parts view
-        with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
-            parts = partial(_in_parts, pool, threads)
-            yield model, files, partial(_score_blocks, files, model, parts)
+        yield model, files, partial(_score_blocks, files, model, threads)
 
 
 def _scoring_threads() -> int:
-    """Threads that score the parts of a reader block (_in_parts): the cores
-    this process may run on, over the BLAS threads of one product. That is
-    read as cli sets it from DGZSL_THREADS (OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS); unset, unparsable or 0 leaves OpenBLAS a thread per
-    core, and then the calling thread scores alone."""
+    """Threads that score the parts of a reader block (_in_parts): 2 where
+    one BLAS thread per product is pinned and this process may run on 2
+    cores or more, else 1, the calling thread alone. The pin is read as cli
+    sets it from DGZSL_THREADS (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS);
+    unset, unparsable or 0 leaves OpenBLAS a thread per core. Only 2
+    threads with one BLAS thread each are measured; more threads cut a
+    block into smaller products and add a malloc arena each. Off Linux
+    (no os.sched_getaffinity) scoring stays on the calling thread."""
     value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
     try:
         blas = int(value)
     except ValueError:
         return 1
-    return max(1, len(os.sched_getaffinity(0)) // blas) if blas > 0 else 1
+    cores = getattr(os, "sched_getaffinity", None)
+    return 2 if blas == 1 and cores is not None and len(cores(0)) >= 2 else 1
+
+
+def _parts_on(threads: ExitStack, count: int):
+    """_in_parts bound to ``count`` scoring threads: a pool of ``count - 1``
+    workers, shut down by ``threads``, or none for one."""
+    if count == 1:
+        return partial(_in_parts, None, 1)
+    from concurrent.futures import ThreadPoolExecutor  # it imports logging: 0.6 MB that one thread never needs
+
+    return partial(_in_parts, threads.enter_context(ThreadPoolExecutor(count - 1)), count)
 
 
 def _in_parts(pool, threads: int, fn, rows, start: int) -> list:
@@ -433,12 +440,15 @@ def _in_parts(pool, threads: int, fn, rows, start: int) -> list:
     return [first, *(f.result() for f in futures)]
 
 
-def _score_blocks(files, model: ModelParams, parts, first: int, where: str, score):
-    """Yields ``score(q, row)`` for each part (``parts``, a bound _in_parts)
-    of each reader block of ``files``' feature rows from row ``first`` on,
-    in row order: ``q`` is the part's eval-mode posterior and ``row`` the
-    file row of its first row. Earlier rows are read and checked, not
-    encoded. Every part of a block is scored before the next block is read.
+def _score_blocks(files, model: ModelParams, threads: ExitStack, first: int, where: str, score):
+    """Yields ``score(q, row)`` for each part (_in_parts) of each reader
+    block of ``files``' feature rows from row ``first`` on, in row order:
+    ``q`` is the part's eval-mode posterior and ``row`` the file row of its
+    first row. Earlier rows are read and checked, not encoded. Every part of
+    a block is scored before the next block is read. The parts go to
+    _scoring_threads() threads, whose pool ``threads`` shuts down, unless
+    the first block is the whole file: such a pass (every synth data set)
+    takes a few milliseconds and starts no thread.
 
     A lone row at ``first`` (the last of its reader block) is copied out of
     the reused stage and carried into the next block, as a one-row product
@@ -461,8 +471,10 @@ def _score_blocks(files, model: ModelParams, parts, first: int, where: str, scor
     def scored(rows, start):
         return score(encoded(rows, start), start)
 
-    carry = None
+    carry = parts = None
     for s, block in files.blocks:
+        if parts is None:
+            parts = _parts_on(threads, 1 if s.stop == files.shape[0] else _scoring_threads())
         start = max(s.start, first)
         if start >= s.stop:
             continue

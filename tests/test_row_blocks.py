@@ -631,29 +631,40 @@ def test_a_feature_file_of_one_block_starts_no_thread(tmp_path, monkeypatch, thr
 
 
 @pytest.mark.parametrize(
-    "env, count",
+    "env, cores, count",
     [
-        ({}, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-        ({"OMP_NUM_THREADS": "1"}, 4),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-        ({"OPENBLAS_NUM_THREADS": "3"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "-1"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "two"}, 1),
-        ({"OPENBLAS_NUM_THREADS": ""}, 1),
+        ({}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 64, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "two"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": ""}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, None, 1),
     ],
-    ids=["unset", "openblas-1", "omp-1", "openblas-first", "3", "8", "0", "negative", "malformed", "empty"],
+    ids=[
+        "unset", "openblas-1", "openblas-1-2-cores", "openblas-1-1-core", "omp-1", "openblas-first",
+        "2-of-64-cores", "8", "0", "negative", "malformed", "empty", "no-affinity",
+    ],
 )
-def test_the_scoring_threads_are_the_cores_that_blas_leaves(monkeypatch, env, count):
-    """On 4 cores: BLAS threads per product that are unset, unparsable or 0
-    mean a BLAS thread per core, so one scoring thread."""
+def test_two_threads_score_only_where_one_blas_thread_leaves_a_core_free(monkeypatch, env, cores, count):
+    """Two scoring threads, the measured case, where one BLAS thread per
+    product is pinned and there are two cores or more; else one. BLAS
+    threads that are unset, unparsable or 0 mean a BLAS thread per core.
+    Without os.sched_getaffinity (off Linux) the count is one."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     assert SCORING_THREADS() == count
 
 
