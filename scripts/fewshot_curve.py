@@ -6,7 +6,7 @@ scores it on the remaining unlabeled test rows. k=0 is the untouched
 zero-shot model.
 
 Example:
-    python3 scripts/fewshot_curve.py --ks 0 2 5 10 15 20
+    PYTHONPATH=src python3 scripts/fewshot_curve.py --ks 0 2 5 10 15 20
 """
 
 import argparse

@@ -28,7 +28,7 @@ byte-identical data and outputs exactly when the printed lines do.
 transductive config's share of pretrain epochs.
 
 Example, against a second checkout of the code:
-    python3 scripts/reference_digests.py /tmp/new > new.txt
+    PYTHONPATH=src python3 scripts/reference_digests.py /tmp/new > new.txt
     PYTHONPATH=../other/src python3 scripts/reference_digests.py /tmp/old > old.txt
     diff old.txt new.txt
 """

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import repeat
@@ -375,16 +375,11 @@ def load_model(checkpoint_path) -> ModelParams:
 
 @contextmanager
 def _open_for_scoring(checkpoint_path, data_dir):
-    """Yields (model, files, score_blocks): the checkpoint's model, the
-    dataset in ``data_dir`` opened for one pass over its feature rows
-    (open_dataset), once the model's feature and attribute widths match the
-    dataset's, and ``score_blocks(first, where, score)``, _score_blocks on
-    the scoring threads (_scoring_threads). The threads are shut down
-    before this returns, on errors too."""
+    """Yields (model, files): the checkpoint's model and the dataset in
+    ``data_dir`` opened for one pass over its feature rows (open_dataset),
+    once the model's feature and attribute widths match the dataset's."""
     model = load_model(checkpoint_path)
-    # the pool (``threads``) is shut down, waiting for every part, before
-    # open_dataset drains the rest of the body through the stage the parts view
-    with open_dataset(data_dir) as files, ExitStack() as threads:
+    with open_dataset(data_dir) as files:
         dims = model.layout
         feature_dim, attr_dim = files.shape[1], files.attributes.shape[1]
         if (dims.feature_dim, dims.attr_dim) != (feature_dim, attr_dim):
@@ -392,11 +387,11 @@ def _open_for_scoring(checkpoint_path, data_dir):
                 f"checkpoint dims (D={dims.feature_dim}, M={dims.attr_dim}) do not match "
                 f"dataset (D={feature_dim}, M={attr_dim}): {checkpoint_path} against {data_dir}"
             )
-        yield model, files, partial(_score_blocks, files, model, threads)
+        yield model, files
 
 
 def _scoring_threads() -> int:
-    """Threads that score the parts of a reader block (_in_parts): 2 where
+    """Threads that score the parts of a reader block (_score_blocks): 2 where
     one BLAS thread per product is pinned and this process may run on 2
     cores or more, else 1, the calling thread alone. The pin is read as cli
     sets it from DGZSL_THREADS (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS);
@@ -413,50 +408,25 @@ def _scoring_threads() -> int:
     return 2 if blas == 1 and cores is not None and len(cores(0)) >= 2 else 1
 
 
-def _parts_on(threads: ExitStack, count: int):
-    """_in_parts bound to ``count`` scoring threads: a pool of ``count - 1``
-    workers, shut down by ``threads``, or none for one."""
-    if count == 1:
-        return partial(_in_parts, None, 1)
-    from concurrent.futures import ThreadPoolExecutor  # it imports logging: 0.6 MB that one thread never needs
+def _score_blocks(files, model: ModelParams, first: int, where: str, score):
+    """Yields ``score(q, row)`` for each part of each reader block of
+    ``files``' feature rows from row ``first`` on, in row order: ``q`` is
+    the part's eval-mode posterior and ``row`` the file row of its first
+    row. Earlier rows are read and checked, not encoded.
 
-    return partial(_in_parts, threads.enter_context(ThreadPoolExecutor(count - 1)), count)
-
-
-def _in_parts(pool, threads: int, fn, rows, start: int) -> list:
-    """``fn(part, row)`` over ``threads`` contiguous parts of the row block
-    ``rows`` (file rows ``start``…), in row order, where ``row`` is the file
-    row of the part's first row. The calling thread scores the first part,
-    ``pool``'s threads the rest, on views of ``rows``. A part holds two rows
-    at least (a one-row product goes through BLAS matrix-vector code, which
-    rounds otherwise), so a shorter block is cut into fewer parts or none.
-    Every part is done before this returns, and the error of the lowest
-    failing part is the one raised."""
-    n = rows.shape[0]
-    count = max(1, min(threads, n // 2))
-    cuts = [i * n // count for i in range(count + 1)]
-    futures = [pool.submit(fn, rows[a:b], start + a) for a, b in zip(cuts[1:-1], cuts[2:])]
-    first = fn(rows[: cuts[1]], start)
-    return [first, *(f.result() for f in futures)]
-
-
-def _score_blocks(files, model: ModelParams, threads: ExitStack, first: int, where: str, score):
-    """Yields ``score(q, row)`` for each part (_in_parts) of each reader
-    block of ``files``' feature rows from row ``first`` on, in row order:
-    ``q`` is the part's eval-mode posterior and ``row`` the file row of its
-    first row. Earlier rows are read and checked, not encoded. Every part of
-    a block is scored before the next block is read. The parts go to
-    _scoring_threads() threads, whose pool ``threads`` shuts down, unless
-    the first block is the whole file: such a pass (every synth data set)
-    takes a few milliseconds and starts no thread.
+    A block is cut into _scoring_threads() contiguous parts of two rows or
+    more (a one-row product goes through BLAS matrix-vector code, which
+    rounds otherwise); the calling thread scores the first and a pool the
+    rest, on views of the block. Every part is done before the next block is
+    read, and the lowest failing part's error is raised. The pool is shut
+    down when the generator ends or is closed; a first block that is the
+    whole file (every synth data set, a few milliseconds) starts none.
 
     A lone row at ``first`` (the last of its reader block) is copied out of
-    the reused stage and carried into the next block, as a one-row product
-    goes through BLAS matrix-vector code and would not give the bytes of a
-    whole-array pass. A non-finite posterior is an error naming ``where``,
-    the map, the file row and column, with no warning. Neither ``q`` nor a
-    yielded result is held here, so each can be freed before the next part
-    needs the memory.
+    the reused stage and carried into the next block. A non-finite posterior
+    is an error naming ``where``, the map, the file row and column, with no
+    warning. Neither ``q`` nor a yielded result is held here, so each can be
+    freed before the next part needs the memory.
     """
 
     def encoded(rows, start):
@@ -471,20 +441,28 @@ def _score_blocks(files, model: ModelParams, threads: ExitStack, first: int, whe
     def scored(rows, start):
         return score(encoded(rows, start), start)
 
-    carry = parts = None
-    for s, block in files.blocks:
-        if parts is None:
-            parts = _parts_on(threads, 1 if s.stop == files.shape[0] else _scoring_threads())
-        start = max(s.start, first)
-        if start >= s.stop:
-            continue
-        rows = block[start - s.start :]
-        if carry is not None:
-            start, rows, carry = start - 1, np.concatenate([carry, rows]), None
-        if rows.shape[0] == 1 and s.stop < files.shape[0]:
-            carry = rows.copy()
-            continue
-        yield from parts(scored, rows, start)
+    carry, pool, threads = None, None, 1
+    with ExitStack() as stack:
+        for s, block in files.blocks:
+            if s.start == 0 and s.stop < files.shape[0]:
+                threads = _scoring_threads()
+                if threads > 1:
+                    from concurrent.futures import ThreadPoolExecutor  # it imports logging: 0.6 MB that one thread never needs
+                    pool = stack.enter_context(ThreadPoolExecutor(threads - 1))
+            start = max(s.start, first)
+            if start >= s.stop:
+                continue
+            rows = block[start - s.start :]
+            if carry is not None:
+                start, rows, carry = start - 1, np.concatenate([carry, rows]), None
+            n = rows.shape[0]
+            if n == 1 and s.stop < files.shape[0]:
+                carry = rows.copy()
+                continue
+            count = max(1, min(threads, n // 2))
+            cuts = [i * n // count for i in range(count + 1)]
+            rest = [pool.submit(scored, rows[a:b], start + a) for a, b in zip(cuts[1:-1], cuts[2:])]
+            yield from [scored(rows[: cuts[1]], start), *(f.result() for f in rest)]
 
 
 def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
@@ -496,7 +474,7 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
     predicted labels are written in place, so only one label per test row
     is kept.
     """
-    with _open_for_scoring(checkpoint_path, data_dir) as (model, files, score_blocks):
+    with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
         pools = {
             "unseen": files.unseen_classes,
             "seen": files.seen_classes,
@@ -515,7 +493,7 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
         def label(q, start):
             predicted[start - first : start - first + q.mean.shape[0]], _ = closest_prior(q, ids, priors)
 
-        for _ in score_blocks(first, str(files.path), label):
+        for _ in _score_blocks(files, model, first, str(files.path), label):
             pass
     # each (true, predicted) pair as one code, counted by one np.unique
     classes = files.attributes.shape[0]
@@ -546,12 +524,12 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
     non-finite posterior names ``latents.bin``, the map, row and column.
     ``latents.bin`` is written before ``recons.bin`` replaces its old file,
     so a failure in either write, such as a value that float32 cannot hold,
-    leaves no new output file (the writes are atomic) and removes the output
-    directory if this call made it.
+    leaves no new output file (the writes are atomic) and removes every
+    directory this call made.
     """
-    with _open_for_scoring(checkpoint_path, data_dir) as (model, files, score_blocks):
+    with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
         out = Path(out_dir)
-        made = not out.exists()
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         latents = np.empty((files.shape[0], model.layout.latent_dim), model.flat.dtype)
 
@@ -564,13 +542,13 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
             check_finite(recon, start, str(out / "recons.bin"))
             return recon
 
+        # closing shuts the pool down before open_dataset drains the body the parts view
         try:
-            save_latents = partial(save_matrix, out / "latents.bin", latents)
-            recons = score_blocks(0, str(out / "latents.bin"), reconstruct)
-            save_rows(out / "recons.bin", files.shape, recons, then=save_latents)
+            with closing(_score_blocks(files, model, 0, str(out / "latents.bin"), reconstruct)) as recons:
+                save_rows(out / "recons.bin", files.shape, recons, then=partial(save_matrix, out / "latents.bin", latents))
         except BaseException:
-            if made:
-                with suppress(OSError):
-                    out.rmdir()
+            with suppress(OSError):
+                for d in made:  # out first, then each parent this call made
+                    d.rmdir()
             raise
     return {"latents": str(out / "latents.bin"), "recons": str(out / "recons.bin")}

@@ -42,14 +42,14 @@ def assignment_logits(features, unseen_attr_rows, model: ModelParams):
 
 def soft_assign(features, unseen_attr_rows, model: ModelParams) -> Array:
     """The N×K soft assignments of N unlabeled inputs over K unseen classes:
-    exp(log q) of assignment_logits, whose q differs from it in rounding."""
+    the q of assignment_logits."""
     rows = np.asarray(unseen_attr_rows)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise DgzslError(
             f"soft assignment needs at least 2 candidate classes, got "
             f"{0 if rows.ndim != 2 else rows.shape[0]}"
         )
-    return np.exp(assignment_logits(features, rows, model)[1])
+    return assignment_logits(features, rows, model)[2]
 
 
 def sharpen(q: Array) -> TargetMatrix:

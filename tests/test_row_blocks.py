@@ -10,6 +10,7 @@ import errno
 import os
 import re
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -285,14 +286,18 @@ def test_load_matrix_in_float32_holds_the_result_and_less_than_one_block(monkeyp
     assert peak < loaded.nbytes + (block.stop - block.start) * arr.shape[1] * loaded.itemsize
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
-def test_export_failing_in_its_last_block_leaves_no_outputs(small_blocks, tmp_path, existing):
+@pytest.mark.parametrize(
+    "out, existing",
+    [("emb", False), ("emb", True), ("new2/deep/emb", False)],
+    ids=["new-dir", "existing-dir", "nested-new-dirs"],
+)
+def test_export_failing_in_its_last_block_leaves_no_outputs(small_blocks, tmp_path, out, existing):
     ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
     assert len(row_blocks(10, COLS, 4)) == 4
     bad = ds.features.copy()
     bad[9, 1] = np.nan  # the last of four blocks, after three were written
     save_matrix(tmp_path / "data" / "features.bin", bad)
-    out = tmp_path / "emb"
+    out = tmp_path / out
     if existing:
         out.mkdir()
     with pytest.raises(DataFormatError, match="non-finite value nan at row 9, column 1$"):
@@ -301,6 +306,7 @@ def test_export_failing_in_its_last_block_leaves_no_outputs(small_blocks, tmp_pa
         assert list(out.iterdir()) == []
     else:
         assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "model.ckpt"]
 
 
 @pytest.mark.filterwarnings("error")  # an overflow is reported by the checks, not as a warning
@@ -628,6 +634,55 @@ def test_a_feature_file_of_one_block_starts_no_thread(tmp_path, monkeypatch, thr
     run_eval(*args, "all")
     export_embeddings(*args, tmp_path / "emb")
     assert made == [1, 1] and threading.active_count() == before
+
+
+def test_a_writer_failing_mid_export_on_two_threads_leaves_no_thread_and_no_file(tmp_path, monkeypatch, threads):
+    """20 rows in blocks of 6, 7 and 7, and a float64 model whose
+    reconstructions float32 cannot hold: save_rows raises while the scoring
+    generator waits at a yield, and the generator is closed on the way out,
+    so its pool is shut down even while the traceback holds its frame."""
+    threads(2)
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 8 * 4 * COLS)
+    data, ds = _row_independence_fixture(tmp_path, None)
+    assert ds.labels.size == 20 and row_blocks(20, COLS, 4) == [slice(0, 6), slice(6, 13), slice(13, 20)]
+    model = init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8)
+    model["dec.h0.b"][...] = 1
+    model["dec.out.w"][...] = 1e38
+    model["dec.out.b"][...] = 3e38
+    save_model(tmp_path / "model.ckpt", model)
+    before = threading.active_count()
+    with pytest.raises(DataFormatError, match="does not fit in float32") as raised:
+        export_embeddings(tmp_path / "model.ckpt", data, tmp_path / "emb")
+    assert raised.traceback and threading.active_count() == before
+    assert not (tmp_path / "emb").exists()
+
+
+ONE_BLOCK_IMPORTS = """
+import sys
+from dgzsl.cli import main
+
+work = sys.argv[1]
+argv = ["--checkpoint", f"{work}/model.ckpt", "--data", f"{work}/data"]
+assert main(["eval", *argv]) == 0
+assert main(["export", *argv, "--out", f"{work}/emb"]) == 0
+print(sorted({"concurrent.futures", "logging"} & set(sys.modules)))
+"""
+
+
+def test_a_one_block_eval_and_export_never_import_the_thread_pool(tmp_path):
+    """concurrent.futures imports logging, which a process that starts no
+    pool never needs: a one-block pass pinned to one BLAS thread imports
+    neither."""
+    ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
+    assert len(row_blocks(*ds.features.shape, 4)) == 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_BLOCK_IMPORTS, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(
