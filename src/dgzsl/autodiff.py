@@ -20,11 +20,22 @@ Python numbers stay Python numbers, so they never widen an array.
 
 from __future__ import annotations
 
+from contextvars import copy_context
+from functools import partial
+
 import numpy as np
 
 from .errors import DgzslError, ShapeError
 
 Array = np.ndarray
+
+# Cut by rows, a product keeps its bytes in OpenBLAS (scipy-openblas 0.3.31,
+# measured) unless a part has one row (matrix-vector code), or at most 100³
+# multiply-adds (small-matrix kernels) where the whole has more, or, in
+# float64, an output width that is not a multiple of 8 (widths 258–262,
+# 500, 1,002 and 1,004 rounded otherwise at most row counts). dense cuts no
+# such product, and keeps the width rule in float32 too.
+_SMALL_PRODUCT = 100**3
 
 
 class _Node:
@@ -76,10 +87,15 @@ class Var:
 
 
 class Tape:
-    """Ordered record of operations; operands always precede their node."""
+    """Ordered record of operations; operands always precede their node.
 
-    def __init__(self):
+    ``pool``, a ThreadPoolExecutor of one worker or None, lends ``dense``
+    the worker for half of its products (see there).
+    """
+
+    def __init__(self, pool=None):
         self.nodes: list[_Node] = []
+        self.pool = pool
 
     def _record(self, op, value, bwd, name=None, out=None) -> Var:
         self.nodes.append(_Node(op, value, bwd, name, out))
@@ -174,6 +190,28 @@ def clip(x, lo: float, hi: float):
     return record("clip", np.clip(xv, lo, hi), (x,), lambda g, wanted: (g * ((xv >= lo) & (xv <= hi)),))
 
 
+def concurrently(pool, first, second):
+    """Runs ``second`` on the one worker of ``pool`` while this thread runs
+    ``first``; returns (first's result, second's result) once both are done,
+    and raises only then. The worker runs under a copy of this thread's
+    context, so under its np.errstate (NumPy keeps it in a context variable,
+    per thread). ``second`` must not submit to ``pool``: its one worker
+    would wait on itself."""
+    later = pool.submit(copy_context().run, second)
+    try:
+        done = first()
+    except BaseException:
+        later.exception()  # waits for the worker
+        raise
+    return done, later.result()
+
+
+def _product(a, b, out=None):
+    # every product that dense may hand to the worker is made on this line,
+    # so its warnings print alike on one thread and on two
+    return np.matmul(a, b, out=out)
+
+
 def dense(x, weights, bias, relu: bool = False, mask=None):
     """x @ weights + bias, then optionally ReLU, then optionally times a
     constant dropout mask: one fused node on a tape.
@@ -184,13 +222,27 @@ def dense(x, weights, bias, relu: bool = False, mask=None):
     the same operations in the same order as the unfused composition. The
     first weight gradient a leaf with an ``out`` receives is computed
     straight into it; later ones are added there by _accum.
+
+    On a tape with a pool, the product is multiplied as two row halves, the
+    second on the worker, into one output, unless BLAS would round the
+    halves otherwise (_SMALL_PRODUCT); then it stays whole. The backward
+    takes the input gradient on the worker while this thread takes the
+    weight and bias gradients. Each product is whole or cut by rows, so no
+    sum is reordered and the bytes are those of one thread.
     """
     xv, wv, bv = _value(x), _value(weights), _value(bias)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
         raise ShapeError(f"dense shapes {xv.shape} and {wv.shape} do not chain")
-    out = xv @ wv
-    out += bv
     tape = _tape_of(x, weights, bias)
+    pool = None if tape is None else tape.pool
+    half = xv.shape[0] // 2
+    if pool is None or half < 2 or half * wv.size <= _SMALL_PRODUCT or wv.shape[1] % 8:
+        out = _product(xv, wv)
+    else:
+        out = np.empty((xv.shape[0], wv.shape[1]), np.result_type(xv, wv))
+        top, bottom = slice(None, half), slice(half, None)
+        concurrently(pool, partial(_product, xv[top], wv, out[top]), partial(_product, xv[bottom], wv, out[bottom]))
+    out += bv
     active = out > 0.0 if relu and tape is not None else None
     if relu:
         np.maximum(out, 0.0, out=out)
@@ -204,14 +256,23 @@ def dense(x, weights, bias, relu: bool = False, mask=None):
         g = gout if mask is None else gout * mask
         if relu:
             g = g * active if mask is None else np.multiply(g, active, out=g)
-        gx = g @ wv.T if wanted[0] else None
-        if wanted[1] and wn is not None and wn.grad is None:  # its first contribution
-            gw = np.matmul(xv.T, g, out=wn.out)
-        else:
-            gw = xv.T @ g if wanted[1] else None
-        return gx, gw, g.sum(axis=0) if wanted[2] else None
+        if pool is None or not wanted[0]:
+            return _product(g, wv.T) if wanted[0] else None, *_weight_and_bias(xv, g, wn, wanted)
+        (gw, gb), gx = concurrently(pool, partial(_weight_and_bias, xv, g, wn, wanted), partial(_product, g, wv.T))
+        return gx, gw, gb
 
     return record("dense", out, (x, weights, bias), vjp)
+
+
+def _weight_and_bias(xv, g, wn, wanted):
+    """dense's weight and bias gradients for the input ``xv`` and the gated
+    output gradient ``g``; ``wn`` is the weight leaf that takes its first
+    contribution into its ``out``, or None."""
+    if wanted[1] and wn is not None and wn.grad is None:  # its first contribution
+        gw = np.matmul(xv.T, g, out=wn.out)
+    else:
+        gw = xv.T @ g if wanted[1] else None
+    return gw, g.sum(axis=0) if wanted[2] else None
 
 
 def backward_grad(tape: Tape, out: Var) -> dict:
@@ -233,15 +294,16 @@ def backward_grad(tape: Tape, out: Var) -> dict:
     return grads
 
 
-def value_and_grad(fn, model, out=None):
+def value_and_grad(fn, model, out=None, pool=None):
     """Value, gradient and auxiliary output of a model value function.
 
     ``fn`` maps a model to ``(scalar, aux)``; it runs once on ``model`` bound
-    to a fresh tape. Returns (float value, gradient, aux): the gradient is
-    one vector laid out like ``model.flat`` (``model.layout.views`` slices
-    it by name), ``out`` when given so a training loop can reuse one.
+    to a fresh tape that carries ``pool`` (see Tape). Returns (float value,
+    gradient, aux): the gradient is one vector laid out like ``model.flat``
+    (``model.layout.views`` slices it by name), ``out`` when given so a
+    training loop can reuse one.
     """
-    tape = Tape()
+    tape = Tape(pool)
     grad = np.empty_like(model.flat) if out is None else out
     value, aux = fn(model.bind(tape, grad))
     backward_grad(tape, value)

@@ -127,10 +127,11 @@ def inductive_value(
     )
 
 
-def inductive_objective(model: ModelParams, *args, out=None, **kwargs):
-    """inductive_value with gradients for every model tensor.
+def inductive_objective(model: ModelParams, *args, out=None, pool=None, **kwargs):
+    """inductive_value with gradients for every model tensor, on a tape
+    that carries ``pool`` (autodiff.Tape).
 
     Returns (value, gradient vector laid out like ``model.flat``, written
     into ``out`` when given, ObjectiveBreakdown). The trainer ascends it.
     """
-    return ad.value_and_grad(lambda m: inductive_value(m, *args, **kwargs), model, out)
+    return ad.value_and_grad(lambda m: inductive_value(m, *args, **kwargs), model, out, pool)

@@ -3,8 +3,11 @@ ascend (objectives here are lower bounds to maximize)."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from .autodiff import concurrently
 from .errors import ConfigError, DgzslError, ShapeError
 from .networks import ModelParams
 
@@ -20,10 +23,13 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    def __init__(self, lr: float = 1e-3):
+    """``pool``, a ThreadPoolExecutor of one worker or None, walks the second
+    half of a vector longer than one block while the caller walks the first."""
+
+    def __init__(self, lr: float = 1e-3, pool=None):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
+        self.lr, self.pool = lr, pool
         # moments laid out like model.flat, updated in place; they start at
         # zero (m0 = v0 = 0, Kingma & Ba, arXiv 1412.6980, Algorithm 1)
         self._m = self._v = self._scratch = None
@@ -35,11 +41,13 @@ class Adam:
 
         Per element this evaluates m = β1·m + (1−β1)·g,
         v = β2·v + ((1−β2)·g)·g and p + (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
-        in exactly that operation order, so walking the vector in blocks
-        gives the same bits as evaluating the expressions on whole tensors.
-        Each new block is checked for finiteness while it is in cache: this
-        is where parameters change, so a non-finite gradient or an overflow
-        stops training here, with the step count and tensor named.
+        in exactly that operation order, so walking the vector in blocks, or
+        its two halves on two threads, gives the same bits as evaluating the
+        expressions on whole tensors. Each new block is checked for
+        finiteness while it is in cache: this is where parameters change, so
+        a non-finite gradient or an overflow stops training here, with the
+        step count and the lowest failing tensor named, once both halves are
+        done.
         """
         p = model.flat
         g = np.asarray(grad).reshape(-1)
@@ -47,16 +55,36 @@ class Adam:
             raise ShapeError(f"gradient has {g.size} entries, the model has {p.size}")
         if self._m is None:  # state and scratch in the model's dtype; scratch no longer than p
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
-            self._scratch = np.empty((2, min(_BLOCK_BYTES // p.itemsize, p.size)), p.dtype)
+            block = min(_BLOCK_BYTES // p.itemsize, p.size)
+            halves = 1 if self.pool is None or p.size <= block else 2
+            self._scratch = np.empty((halves, 2, block), p.dtype)  # an (a, b) pair per half
         self._t += 1
+        bc = (1.0 - _BETA1**self._t, 1.0 - _BETA2**self._t)
+        if len(self._scratch) == 1:
+            bad = (self._walk(p, g, bc, 0, p.size, self._scratch[0]),)
+        else:  # cut on a block boundary, so both halves walk the serial blocks
+            block = self._scratch.shape[-1]
+            mid = -(-p.size // (2 * block)) * block
+            low, high = self._scratch
+            walk = partial(self._walk, p, g, bc)
+            bad = concurrently(self.pool, partial(walk, 0, mid, low), partial(walk, mid, p.size, high))
+        bad = [at for at in bad if at is not None]
+        if bad:
+            at = min(bad)
+            name = [name for name, _, off in model.layout.entries if off <= at][-1]
+            raise DgzslError(f"Adam step {self._t}: {name!r} has non-finite entries")
+
+    def _walk(self, p, g, bc, start, stop, scratch):
+        """Updates p, m and v from ``start`` to ``stop`` a block at a time,
+        with the bias corrections ``bc``; returns the index of the first
+        non-finite parameter entry, stopping after its block, or None."""
         b1, b2, lr, eps = _BETA1, _BETA2, self.lr, _EPS
+        bc1, bc2 = bc
         c1, c2 = 1.0 - b1, 1.0 - b2
-        bc1 = 1.0 - b1**self._t
-        bc2 = 1.0 - b2**self._t
         m, v = self._m, self._v
-        scratch_a, scratch_b = self._scratch
+        scratch_a, scratch_b = scratch
         block = scratch_a.size
-        for lo in range(0, p.size, block):
+        for lo in range(start, stop, block):
             hi = lo + block  # slices stop at the end of a ragged tail
             gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
             a, b = scratch_a[: gb.size], scratch_b[: gb.size]
@@ -75,6 +103,5 @@ class Adam:
             np.divide(a, b, out=a)
             np.add(pb, a, out=pb)
             if not np.isfinite(pb).all():
-                at = lo + int(np.argmin(np.isfinite(pb)))
-                name = [name for name, _, off in model.layout.entries if off <= at][-1]
-                raise DgzslError(f"Adam step {self._t}: {name!r} has non-finite entries")
+                return lo + int(np.argmin(np.isfinite(pb)))
+        return None

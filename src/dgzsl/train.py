@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import optim
 from .config import TrainConfig, format_config, load_config
 from .data import Dataset, fewshot_sample, load_dataset, open_dataset
 from .errors import DataFormatError, DgzslError, NonFiniteError
@@ -111,10 +112,11 @@ def _epoch(model, opt, features, labels, attr_rows, rngs, batch_size, unlabeled=
     (pool, target, order)`` each batch also takes its share of
     ``np.array_split(order, n_batches)``, pool rows with their target rows,
     and a step ascends transductive_objective. ``objective`` is passed on to
-    the objective. Returns the per-row means of the labeled (total,
-    reconstruction, kl_true_class, margin) and the sums of the transductive
-    (labeled_total, unlabeled_total, unlabeled_recon, target_kl), zero
-    without ``unlabeled``.
+    the objective, and ``opt.pool`` to its tape (autodiff.dense). Returns
+    the per-row means of the labeled (total, reconstruction, kl_true_class,
+    margin) and the sums of the transductive (labeled_total,
+    unlabeled_total, unlabeled_recon, target_kl), zero without
+    ``unlabeled``.
     """
     n = features.shape[0]
     batches = _batches(rngs[0].permutation(n), batch_size)
@@ -126,7 +128,7 @@ def _epoch(model, opt, features, labels, attr_rows, rngs, batch_size, unlabeled=
     for rows, rows_u in zip(batches, shares):
         noise, enc_m, dec_m = _draws(rngs, model, rows.size)
         x, y = features[rows], labels[rows]
-        kwargs = dict(noise=noise, enc_masks=enc_m, dec_masks=dec_m, out=grad, **objective)
+        kwargs = dict(noise=noise, enc_masks=enc_m, dec_masks=dec_m, out=grad, pool=opt.pool, **objective)
         if rows_u is None:
             _, grad, bd = inductive_objective(model, x, y, attr_rows, **kwargs)
         else:
@@ -158,6 +160,7 @@ def fewshot_finetune(
     unseen_class_ids,
     cfg: TrainConfig = TrainConfig(),
     seed=0,
+    pool=None,
 ) -> ModelParams:
     """Continue supervised training on k labeled unseen-class examples.
 
@@ -166,8 +169,10 @@ def fewshot_finetune(
     options. The margin term runs over the unseen classes, or with
     ``cfg.include_seen_margin`` over every class of ``attr_rows``. Dropout
     follows the model's keep_prob. ``seed`` is an int or a SeedSequence.
-    Returns a trained copy (an unchanged one for an empty example set); the
-    input model is never mutated.
+    ``pool``, a ThreadPoolExecutor of one worker or None, takes half of each
+    step's products and of its Adam update (optim.Adam). Returns a trained
+    copy (an unchanged one for an empty example set); the input model is
+    never mutated.
     """
     model = model.copy()
     feats = np.asarray(features)
@@ -182,7 +187,7 @@ def fewshot_finetune(
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = tuple(np.random.default_rng(s) for s in root.spawn(3))
-    opt = Adam(lr=cfg.learning_rate)
+    opt = Adam(lr=cfg.learning_rate, pool=pool)
     for _ in range(cfg.fewshot_epochs):
         _epoch(
             model,
@@ -201,7 +206,13 @@ def fewshot_finetune(
 def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Train per ``cfg`` in its dtype: the model is made in it, and the
     features and attributes are cast to it once, here (no copy when they
-    hold it already, as the features run_train loads do)."""
+    hold it already, as the features run_train loads do).
+
+    Where _threads() allows two threads and the model's vector is larger
+    than one Adam block (every synth model is smaller), every training step
+    of every phase shares one pool of one worker: it takes half of each
+    step's products (autodiff.dense) and of its Adam update, with the bytes
+    of one thread. The pool is shut down when the run returns or raises."""
     dtype = np.dtype(cfg.dtype)
     attrs = dataset.attributes.astype(dtype, copy=False)
     seen_ids = np.sort(np.asarray(dataset.seen_classes, dtype=np.int64))
@@ -224,7 +235,6 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         cfg.keep_prob,
         dtype=dtype,
     )
-    opt = Adam(lr=cfg.learning_rate)
     records: list[MetricsRecord] = []
     # the rows the logged accuracies refer to: the test block, or the few-shot pool
     eval_idx = np.arange(dataset.n_train, dataset.labels.size)
@@ -282,33 +292,36 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     keys = ("labeled_total", "unlabeled_total", "unlabeled_recon", "target_kl")
                     log(phase, t0, (sums[0] + sums[1], *means[1:]), **dict(zip(keys, sums)))
 
-    epochs(cfg.pretrain_epochs if cfg.regime == "transductive" else cfg.epochs)
-    if cfg.regime == "transductive":
-        epochs(cfg.epochs - cfg.pretrain_epochs, eval_x)
-    if cfg.regime == "fewshot":
-        split = fewshot_sample(dataset, cfg.k, fewshot_s)
-        eval_idx = split.unlabeled_idx
-        eval_x, eval_y = dataset.features[eval_idx].astype(dtype, copy=False), dataset.labels[eval_idx]
-        if cfg.k > 0:
-            with named("fewshot"):
-                t0 = time.perf_counter()
-                feats = dataset.features[split.labeled_idx].astype(dtype, copy=False)
-                labs = dataset.labels[split.labeled_idx]
-                model = fewshot_finetune(model, feats, labs, attrs, unseen_ids, cfg, fewshot_s.spawn(1)[0])
-                # eval-mode objective on the few-shot set, decoding the posterior
-                # mean (zero noise), so the log line draws no random numbers
-                _, bd = inductive_value(
-                    model,
-                    feats,
-                    labs,
-                    attrs,
-                    noise=np.zeros((feats.shape[0], cfg.latent_dim), dtype),
-                    margin_class_ids=unseen_ids,
-                    **objective,
-                )
-                log("fewshot", t0, _terms(bd))
-        if cfg.transductive_fewshot:
-            epochs(cfg.transductive_epochs, eval_x)
+    with ExitStack() as stack:
+        pool = _workers(stack, 1) if _threads() > 1 and model.flat.nbytes > optim._BLOCK_BYTES else None
+        opt = Adam(lr=cfg.learning_rate, pool=pool)
+        epochs(cfg.pretrain_epochs if cfg.regime == "transductive" else cfg.epochs)
+        if cfg.regime == "transductive":
+            epochs(cfg.epochs - cfg.pretrain_epochs, eval_x)
+        if cfg.regime == "fewshot":
+            split = fewshot_sample(dataset, cfg.k, fewshot_s)
+            eval_idx = split.unlabeled_idx
+            eval_x, eval_y = dataset.features[eval_idx].astype(dtype, copy=False), dataset.labels[eval_idx]
+            if cfg.k > 0:
+                with named("fewshot"):
+                    t0 = time.perf_counter()
+                    feats = dataset.features[split.labeled_idx].astype(dtype, copy=False)
+                    labs = dataset.labels[split.labeled_idx]
+                    model = fewshot_finetune(model, feats, labs, attrs, unseen_ids, cfg, fewshot_s.spawn(1)[0], pool)
+                    # eval-mode objective on the few-shot set, decoding the posterior
+                    # mean (zero noise), so the log line draws no random numbers
+                    _, bd = inductive_value(
+                        model,
+                        feats,
+                        labs,
+                        attrs,
+                        noise=np.zeros((feats.shape[0], cfg.latent_dim), dtype),
+                        margin_class_ids=unseen_ids,
+                        **objective,
+                    )
+                    log("fewshot", t0, _terms(bd))
+            if cfg.transductive_fewshot:
+                epochs(cfg.transductive_epochs, eval_x)
 
     return TrainResult(model, records, eval_idx)
 
@@ -390,15 +403,16 @@ def _open_for_scoring(checkpoint_path, data_dir):
         yield model, files
 
 
-def _scoring_threads() -> int:
-    """Threads that score the parts of a reader block (_score_blocks): 2 where
-    one BLAS thread per product is pinned and this process may run on 2
-    cores or more, else 1, the calling thread alone. The pin is read as cli
-    sets it from DGZSL_THREADS (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS);
-    unset, unparsable or 0 leaves OpenBLAS a thread per core. Only 2
-    threads with one BLAS thread each are measured; more threads cut a
-    block into smaller products and add a malloc arena each. Off Linux
-    (no os.sched_getaffinity) scoring stays on the calling thread."""
+def _threads() -> int:
+    """Threads that score the parts of a reader block (_score_blocks) and
+    share a full-scale training step (train_model): 2 where one BLAS thread
+    per product is pinned and this process may run on 2 cores or more, else
+    1, the calling thread alone. The pin is read as cli sets it from
+    DGZSL_THREADS (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS); unset,
+    unparsable or 0 leaves OpenBLAS a thread per core. Only 2 threads with
+    one BLAS thread each are measured; more threads cut a block into
+    smaller products and add a malloc arena each. Off Linux (no
+    os.sched_getaffinity) everything stays on the calling thread."""
     value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
     try:
         blas = int(value)
@@ -408,13 +422,24 @@ def _scoring_threads() -> int:
     return 2 if blas == 1 and cores is not None and len(cores(0)) >= 2 else 1
 
 
+def _workers(stack: ExitStack, n: int):
+    """A ThreadPoolExecutor of ``n`` workers that ``stack`` shuts down, or
+    None for no worker. concurrent.futures is imported only here: it
+    imports logging, 0.6 MB that a process on one thread never needs."""
+    if n < 1:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return stack.enter_context(ThreadPoolExecutor(n))
+
+
 def _score_blocks(files, model: ModelParams, first: int, where: str, score):
     """Yields ``score(q, row)`` for each part of each reader block of
     ``files``' feature rows from row ``first`` on, in row order: ``q`` is
     the part's eval-mode posterior and ``row`` the file row of its first
     row. Earlier rows are read and checked, not encoded.
 
-    A block is cut into _scoring_threads() contiguous parts of two rows or
+    A block is cut into _threads() contiguous parts of two rows or
     more (a one-row product goes through BLAS matrix-vector code, which
     rounds otherwise); the calling thread scores the first and a pool the
     rest, on views of the block. Every part is done before the next block is
@@ -445,10 +470,8 @@ def _score_blocks(files, model: ModelParams, first: int, where: str, score):
     with ExitStack() as stack:
         for s, block in files.blocks:
             if s.start == 0 and s.stop < files.shape[0]:
-                threads = _scoring_threads()
-                if threads > 1:
-                    from concurrent.futures import ThreadPoolExecutor  # it imports logging: 0.6 MB that one thread never needs
-                    pool = stack.enter_context(ThreadPoolExecutor(threads - 1))
+                threads = _threads()
+                pool = _workers(stack, threads - 1)
             start = max(s.start, first)
             if start >= s.stop:
                 continue

@@ -154,10 +154,11 @@ def transductive_value(
     )
 
 
-def transductive_objective(model: ModelParams, *args, out=None, **kwargs):
-    """transductive_value with gradients for every model tensor.
+def transductive_objective(model: ModelParams, *args, out=None, pool=None, **kwargs):
+    """transductive_value with gradients for every model tensor, on a tape
+    that carries ``pool`` (autodiff.Tape).
 
     Returns (value, gradient vector as in inductive_objective,
     TransductiveParts).
     """
-    return ad.value_and_grad(lambda m: transductive_value(m, *args, **kwargs), model, out)
+    return ad.value_and_grad(lambda m: transductive_value(m, *args, **kwargs), model, out, pool)

@@ -7,6 +7,7 @@ public function and class of the package has a user outside the tests."""
 
 import ast
 import errno
+import json
 import os
 import re
 import struct
@@ -44,16 +45,16 @@ from dgzsl.train import export_embeddings, load_model, run_eval, save_model
 from oracles import confusion_counts, whole_matrix_bytes
 
 ROWS, COLS = 11, 5  # 11 rows in blocks of at most 3: 2, 3, 3, 3
-SCORING_THREADS = train._scoring_threads
+THREADS = train._threads
 
 
 @pytest.fixture(autouse=True)
 def threads(monkeypatch):
-    """Pins the scoring threads (train._scoring_threads) to one, whatever the
+    """Pins the threads (train._threads) to one, whatever the
     BLAS variables of the environment say; ``threads(n)`` sets ``n``."""
 
     def use(n):
-        monkeypatch.setattr(train, "_scoring_threads", lambda: n)
+        monkeypatch.setattr(train, "_threads", lambda: n)
 
     use(1)
     return use
@@ -413,6 +414,42 @@ def test_rows_are_scored_and_exported_independently_of_their_order(small_blocks,
         assert outputs[permuted][name].tobytes() == outputs[data][name][rows].tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_relabelled_classes_are_scored_with_their_ids_mapped_and_exported_alike(small_blocks, tmp_path, dtype):
+    """The model sees a class only through its attribute row, so renaming
+    the classes by a permutation that interleaves the seen ids (now 1, 2
+    and 4) with the unseen ones (0 and 3) maps every eval report's ids
+    through it, with the same accuracy, and export, which reads no class
+    id, keeps its bytes."""
+    ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=4, seed=6))
+    new_id = np.array([1, 4, 2, 0, 3])  # old class id -> new
+    attrs = np.empty_like(ds.attributes)
+    attrs[new_id] = ds.attributes
+    seen, unseen = (sorted(new_id[list(ids)].tolist()) for ids in (ds.seen_classes, ds.unseen_classes))
+    assert (seen, unseen) == ([1, 2, 4], [0, 3])
+    save_dataset(ds, tmp_path / "data")
+    save_dataset(Dataset(ds.features, new_id[ds.labels], ds.n_train, attrs, seen, unseen), tmp_path / "renamed")
+    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8, dtype=dtype))
+    reports, exported = {}, {}
+    for name in ("data", "renamed"):
+        argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / name)]
+        for pool in ("all", "seen", "unseen"):
+            out = tmp_path / f"{name}-{pool}.json"
+            assert main(["eval", *argv, "--candidates", pool, "--out", str(out)]) == 0
+            reports[name, pool] = json.loads(out.read_text())
+        assert main(["export", *argv, "--out", str(tmp_path / f"{name}-emb")]) == 0
+        exported[name] = [(tmp_path / f"{name}-emb" / f).read_bytes() for f in ("latents.bin", "recons.bin")]
+    assert exported["renamed"] == exported["data"]
+    for pool in ("all", "seen", "unseen"):
+        old, renamed = reports["data", pool], reports["renamed", pool]
+        assert renamed["accuracy"] == old["accuracy"] and renamed["examples"] == old["examples"]
+        assert renamed["candidates"] == sorted(new_id[old["candidates"]].tolist())
+        assert renamed["confusion"] == {
+            str(new_id[int(true)]): {str(new_id[int(p)]): n for p, n in row.items()} for true, row in old["confusion"].items()
+        }
+    assert len(reports["data", "all"]["confusion"]) == 2  # the test rows are of the two unseen classes
+
+
 def _score_a_test_split_starting_on_the_last_row_of_a_block(tmp_path, monkeypatch, dtype) -> tuple:
     """Scores a test split whose first row, n_train = 15, is the last row of
     the reader block 13..16; checks that the report is that of one
@@ -720,11 +757,11 @@ def test_two_threads_score_only_where_one_blas_thread_leaves_a_core_free(monkeyp
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    assert SCORING_THREADS() == count
+    assert THREADS() == count
 
 
 def test_a_malformed_blas_thread_count_scores_on_one_thread(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(train, "_scoring_threads", SCORING_THREADS)
+    monkeypatch.setattr(train, "_threads", THREADS)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "two")
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 4 * 4 * COLS)  # 10 rows in three blocks
     monkeypatch.setattr(futures, "ThreadPoolExecutor", None)  # calling it would fail
