@@ -20,7 +20,8 @@ Python numbers stay Python numbers, so they never widen an array.
 
 from __future__ import annotations
 
-from contextvars import copy_context
+from contextlib import contextmanager
+from contextvars import ContextVar, copy_context
 from functools import partial
 
 import numpy as np
@@ -36,6 +37,9 @@ Array = np.ndarray
 # 500, 1,002 and 1,004 rounded otherwise at most row counts). dense cuts no
 # such product, and keeps the width rule in float32 too.
 _SMALL_PRODUCT = 100**3
+
+# the one worker thread of second_core, None outside it
+_worker: ContextVar = ContextVar("dgzsl_worker", default=None)
 
 
 class _Node:
@@ -87,15 +91,10 @@ class Var:
 
 
 class Tape:
-    """Ordered record of operations; operands always precede their node.
+    """Ordered record of operations; operands always precede their node."""
 
-    ``pool``, a ThreadPoolExecutor of one worker or None, lends ``dense``
-    the worker for half of its products (see there).
-    """
-
-    def __init__(self, pool=None):
+    def __init__(self):
         self.nodes: list[_Node] = []
-        self.pool = pool
 
     def _record(self, op, value, bwd, name=None, out=None) -> Var:
         self.nodes.append(_Node(op, value, bwd, name, out))
@@ -190,13 +189,36 @@ def clip(x, lo: float, hi: float):
     return record("clip", np.clip(xv, lo, hi), (x,), lambda g, wanted: (g * ((xv >= lo) & (xv <= hi)),))
 
 
-def concurrently(pool, first, second):
-    """Runs ``second`` on the one worker of ``pool`` while this thread runs
-    ``first``; returns (first's result, second's result) once both are done,
-    and raises only then. The worker runs under a copy of this thread's
-    context, so under its np.errstate (NumPy keeps it in a context variable,
-    per thread). ``second`` must not submit to ``pool``: its one worker
-    would wait on itself."""
+@contextmanager
+def second_core(on: bool):
+    """Lends ``dense`` and ``optim.Adam`` one worker thread for the body when
+    ``on``: a ThreadPoolExecutor of one worker, shut down when the body
+    returns or raises. concurrent.futures is imported only here: it imports
+    logging, 0.6 MB that a process on one thread never needs."""
+    if not on:
+        yield
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        token = _worker.set(pool)
+        try:
+            yield
+        finally:
+            _worker.reset(token)
+
+
+def concurrently(first, second):
+    """Runs ``second`` on the worker of second_core while this thread runs
+    ``first`` (outside second_core, both here, in turn); returns both
+    results once both are done, and raises only then. The worker runs under
+    a copy of this thread's context, so under its np.errstate (per thread).
+    ``second`` allocates no array (the worker's malloc arena would keep its
+    freed pages), calls no traced function, and never calls concurrently:
+    the one worker would wait on itself."""
+    pool = _worker.get()
+    if pool is None:
+        return first(), second()
     later = pool.submit(copy_context().run, second)
     try:
         done = first()
@@ -206,7 +228,7 @@ def concurrently(pool, first, second):
     return done, later.result()
 
 
-def _product(a, b, out=None):
+def _product(a, b, out):
     # every product that dense may hand to the worker is made on this line,
     # so its warnings print alike on one thread and on two
     return np.matmul(a, b, out=out)
@@ -216,38 +238,45 @@ def dense(x, weights, bias, relu: bool = False, mask=None):
     """x @ weights + bias, then optionally ReLU, then optionally times a
     constant dropout mask: one fused node on a tape.
 
-    On plain arrays the bias, ReLU and mask are applied in place on the fresh
-    product, so no second rows×cols array is made. The backward applies the
-    mask, then the ReLU gate, then takes the bias, input and weight gradients,
-    the same operations in the same order as the unfused composition. The
-    first weight gradient a leaf with an ``out`` receives is computed
-    straight into it; later ones are added there by _accum.
+    The bias, ReLU and mask are applied in place on the product. The
+    backward applies the mask, then the ReLU gate, then takes the bias,
+    input and weight gradients, the same operations in the same order as the
+    unfused composition; a weight leaf with an ``out`` takes its first
+    gradient straight into it (later ones are added there by _accum).
 
-    On a tape with a pool, the product is multiplied as two row halves, the
-    second on the worker, into one output, unless BLAS would round the
-    halves otherwise (_SMALL_PRODUCT); then it stays whole. The backward
-    takes the input gradient on the worker while this thread takes the
-    weight and bias gradients. Each product is whole or cut by rows, so no
-    sum is reordered and the bytes are those of one thread.
+    Inside second_core the product, with the bias, ReLU gate, ReLU and mask
+    after it, is made as two row halves, the second on the worker, unless
+    BLAS would round the halves otherwise: a one-row half, a half of at most
+    _SMALL_PRODUCT multiply-adds, or a width that is not a multiple of 8.
+    The backward makes the input gradient on the worker while this thread
+    makes the weight and bias gradients. No sum is reordered, so the bytes
+    are those of one thread; the worker writes only into arrays allocated
+    here and runs no traced function.
     """
     xv, wv, bv = _value(x), _value(weights), _value(bias)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
         raise ShapeError(f"dense shapes {xv.shape} and {wv.shape} do not chain")
     tape = _tape_of(x, weights, bias)
-    pool = None if tape is None else tape.pool
+    out = np.empty((xv.shape[0], wv.shape[1]), np.result_type(xv, wv))
+    xv = xv.astype(out.dtype, copy=False)  # as matmul would, but once, and on this thread
+    active = np.empty(out.shape, bool) if relu and tape is not None else None
+
+    def forward(rows):
+        part = out[rows]
+        _product(xv[rows], wv, part)
+        part += bv
+        if active is not None:
+            np.greater(part, 0.0, out=active[rows])
+        if relu:
+            np.maximum(part, 0.0, out=part)
+        if mask is not None:
+            part *= mask[rows]
+
     half = xv.shape[0] // 2
-    if pool is None or half < 2 or half * wv.size <= _SMALL_PRODUCT or wv.shape[1] % 8:
-        out = _product(xv, wv)
+    if _worker.get() is None or half < 2 or half * wv.size <= _SMALL_PRODUCT or wv.shape[1] % 8:
+        forward(slice(None))
     else:
-        out = np.empty((xv.shape[0], wv.shape[1]), np.result_type(xv, wv))
-        top, bottom = slice(None, half), slice(half, None)
-        concurrently(pool, partial(_product, xv[top], wv, out[top]), partial(_product, xv[bottom], wv, out[bottom]))
-    out += bv
-    active = out > 0.0 if relu and tape is not None else None
-    if relu:
-        np.maximum(out, 0.0, out=out)
-    if mask is not None:
-        out *= mask
+        concurrently(partial(forward, slice(None, half)), partial(forward, slice(half, None)))
     wn = None if tape is None else _node_of(tape, weights)
     if wn is not None and (wn.out is None or wn is _node_of(tape, x)):
         wn = None  # no slice, or x's gradient would reach it first
@@ -256,9 +285,10 @@ def dense(x, weights, bias, relu: bool = False, mask=None):
         g = gout if mask is None else gout * mask
         if relu:
             g = g * active if mask is None else np.multiply(g, active, out=g)
-        if pool is None or not wanted[0]:
-            return _product(g, wv.T) if wanted[0] else None, *_weight_and_bias(xv, g, wn, wanted)
-        (gw, gb), gx = concurrently(pool, partial(_weight_and_bias, xv, g, wn, wanted), partial(_product, g, wv.T))
+        if not wanted[0]:
+            return None, *_weight_and_bias(xv, g, wn, wanted)
+        gx = np.empty(xv.shape, np.result_type(g, wv))
+        (gw, gb), _ = concurrently(partial(_weight_and_bias, xv, g, wn, wanted), partial(_product, g, wv.T, gx))
         return gx, gw, gb
 
     return record("dense", out, (x, weights, bias), vjp)
@@ -294,16 +324,16 @@ def backward_grad(tape: Tape, out: Var) -> dict:
     return grads
 
 
-def value_and_grad(fn, model, out=None, pool=None):
+def value_and_grad(fn, model, out=None):
     """Value, gradient and auxiliary output of a model value function.
 
     ``fn`` maps a model to ``(scalar, aux)``; it runs once on ``model`` bound
-    to a fresh tape that carries ``pool`` (see Tape). Returns (float value,
+    to a fresh tape. Returns (float value,
     gradient, aux): the gradient is one vector laid out like ``model.flat``
     (``model.layout.views`` slices it by name), ``out`` when given so a
     training loop can reuse one.
     """
-    tape = Tape(pool)
+    tape = Tape()
     grad = np.empty_like(model.flat) if out is None else out
     value, aux = fn(model.bind(tape, grad))
     backward_grad(tape, value)

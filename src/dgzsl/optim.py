@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import concurrently
+from . import autodiff
 from .errors import ConfigError, DgzslError, ShapeError
 from .networks import ModelParams
 
@@ -23,13 +23,13 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """``pool``, a ThreadPoolExecutor of one worker or None, walks the second
-    half of a vector longer than one block while the caller walks the first."""
+    """Inside autodiff.second_core at the first step, the worker walks the
+    second half of a vector over one block while the caller walks the first."""
 
-    def __init__(self, lr: float = 1e-3, pool=None):
+    def __init__(self, lr: float = 1e-3):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        self.lr, self.pool = lr, pool
+        self.lr = lr
         # moments laid out like model.flat, updated in place; they start at
         # zero (m0 = v0 = 0, Kingma & Ba, arXiv 1412.6980, Algorithm 1)
         self._m = self._v = self._scratch = None
@@ -56,7 +56,7 @@ class Adam:
         if self._m is None:  # state and scratch in the model's dtype; scratch no longer than p
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
             block = min(_BLOCK_BYTES // p.itemsize, p.size)
-            halves = 1 if self.pool is None or p.size <= block else 2
+            halves = 1 if autodiff._worker.get() is None or p.size <= block else 2
             self._scratch = np.empty((halves, 2, block), p.dtype)  # an (a, b) pair per half
         self._t += 1
         bc = (1.0 - _BETA1**self._t, 1.0 - _BETA2**self._t)
@@ -67,7 +67,7 @@ class Adam:
             mid = -(-p.size // (2 * block)) * block
             low, high = self._scratch
             walk = partial(self._walk, p, g, bc)
-            bad = concurrently(self.pool, partial(walk, 0, mid, low), partial(walk, mid, p.size, high))
+            bad = autodiff.concurrently(partial(walk, 0, mid, low), partial(walk, mid, p.size, high))
         bad = [at for at in bad if at is not None]
         if bad:
             at = min(bad)

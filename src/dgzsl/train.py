@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import ExitStack, closing, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import repeat
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import optim
+from . import autodiff, optim
 from .config import TrainConfig, format_config, load_config
 from .data import Dataset, fewshot_sample, load_dataset, open_dataset
 from .errors import DataFormatError, DgzslError, NonFiniteError
@@ -112,11 +112,10 @@ def _epoch(model, opt, features, labels, attr_rows, rngs, batch_size, unlabeled=
     (pool, target, order)`` each batch also takes its share of
     ``np.array_split(order, n_batches)``, pool rows with their target rows,
     and a step ascends transductive_objective. ``objective`` is passed on to
-    the objective, and ``opt.pool`` to its tape (autodiff.dense). Returns
-    the per-row means of the labeled (total, reconstruction, kl_true_class,
-    margin) and the sums of the transductive (labeled_total,
-    unlabeled_total, unlabeled_recon, target_kl), zero without
-    ``unlabeled``.
+    the objective. Returns the per-row means of the labeled (total,
+    reconstruction, kl_true_class, margin) and the sums of the transductive
+    (labeled_total, unlabeled_total, unlabeled_recon, target_kl), zero
+    without ``unlabeled``.
     """
     n = features.shape[0]
     batches = _batches(rngs[0].permutation(n), batch_size)
@@ -128,7 +127,7 @@ def _epoch(model, opt, features, labels, attr_rows, rngs, batch_size, unlabeled=
     for rows, rows_u in zip(batches, shares):
         noise, enc_m, dec_m = _draws(rngs, model, rows.size)
         x, y = features[rows], labels[rows]
-        kwargs = dict(noise=noise, enc_masks=enc_m, dec_masks=dec_m, out=grad, pool=opt.pool, **objective)
+        kwargs = dict(noise=noise, enc_masks=enc_m, dec_masks=dec_m, out=grad, **objective)
         if rows_u is None:
             _, grad, bd = inductive_objective(model, x, y, attr_rows, **kwargs)
         else:
@@ -160,7 +159,6 @@ def fewshot_finetune(
     unseen_class_ids,
     cfg: TrainConfig = TrainConfig(),
     seed=0,
-    pool=None,
 ) -> ModelParams:
     """Continue supervised training on k labeled unseen-class examples.
 
@@ -169,10 +167,8 @@ def fewshot_finetune(
     options. The margin term runs over the unseen classes, or with
     ``cfg.include_seen_margin`` over every class of ``attr_rows``. Dropout
     follows the model's keep_prob. ``seed`` is an int or a SeedSequence.
-    ``pool``, a ThreadPoolExecutor of one worker or None, takes half of each
-    step's products and of its Adam update (optim.Adam). Returns a trained
-    copy (an unchanged one for an empty example set); the input model is
-    never mutated.
+    Returns a trained copy (an unchanged one for an empty example set); the
+    input model is never mutated.
     """
     model = model.copy()
     feats = np.asarray(features)
@@ -187,7 +183,7 @@ def fewshot_finetune(
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = tuple(np.random.default_rng(s) for s in root.spawn(3))
-    opt = Adam(lr=cfg.learning_rate, pool=pool)
+    opt = Adam(lr=cfg.learning_rate)
     for _ in range(cfg.fewshot_epochs):
         _epoch(
             model,
@@ -208,11 +204,11 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     features and attributes are cast to it once, here (no copy when they
     hold it already, as the features run_train loads do).
 
-    Where _threads() allows two threads and the model's vector is larger
-    than one Adam block (every synth model is smaller), every training step
-    of every phase shares one pool of one worker: it takes half of each
-    step's products (autodiff.dense) and of its Adam update, with the bytes
-    of one thread. The pool is shut down when the run returns or raises."""
+    The whole run is one pass under _second_core, so for a model larger
+    than one Adam block every step, logged accuracy, target refresh and
+    few-shot log line may share its products (autodiff.dense), and every
+    step its Adam update, with one worker thread, keeping the bytes of one
+    thread."""
     dtype = np.dtype(cfg.dtype)
     attrs = dataset.attributes.astype(dtype, copy=False)
     seen_ids = np.sort(np.asarray(dataset.seen_classes, dtype=np.int64))
@@ -292,9 +288,8 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     keys = ("labeled_total", "unlabeled_total", "unlabeled_recon", "target_kl")
                     log(phase, t0, (sums[0] + sums[1], *means[1:]), **dict(zip(keys, sums)))
 
-    with ExitStack() as stack:
-        pool = _workers(stack, 1) if _threads() > 1 and model.flat.nbytes > optim._BLOCK_BYTES else None
-        opt = Adam(lr=cfg.learning_rate, pool=pool)
+    with _second_core(model):
+        opt = Adam(lr=cfg.learning_rate)
         epochs(cfg.pretrain_epochs if cfg.regime == "transductive" else cfg.epochs)
         if cfg.regime == "transductive":
             epochs(cfg.epochs - cfg.pretrain_epochs, eval_x)
@@ -307,7 +302,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     t0 = time.perf_counter()
                     feats = dataset.features[split.labeled_idx].astype(dtype, copy=False)
                     labs = dataset.labels[split.labeled_idx]
-                    model = fewshot_finetune(model, feats, labs, attrs, unseen_ids, cfg, fewshot_s.spawn(1)[0], pool)
+                    model = fewshot_finetune(model, feats, labs, attrs, unseen_ids, cfg, fewshot_s.spawn(1)[0])
                     # eval-mode objective on the few-shot set, decoding the posterior
                     # mean (zero noise), so the log line draws no random numbers
                     _, bd = inductive_value(
@@ -390,9 +385,10 @@ def load_model(checkpoint_path) -> ModelParams:
 def _open_for_scoring(checkpoint_path, data_dir):
     """Yields (model, files): the checkpoint's model and the dataset in
     ``data_dir`` opened for one pass over its feature rows (open_dataset),
-    once the model's feature and attribute widths match the dataset's."""
+    once the model's feature and attribute widths match the dataset's. The
+    pass runs under _second_core."""
     model = load_model(checkpoint_path)
-    with open_dataset(data_dir) as files:
+    with open_dataset(data_dir) as files, _second_core(model):
         dims = model.layout
         feature_dim, attr_dim = files.shape[1], files.attributes.shape[1]
         if (dims.feature_dim, dims.attr_dim) != (feature_dim, attr_dim):
@@ -404,15 +400,12 @@ def _open_for_scoring(checkpoint_path, data_dir):
 
 
 def _threads() -> int:
-    """Threads that score the parts of a reader block (_score_blocks) and
-    share a full-scale training step (train_model): 2 where one BLAS thread
-    per product is pinned and this process may run on 2 cores or more, else
-    1, the calling thread alone. The pin is read as cli sets it from
-    DGZSL_THREADS (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS); unset,
-    unparsable or 0 leaves OpenBLAS a thread per core. Only 2 threads with
-    one BLAS thread each are measured; more threads cut a block into
-    smaller products and add a malloc arena each. Off Linux (no
-    os.sched_getaffinity) everything stays on the calling thread."""
+    """2 where one BLAS thread per product is pinned and this process may
+    run on 2 cores or more (the one measured case), else 1: the thread
+    decision of scoring and training (_second_core). The pin is read as cli
+    sets it from DGZSL_THREADS (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS);
+    unset, unparsable or 0 leaves OpenBLAS a thread per core. Off Linux (no
+    os.sched_getaffinity) it is 1."""
     value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
     try:
         blas = int(value)
@@ -422,80 +415,58 @@ def _threads() -> int:
     return 2 if blas == 1 and cores is not None and len(cores(0)) >= 2 else 1
 
 
-def _workers(stack: ExitStack, n: int):
-    """A ThreadPoolExecutor of ``n`` workers that ``stack`` shuts down, or
-    None for no worker. concurrent.futures is imported only here: it
-    imports logging, 0.6 MB that a process on one thread never needs."""
-    if n < 1:
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-
-    return stack.enter_context(ThreadPoolExecutor(n))
+def _second_core(model: ModelParams):
+    """autodiff.second_core, switched on where _threads() allows two
+    threads and ``model``'s vector is larger than one Adam block
+    (optim._BLOCK_BYTES, 256 KiB). Every synth model is smaller, and so are
+    its products, which dense would not cut (autodiff._SMALL_PRODUCT)."""
+    return autodiff.second_core(_threads() > 1 and model.flat.nbytes > optim._BLOCK_BYTES)
 
 
 def _score_blocks(files, model: ModelParams, first: int, where: str, score):
-    """Yields ``score(q, row)`` for each part of each reader block of
-    ``files``' feature rows from row ``first`` on, in row order: ``q`` is
-    the part's eval-mode posterior and ``row`` the file row of its first
-    row. Earlier rows are read and checked, not encoded.
-
-    A block is cut into _threads() contiguous parts of two rows or
-    more (a one-row product goes through BLAS matrix-vector code, which
-    rounds otherwise); the calling thread scores the first and a pool the
-    rest, on views of the block. Every part is done before the next block is
-    read, and the lowest failing part's error is raised. The pool is shut
-    down when the generator ends or is closed; a first block that is the
-    whole file (every synth data set, a few milliseconds) starts none.
+    """Yields ``score(q, row)`` for each reader block of ``files``' feature
+    rows from row ``first`` on, in row order: ``q`` is the block's eval-mode
+    posterior and ``row`` the file row of its first row. Earlier rows are
+    read and checked, not encoded. Each block is encoded whole; inside
+    _second_core, dense cuts its products.
 
     A lone row at ``first`` (the last of its reader block) is copied out of
-    the reused stage and carried into the next block. A non-finite posterior
-    is an error naming ``where``, the map, the file row and column, with no
-    warning. Neither ``q`` nor a yielded result is held here, so each can be
-    freed before the next part needs the memory.
+    the reused stage and carried into the next block, since a one-row
+    product goes through BLAS matrix-vector code, which rounds otherwise. A
+    non-finite posterior is an error naming ``where``, the map, the file row
+    and column, with no warning. Neither ``q`` nor a yielded result is held
+    here, so each can be freed before the next block needs the memory.
     """
 
     def encoded(rows, start):
-        # np.errstate is per thread, so each part sets its own
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 return encode(rows, model)
-            except NonFiniteError as e:  # its row counts from the part's first
+            except NonFiniteError as e:  # its row counts from the block's first
                 check_finite(e.values, start, f"{where}: {e.what}")
                 raise
 
-    def scored(rows, start):
-        return score(encoded(rows, start), start)
-
-    carry, pool, threads = None, None, 1
-    with ExitStack() as stack:
-        for s, block in files.blocks:
-            if s.start == 0 and s.stop < files.shape[0]:
-                threads = _threads()
-                pool = _workers(stack, threads - 1)
-            start = max(s.start, first)
-            if start >= s.stop:
-                continue
-            rows = block[start - s.start :]
-            if carry is not None:
-                start, rows, carry = start - 1, np.concatenate([carry, rows]), None
-            n = rows.shape[0]
-            if n == 1 and s.stop < files.shape[0]:
-                carry = rows.copy()
-                continue
-            count = max(1, min(threads, n // 2))
-            cuts = [i * n // count for i in range(count + 1)]
-            rest = [pool.submit(scored, rows[a:b], start + a) for a, b in zip(cuts[1:-1], cuts[2:])]
-            yield from [scored(rows[: cuts[1]], start), *(f.result() for f in rest)]
+    carry = None
+    for s, block in files.blocks:
+        start = max(s.start, first)
+        if start >= s.stop:
+            continue
+        rows = block[start - s.start :]
+        if carry is not None:
+            start, rows, carry = start - 1, np.concatenate([carry, rows]), None
+        if rows.shape[0] == 1 and s.stop < files.shape[0]:
+            carry = rows.copy()
+            continue
+        yield score(encoded(rows, start), start)
 
 
 def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
     """Top-1 accuracy and per-class confusion counts on the test split.
 
     Every feature row is read and checked; the test rows of each block are
-    scored as the block is read, its parts on the scoring threads
-    (_score_blocks), against candidate priors built once, and each part's
-    predicted labels are written in place, so only one label per test row
-    is kept.
+    scored as the block is read (_score_blocks), against candidate priors
+    built once, and each block's predicted labels are written in place, so
+    only one label per test row is kept.
     """
     with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
         pools = {
@@ -538,13 +509,13 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
 
     Output rows align one-for-one with the stored feature order (train block
     then test block). Reconstructions decode the posterior mean. Each row
-    block of features goes through the networks as it is read, its parts on
-    the scoring threads (_score_blocks), and the reconstructions stream to
-    disk part by part in row order, so the feature matrix is never held.
-    Each reconstruction part is checked for NaN and ±inf while it is in
-    cache, so a model whose outputs overflow is an error naming
-    ``recons.bin``, row and column, not a file that no reader accepts; a
-    non-finite posterior names ``latents.bin``, the map, row and column.
+    block of features goes through the networks as it is read
+    (_score_blocks), and the reconstructions stream to disk block by block
+    in row order, so the feature matrix is never held. Each block's
+    reconstructions are checked for NaN and ±inf while they are in cache,
+    so a model whose outputs overflow is an error naming ``recons.bin``,
+    row and column, not a file that no reader accepts; a non-finite
+    posterior names ``latents.bin``, the map, row and column.
     ``latents.bin`` is written before ``recons.bin`` replaces its old file,
     so a failure in either write, such as a value that float32 cannot hold,
     leaves no new output file (the writes are atomic) and removes every
@@ -559,16 +530,15 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
         def reconstruct(q, start):
             s = slice(start, start + q.mean.shape[0])
             latents[s] = q.mean
-            del q  # before the part is decoded, so it can reuse the memory
+            del q  # before the block is decoded, so it can reuse the memory
             with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
                 recon = decode(latents[s], model)
             check_finite(recon, start, str(out / "recons.bin"))
             return recon
 
-        # closing shuts the pool down before open_dataset drains the body the parts view
         try:
-            with closing(_score_blocks(files, model, 0, str(out / "latents.bin"), reconstruct)) as recons:
-                save_rows(out / "recons.bin", files.shape, recons, then=partial(save_matrix, out / "latents.bin", latents))
+            recons = _score_blocks(files, model, 0, str(out / "latents.bin"), reconstruct)
+            save_rows(out / "recons.bin", files.shape, recons, then=partial(save_matrix, out / "latents.bin", latents))
         except BaseException:
             with suppress(OSError):
                 for d in made:  # out first, then each parent this call made

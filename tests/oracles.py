@@ -16,7 +16,8 @@ float64 and then cast, the synthetic noise scale's class-gap norm over all
 C×C×D differences at once, the label and attribute files formatted one
 NumPy scalar at a time, and a matrix file's bytes from one whole-array
 cast. And ``reference_train``, the trainer as plain loops over the unfused
-objectives, for its step sequence.
+objectives, for its step sequence. And ``relabelled``, a dataset whose
+classes are renamed by a permutation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dgzsl import autodiff as ad
-from dgzsl.data import fewshot_sample
+from dgzsl.data import Dataset, fewshot_sample
 from dgzsl.errors import DgzslError, ShapeError
 from dgzsl.gaussian import LOG_2PI, DiagGaussian, _check_same_shape, kl_matrix, sample_reparam
 from dgzsl.inductive import ObjectiveBreakdown, one_hot
@@ -493,3 +494,14 @@ def reference_train(dataset, cfg):
         if cfg.transductive_fewshot:
             transductive_epochs(cfg.transductive_epochs, eval_x)
     return model, lines
+
+
+def relabelled(dataset, new_id):
+    """``dataset`` with class ``c`` renamed ``new_id[c]``: its labels, the
+    rows of its attribute matrix and its seen and unseen id lists (sorted)
+    follow the permutation; the features are the same rows."""
+    new_id = np.asarray(new_id)
+    attrs = np.empty_like(dataset.attributes)
+    attrs[new_id] = dataset.attributes
+    seen, unseen = (sorted(new_id[list(ids)].tolist()) for ids in (dataset.seen_classes, dataset.unseen_classes))
+    return Dataset(dataset.features, new_id[dataset.labels], dataset.n_train, attrs, seen, unseen)

@@ -1,6 +1,6 @@
 """Matrix files, datasets and exports stream in row blocks: the bytes match a
-whole-array pass at every block boundary and on any number of scoring
-threads, and memory stays bounded. Each
+whole-array pass at every block boundary and on one or two threads, and
+memory stays bounded. Each
 output file, binary or text, is written into a temp file preallocated to
 its exact size, and a rewrite holds the bytes of a fresh write. Every
 public function and class of the package has a user outside the tests."""
@@ -11,7 +11,6 @@ import json
 import os
 import re
 import struct
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgzsl import serialize, train
+from dgzsl import autodiff, optim, serialize, train
 from dgzsl.cli import main
 from dgzsl.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from dgzsl.errors import DataFormatError, DgzslError, ShapeError
@@ -42,7 +41,7 @@ from dgzsl.serialize import (
 )
 from dgzsl.train import export_embeddings, load_model, run_eval, save_model
 
-from oracles import confusion_counts, whole_matrix_bytes
+from oracles import confusion_counts, relabelled, whole_matrix_bytes
 
 ROWS, COLS = 11, 5  # 11 rows in blocks of at most 3: 2, 3, 3, 3
 THREADS = train._threads
@@ -236,6 +235,30 @@ def checkpoint_of(path, model, *, reverse=False):
         save_checkpoint(path, dict(reversed(tensors.items())), meta=meta)
 
 
+def wide_checkpoint_of(path, dtype=np.float64, hidden=(1024, 1024)):
+    """Saves a COLS-feature model with ``hidden`` widths: larger than one
+    Adam block in either dtype, so a pass on two threads lends dense a
+    worker, which takes the second row half of each 1024×1024 product of
+    two rows a half or more."""
+    model = init_model(np.random.default_rng(7), COLS, 2, 3, hidden, 0.8, dtype=dtype)
+    assert model.flat.nbytes > optim._BLOCK_BYTES
+    checkpoint_of(path, model)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The (rows, width) of each product autodiff._product makes, in call
+    order."""
+    made, product = [], autodiff._product
+
+    def spy(a, b, out=None):
+        made.append((a.shape[0], b.shape[1]))
+        return product(a, b, out)
+
+    monkeypatch.setattr(autodiff, "_product", spy)
+    return made
+
+
 @pytest.mark.parametrize("reverse", [False, True], ids=["layout-order", "reversed"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_a_checkpoint_is_read_into_the_model_it_holds(small_blocks, tmp_path, dtype, reverse):
@@ -367,8 +390,8 @@ def test_eval_holds_the_model_and_a_few_blocks(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("test", [test_export_holds_model_latents_and_a_few_blocks, test_eval_holds_the_model_and_a_few_blocks])
 def test_scoring_on_two_threads_holds_the_same_bounds(monkeypatch, tmp_path, threads, test):
-    """Two threads hold two halves of one block at a time, never two
-    blocks: the reader's next block waits until both halves are done."""
+    """Two threads score one block at a time: the reader's next block waits
+    until every product of this one is done."""
     threads(2)
     test(monkeypatch, tmp_path)
 
@@ -423,12 +446,10 @@ def test_relabelled_classes_are_scored_with_their_ids_mapped_and_exported_alike(
     id, keeps its bytes."""
     ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=4, seed=6))
     new_id = np.array([1, 4, 2, 0, 3])  # old class id -> new
-    attrs = np.empty_like(ds.attributes)
-    attrs[new_id] = ds.attributes
-    seen, unseen = (sorted(new_id[list(ids)].tolist()) for ids in (ds.seen_classes, ds.unseen_classes))
-    assert (seen, unseen) == ([1, 2, 4], [0, 3])
+    renamed = relabelled(ds, new_id)
+    assert (renamed.seen_classes, renamed.unseen_classes) == ((1, 2, 4), (0, 3))
     save_dataset(ds, tmp_path / "data")
-    save_dataset(Dataset(ds.features, new_id[ds.labels], ds.n_train, attrs, seen, unseen), tmp_path / "renamed")
+    save_dataset(renamed, tmp_path / "renamed")
     checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8, dtype=dtype))
     reports, exported = {}, {}
     for name in ("data", "renamed"):
@@ -450,15 +471,16 @@ def test_relabelled_classes_are_scored_with_their_ids_mapped_and_exported_alike(
     assert len(reports["data", "all"]["confusion"]) == 2  # the test rows are of the two unseen classes
 
 
-def _score_a_test_split_starting_on_the_last_row_of_a_block(tmp_path, monkeypatch, dtype) -> tuple:
+def _score_a_test_split_starting_on_the_last_row_of_a_block(tmp_path, monkeypatch, dtype, hidden=(8,)) -> tuple:
     """Scores a test split whose first row, n_train = 15, is the last row of
     the reader block 13..16; checks that the report is that of one
     whole-test-block pass, and returns (the KL rows of each scoring call, in
-    call order; the KL rows of the whole pass)."""
+    call order; the KL rows of the whole pass). The model has 64 features
+    and ``hidden`` widths."""
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 3 * 4 * 64)  # 3 rows a block, as under small_blocks
     ds, _ = _export_fixture(tmp_path, 5, 64, (8,))
     assert ds.n_train == 15 and slice(13, 16) in row_blocks(ds.labels.size, 64, 4)
-    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), 64, 2, 3, (8,), 0.8, dtype=dtype))
+    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), 64, 2, 3, hidden, 0.8, dtype=dtype))
     model = load_model(tmp_path / "model.ckpt")
     attrs, ids = ds.attributes.astype(dtype), np.arange(5)
     predicted, whole, _ = predict_batch(ds.test_features.astype(dtype), ids, attrs, model)
@@ -493,22 +515,32 @@ def test_a_test_split_starting_on_the_last_row_of_a_block_is_scored_as_a_whole_p
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_a_carried_row_on_two_threads_is_scored_in_a_two_row_half(tmp_path, monkeypatch, threads, dtype):
-    """The 4-row block that carries row 15 is scored as two halves of two
-    rows on two threads; the 3-row blocks stay whole, as one of their
-    halves would be one row. The parts' KL rows are those of the whole
-    pass."""
-    threads(2)
-    scored, whole = _score_a_test_split_starting_on_the_last_row_of_a_block(tmp_path, monkeypatch, dtype)
-    cuts = np.cumsum([0, 2, 2, 3, 3])
-    expected = sorted(whole[a:b].tobytes() for a, b in zip(cuts, cuts[1:]))
-    assert sorted(s.tobytes() for s in scored) == expected
+def test_a_carried_row_on_two_threads_makes_no_one_row_product(tmp_path, monkeypatch, threads, products, dtype):
+    """A model whose 64×8,192 first layer takes over 100³ multiply-adds for
+    two rows: on two threads the 4-row block that carries row 15 multiplies
+    it as two halves of two rows, the 3-row blocks keep it whole (a half
+    would be one row), and no product has one row. The KL rows are those
+    of one thread. (Its width-3 heads over 8,192 inputs round each row
+    count otherwise, so here no block matches the whole pass bit for bit.)"""
+    scored, layers = {}, {}
+    for n in (1, 2):
+        threads(n)
+        products.clear()
+        (tmp_path / str(n)).mkdir()
+        with monkeypatch.context() as m:  # so each pass spies on closest_prior alone
+            scored[n], _ = _score_a_test_split_starting_on_the_last_row_of_a_block(tmp_path / str(n), m, dtype, (8192,))
+        layers[n] = [rows for rows, width in products if width == 8192]
+        assert min(rows for rows, _ in products) >= 2
+    assert [s.shape[0] for s in scored[2]] == [4, 3, 3]
+    assert [s.tobytes() for s in scored[2]] == [s.tobytes() for s in scored[1]]
+    # the whole pass of 10 rows, then the blocks
+    assert layers[1] == [10, 4, 3, 3] and layers[2] == [10, 2, 2, 3, 3]
 
 
 def _encoded_rows_of_a_wide_export(tmp_path, monkeypatch, dtype) -> list:
     """Exports 1,000 rows of 2,048 features, checks that the files hold the
     bytes of a whole-array pass, and returns the row count of each encode
-    call, in ascending order (parts of a block may finish in either order)."""
+    call."""
     ds, _ = _export_fixture(tmp_path, 200, 2048, (8,))
     assert ds.features.shape == (1000, 2048)
     model = init_model(np.random.default_rng(10), 2048, 2, 3, (8,), 0.8, dtype=dtype)
@@ -525,7 +557,7 @@ def _encoded_rows_of_a_wide_export(tmp_path, monkeypatch, dtype) -> list:
     latents = encode(ds.features.astype(dtype), loaded).mean
     assert (tmp_path / "emb" / "latents.bin").read_bytes() == whole_matrix_bytes(latents)
     assert (tmp_path / "emb" / "recons.bin").read_bytes() == whole_matrix_bytes(decode(latents, loaded))
-    return sorted(rows)
+    return rows
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -537,23 +569,65 @@ def test_a_wide_export_multiplies_500_row_blocks_and_matches_a_whole_array_pass(
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_a_wide_export_on_two_threads_scores_250_row_halves_with_the_same_bytes(tmp_path, monkeypatch, threads, dtype):
-    threads(2)
-    assert _encoded_rows_of_a_wide_export(tmp_path, monkeypatch, dtype) == [250, 250, 250, 250]
+def test_a_wide_export_on_two_threads_cuts_500_row_products_into_250_row_halves_with_the_same_bytes(
+    tmp_path, threads, products, dtype
+):
+    """Hidden width 512 over 1,000 rows of 2,048 features: each 500-row
+    block is encoded whole, and on two threads dense cuts its 2,048×512 and
+    512×2,048 products into 250-row halves. The width-3 heads and the 3×512
+    decoder layer (250 × 1,536 multiply-adds a half) stay whole, as BLAS
+    would round their halves otherwise. The files hold the bytes of one
+    thread."""
+    _export_fixture(tmp_path, 200, 2048, (8,))
+    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(10), 2048, 2, 3, (512,), 0.8, dtype=dtype))
+    exported, made = {}, {}
+    for n in (1, 2):
+        threads(n)
+        products.clear()
+        export_embeddings(tmp_path / "model.ckpt", tmp_path / "data", tmp_path / f"emb-{n}")
+        exported[n] = [(tmp_path / f"emb-{n}" / name).read_bytes() for name in ("latents.bin", "recons.bin")]
+        made[n] = list(products)
+    assert exported[2] == exported[1]
+    assert made[1] == 2 * [(500, 512), (500, 3), (500, 3), (500, 512), (500, 2048)]
+    assert made[2] == 2 * [(250, 512), (250, 512), (500, 3), (500, 3), (500, 512), (250, 2048), (250, 2048)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_heads_of_10_to_the_6_multiply_adds_a_half_export_and_score_the_bytes_of_one_thread(tmp_path, threads, dtype):
+    """Hidden width 500 and latent 8 over 1,000 rows of 2,048 features, two
+    500-row reader blocks: a 250-row half of a head product takes 250 × 500
+    × 8 = 10⁶ multiply-adds, which OpenBLAS's small-matrix kernels round
+    otherwise than the whole block, so those products stay whole. On two
+    threads export writes the latents.bin and recons.bin of one, and
+    eval --candidates all the same report."""
+    ds, _ = _export_fixture(tmp_path, 200, 2048, (8,))
+    assert len(row_blocks(*ds.features.shape, 4)) == 2
+    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(11), 2048, 2, 8, (500,), 0.8, dtype=dtype))
+    argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data")]
+    outputs = {}
+    for n in (1, 2):
+        threads(n)
+        out = tmp_path / f"threads-{n}"
+        out.mkdir()
+        assert main(["eval", *argv, "--candidates", "all", "--out", str(out / "eval.json")]) == 0
+        assert main(["export", *argv, "--out", str(out / "emb")]) == 0
+        outputs[n] = [(out / name).read_bytes() for name in ("eval.json", "emb/latents.bin", "emb/recons.bin")]
+    assert outputs[2] == outputs[1]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("block_rows", [3, 8], ids=["3-row-blocks", "8-row-blocks"])
-def test_eval_and_export_write_the_same_bytes_on_one_and_two_threads(tmp_path, monkeypatch, threads, dtype, block_rows):
-    """20 rows with n_train = 12. In blocks of at most 8 rows (6, 7, 7) two
-    threads score each block in halves of three rows or more, and eval's
-    lone row 12 is carried into the last block, which it scores as 4 + 4.
-    In blocks of at most 3 (as under small_blocks) every block stays whole,
-    as a half would be one row. Reports and exports keep their bytes."""
+def test_eval_and_export_write_the_same_bytes_on_one_and_two_threads(tmp_path, monkeypatch, threads, products, dtype, block_rows):
+    """20 rows with n_train = 12. In blocks of at most 8 rows (6, 7, 7) each
+    block is encoded whole on either thread count, and eval's lone row 12
+    is carried into the last block, which it scores as 8 rows; two threads
+    cut the 1024×1024 products into halves of three rows or more. In blocks
+    of at most 3 (as under small_blocks) a half would be one row, so every
+    product stays whole. Reports and exports keep their bytes."""
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", block_rows * 4 * COLS)
     data, ds = _row_independence_fixture(tmp_path, None)
     assert ds.labels.size == 20 and ds.n_train == 12
-    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8, dtype=dtype))
+    wide_checkpoint_of(tmp_path / "model.ckpt", dtype)
     argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(data)]
     rows = []
 
@@ -562,31 +636,33 @@ def test_eval_and_export_write_the_same_bytes_on_one_and_two_threads(tmp_path, m
         return encode(x, m)
 
     monkeypatch.setattr(train, "encode", counting_encode)
-    outputs, encoded = {}, {}
+    outputs, encoded, halves = {}, {}, {}
     for n in (1, 2):
         threads(n)
         rows.clear()
+        products.clear()
         out = tmp_path / f"threads-{n}"
         out.mkdir()
         for pool in ("all", "seen", "unseen"):
             assert main(["eval", *argv, "--candidates", pool, "--out", str(out / f"{pool}.json")]) == 0
         assert main(["export", *argv, "--out", str(out / "emb")]) == 0
         outputs[n] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
-        encoded[n] = sorted(rows)
+        encoded[n], halves[n] = list(rows), sorted({r for r, _ in products} - set(rows))
     assert len(outputs[1]) == 5 and outputs[2] == outputs[1]
     eval_rows = 3 * [8] if block_rows == 8 else 3 * [2, 3, 3]
     export_rows = [6, 7, 7] if block_rows == 8 else [2, 3, 3, 3, 3, 3, 3]
-    assert encoded[1] == sorted(eval_rows + export_rows)
-    halves = 3 * [4, 4] + [3, 3, 3, 4, 3, 4]
-    assert encoded[2] == (sorted(halves) if block_rows == 8 else encoded[1])
+    assert sorted(encoded[1]) == sorted(eval_rows + export_rows) and encoded[2] == encoded[1]
+    assert halves[1] == [] and halves[2] == ([3, 4] if block_rows == 8 else [])
 
 
 def test_more_threads_than_cores_switching_often_write_the_bytes_of_one(tmp_path, monkeypatch, threads):
-    """Eight threads on 2-core hosts, with the interpreter switching threads
-    every 10 µs: each block's parts write disjoint rows of the labels and
-    latents, so no write is lost and the bytes are those of one thread."""
-    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 40 * 4 * COLS)  # 400 rows in ten blocks, parts of 5 rows
-    ds, _ = _export_fixture(tmp_path, 80, COLS, (8,))
+    """A thread count of eight lends dense its one worker, as two do. With
+    the interpreter switching threads every 10 µs, the two halves of each
+    product write disjoint rows of one output, so no write is lost and the
+    bytes are those of one thread."""
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 40 * 4 * COLS)  # 400 rows in ten blocks, halves of 20 rows
+    _export_fixture(tmp_path, 80, COLS, (8,))
+    wide_checkpoint_of(tmp_path / "model.ckpt")
     argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data")]
     outputs = {}
     interval = sys.getswitchinterval()
@@ -611,9 +687,11 @@ def test_a_non_finite_posterior_on_two_threads_names_the_lowest_row_and_stops_th
     tmp_path, monkeypatch, capsys, threads, command, bad
 ):
     """2,000 rows in 100-row blocks: rows 1500..1549 are the first half of
-    a block, scored by the calling thread, and rows 1550..1599 the second,
-    scored by a worker. The lowest bad row is named, however the halves
-    finish; no new file is left, and no thread outlives the call."""
+    a block, whose 1024×1024 products the calling thread makes, and rows
+    1550..1599 the second, made by the worker under the caller's
+    np.errstate. The 8-wide first layer overflows to inf on a bad row, as
+    in the small models. The lowest bad row is named; no new file is left,
+    and no thread outlives the call."""
     threads(2)
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 100 * 4 * COLS)
     ds = synth_generate(SynthSpec(seen=3, unseen=2, attr_dim=2, feature_dim=COLS, per_class=400, seed=6))
@@ -621,7 +699,7 @@ def test_a_non_finite_posterior_on_two_threads_names_the_lowest_row_and_stops_th
     features = ds.features.copy()
     features[list(bad)] = 3e38
     save_matrix(tmp_path / "data" / "features.bin", features)
-    checkpoint_of(tmp_path / "model.ckpt", init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8, dtype=np.float32))
+    wide_checkpoint_of(tmp_path / "model.ckpt", np.float32, (8, 1024, 1024))
     assert slice(1500, 1600) in row_blocks(ds.labels.size, COLS, 4)
     out = tmp_path / "emb"
     argv = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data")]
@@ -649,10 +727,11 @@ def test_a_full_disk_stops_a_two_thread_export_before_it_encodes_a_row(tmp_path,
     assert threading.active_count() == before
 
 
-def test_a_feature_file_of_one_block_starts_no_thread(tmp_path, monkeypatch, threads):
-    """Every synth data set is one reader block: two threads would only
-    add their start-up to a pass of a few milliseconds."""
-    threads(2)
+def test_a_pass_starts_a_thread_only_for_a_model_larger_than_one_adam_block(tmp_path, monkeypatch, threads):
+    """On two threads, a model no larger than one Adam block (every synth
+    model) starts no thread, even on a file of several reader blocks; a
+    larger one starts one worker a pass, even on a file of one block, and
+    keeps the bytes of one thread."""
     made, executor = [], futures.ThreadPoolExecutor
 
     def pool(workers):
@@ -660,30 +739,38 @@ def test_a_feature_file_of_one_block_starts_no_thread(tmp_path, monkeypatch, thr
         return executor(workers)
 
     monkeypatch.setattr(futures, "ThreadPoolExecutor", pool)
-    ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
+    _export_fixture(tmp_path, 2, COLS, (8,))
     args = (tmp_path / "model.ckpt", tmp_path / "data")
-    assert len(row_blocks(*ds.features.shape, 4)) == 1
-    before = threading.active_count()
-    run_eval(*args, "all")
-    export_embeddings(*args, tmp_path / "emb")
-    assert made == [] and threading.active_count() == before
-    monkeypatch.setattr(serialize, "_BLOCK_BYTES", 4 * 4 * COLS)  # three blocks
-    run_eval(*args, "all")
-    export_embeddings(*args, tmp_path / "emb")
+    with monkeypatch.context() as m:
+        m.setattr(serialize, "_BLOCK_BYTES", 4 * 4 * COLS)  # three blocks
+        threads(2)
+        before = threading.active_count()
+        run_eval(*args, "all")
+        export_embeddings(*args, tmp_path / "emb")
+        assert made == [] and threading.active_count() == before
+    wide_checkpoint_of(tmp_path / "model.ckpt")
+    assert len(row_blocks(10, COLS, 4)) == 1
+    outputs = {}
+    for n in (1, 2):
+        threads(n)
+        report = run_eval(*args, "all")
+        export_embeddings(*args, tmp_path / f"emb-{n}")
+        outputs[n] = report, [(tmp_path / f"emb-{n}" / f).read_bytes() for f in ("latents.bin", "recons.bin")]
     assert made == [1, 1] and threading.active_count() == before
+    assert outputs[2] == outputs[1]
 
 
 def test_a_writer_failing_mid_export_on_two_threads_leaves_no_thread_and_no_file(tmp_path, monkeypatch, threads):
     """20 rows in blocks of 6, 7 and 7, and a float64 model whose
     reconstructions float32 cannot hold: save_rows raises while the scoring
-    generator waits at a yield, and the generator is closed on the way out,
-    so its pool is shut down even while the traceback holds its frame."""
+    generator waits at a yield, and the pass's worker is shut down on the
+    way out, even while the traceback holds the generator's frame."""
     threads(2)
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", 8 * 4 * COLS)
     data, ds = _row_independence_fixture(tmp_path, None)
     assert ds.labels.size == 20 and row_blocks(20, COLS, 4) == [slice(0, 6), slice(6, 13), slice(13, 20)]
-    model = init_model(np.random.default_rng(7), COLS, 2, 3, (8,), 0.8)
-    model["dec.h0.b"][...] = 1
+    model = init_model(np.random.default_rng(7), COLS, 2, 3, (1024, 1024), 0.8)
+    model["dec.h1.b"][...] = 1
     model["dec.out.w"][...] = 1e38
     model["dec.out.b"][...] = 3e38
     save_model(tmp_path / "model.ckpt", model)
@@ -692,34 +779,6 @@ def test_a_writer_failing_mid_export_on_two_threads_leaves_no_thread_and_no_file
         export_embeddings(tmp_path / "model.ckpt", data, tmp_path / "emb")
     assert raised.traceback and threading.active_count() == before
     assert not (tmp_path / "emb").exists()
-
-
-ONE_BLOCK_IMPORTS = """
-import sys
-from dgzsl.cli import main
-
-work = sys.argv[1]
-argv = ["--checkpoint", f"{work}/model.ckpt", "--data", f"{work}/data"]
-assert main(["eval", *argv]) == 0
-assert main(["export", *argv, "--out", f"{work}/emb"]) == 0
-print(sorted({"concurrent.futures", "logging"} & set(sys.modules)))
-"""
-
-
-def test_a_one_block_eval_and_export_never_import_the_thread_pool(tmp_path):
-    """concurrent.futures imports logging, which a process that starts no
-    pool never needs: a one-block pass pinned to one BLAS thread imports
-    neither."""
-    ds, _ = _export_fixture(tmp_path, 2, COLS, (8,))
-    assert len(row_blocks(*ds.features.shape, 4)) == 1
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
-    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", ONE_BLOCK_IMPORTS, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(
@@ -745,8 +804,8 @@ def test_a_one_block_eval_and_export_never_import_the_thread_pool(tmp_path):
     ],
 )
 def test_two_threads_score_only_where_one_blas_thread_leaves_a_core_free(monkeypatch, env, cores, count):
-    """Two scoring threads, the measured case, where one BLAS thread per
-    product is pinned and there are two cores or more; else one. BLAS
+    """Two threads, the measured case, where one BLAS thread per product is
+    pinned and there are two cores or more; else one. BLAS
     threads that are unset, unparsable or 0 mean a BLAS thread per core.
     Without os.sched_getaffinity (off Linux) the count is one."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):

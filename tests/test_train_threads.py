@@ -1,15 +1,14 @@
 """A full-scale training run shares each step with one worker thread
-(train_model's pool): the worker takes half of each large product and of
-each Adam update. The bytes, the failing tensor and the warnings are those
-of one thread, no thread outlives the run, and a synth-size run starts no
-pool at all."""
+(autodiff.second_core): the worker takes half of each large product and of
+each Adam update, into arrays the calling thread allocates. The bytes, the
+failing tensor and the warnings are those of one thread, no thread outlives
+the run, and a synth-size train, eval or export starts no worker at all."""
 
 import os
 import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -117,8 +116,9 @@ PRODUCTS = [
 @pytest.mark.parametrize("rows, fan_in, width, dtype, parts", PRODUCTS)
 def test_a_dense_layer_on_two_threads_has_the_bytes_of_one(monkeypatch, rows, fan_in, width, dtype, parts):
     """The value and the input, weight and bias gradients of one masked
-    ReLU layer; the forward product is cut into ``parts``, and each shape
-    that stays whole would round its row halves otherwise."""
+    ReLU layer, and its value on plain arrays; each forward product is cut
+    into ``parts``, and each shape that stays whole would round its row
+    halves otherwise."""
     rng = np.random.default_rng(rows + fan_in + width)
     x, w, b, mask, r = (rng.normal(size=s).astype(dtype) for s in ((rows, fan_in), (fan_in, width), (width,), (rows, width), (rows, width)))
     product, cut = autodiff._product, []
@@ -129,17 +129,18 @@ def test_a_dense_layer_on_two_threads_has_the_bytes_of_one(monkeypatch, rows, fa
 
     monkeypatch.setattr(autodiff, "_product", counted)
     results = []
-    with ThreadPoolExecutor(1) as pool:
-        for p in (None, pool):
-            tape = autodiff.Tape(p)
+    for on in (False, True):
+        with autodiff.second_core(on):
+            tape = autodiff.Tape()
             xs = [tape.leaf(a) for a in (x, w, b)]
             y = autodiff.dense(*xs, relu=True, mask=mask)
             loss = autodiff.record("loss", np.sum(y.value * r), (y,), lambda g, wanted: (g * r,))
             tape.backward(loss)
-            results.append([y.value.tobytes(), *(v.grad.tobytes() for v in xs)])
-            if p is not None:
-                assert sorted(cut[: len(parts)]) == sorted(parts)
-            cut.clear()
+            plain = autodiff.dense(x, w, b, relu=True, mask=mask)  # as scoring calls it
+        results.append([y.value.tobytes(), plain.tobytes(), *(v.grad.tobytes() for v in xs)])
+        if on:
+            assert sorted(cut[: len(parts)]) == sorted(parts) == sorted(cut[-len(parts) :])
+        cut.clear()
     assert results[1] == results[0]
 
 
@@ -168,11 +169,10 @@ def test_a_non_finite_gradient_on_two_threads_names_the_lowest_tensor(dtype, bad
     grad[list(bad)] = np.inf
     lowest = _named_entry(model, np.arange(grad.size)[list(bad)].min())
     messages = []
-    with ThreadPoolExecutor(1) as pool:
-        for p in (None, pool):
-            with pytest.raises(DgzslError) as raised, np.errstate(invalid="ignore"):
-                optim.Adam(pool=p).step(model.copy(), grad)
-            messages.append(str(raised.value))
+    for on in (False, True):
+        with autodiff.second_core(on), pytest.raises(DgzslError) as raised, np.errstate(invalid="ignore"):
+            optim.Adam().step(model.copy(), grad)
+        messages.append(str(raised.value))
     assert messages == 2 * [f"Adam step 1: {lowest!r} has non-finite entries"]
 
 
@@ -231,23 +231,53 @@ def test_a_run_whose_first_layer_overflows_on_two_threads_fails_as_on_one(thread
     assert (overflowed in [w[:2] for w in outcomes[1][1]]) == (errstate == "warn")
 
 
-SYNTH_TRAIN_IMPORTS = """
+def test_the_worker_writes_every_product_into_an_array_of_the_calling_thread(tmp_path, monkeypatch, threads):
+    """A few-shot run on two threads (inductive, few-shot and transductive
+    steps, accuracies and a target refresh), then eval and export of its
+    checkpoint: every product the worker makes goes into ``out``, an array
+    the calling thread allocated, so the worker takes none from a malloc
+    arena of its own."""
+    threads(2)
+    save_dataset(_dataset(2 * BATCH + 3), tmp_path / "data")
+    (tmp_path / "run.cfg").write_text(format_config(_config("fewshot", "float32")))
+    caller, product, calls = threading.get_ident(), autodiff._product, []
+
+    def spy(a, b, out=None):
+        calls.append((threading.get_ident() != caller, out is not None))
+        return product(a, b, out)
+
+    monkeypatch.setattr(autodiff, "_product", spy)
+    run = tmp_path / "run"
+    train.run_train(tmp_path / "run.cfg", tmp_path / "data", run)
+    trained = len(calls)
+    train.run_eval(run / "model.ckpt", tmp_path / "data", "all")
+    train.export_embeddings(run / "model.ckpt", tmp_path / "data", tmp_path / "emb")
+    off = [passed for worker, passed in calls if worker]
+    assert any(worker for worker, _ in calls[:trained]) and any(worker for worker, _ in calls[trained:])
+    assert off and all(off)
+
+
+SYNTH_IMPORTS = """
 import sys
 import threading
 
 from dgzsl.cli import main
 
 work = sys.argv[1]
+argv = ["--checkpoint", f"{work}/run/model.ckpt", "--data", f"{work}/data"]
 assert main(["synth", "--out", f"{work}/data"]) == 0
 assert main(["train", "--config", f"{work}/run.cfg", "--data", f"{work}/data", "--out", f"{work}/run"]) == 0
+assert main(["eval", *argv]) == 0
+assert main(["export", *argv, "--out", f"{work}/emb"]) == 0
 print(sorted({"concurrent.futures", "logging"} & set(sys.modules)), threading.active_count())
 """
 
 
-def test_a_synth_size_train_never_imports_the_thread_pool(tmp_path):
+def test_a_synth_size_train_eval_and_export_never_import_the_thread_pool(tmp_path):
     """Every synth model is smaller than one Adam block, so a synth-size
-    `train` pinned to one BLAS thread on any number of cores starts no pool
-    and imports neither concurrent.futures nor the logging it loads."""
+    `train`, `eval` and `export` pinned to one BLAS thread on any number of
+    cores start no worker and import neither concurrent.futures nor the
+    logging it loads, 0.6 MB that a process on one thread never needs."""
     cfg = TrainConfig(regime="transductive", latent_dim=16, hidden_dims=(64, 64), epochs=2, pretrain_epochs=1)
     spec = SynthSpec()
     assert Layout(spec.feature_dim, spec.attr_dim, cfg.latent_dim, cfg.hidden_dims).size * 8 <= optim._BLOCK_BYTES
@@ -255,8 +285,6 @@ def test_a_synth_size_train_never_imports_the_thread_pool(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
     env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", SYNTH_TRAIN_IMPORTS, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
-    )
+    proc = subprocess.run([sys.executable, "-c", SYNTH_IMPORTS, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] 1"
