@@ -242,10 +242,13 @@ def dense(x, weights, bias, relu: bool = False, mask=None):
     backward applies the mask, then the ReLU gate, then takes the bias,
     input and weight gradients, the same operations in the same order as the
     unfused composition; a weight leaf with an ``out`` takes its first
-    gradient straight into it (later ones are added there by _accum).
+    gradient straight into it (later ones are added there by _accum). The
+    gate, with ReLU′(0) = 0, is ``out > 0``: where the dropout mask (+0 or
+    at least 1) is non-zero, so is the pre-activation; where it is zero,
+    the masked gradient is ±0, which either gate leaves as it is.
 
-    Inside second_core the product, with the bias, ReLU gate, ReLU and mask
-    after it, is made as two row halves, the second on the worker, unless
+    Inside second_core the product, with the bias, ReLU and mask after it,
+    is made as two row halves, the second on the worker, unless
     BLAS would round the halves otherwise: a one-row half, a half of at most
     _SMALL_PRODUCT multiply-adds, or a width that is not a multiple of 8.
     The backward makes the input gradient on the worker while this thread
@@ -259,14 +262,11 @@ def dense(x, weights, bias, relu: bool = False, mask=None):
     tape = _tape_of(x, weights, bias)
     out = np.empty((xv.shape[0], wv.shape[1]), np.result_type(xv, wv))
     xv = xv.astype(out.dtype, copy=False)  # as matmul would, but once, and on this thread
-    active = np.empty(out.shape, bool) if relu and tape is not None else None
 
     def forward(rows):
         part = out[rows]
         _product(xv[rows], wv, part)
         part += bv
-        if active is not None:
-            np.greater(part, 0.0, out=active[rows])
         if relu:
             np.maximum(part, 0.0, out=part)
         if mask is not None:
@@ -284,7 +284,7 @@ def dense(x, weights, bias, relu: bool = False, mask=None):
     def vjp(gout, wanted):
         g = gout if mask is None else gout * mask
         if relu:
-            g = g * active if mask is None else np.multiply(g, active, out=g)
+            g = g * (out > 0.0) if mask is None else np.multiply(g, out > 0.0, out=g)
         if not wanted[0]:
             return None, *_weight_and_bias(xv, g, wn, wanted)
         gx = np.empty(xv.shape, np.result_type(g, wv))

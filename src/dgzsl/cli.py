@@ -19,26 +19,24 @@ import ctypes  # noqa: E402
 import functools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+from dataclasses import fields  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from .config import REGIMES, TrainConfig  # noqa: E402
 from .data import SynthSpec, save_dataset, synth_generate  # noqa: E402
 from .errors import DgzslError  # noqa: E402
 from .serialize import plain_number_text, save_text  # noqa: E402
 from .train import export_embeddings, run_eval, run_train  # noqa: E402
 
 
+def _fields_of(cls, args) -> dict:
+    """The parsed flags of ``args`` that name a field of the dataclass ``cls``."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        seen=args.seen,
-        unseen=args.unseen,
-        attr_dim=args.attr_dim,
-        feature_dim=args.feature_dim,
-        per_class=args.per_class,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
-    dataset = synth_generate(spec)
+    dataset = synth_generate(SynthSpec(**_fields_of(SynthSpec, args)))
     save_dataset(dataset, args.out)
     print(
         json.dumps(
@@ -56,17 +54,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    summary = run_train(
-        args.config,
-        args.data,
-        args.out,
-        regime=args.regime,
-        k=args.k,
-        transductive_fewshot=args.transductive_fewshot,
-        seed=args.seed,
-        no_recon=args.no_recon,
-        recon_only_unlabeled=args.recon_only_unlabeled,
-    )
+    summary = run_train(args.config, args.data, args.out, **_fields_of(TrainConfig, args))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -180,13 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark")
     p.add_argument("--out", required=True)
-    p.add_argument("--seen", type=INT, default=15)
-    p.add_argument("--unseen", type=INT, default=5)
-    p.add_argument("--attr-dim", type=INT, default=8)
-    p.add_argument("--feature-dim", type=INT, default=32)
-    p.add_argument("--per-class", type=INT, default=100)
-    p.add_argument("--noise-std", type=FLOAT, default=None)
-    p.add_argument("--seed", type=INT, default=0)
+    for f in fields(SynthSpec):  # int fields, and noise_std (default None)
+        kind = INT if isinstance(f.default, int) else FLOAT
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=f.default)
     p.set_defaults(func=_cmd_synth)
 
     def train_like(name, help_text):
@@ -201,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         return q
 
     p = train_like("train", "train a model per the config")
-    p.add_argument("--regime", choices=("inductive", "transductive", "fewshot"), default=None)
+    p.add_argument("--regime", choices=REGIMES, default=None)
     p.add_argument("--k", type=INT, default=None)
 
     p = train_like("fewshot", "train, then fine-tune on k labeled unseen examples")

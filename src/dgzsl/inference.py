@@ -35,8 +35,8 @@ def closest_prior(q, ids, priors):
     row's label is the candidate whose prior is closest in KL to its
     posterior. ``ids`` and ``priors`` are candidate_priors' pair. Returns
     (labels N, kl matrix N×K aligned with ``ids``); rows are scored
-    independently, so a batch cut into parts gives the same bytes part by
-    part."""
+    independently, so eval labels its test rows one reader block at a
+    time."""
     scores = kl_matrix(q, priors)
     labels = ids[np.argmin(scores, axis=1)]  # first occurrence = lowest class id
     return labels, scores

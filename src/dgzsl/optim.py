@@ -23,8 +23,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Inside autodiff.second_core at the first step, the worker walks the
-    second half of a vector over one block while the caller walks the first."""
+    """Walks the vector in two halves cut on a block boundary, through
+    autodiff.concurrently; a vector of one block has an empty second half."""
 
     def __init__(self, lr: float = 1e-3):
         if lr <= 0:
@@ -41,13 +41,14 @@ class Adam:
 
         Per element this evaluates m = β1·m + (1−β1)·g,
         v = β2·v + ((1−β2)·g)·g and p + (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
-        in exactly that operation order, so walking the vector in blocks, or
-        its two halves on two threads, gives the same bits as evaluating the
-        expressions on whole tensors. Each new block is checked for
+        in exactly that operation order, so walking the vector in blocks, and
+        its halves on one thread or two, gives the same bits as evaluating
+        the expressions on whole tensors. Each new block is checked for
         finiteness while it is in cache: this is where parameters change, so
-        a non-finite gradient or an overflow stops training here, with the
-        step count and the lowest failing tensor named, once both halves are
-        done.
+        a non-finite gradient or an overflow ends its half's walk after that
+        block (the other half is walked whole, on one thread as on two) and
+        stops training, with the step count and the lowest failing tensor
+        named, once both halves are done.
         """
         p = model.flat
         g = np.asarray(grad).reshape(-1)
@@ -56,18 +57,14 @@ class Adam:
         if self._m is None:  # state and scratch in the model's dtype; scratch no longer than p
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
             block = min(_BLOCK_BYTES // p.itemsize, p.size)
-            halves = 1 if autodiff._worker.get() is None or p.size <= block else 2
-            self._scratch = np.empty((halves, 2, block), p.dtype)  # an (a, b) pair per half
+            self._scratch = np.empty((2, 2, block), p.dtype)  # an (a, b) pair per half
         self._t += 1
         bc = (1.0 - _BETA1**self._t, 1.0 - _BETA2**self._t)
-        if len(self._scratch) == 1:
-            bad = (self._walk(p, g, bc, 0, p.size, self._scratch[0]),)
-        else:  # cut on a block boundary, so both halves walk the serial blocks
-            block = self._scratch.shape[-1]
-            mid = -(-p.size // (2 * block)) * block
-            low, high = self._scratch
-            walk = partial(self._walk, p, g, bc)
-            bad = autodiff.concurrently(partial(walk, 0, mid, low), partial(walk, mid, p.size, high))
+        block = self._scratch.shape[-1]
+        mid = -(-p.size // (2 * block)) * block  # on a block boundary: both halves walk the serial blocks
+        low, high = self._scratch
+        walk = partial(self._walk, p, g, bc)
+        bad = autodiff.concurrently(partial(walk, 0, mid, low), partial(walk, mid, p.size, high))
         bad = [at for at in bad if at is not None]
         if bad:
             at = min(bad)

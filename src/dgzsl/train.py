@@ -29,7 +29,7 @@ from .inductive import inductive_objective, inductive_value
 from .inference import accuracy, candidate_priors, closest_prior
 from .networks import ModelParams, decode, encode, init_model, make_dropout_masks, model_from_shapes
 from .optim import Adam
-from .serialize import check_finite, load_checkpoint, save_checkpoint, save_matrix, save_rows, save_text
+from .serialize import check_finite, load_checkpoint, plain_number_text, save_checkpoint, save_matrix, save_rows, save_text
 from .transductive import sharpen, soft_assign, transductive_objective
 
 
@@ -404,15 +404,16 @@ def _threads() -> int:
     run on 2 cores or more (the one measured case), else 1: the thread
     decision of scoring and training (_second_core). The pin is read as cli
     sets it from DGZSL_THREADS (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS);
-    unset, unparsable or 0 leaves OpenBLAS a thread per core. Off Linux (no
+    unset, unparsable, 0 or not plain ASCII (int() reads ``١`` as 1,
+    OpenBLAS's atoi as 0) leaves OpenBLAS a thread per core. Off Linux (no
     os.sched_getaffinity) it is 1."""
     value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
     try:
-        blas = int(value)
+        pinned = plain_number_text(value) and int(value) == 1
     except ValueError:
         return 1
     cores = getattr(os, "sched_getaffinity", None)
-    return 2 if blas == 1 and cores is not None and len(cores(0)) >= 2 else 1
+    return 2 if pinned and cores is not None and len(cores(0)) >= 2 else 1
 
 
 def _second_core(model: ModelParams):
@@ -423,19 +424,19 @@ def _second_core(model: ModelParams):
     return autodiff.second_core(_threads() > 1 and model.flat.nbytes > optim._BLOCK_BYTES)
 
 
-def _score_blocks(files, model: ModelParams, first: int, where: str, score):
-    """Yields ``score(q, row)`` for each reader block of ``files``' feature
-    rows from row ``first`` on, in row order: ``q`` is the block's eval-mode
+def _score_blocks(files, model: ModelParams, first: int, where: str):
+    """Yields ``(q, row)`` for each reader block of ``files``' feature rows
+    from row ``first`` on, in row order: ``q`` is the block's eval-mode
     posterior and ``row`` the file row of its first row. Earlier rows are
-    read and checked, not encoded. Each block is encoded whole; inside
-    _second_core, dense cuts its products.
+    read and checked, not encoded. Each block is encoded whole on this
+    thread; inside _second_core, dense cuts its products.
 
     A lone row at ``first`` (the last of its reader block) is copied out of
     the reused stage and carried into the next block, since a one-row
     product goes through BLAS matrix-vector code, which rounds otherwise. A
     non-finite posterior is an error naming ``where``, the map, the file row
-    and column, with no warning. Neither ``q`` nor a yielded result is held
-    here, so each can be freed before the next block needs the memory.
+    and column, with no warning. ``q`` is not held here, so a caller that
+    drops it frees it before the next block needs the memory.
     """
 
     def encoded(rows, start):
@@ -457,7 +458,7 @@ def _score_blocks(files, model: ModelParams, first: int, where: str, score):
         if rows.shape[0] == 1 and s.stop < files.shape[0]:
             carry = rows.copy()
             continue
-        yield score(encoded(rows, start), start)
+        yield encoded(rows, start), start
 
 
 def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
@@ -465,8 +466,8 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
 
     Every feature row is read and checked; the test rows of each block are
     scored as the block is read (_score_blocks), against candidate priors
-    built once, and each block's predicted labels are written in place, so
-    only one label per test row is kept.
+    built once, and each block's predicted labels are written in place and
+    its posterior dropped, so only one label per test row is kept.
     """
     with _open_for_scoring(checkpoint_path, data_dir) as (model, files):
         pools = {
@@ -483,12 +484,9 @@ def run_eval(checkpoint_path, data_dir, candidates: str = "unseen") -> dict:
         attrs = files.attributes.astype(model.flat.dtype, copy=False)
         ids, priors = candidate_priors(pools[candidates], attrs, model)
         predicted = np.empty(labels.size, np.int64)
-
-        def label(q, start):
+        for q, start in _score_blocks(files, model, first, str(files.path)):
             predicted[start - first : start - first + q.mean.shape[0]], _ = closest_prior(q, ids, priors)
-
-        for _ in _score_blocks(files, model, first, str(files.path), label):
-            pass
+            del q  # before the next block is encoded
     # each (true, predicted) pair as one code, counted by one np.unique
     classes = files.attributes.shape[0]
     codes, counts = np.unique(labels * classes + predicted, return_counts=True)
@@ -509,9 +507,9 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
 
     Output rows align one-for-one with the stored feature order (train block
     then test block). Reconstructions decode the posterior mean. Each row
-    block of features goes through the networks as it is read
-    (_score_blocks), and the reconstructions stream to disk block by block
-    in row order, so the feature matrix is never held. Each block's
+    block is encoded as it is read (_score_blocks), its posterior dropped
+    once its means are stored, then decoded, and streamed to disk in row
+    order, so the feature matrix is never held. Each block's
     reconstructions are checked for NaN and ±inf while they are in cache,
     so a model whose outputs overflow is an error naming ``recons.bin``,
     row and column, not a file that no reader accepts; a non-finite
@@ -527,18 +525,19 @@ def export_embeddings(checkpoint_path, data_dir, out_dir) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         latents = np.empty((files.shape[0], model.layout.latent_dim), model.flat.dtype)
 
-        def reconstruct(q, start):
-            s = slice(start, start + q.mean.shape[0])
-            latents[s] = q.mean
-            del q  # before the block is decoded, so it can reuse the memory
-            with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
-                recon = decode(latents[s], model)
-            check_finite(recon, start, str(out / "recons.bin"))
-            return recon
+        def recons():
+            for q, start in _score_blocks(files, model, 0, str(out / "latents.bin")):
+                s = slice(start, start + q.mean.shape[0])
+                latents[s] = q.mean
+                del q  # before the block is decoded, so it can reuse the memory
+                with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+                    recon = decode(latents[s], model)
+                check_finite(recon, start, str(out / "recons.bin"))
+                yield recon
+                del recon  # written by now; before the next block is encoded
 
         try:
-            recons = _score_blocks(files, model, 0, str(out / "latents.bin"), reconstruct)
-            save_rows(out / "recons.bin", files.shape, recons, then=partial(save_matrix, out / "latents.bin", latents))
+            save_rows(out / "recons.bin", files.shape, recons(), then=partial(save_matrix, out / "latents.bin", latents))
         except BaseException:
             with suppress(OSError):
                 for d in made:  # out first, then each parent this call made

@@ -7,7 +7,7 @@ label with its evidence, the label by the per-candidate bound, and the
 target-to-assignment KL. The class rules of a dataset with the pairwise
 C×C×M duplicate check that ``data._check_classes`` replaced, and the
 confusion table counted row by row. Also the elementwise tape ops (``add``, ``sub``,
-``mul``, ``exp``, ``sum``, ``mean``, ``logsumexp_rows``, ``matmul``,
+``mul``, ``exp``, ``relu``, ``sum``, ``mean``, ``logsumexp_rows``, ``matmul``,
 ``transpose``), each one node through ``ad.record``, and the unfused
 compositions built of them that the fused nodes replaced: they are the
 bit-for-bit reference of ``sample_reparam``, ``gauss_loglik_rows``, the
@@ -77,6 +77,12 @@ def mul(a, b):
 def exp(x):
     out = np.exp(ad._value(x))
     return _op("exp", out, (x,), lambda g: g * out)
+
+
+def relu(x):
+    """max(x, 0) as one tape node; gradient g · (x > 0), so ReLU′(0) = 0."""
+    xv = ad._value(x)
+    return _op("relu", np.maximum(xv, 0.0), (x,), lambda g: g * (xv > 0.0))
 
 
 def sum(x, axis=None, keepdims: bool = False):  # noqa: A001 - numpy-style name

@@ -42,24 +42,54 @@ def test_dense_reports_both_shapes():
 
 
 def unfused_dense(x, w, b, relu=False, mask=None):
-    # the elementwise composition ad.dense replaces, kept as its oracle
+    # the elementwise composition ad.dense replaces, kept as its oracle; its
+    # ReLU is the relu op dense replaced, whose gradient is 0 at 0 (a clip to
+    # [0, inf) would pass it there)
     h = op.add(matmul(x, w), b)
     if relu:
-        h = ad.clip(h, 0.0, np.inf)
+        h = op.relu(h)
     return h if mask is None else op.mul(h, mask)
 
 
-@pytest.mark.parametrize("relu,masked", [(False, False), (True, False), (True, True)])
-def test_dense_matches_the_unfused_composition_bit_for_bit(relu, masked):
+def _ties(rng, dtype):
+    """(x, w, b, mask) whose pre-activations hold exact zeros where the mask
+    keeps them: a zero feature row with a zero bias (init_model starts every
+    bias at zero) gives +0.0, and the smallest subnormal times weights in
+    (-0.5, 0) rounds to -0.0 where BLAS fuses its multiply-adds, which a
+    -0.0 bias keeps. The mask drops some positive pre-activations."""
+    x, w = rng.normal(size=(6, 5)), rng.normal(size=(5, 5))
+    x[0], x[1] = 0.0, np.finfo(dtype).smallest_subnormal
+    w[:, 0] = -rng.uniform(0.1, 0.4, size=5)
+    b = np.zeros(5)
+    b[0] = -0.0
+    mask = (rng.random((6, 5)) < 0.7) / 0.7
+    mask[:2] = 1 / 0.7
+    return x, w, b, mask
+
+
+@pytest.mark.parametrize(
+    "relu,masked,dtype",
+    [(False, False, np.float64), (True, False, np.float64), (True, True, np.float64)]
+    + [(True, "ties", np.float32), (True, "ties", np.float64)],
+    ids=["False-False", "True-False", "True-True", "ties-float32", "ties-float64"],
+)
+def test_dense_matches_the_unfused_composition_bit_for_bit(relu, masked, dtype):
     rng = np.random.default_rng(7)
     x, w = rng.normal(size=(6, 5)), rng.normal(size=(5, 5))
     b, b2 = rng.normal(size=5), rng.normal(size=5)
     mask = (rng.random((6, 5)) < 0.7) / 0.7 if masked else None
     weights = rng.normal(size=(6, 5))
+    if masked == "ties":
+        x, w, b, mask = _ties(rng, dtype)
+    x, w, b, b2, weights = (a.astype(dtype) for a in (x, w, b, b2, weights))
+    mask = None if mask is None else mask.astype(dtype)
+    if masked == "ties":
+        pre = x @ w + b
+        assert (pre[0] == 0).all() and ((pre > 0) & (mask == 0)).any()
     runs = []
     for layer in (ad.dense, unfused_dense):
         tape = Tape()
-        leaves = leafs(tape, x, w, b, b2)
+        leaves = tuple(tape.leaf(a) for a in (x, w, b, b2))
         vx, vw, vb, vb2 = leaves
         # the same weight matrix feeds both layers, so its gradient accumulates
         h = layer(vx, vw, vb, relu=relu, mask=mask)

@@ -797,17 +797,21 @@ def test_a_writer_failing_mid_export_on_two_threads_leaves_no_thread_and_no_file
         ({"OPENBLAS_NUM_THREADS": "two"}, 4, 1),
         ({"OPENBLAS_NUM_THREADS": ""}, 4, 1),
         ({"OPENBLAS_NUM_THREADS": "1"}, None, 1),
+        ({"OPENBLAS_NUM_THREADS": "\u0661"}, 4, 1),
+        ({"OMP_NUM_THREADS": "\u0661"}, 4, 1),
     ],
     ids=[
         "unset", "openblas-1", "openblas-1-2-cores", "openblas-1-1-core", "omp-1", "openblas-first",
         "2-of-64-cores", "8", "0", "negative", "malformed", "empty", "no-affinity",
+        "openblas-non-ascii", "omp-non-ascii",
     ],
 )
 def test_two_threads_score_only_where_one_blas_thread_leaves_a_core_free(monkeypatch, env, cores, count):
     """Two threads, the measured case, where one BLAS thread per product is
     pinned and there are two cores or more; else one. BLAS
-    threads that are unset, unparsable or 0 mean a BLAS thread per core.
-    Without os.sched_getaffinity (off Linux) the count is one."""
+    threads that are unset, unparsable or 0 mean a BLAS thread per core, and
+    so does an Arabic-Indic one, which int() reads as 1 and OpenBLAS's atoi
+    as 0. Without os.sched_getaffinity (off Linux) the count is one."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():

@@ -176,6 +176,26 @@ def test_a_non_finite_gradient_on_two_threads_names_the_lowest_tensor(dtype, bad
     assert messages == 2 * [f"Adam step 1: {lowest!r} has non-finite entries"]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_failing_adam_step_leaves_the_same_state_on_one_and_two_threads(monkeypatch, dtype):
+    """A gradient with inf in the first half ends that half's walk after its
+    block; the second half is walked whole on one thread as on two, so the
+    vector, both moments and the message are the same."""
+    monkeypatch.setattr(optim, "_BLOCK_BYTES", 1024 * np.dtype(dtype).itemsize)
+    model = init_model(np.random.default_rng(3), 64, 4, 8, (64, 64), dtype=dtype)
+    assert model.flat.size > 4 * 1024  # the first half holds blocks past the failing one
+    grad = np.random.default_rng(4).normal(size=model.flat.size).astype(dtype)
+    grad[10] = np.inf
+    outcomes = []
+    for on in (False, True):
+        opt, stepped = optim.Adam(), model.copy()
+        with autodiff.second_core(on), pytest.raises(DgzslError) as raised, np.errstate(invalid="ignore"):
+            opt.step(stepped, grad)
+        outcomes.append([str(raised.value)] + [a.tobytes() for a in (stepped.flat, opt._m, opt._v)])
+    assert outcomes[1] == outcomes[0]  # bytes, so a NaN equals a NaN of the same bits
+    assert outcomes[0][0] == f"Adam step 1: {_named_entry(model, 10)!r} has non-finite entries"
+
+
 def _failures_on_one_and_two_threads(threads, ds, cfg, errstate) -> dict:
     """Thread count -> (the error of a failing train_model run, the
     warnings it printed), checking that no thread outlives the run."""
