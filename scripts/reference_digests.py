@@ -25,15 +25,12 @@ and one `sha256  data/file` (or `data-gbu/file`) line per file of a
 dataset, before the lines of the case that wrote it. So two trees give
 byte-identical data and outputs exactly when the printed lines do.
 `--epochs N` runs every training case at N epochs, keeping the
-transductive config's share of pretrain epochs. `--check FILE` compares the
-lines with FILE, the output of an earlier run of the same cases into an
-empty OUT, instead of printing them: it exits 0 when every line matches,
-and otherwise prints each line that differs, is missing or is extra, by
-case and file, and exits 1.
+transductive config's share of pretrain epochs.
 
 Example, against a second checkout of the code:
+    PYTHONPATH=src python3 scripts/reference_digests.py /tmp/new > new.txt
     PYTHONPATH=../other/src python3 scripts/reference_digests.py /tmp/old > old.txt
-    PYTHONPATH=src python3 scripts/reference_digests.py /tmp/new --check old.txt
+    diff old.txt new.txt
 """
 
 import argparse
@@ -117,54 +114,20 @@ def run_case(case: str, out: Path, epochs) -> dict:
     return written | {f"{case}/{name}": (run / name).read_bytes() for name in OUTPUTS}
 
 
-def by_name(lines) -> dict:
-    """{'case/file': sha256} of `sha256  case/file` lines."""
-    return {name: digest for digest, _, name in (line.partition("  ") for line in lines)}
-
-
-def differences(expected, printed) -> list:
-    """One message per `sha256  case/file` line of ``expected`` (a checked
-    file's) or ``printed`` (this run's) whose case/file the other lacks or
-    hashes otherwise, in the file's order, then this run's."""
-    want, got = by_name(expected), by_name(printed)
-    found = []
-    for name, digest in want.items():
-        if name not in got:
-            found.append(f"missing  {name}: {digest} in the file, not printed")
-        elif got[name] != digest:
-            found.append(f"differs  {name}: {digest} in the file, {got[name]} printed")
-    return found + [f"extra    {name}: {digest} printed, not in the file" for name, digest in got.items() if name not in want]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory for the data and the runs")
     parser.add_argument("--epochs", type=int, default=None, help="epochs of every training case")
-    parser.add_argument("--check", type=Path, metavar="FILE", help="compare the lines with FILE instead of printing them")
     parser.add_argument("cases", nargs="*", metavar="CASE", help=f"of {', '.join(CASES)} (default: all)")
     args = parser.parse_intermixed_args()
     unknown = set(args.cases) - set(CASES)
     if unknown:
         parser.error(f"unknown cases {sorted(unknown)}; choose from {', '.join(CASES)}")
-    expected = None
-    if args.check is not None:  # read first, so a missing file fails before the runs
-        try:
-            expected = [line for line in args.check.read_text(encoding="utf-8").splitlines() if line.strip()]
-        except (OSError, UnicodeDecodeError) as e:
-            parser.error(f"--check: {e}")
     args.out.mkdir(parents=True, exist_ok=True)
-    printed = []
     for case in args.cases or CASES:
         for name, blob in run_case(case, args.out, args.epochs).items():
-            printed.append(f"{hashlib.sha256(blob).hexdigest()}  {name}")
-            if expected is None:
-                print(printed[-1], flush=True)
-    if expected is None:
-        return 0
-    found = differences(expected, printed)
-    for line in found:
-        print(line)
-    return 1 if found else 0
+            print(f"{hashlib.sha256(blob).hexdigest()}  {name}", flush=True)
+    return 0
 
 
 if __name__ == "__main__":

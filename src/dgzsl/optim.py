@@ -57,12 +57,12 @@ class Adam:
         if self._m is None:  # state and scratch in the model's dtype; scratch no longer than p
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
             block = min(_BLOCK_BYTES // p.itemsize, p.size)
-            self._scratch = np.empty((2, 2, block), p.dtype)  # an (a, b) pair per half
+            self._scratch = np.empty((1 + (p.size > block), 2, block), p.dtype)  # an (a, b) pair per half
         self._t += 1
         bc = (1.0 - _BETA1**self._t, 1.0 - _BETA2**self._t)
         block = self._scratch.shape[-1]
         mid = -(-p.size // (2 * block)) * block  # on a block boundary: both halves walk the serial blocks
-        low, high = self._scratch
+        low, high = self._scratch[0], self._scratch[-1]  # an empty second half borrows the first's pair
         walk = partial(self._walk, p, g, bc)
         bad = autodiff.concurrently(partial(walk, 0, mid, low), partial(walk, mid, p.size, high))
         bad = [at for at in bad if at is not None]
